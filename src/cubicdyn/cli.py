@@ -5,8 +5,8 @@ the exact lattice action, the 27 lines, orbit traces, and the counting
 suite.  Output is JSON, CSV or human-readable text; a key=value config
 file can supply defaults that individual flags override.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error.
+Exit codes: 0 success / all checks pass, 1 verification failure or
+any other error (one line on stderr, no traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 from fractions import Fraction
 
 from . import counting, lattice, lines, params, surface
 
 __all__ = ["main", "dispatch"]
+
+_log = logging.getLogger(__name__)
 
 
 def parse_complex(text):
@@ -358,7 +361,7 @@ def _cmd_zeta(args, config, out):
 
 
 def _cmd_solve(args, config, out):
-    defaults = counting.SolverConfig(seeds=200000 if args.N >= 3 else 20000)
+    defaults = counting.SolverConfig.for_period(args.N)
     cfg = counting.SolverConfig(
         seeds=_opt(args, config, "seeds", int, defaults.seeds),
         rng_seed=out.rng if out.rng is not None else int(config.get("rng", 0)),
@@ -436,6 +439,11 @@ def dispatch(argv, stream=None) -> int:
         return _COMMANDS[args.command](args, config, out)
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # the CLI's boundary: one line on stderr, the traceback at DEBUG
+        _log.debug("unexpected error in %s", args.command, exc_info=True)
+        print(f"error: unexpected {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
 
 import numpy as np
 
@@ -59,16 +58,16 @@ def lefschetz_number(N: int):
     """Lefschetz number of c^N on the compactified surface.
 
     Returns (exact, closed) where exact = 1 + tr((c*)^N) + 1 with
-    big-integer matrix powers and closed is the float value of
-    (2+sqrt5)^N + (2-sqrt5)^N + 4(-1)^N + 2.  The two agree exactly
-    through the integer recurrence for the surd part.
+    big-integer matrix powers and closed is the closed form
+    (2+sqrt5)^N + (2-sqrt5)^N + 4(-1)^N + 2, an exact integer through the
+    recurrence for the surd part.  Raises AssertionError if they differ.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     exact = 1 + trace_power(coxeter_star(), N) + 1
-    sN = _s_sequence(N)[N]
-    assert exact == sN + 4 * (-1) ** N + 2
-    closed = (2 + sqrt(5)) ** N + (2 - sqrt(5)) ** N + 4 * (-1) ** N + 2
+    closed = _s_sequence(N)[N] + 4 * (-1) ** N + 2
+    if exact != closed:
+        raise AssertionError(f"Lefschetz trace {exact} differs from the closed form {closed} at N={N}")
     return exact, closed
 
 
@@ -140,9 +139,7 @@ def verify_counts(n_max: int) -> dict:
     c = _c_sequence(n_max)
     rows = []
     for N in range(1, n_max + 1):
-        exact, closed = lefschetz_number(N)
-        if abs(exact - closed) > 1e-6 * max(1.0, abs(closed)):
-            raise AssertionError(f"Lefschetz closed form mismatch at N={N}")
+        exact, _ = lefschetz_number(N)  # raises if the trace and the closed form differ
         if per_count_closed(N, "projective") != per_count_closed(N, "affine") + 1:
             raise AssertionError(f"projective/affine offset mismatch at N={N}")
         if exact != per_count_closed(N, "projective") + 1:
@@ -200,6 +197,12 @@ class SolverConfig:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
 
+    @classmethod
+    def for_period(cls, N: int) -> "SolverConfig":
+        """The default configuration for period N: 200000 seeds from N = 3
+        on, where the roots are many and their basins small, else 20000."""
+        return cls(seeds=200000 if N >= 3 else 20000)
+
 
 @dataclass
 class CountReport:
@@ -237,45 +240,86 @@ def _coerce_theta4(theta):
     return np.array([complex(t) for t in theta], dtype=complex)
 
 
-def _coxeter_batch(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """Apply c^n to an (M, 3) batch."""
-    y = x.copy()
+def _coxeter_cols(x, t, n: int):
+    """c^n on three coordinate columns.
+
+    Generic over the scalar type, numpy object columns of Fraction
+    included; t is indexed, so an array or a tuple both work.
+    """
+    x1, x2, x3 = x
+    t1, t2, t3 = t[0], t[1], t[2]
     for _ in range(n):
-        for i in (3, 2, 1):
-            j, k = [a for a in (0, 1, 2) if a != i - 1]
-            y[:, i - 1] = t[i - 1] - y[:, i - 1] - y[:, j] * y[:, k]
-    return y
+        x3 = t3 - x3 - x1 * x2
+        x2 = t2 - x2 - x1 * x3
+        x1 = t1 - x1 - x2 * x3
+    return x1, x2, x3
 
 
-def _coxeter_batch_jac(x: np.ndarray, t: np.ndarray, n: int):
-    """c^n and its Jacobian on an (M, 3) batch, by the chain rule."""
-    m = x.shape[0]
-    y = x.copy()
-    jac = np.broadcast_to(np.eye(3, dtype=complex), (m, 3, 3)).copy()
+def _coxeter_cols_jac(x, t, n: int):
+    """c^n on three columns, with its Jacobian by the chain rule.
+
+    The Jacobian comes back as a (3, 3, M) array: entry [r, c] is the
+    column of d(c^n)_r / dx_c over the points.
+    """
+    x1, x2, x3 = x
+    t1, t2, t3 = t[0], t[1], t[2]
+    jac = np.zeros((3, 3, len(x1)), dtype=np.result_type(x1, x2, x3))
+    for r in range(3):
+        jac[r, r] = 1
+    j1, j2, j3 = jac
     for _ in range(n):
-        for i in (3, 2, 1):
-            j, k = [a for a in (0, 1, 2) if a != i - 1]
-            jac[:, i - 1, :] = (
-                -jac[:, i - 1, :]
-                - y[:, k, None] * jac[:, j, :]
-                - y[:, j, None] * jac[:, k, :]
-            )
-            y[:, i - 1] = t[i - 1] - y[:, i - 1] - y[:, j] * y[:, k]
-    return y, jac
+        # row i of D(sigma_i) at the current point, then sigma_i itself
+        j3[...] = -j3 - x2 * j1 - x1 * j2
+        x3 = t3 - x3 - x1 * x2
+        j2[...] = -j2 - x3 * j1 - x1 * j3
+        x2 = t2 - x2 - x1 * x3
+        j1[...] = -j1 - x3 * j2 - x2 * j3
+        x1 = t1 - x1 - x2 * x3
+    return (x1, x2, x3), jac
 
 
-def _surface_residual_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    f = (
-        x[:, 0] * x[:, 1] * x[:, 2]
-        + (x * x).sum(axis=1)
-        - x @ t[:3]
-        + t[3]
-    )
-    return np.abs(f)
+def _cubic_cols(x, t, alone: bool = False):
+    """f on three columns.
+
+    The sums keep the solver's association,
+    x1x2x3 + ((x1^2 + x2^2) + x3^2) - ((x1t1 + x2t2) + x3t3) + t4, which
+    differs from surface.cubic_eval in the last bits.  The linear term
+    keeps the rounding of x @ t on (M, 3) rows, which for a single row is
+    BLAS's dot product instead of this sum: alone=True rounds every point
+    as if it were evaluated by itself, as does a single column.
+    """
+    x1, x2, x3 = x
+    if alone or len(x1) == 1:
+        tt = t[:3]
+        lin = np.array([np.dot(np.array(p), tt) for p in zip(x1, x2, x3)])
+    else:
+        lin = (x1 * t[0] + x2 * t[1]) + x3 * t[2]
+    return x1 * x2 * x3 + ((x1 * x1 + x2 * x2) + x3 * x3) - lin + t[3]
+
+
+def _grad_cols(x, t):
+    """The gradient of f on three columns."""
+    x1, x2, x3 = x
+    return (x2 * x3 + 2 * x1 - t[0], x1 * x3 + 2 * x2 - t[1], x1 * x2 + 2 * x3 - t[2])
+
+
+def _max_abs(x) -> np.ndarray:
+    """max(|x1|, |x2|, |x3|) per point; nan if any entry is nan."""
+    return np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
+
+
+def _system_residual(x, t, n: int, alone: bool = False) -> np.ndarray:
+    """max(|c^n(x) - x|, |f(x)|) per point of three columns."""
+    y = _coxeter_cols(x, t, n)
+    r = _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
+    return np.maximum(r, np.abs(_cubic_cols(x, t, alone)))
 
 
 def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
-    """Half box seeds of radius 10, half seeds placed on the surface."""
+    """Half box seeds of radius 10, half seeds placed on the surface.
+
+    Returned as a (3, count) array of coordinate columns.
+    """
     box = count // 2
     pts = (rng.uniform(-10, 10, size=(box, 3)) + 1j * rng.uniform(-10, 10, size=(box, 3)))
     rest = count - box
@@ -286,25 +330,7 @@ def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
     sq = np.sqrt(bq * bq - 4 * cq)
     sign = np.where(rng.random(rest) < 0.5, 1.0, -1.0)
     x1 = (-bq + sign * sq) / 2
-    surf = np.column_stack([x1, x23])
-    return np.vstack([pts, surf])
-
-
-def _grad_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            x[:, 1] * x[:, 2] + 2 * x[:, 0] - t[0],
-            x[:, 0] * x[:, 2] + 2 * x[:, 1] - t[1],
-            x[:, 0] * x[:, 1] + 2 * x[:, 2] - t[2],
-        ],
-        axis=1,
-    )
-
-
-def _system_residual(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """max(|c^n(x) - x|, |f(x)|) per point."""
-    r = np.abs(_coxeter_batch(x, t, n) - x).max(axis=1)
-    return np.maximum(r, _surface_residual_batch(x, t))
+    return np.concatenate([pts.T, np.vstack([x1, x23.T])], axis=1)
 
 
 def _newton_batch(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
@@ -315,6 +341,10 @@ def _newton_batch(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> n
     of D(c^n) - I and the plain square system is singular exactly at the
     roots.  The 4-equation least-squares system is regular there.
 
+    x0 holds the seeds as (3, M) coordinate columns.  Returns the
+    converged points as a (K, 3) array, ordered by the iteration they
+    converged at and then by seed.
+
     Escaping seeds overflow to inf/nan and are dropped; the arithmetic
     warnings that produces are deliberately silenced.
     """
@@ -322,40 +352,45 @@ def _newton_batch(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> n
         return _newton_batch_inner(x0, t, n, cfg)
 
 
-def _newton_batch_inner(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
-    x = x0.copy()
-    active = np.ones(x.shape[0], dtype=bool)
+def _newton_batch_inner(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
+    # x holds the live points as columns, in seed order; every point that
+    # converges, escapes or goes bad is compacted away at once
     done = []
     eye = np.eye(3, dtype=complex)
     for _ in range(cfg.newton_max_iter):
-        if not active.any():
+        m = x.shape[1]
+        if m == 0:
             break
-        xa = x[active]
-        y, jac = _coxeter_batch_jac(xa, t, n)
-        res4 = np.concatenate([y - xa, _surface_residual_batch(xa, t)[:, None].astype(complex)], axis=1)
-        res4[:, 3] = (
-            xa[:, 0] * xa[:, 1] * xa[:, 2] + (xa * xa).sum(axis=1) - xa @ t[:3] + t[3]
-        )
+        y, jac = _coxeter_cols_jac(x, t, n)
+        for r in range(3):
+            jac[r, r] -= 1
+        system = np.empty((m, 4, 3), dtype=complex)  # rows: D(c^n) - I, then grad f
+        system[:, :3] = jac.transpose(2, 0, 1)
+        del jac
+        res4 = np.empty((m, 4), dtype=complex)
+        for r in range(3):
+            np.subtract(y[r], x[r], out=res4[:, r])
+        del y
+        res4[:, 3] = _cubic_cols(x, t)
         rnorm = np.abs(res4).max(axis=1)
         map_ok = np.abs(res4[:, :3]).max(axis=1) < cfg.newton_tol
-        surf_ok = np.abs(res4[:, 3]) <= cfg.surface_tol * (1 + np.abs(xa).max(axis=1) ** 3)
+        surf_ok = np.abs(res4[:, 3]) <= cfg.surface_tol * (1 + _max_abs(x) ** 3)
         conv = map_ok & surf_ok
         if conv.any():
-            done.append(xa[conv])
-        amask = ~conv
-        xa, jac, res4, rnorm = xa[amask], jac[amask], res4[amask], rnorm[amask]
-        idx = np.flatnonzero(active)
-        active[idx[conv]] = False
-        idx = idx[amask]
-        if xa.shape[0] == 0:
-            continue
-        j4 = np.concatenate([jac - eye, _grad_batch(xa, t)[:, None, :]], axis=1)
-        jh = np.conj(np.transpose(j4, (0, 2, 1)))
-        a = jh @ j4
+            done.append(x[:, conv])
+            keep = ~conv
+            x, system, res4, rnorm = x[:, keep], system[keep], res4[keep], rnorm[keep]
+            if x.shape[1] == 0:
+                break
+        system[:, 3, 0], system[:, 3, 1], system[:, 3, 2] = _grad_cols(x, t)
+        jh = np.conj(np.transpose(system, (0, 2, 1)))
+        a = jh @ system
         rhs = -(jh @ res4[:, :, None])
+        del jh, system, res4
         # tiny Levenberg shift keeps the normal equations solvable
         shift = 1e-14 * np.abs(a).max(axis=(1, 2)) + 1e-30
-        a = a + shift[:, None, None] * eye
+        for r in range(3):
+            a[:, r, r] += shift
         det = np.linalg.det(a)
         bad = (
             ~np.isfinite(det)
@@ -364,30 +399,55 @@ def _newton_batch_inner(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig
         )
         a[bad] = eye
         rhs[bad] = 0
-        dx = np.linalg.solve(a, rhs)[:, :, 0]
-        # damp: halve the step until the residual stops growing
-        scale = np.ones(xa.shape[0])
-        xnew = xa + dx
-        new_r = _system_residual(xnew, t, n)
-        worse = ~(new_r < rnorm)
-        for _ in range(25):
-            if not worse.any():
-                break
-            scale[worse] /= 2
-            trial = xa[worse] + scale[worse, None] * dx[worse]
-            xnew[worse] = trial
-            new_r[worse] = _system_residual(trial, t, n)
-            worse = worse & ~(new_r < rnorm)
-        gone = (
-            ~np.isfinite(xnew).all(axis=1)
-            | (np.abs(xnew).max(axis=1) > cfg.escape_radius)
-            | bad
-        )
-        x[idx] = xnew
-        active[idx[gone]] = False
+        dx = np.linalg.solve(a, rhs)[:, :, 0].T
+        del a, rhs
+        xnew = _line_search(x, dx, rnorm, t, n)
+        live = ~bad & np.isfinite(xnew).all(axis=0) & (_max_abs(xnew) <= cfg.escape_radius)
+        x = xnew[:, live]
     if not done:
         return np.empty((0, 3), dtype=complex)
-    return np.vstack(done)
+    return np.concatenate(done, axis=1).T
+
+
+_LINE_SEARCH_BLOCK = 2048  # most trial points one residual call evaluates
+
+
+def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """Damp each step: x + 2^-k dx for the first k = 0..25 whose residual
+    is below rnorm, else the k = 25 trial.
+
+    Only the points that have not improved yet go on to the next halving.
+    Once they are few, the next several halvings are evaluated in one call
+    of at most _LINE_SEARCH_BLOCK trial points; every trial is rounded as
+    if the halvings ran one at a time, so the result does not depend on
+    the block size.
+    """
+    xnew = x + dx
+    todo = np.flatnonzero(~(_system_residual(xnew, t, n) < rnorm))
+    k = 1
+    while todo.size and k <= 25:
+        s = todo.size
+        span = min(26 - k, max(1, _LINE_SEARCH_BLOCK // s))
+        scale = 0.5 ** np.arange(k, k + span)
+        trial = x[:, None, todo] + scale[:, None] * dx[:, None, todo]  # (3, span, s)
+        better = _system_residual(trial.reshape(3, -1), t, n, alone=s == 1).reshape(span, s) < rnorm[todo]
+        # trying[j]: the points not improved before halving k + j
+        trying = np.ones_like(better)
+        trying[1:] = ~np.logical_or.accumulate(better, axis=0)[:-1]
+        if s > 1:
+            # a point left by itself takes single-point rounding, so the
+            # block ends where one point is left
+            lone = np.flatnonzero(trying.sum(axis=1) == 1)
+            if lone.size:
+                span = lone[0]
+                better, trying = better[:span], trying[:span]
+        first = better & trying
+        settled = first.any(axis=0)
+        pick = np.where(settled, first.argmax(axis=0), span - 1)
+        xnew[:, todo] = trial[:, pick, np.arange(s)]
+        todo = todo[~settled]
+        k += span
+    return xnew
 
 
 def _cluster_index(clusters: list, x: np.ndarray, radius: float):
@@ -397,24 +457,30 @@ def _cluster_index(clusters: list, x: np.ndarray, radius: float):
     return None
 
 
+def _apply(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """c^n of one point."""
+    return np.concatenate(_coxeter_cols(x[:, None], t, n))
+
+
 def _polish(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
     """A few undamped Gauss-Newton steps on a single point."""
-    y = x[None, :].copy()
-    eye = np.eye(3, dtype=complex)
+    y = x
+    system = np.empty((4, 3), dtype=complex)
     for _ in range(10):
-        img, jac = _coxeter_batch_jac(y, t, n)
+        img, jac = _coxeter_cols_jac(y[:, None], t, n)
         res = np.empty(4, dtype=complex)
-        res[:3] = (img - y)[0]
-        res[3] = cubic_eval(tuple(y[0]), tuple(t))
+        res[:3] = np.concatenate(img) - y
+        res[3] = cubic_eval(tuple(y), tuple(t))
         if np.abs(res[:3]).max() < cfg.newton_tol:
             break
-        j4 = np.concatenate([jac[0] - eye, _grad_batch(y, t)], axis=0)
+        system[:3] = jac[:, :, 0] - np.eye(3)
+        system[3] = np.concatenate(_grad_cols(y[:, None], t))
         try:
-            dy = np.linalg.lstsq(j4, -res, rcond=None)[0]
+            dy = np.linalg.lstsq(system, -res, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
-        y = y + dy[None, :]
-    return y[0]
+        y = y + dy
+    return y
 
 
 def _transverse_multiplicity(jac: np.ndarray) -> float:
@@ -437,10 +503,13 @@ def _transverse_multiplicity(jac: np.ndarray) -> float:
 def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountReport:
     """Find the N-periodic points of c on S(theta) by multistart Newton.
 
-    Newton runs on the square system c^N(x) - x = 0 in ambient C^3; roots
-    are filtered by the surface residual (c preserves the surface, so the
-    on-surface roots are exactly the targets), deduplicated, closed under
-    the action of c, and classified by minimal period and orbit.
+    Damped Gauss-Newton runs on the 4-equation system
+    (c^N(x) - x, f(x)) = 0 in ambient C^3: the square system c^N(x) - x = 0
+    alone is singular at the on-surface roots (see _newton_batch).  A seed
+    counts as converged when the map residual is below cfg.newton_tol and
+    the surface residual within cfg.surface_tol of the surface; the roots
+    are deduplicated, closed under the action of c, and classified by
+    minimal period and orbit.
 
     If the eigenvalue parameters b are supplied, a vanishing discriminant
     is rejected; otherwise genericity of theta is the caller's burden.
@@ -449,7 +518,7 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     if N < 1:
         raise ValueError("N must be >= 1")
     if cfg is None:
-        cfg = SolverConfig(seeds=200000 if N >= 3 else 20000)
+        cfg = SolverConfig.for_period(N)
     if b is not None and abs(discriminant(b)) < 1e-12:
         raise ValueError("nongeneric parameters: discriminant vanishes")
     t = _coerce_theta4(theta)
@@ -486,7 +555,7 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     # of a periodic point is a periodic point)
     i = 0
     while i < len(clusters):
-        img = _coxeter_batch(clusters[i][None, :], t, 1)[0]
+        img = _apply(clusters[i], t, 1)
         if _cluster_index(clusters, img, cfg.dedup_radius) is None:
             clusters.append(_polish(img, t, N, cfg))
         i += 1
@@ -495,22 +564,22 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     next_of = []
     multiple = False
     for x in clusters:
-        img, jac = _coxeter_batch_jac(x[None, :], t, N)
-        r = float(np.abs(img - x[None, :]).max())
+        img, jac = _coxeter_cols_jac(x[:, None], t, N)
+        r = float(np.abs(np.concatenate(img) - x).max())
         report.points.append((AffinePoint(*x), r))
-        mult = _transverse_multiplicity(jac[0])
+        mult = _transverse_multiplicity(jac[:, :, 0])
         if mult < 1e-6:
             multiple = True
         report.clusters.append((AffinePoint(*x), mult))
         period = N
         for d in range(1, N):
             if N % d == 0:
-                yd = _coxeter_batch(x[None, :], t, d)[0]
+                yd = _apply(x, t, d)
                 if np.abs(yd - x).max() <= cfg.dedup_radius * (1 + np.abs(x).max()):
                     period = d
                     break
         report.minimal_periods.append(period)
-        img1 = _coxeter_batch(x[None, :], t, 1)[0]
+        img1 = _apply(x, t, 1)
         next_of.append(_cluster_index(clusters, img1, cfg.dedup_radius))
 
     seen = set()

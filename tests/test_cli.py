@@ -3,7 +3,7 @@
 import io
 import json
 
-from cubicdyn.cli import dispatch, parse_complex, parse_kappa, parse_scalar
+from cubicdyn.cli import dispatch, parse_complex, parse_kappa, parse_scalar, parse_theta
 
 
 def run(argv):
@@ -154,3 +154,50 @@ def test_config_file_errors(tmp_path):
     assert code == 2
     code, _ = run(["count", "--N", "2", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
+
+
+def test_verify_beyond_float_range():
+    # (2+sqrt5)^N overflows a float near N = 492; the check is exact
+    from cubicdyn import counting
+
+    code, out = run(["verify", "--nmax", "500", "--output", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 500
+    assert rows[-1]["lefschetz"] == counting.per_count_closed(500, "projective") + 1
+
+
+def test_unexpected_error_exit_code(monkeypatch, capsys):
+    from cubicdyn import counting
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected\nfailure")
+
+    monkeypatch.setattr(counting, "per_count_closed", boom)
+    code, out = run(["count", "--N", "2"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: unexpected RuntimeError: injected failure\n"
+
+
+def test_solve_default_config_matches_solver(monkeypatch):
+    import numpy as np
+
+    from cubicdyn import counting
+
+    seen = []
+
+    def newton(x0, t, n, cfg):
+        seen.append(cfg)
+        return np.empty((0, 3), dtype=complex)
+
+    monkeypatch.setattr(counting, "_newton_batch", newton)
+    theta = "1,2,3,4"
+    for N in (2, 3):
+        seen.clear()
+        run(["solve", "--theta", theta, "--N", str(N)])
+        from_cli = seen[0]
+        seen.clear()
+        counting.solve_periodic(parse_theta(theta), N)
+        assert seen[0] == from_cli
+        assert from_cli.seeds == (200000 if N >= 3 else 20000)

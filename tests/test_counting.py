@@ -167,3 +167,143 @@ def test_count_report_json():
     data = report.to_json()
     assert data["N"] == 2 and data["status"] == "partial"
     assert data["points"] == [] and data["orbits"] == []
+
+
+def test_lefschetz_check_raises_on_wrong_trace(monkeypatch):
+    from cubicdyn import counting
+
+    monkeypatch.setattr(counting, "trace_power", lambda m, n: 0)
+    with pytest.raises(AssertionError, match="N=3"):
+        lefschetz_number(3)
+    with pytest.raises(AssertionError, match="N=2"):
+        verify_counts(5)
+
+
+def test_lefschetz_check_survives_optimized_mode():
+    # python -O strips assert statements; the check must still raise
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from cubicdyn import counting\n"
+        "counting.trace_power = lambda m, n: 0\n"
+        "try:\n"
+        "    counting.lefschetz_number(3)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert done.returncode == 0
+
+
+def _fraction_columns(rng, m):
+    def frac():
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
+
+    pts = [tuple(frac() for _ in range(3)) for _ in range(m)]
+    theta = tuple(frac() for _ in range(4))
+    cols = tuple(np.array([p[i] for p in pts], dtype=object) for i in range(3))
+    return pts, theta, cols
+
+
+def test_column_kernels_exact_on_fraction_columns():
+    from cubicdyn import counting
+    from cubicdyn.surface import coxeter_apply, coxeter_jacobian, cubic_eval, cubic_gradient
+
+    pts, theta, cols = _fraction_columns(np.random.default_rng(5), 3)
+    for N in (1, 2, 3, 4):
+        images = counting._coxeter_cols(cols, theta, N)
+        images_j, jac = counting._coxeter_cols_jac(cols, theta, N)
+        for p, x in enumerate(pts):
+            y = x
+            for _ in range(N):
+                y = coxeter_apply(y, theta)
+            assert tuple(c[p] for c in images) == y
+            assert tuple(c[p] for c in images_j) == y
+            want = coxeter_jacobian(x, theta, N, escape_radius=float("inf"))
+            assert [[jac[r, c, p] for c in range(3)] for r in range(3)] == want
+    grad = counting._grad_cols(cols, theta)
+    f = counting._cubic_cols(cols, theta)
+    for p, x in enumerate(pts):
+        assert tuple(g[p] for g in grad) == cubic_gradient(x, theta)
+        assert f[p] == cubic_eval(x, theta)
+
+
+@pytest.mark.parametrize("block", [1, 4, None])
+def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
+    from cubicdyn import counting
+
+    # residual |x1|: point 0 improves at once, point 1 at scale 2^-3
+    # (1 - 8/8 = 0), point 2 never does and keeps the 2^-25 trial
+    calls = []
+
+    def residual(x, t, n, alone=False):
+        calls.append((x.shape[1], alone))
+        return np.abs(x[0])
+
+    monkeypatch.setattr(counting, "_system_residual", residual)
+    if block is not None:
+        monkeypatch.setattr(counting, "_LINE_SEARCH_BLOCK", block)
+    x = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 6.0, 7.0]], dtype=complex)
+    dx = np.array([[-1.0, -8.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
+    xnew = counting._line_search(x, dx, np.ones(3), None, 1)
+    assert list(xnew[1]) == [1.0, 2.0**-3, 2.0**-25]
+    assert list(xnew[0]) == [0.0, 0.0, 1 + 2.0**-25]
+    assert list(xnew[2]) == [5.0, 6.0, 7.0]
+    if block == 1:  # one halving at a time, on the points still failing
+        assert calls == [(3, False)] + [(2, False)] * 3 + [(1, True)] * 22
+    if block is None:  # halvings 1-3 in one block, the last point by itself
+        assert calls == [(3, False), (50, False), (22, True)]
+
+
+def test_line_search_block_size_changes_no_bit():
+    from cubicdyn import counting
+
+    kappa = random_offwall_kappa(np.random.default_rng(1))
+    t = counting._coerce_theta4(rh_params(kappa))
+    steps = []
+    search = counting._line_search
+
+    def record(x, dx, rnorm, t, n):
+        steps.append((x, dx, rnorm))
+        return search(x, dx, rnorm, t, n)
+
+    seeds = counting._make_seeds(300, t, np.random.default_rng(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_line_search", record)
+        counting._newton_batch(seeds, t, 3, SolverConfig(newton_max_iter=30))
+    assert len(steps) == 30
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, dx, rnorm in steps:
+            blocked = search(x, dx, rnorm, t, 3)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "_LINE_SEARCH_BLOCK", 1)
+                single = search(x, dx, rnorm, t, 3)
+            bits = [np.ascontiguousarray(v).view(np.uint64) for v in (blocked, single)]
+            assert np.array_equal(*bits)
+
+
+def test_newton_batch_orders_by_iteration_then_seed():
+    from cubicdyn import counting
+
+    kappa = random_offwall_kappa(np.random.default_rng(3))
+    t = counting._coerce_theta4(rh_params(kappa))
+    cfg = SolverConfig(seeds=1500)
+    found = counting._newton_batch(counting._make_seeds(1500, t, np.random.default_rng(0)), t, 2, cfg)
+    roots = []
+    for x in found:
+        if all(np.abs(x - r).max() > 1e-3 for r in roots):
+            roots.append(x)
+    assert len(roots) >= 4
+    r0, r1, r2, r3 = roots[:4]
+    # r1 and r3 converge at the first iteration, r2 + 1e-8 before r0 + 1e-4
+    seeds = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
+    out = counting._newton_batch(seeds, t, 2, cfg)
+    assert out.shape == (4, 3)
+    assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
+    assert np.abs(out[2] - r2).max() < 1e-7 and np.abs(out[3] - r0).max() < 1e-7

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -140,6 +141,12 @@ def _flatten(data, prefix=""):
         yield prefix.rstrip("."), data
 
 
+def _solver_fields():
+    """The SolverConfig fields that are solve flags and config-file keys;
+    rng_seed is the common --rng."""
+    return [f for f in dataclasses.fields(counting.SolverConfig) if f.name != "rng_seed"]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicdyn",
@@ -205,13 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--theta")
     g.add_argument("--kappa")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--newton-tol", type=float, default=None)
-    p.add_argument("--newton-max-iter", type=int, default=None)
-    p.add_argument("--dedup-radius", type=float, default=None)
-    p.add_argument("--surface-tol", type=float, default=None)
-    p.add_argument("--saturation-batches", type=int, default=None)
-    p.add_argument("--escape-radius", type=float, default=None)
+    for f in _solver_fields():
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
     p = add_parser("verify", help="cross-check every exact counting identity")
     p.add_argument("--nmax", type=int, required=True)
@@ -361,16 +363,11 @@ def _cmd_zeta(args, config, out):
 
 
 def _cmd_solve(args, config, out):
-    defaults = counting.SolverConfig.for_period(args.N)
-    cfg = counting.SolverConfig(
-        seeds=_opt(args, config, "seeds", int, defaults.seeds),
-        rng_seed=out.rng if out.rng is not None else int(config.get("rng", 0)),
-        newton_max_iter=_opt(args, config, "newton_max_iter", int, defaults.newton_max_iter),
-        newton_tol=_opt(args, config, "newton_tol", float, defaults.newton_tol),
-        dedup_radius=_opt(args, config, "dedup_radius", float, defaults.dedup_radius),
-        surface_tol=_opt(args, config, "surface_tol", float, defaults.surface_tol),
-        saturation_batches=_opt(args, config, "saturation_batches", int, defaults.saturation_batches),
-        escape_radius=_opt(args, config, "escape_radius", float, defaults.escape_radius),
+    cfg = counting.SolverConfig.for_period(args.N)
+    cfg = dataclasses.replace(
+        cfg,
+        rng_seed=cfg.rng_seed if out.rng is None else out.rng,
+        **{f.name: _opt(args, config, f.name, type(f.default), getattr(cfg, f.name)) for f in _solver_fields()},
     )
     try:
         if args.kappa:

@@ -22,7 +22,7 @@ from .params import (
     rh_params,
     wall_membership,
 )
-from .surface import AffinePoint, cubic_eval, surface_residual_bound
+from .surface import DEFAULT_ESCAPE_RADIUS, DEFAULT_SURFACE_TOL, AffinePoint, cubic_eval
 
 __all__ = [
     "CountReport",
@@ -185,9 +185,9 @@ class SolverConfig:
     newton_max_iter: int = 100
     newton_tol: float = 1e-10
     dedup_radius: float = 1e-6
-    surface_tol: float = 1e-9
+    surface_tol: float = DEFAULT_SURFACE_TOL
     saturation_batches: int = 5
-    escape_radius: float = 1e8
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS
 
     def __post_init__(self):
         for name in ("seeds", "newton_max_iter", "newton_tol", "dedup_radius",
@@ -278,22 +278,16 @@ def _coxeter_cols_jac(x, t, n: int):
     return (x1, x2, x3), jac
 
 
-def _cubic_cols(x, t, alone: bool = False):
+def _cubic_cols(x, t):
     """f on three columns.
 
     The sums keep the solver's association,
     x1x2x3 + ((x1^2 + x2^2) + x3^2) - ((x1t1 + x2t2) + x3t3) + t4, which
-    differs from surface.cubic_eval in the last bits.  The linear term
-    keeps the rounding of x @ t on (M, 3) rows, which for a single row is
-    BLAS's dot product instead of this sum: alone=True rounds every point
-    as if it were evaluated by itself, as does a single column.
+    differs from surface.cubic_eval in the last bits.  Each point rounds
+    the same however many columns it is evaluated with.
     """
     x1, x2, x3 = x
-    if alone or len(x1) == 1:
-        tt = t[:3]
-        lin = np.array([np.dot(np.array(p), tt) for p in zip(x1, x2, x3)])
-    else:
-        lin = (x1 * t[0] + x2 * t[1]) + x3 * t[2]
+    lin = (x1 * t[0] + x2 * t[1]) + x3 * t[2]
     return x1 * x2 * x3 + ((x1 * x1 + x2 * x2) + x3 * x3) - lin + t[3]
 
 
@@ -308,11 +302,18 @@ def _max_abs(x) -> np.ndarray:
     return np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
 
 
-def _system_residual(x, t, n: int, alone: bool = False) -> np.ndarray:
+def _system_residual(x, t, n: int) -> np.ndarray:
     """max(|c^n(x) - x|, |f(x)|) per point of three columns."""
     y = _coxeter_cols(x, t, n)
     r = _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
-    return np.maximum(r, np.abs(_cubic_cols(x, t, alone)))
+    return np.maximum(r, np.abs(_cubic_cols(x, t)))
+
+
+def _converged(x, gap, f, cfg: SolverConfig):
+    """The solver's convergence test, per point: the map residual
+    gap = max |c^n(x) - x| is below cfg.newton_tol and f(x) lies within
+    cfg.surface_tol (1 + max |x_i|^3) of zero."""
+    return (gap < cfg.newton_tol) & (np.abs(f) <= cfg.surface_tol * (1 + _max_abs(x) ** 3))
 
 
 def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
@@ -333,7 +334,8 @@ def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
     return np.concatenate([pts.T, np.vstack([x1, x23.T])], axis=1)
 
 
-def _newton_batch(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
     """Damped Gauss-Newton on the system (c^n(x) - x, f(x)) = 0.
 
     The surface equation must ride along: f is invariant under c, so at
@@ -341,22 +343,16 @@ def _newton_batch(x0: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> n
     of D(c^n) - I and the plain square system is singular exactly at the
     roots.  The 4-equation least-squares system is regular there.
 
-    x0 holds the seeds as (3, M) coordinate columns.  Returns the
+    x holds the seeds as (3, M) coordinate columns.  Returns the
     converged points as a (K, 3) array, ordered by the iteration they
     converged at and then by seed.
 
     Escaping seeds overflow to inf/nan and are dropped; the arithmetic
     warnings that produces are deliberately silenced.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _newton_batch_inner(x0, t, n, cfg)
-
-
-def _newton_batch_inner(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
     # x holds the live points as columns, in seed order; every point that
     # converges, escapes or goes bad is compacted away at once
     done = []
-    eye = np.eye(3, dtype=complex)
     for _ in range(cfg.newton_max_iter):
         m = x.shape[1]
         if m == 0:
@@ -373,9 +369,7 @@ def _newton_batch_inner(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig)
         del y
         res4[:, 3] = _cubic_cols(x, t)
         rnorm = np.abs(res4).max(axis=1)
-        map_ok = np.abs(res4[:, :3]).max(axis=1) < cfg.newton_tol
-        surf_ok = np.abs(res4[:, 3]) <= cfg.surface_tol * (1 + _max_abs(x) ** 3)
-        conv = map_ok & surf_ok
+        conv = _converged(x, np.abs(res4[:, :3]).max(axis=1), res4[:, 3], cfg)
         if conv.any():
             done.append(x[:, conv])
             keep = ~conv
@@ -397,12 +391,13 @@ def _newton_batch_inner(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig)
             | (np.abs(det) < 1e-280)
             | ~np.isfinite(rhs[:, :, 0]).all(axis=1)
         )
-        a[bad] = eye
-        rhs[bad] = 0
+        if bad.any():
+            keep = ~bad
+            x, a, rhs, rnorm = x[:, keep], a[keep], rhs[keep], rnorm[keep]
         dx = np.linalg.solve(a, rhs)[:, :, 0].T
         del a, rhs
         xnew = _line_search(x, dx, rnorm, t, n)
-        live = ~bad & np.isfinite(xnew).all(axis=0) & (_max_abs(xnew) <= cfg.escape_radius)
+        live = np.isfinite(xnew).all(axis=0) & (_max_abs(xnew) <= cfg.escape_radius)
         x = xnew[:, live]
     if not done:
         return np.empty((0, 3), dtype=complex)
@@ -418,9 +413,8 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
 
     Only the points that have not improved yet go on to the next halving.
     Once they are few, the next several halvings are evaluated in one call
-    of at most _LINE_SEARCH_BLOCK trial points; every trial is rounded as
-    if the halvings ran one at a time, so the result does not depend on
-    the block size.
+    of at most _LINE_SEARCH_BLOCK trial points; each trial rounds the same
+    in any block, so the result does not depend on the block size.
     """
     xnew = x + dx
     todo = np.flatnonzero(~(_system_residual(xnew, t, n) < rnorm))
@@ -430,20 +424,9 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
         span = min(26 - k, max(1, _LINE_SEARCH_BLOCK // s))
         scale = 0.5 ** np.arange(k, k + span)
         trial = x[:, None, todo] + scale[:, None] * dx[:, None, todo]  # (3, span, s)
-        better = _system_residual(trial.reshape(3, -1), t, n, alone=s == 1).reshape(span, s) < rnorm[todo]
-        # trying[j]: the points not improved before halving k + j
-        trying = np.ones_like(better)
-        trying[1:] = ~np.logical_or.accumulate(better, axis=0)[:-1]
-        if s > 1:
-            # a point left by itself takes single-point rounding, so the
-            # block ends where one point is left
-            lone = np.flatnonzero(trying.sum(axis=1) == 1)
-            if lone.size:
-                span = lone[0]
-                better, trying = better[:span], trying[:span]
-        first = better & trying
-        settled = first.any(axis=0)
-        pick = np.where(settled, first.argmax(axis=0), span - 1)
+        better = _system_residual(trial.reshape(3, -1), t, n).reshape(span, s) < rnorm[todo]
+        settled = better.any(axis=0)
+        pick = np.where(settled, better.argmax(axis=0), span - 1)  # argmax: the first improving halving
         xnew[:, todo] = trial[:, pick, np.arange(s)]
         todo = todo[~settled]
         k += span
@@ -552,12 +535,15 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     saturated = quiet >= cfg.saturation_batches
 
     # close the cluster set under c (a consistency requirement: the image
-    # of a periodic point is a periodic point)
+    # of a periodic point is a periodic point); a polished image joins only
+    # if it passes the Newton batch's convergence test
     i = 0
     while i < len(clusters):
         img = _apply(clusters[i], t, 1)
         if _cluster_index(clusters, img, cfg.dedup_radius) is None:
-            clusters.append(_polish(img, t, N, cfg))
+            y = _polish(img, t, N, cfg)
+            if _converged(y, np.abs(_apply(y, t, N) - y).max(), _cubic_cols(y, t), cfg):
+                clusters.append(y)
         i += 1
 
     # classify: minimal periods, orbits, multiplicity estimates

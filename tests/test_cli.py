@@ -1,9 +1,13 @@
 """Tests for the command-line front end (in-process dispatch)."""
 
+import dataclasses
 import io
 import json
 
+import pytest
+
 from cubicdyn.cli import dispatch, parse_complex, parse_kappa, parse_scalar, parse_theta
+from cubicdyn.counting import SolverConfig
 
 
 def run(argv):
@@ -201,3 +205,28 @@ def test_solve_default_config_matches_solver(monkeypatch):
         counting.solve_periodic(parse_theta(theta), N)
         assert seen[0] == from_cli
         assert from_cli.seeds == (200000 if N >= 3 else 20000)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, name):
+    import numpy as np
+
+    from cubicdyn import counting
+
+    seen = []
+
+    def newton(x0, t, n, cfg):
+        seen.append(cfg)
+        return np.empty((0, 3), dtype=complex)
+
+    monkeypatch.setattr(counting, "_newton_batch", newton)
+    value = 7 if isinstance(getattr(SolverConfig(), name), int) else 0.125
+    want = dataclasses.replace(SolverConfig.for_period(2), **{name: value})
+    flag = "--rng" if name == "rng_seed" else "--" + name.replace("_", "-")
+    key = "rng" if name == "rng_seed" else name
+    cfg_file = tmp_path / "solve.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    for extra in ([flag, str(value)], ["--config", str(cfg_file)]):
+        seen.clear()
+        run(["solve", "--theta", "1,2,3,4", "--N", "2", *extra])
+        assert seen[0] == want

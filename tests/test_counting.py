@@ -234,6 +234,63 @@ def test_column_kernels_exact_on_fraction_columns():
         assert f[p] == cubic_eval(x, theta)
 
 
+def test_cubic_cols_rounds_a_point_the_same_alone_and_in_a_batch():
+    from cubicdyn import counting
+
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
+    x = counting._make_seeds(2000, t, np.random.default_rng(0))
+    batch = counting._cubic_cols(x, t)
+    alone = np.concatenate([counting._cubic_cols(x[:, p:p + 1], t) for p in range(x.shape[1])])
+    assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+
+
+def test_no_bad_point_reaches_the_line_search(monkeypatch):
+    from cubicdyn import counting
+
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
+    seeds = counting._make_seeds(50, t, np.random.default_rng(0))
+    seeds[:, 7] = np.nan
+    searched = []
+    search = counting._line_search
+
+    def record(x, dx, rnorm, t, n):
+        searched.append((x, dx))
+        return search(x, dx, rnorm, t, n)
+
+    monkeypatch.setattr(counting, "_line_search", record)
+    counting._newton_batch(seeds, t, 2, SolverConfig(newton_max_iter=20))
+    assert searched
+    for x, dx in searched:
+        assert np.isfinite(x).all()
+        assert (dx != 0).any(axis=0).all()
+
+
+def test_unconverged_polish_is_not_appended(monkeypatch):
+    from cubicdyn import counting
+
+    # a solve that completes only because orbit closure polishes images
+    kappa = random_offwall_kappa(np.random.default_rng(5))
+    cfg = SolverConfig(seeds=200, rng_seed=5)
+    polished = []
+    polish = counting._polish
+
+    def off_by_a_little(img, t, n, cfg):
+        # only the first image is off: every later one polishes as usual,
+        # so the closure ends even when it keeps the bad point
+        if polished:
+            return polish(img, t, n, cfg)
+        polished.append(img + 1e-3)
+        return polished[-1]
+
+    assert solve_for_kappa(kappa, 2, cfg).status == "complete"
+    monkeypatch.setattr(counting, "_polish", off_by_a_little)
+    report = solve_for_kappa(kappa, 2, cfg)
+    assert polished
+    points = [np.array(p.as_tuple()) for p, _ in report.points]
+    assert not any(np.abs(p - y).max() < 1e-9 for p in points for y in polished)
+    assert report.status != "complete"
+
+
 @pytest.mark.parametrize("block", [1, 4, None])
 def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
     from cubicdyn import counting
@@ -242,8 +299,8 @@ def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
     # (1 - 8/8 = 0), point 2 never does and keeps the 2^-25 trial
     calls = []
 
-    def residual(x, t, n, alone=False):
-        calls.append((x.shape[1], alone))
+    def residual(x, t, n):
+        calls.append(x.shape[1])
         return np.abs(x[0])
 
     monkeypatch.setattr(counting, "_system_residual", residual)
@@ -256,9 +313,9 @@ def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
     assert list(xnew[0]) == [0.0, 0.0, 1 + 2.0**-25]
     assert list(xnew[2]) == [5.0, 6.0, 7.0]
     if block == 1:  # one halving at a time, on the points still failing
-        assert calls == [(3, False)] + [(2, False)] * 3 + [(1, True)] * 22
-    if block is None:  # halvings 1-3 in one block, the last point by itself
-        assert calls == [(3, False), (50, False), (22, True)]
+        assert calls == [3] + [2] * 3 + [1] * 22
+    if block is None:  # halvings 1-25 of the two failing points in one block
+        assert calls == [3, 50]
 
 
 def test_line_search_block_size_changes_no_bit():

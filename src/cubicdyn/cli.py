@@ -274,10 +274,10 @@ def _cmd_lattice(args, config, out):
             c = coeffs[deg]
             if c == 0:
                 continue
-            mono = "1" if deg == 0 else ("x" if deg == 1 else f"x^{deg}")
             sign = "+ " if c > 0 and terms else ("- " if c < 0 else "")
-            mag = abs(c)
-            terms.append(f"{sign}{'' if mag == 1 and deg > 0 else mag}{mono if deg > 0 else ('' if mag != 1 else '1')}".strip())
+            mag = "" if abs(c) == 1 and deg > 0 else str(abs(c))
+            mono = f"x^{deg}" if deg > 1 else "x" * deg
+            terms.append(f"{sign}{mag}{mono}")
         data["charpoly_coeffs_low_to_high"] = list(coeffs)
         data["charpoly"] = " ".join(terms)
     if args.spectral_radius or want_all:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import coxeter_star, trace_power
+from .lattice import LatticeEndo, coxeter_star, trace_power
 from .params import (
     KappaPoint,
     discriminant,
@@ -92,21 +92,23 @@ def per_kappa_closed(N: int) -> int:
     return _c_sequence(N)[N] + 4
 
 
+# (1-z)^4 (1-18z+z^2), the zeta function's denominator, lowest degree first
+_ZETA_DENOMINATOR = (1, -22, 79, -116, 79, -22, 1)
+
+
 def zeta_coefficients(order: int) -> list:
     """Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order.
 
-    Computed by convolving the binomial series of (1-z)^{-4} with the
-    Chebyshev-like series of (1-18z+z^2)^{-1}; all arithmetic exact.
+    With d_0..d_6 the denominator's coefficients, the series satisfies
+    z_0 = 1 and z_n = -(d_1 z_{n-1} + ... + d_6 z_{n-6}) for n >= 1,
+    where z_n = 0 for n < 0; all arithmetic exact.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    # (1-z)^{-4}: binomial(n+3, 3)
-    binom = [(n + 1) * (n + 2) * (n + 3) // 6 for n in range(order + 1)]
-    # (1 - 18z + z^2)^{-1}: U_0 = 1, U_1 = 18, U_n = 18 U_{n-1} - U_{n-2}
-    u = [1, 18]
-    while len(u) <= order:
-        u.append(18 * u[-1] - u[-2])
-    return [sum(binom[k] * u[n - k] for k in range(n + 1)) for n in range(order + 1)]
+    z = [0] * 6 + [1]
+    for _ in range(order):
+        z.append(-sum(d * z[-k] for k, d in enumerate(_ZETA_DENOMINATOR[1:], start=1)))
+    return z[6:]
 
 
 def _zeta_via_exp(order: int) -> list:
@@ -128,31 +130,31 @@ def _zeta_via_exp(order: int) -> list:
 
 
 def verify_counts(n_max: int) -> dict:
-    """Cross-check every exact counting identity for N = 1..n_max.
+    """Cross-check the exact counts for N = 1..n_max.
 
-    Raises AssertionError naming the first failing N; returns a summary
-    dict when everything agrees.
+    For each N, the Lefschetz number from the trace of (c*)^N must equal
+    the closed form, and Per_kappa(N) = C_N + 4 must equal Per_{2N}; the
+    zeta coefficients up to order min(n_max, 12) must agree with
+    exp(sum Per_N z^N / N).  Raises AssertionError naming the first
+    failing N; returns a summary dict when everything agrees.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     s = _s_sequence(2 * n_max)
     c = _c_sequence(n_max)
+    cstar = coxeter_star()
+    power = LatticeEndo.identity()
     rows = []
     for N in range(1, n_max + 1):
-        exact, _ = lefschetz_number(N)  # raises if the trace and the closed form differ
-        if per_count_closed(N, "projective") != per_count_closed(N, "affine") + 1:
-            raise AssertionError(f"projective/affine offset mismatch at N={N}")
-        if exact != per_count_closed(N, "projective") + 1:
-            raise AssertionError(f"Lefschetz vs projective count mismatch at N={N}")
-        pk = per_kappa_closed(N)
-        if pk != per_count_closed(2 * N, "affine"):
+        power = power @ cstar
+        exact = 1 + power.trace() + 1
+        affine = s[N] + 4 * (-1) ** N
+        if exact != affine + 2:
+            raise AssertionError(f"Lefschetz trace {exact} differs from the closed form {affine + 2} at N={N}")
+        per_kappa = c[N] + 4
+        if per_kappa != s[2 * N] + 4:
             raise AssertionError(f"per_kappa vs per_{2 * N} mismatch at N={N}")
-        # C_N doubles the even s-sequence: C_N = s_{2N} + 4(-1)^{2N} - 4
-        if c[N] + 4 != s[2 * N] + 4:
-            raise AssertionError(f"C recursion vs s recursion mismatch at N={N}")
-        if pk - 4 - c[N] != 0:
-            raise AssertionError(f"shifted-by-4 identity fails at N={N}")
-        rows.append({"N": N, "lefschetz": exact, "per_affine": per_count_closed(N), "per_kappa": pk})
+        rows.append({"N": N, "lefschetz": exact, "per_affine": affine, "per_kappa": per_kappa})
     order = min(n_max, 12)
     za = zeta_coefficients(order)
     zb = _zeta_via_exp(order)
@@ -508,8 +510,9 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     closed = per_count_closed(N, "affine")
     report = CountReport(N=N, closed_form=closed)
 
+    max_extra = 8 * cfg.saturation_batches
     ss = np.random.SeedSequence(cfg.rng_seed)
-    children = iter(ss.spawn(2 + 40 * cfg.saturation_batches))
+    children = iter(ss.spawn(1 + max_extra))
     clusters = []
 
     def absorb(roots: np.ndarray) -> int:
@@ -525,7 +528,6 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
 
     quiet = 0
     batch = max(1, cfg.seeds // 10)
-    max_extra = 8 * cfg.saturation_batches
     for _ in range(max_extra):
         rng = np.random.default_rng(next(children))
         added = absorb(_newton_batch(_make_seeds(batch, t, rng), t, N, cfg))

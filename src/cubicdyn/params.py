@@ -40,15 +40,6 @@ __all__ = [
 _CONSTRAINT_TOL = 1e-12
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _unpair(p) -> complex:
-    return complex(p[0], p[1])
-
-
 def _is_finite(z) -> bool:
     if isinstance(z, Rational):
         return True
@@ -57,7 +48,21 @@ def _is_finite(z) -> bool:
 
 
 @dataclass(frozen=True)
-class KappaPoint:
+class _Point:
+    """A point of one of the parameter spaces: a tuple of finite scalars."""
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if not _is_finite(v):
+                raise ValueError(f"{name} must be finite")
+
+    def as_tuple(self) -> tuple:
+        """The entries in declaration order, the order __init__ sets them in."""
+        return tuple(vars(self).values())
+
+
+@dataclass(frozen=True)
+class KappaPoint(_Point):
     """A point of the kappa parameter space, 2*k0 + k1 + k2 + k3 + k4 = 1."""
 
     kappa0: complex
@@ -67,10 +72,9 @@ class KappaPoint:
     kappa4: complex
 
     def __post_init__(self):
-        vals = self.as_tuple()
-        if not all(_is_finite(v) for v in vals):
-            raise ValueError("kappa entries must be finite")
-        s = 2 * vals[0] + vals[1] + vals[2] + vals[3] + vals[4]
+        super().__post_init__()
+        k0, k1, k2, k3, k4 = self.as_tuple()
+        s = 2 * k0 + k1 + k2 + k3 + k4
         if abs(complex(s) - 1) > _CONSTRAINT_TOL:
             raise ValueError(
                 "kappa constraint 2*k0 + k1 + k2 + k3 + k4 = 1 violated "
@@ -87,25 +91,15 @@ class KappaPoint:
             kappa0 = (1 - sum(complex(v) for v in tail)) / 2
         return cls(kappa0, kappa1, kappa2, kappa3, kappa4)
 
-    def as_tuple(self):
-        return (self.kappa0, self.kappa1, self.kappa2, self.kappa3, self.kappa4)
-
     def tail(self):
-        return (self.kappa1, self.kappa2, self.kappa3, self.kappa4)
+        return self.as_tuple()[1:]
 
     def is_rational(self) -> bool:
         return all(isinstance(v, (int, Rational)) for v in self.as_tuple())
 
-    def to_json(self) -> dict:
-        return {"kappa": [_pair(v) for v in self.as_tuple()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KappaPoint":
-        return cls(*(_unpair(p) for p in data["kappa"]))
-
 
 @dataclass(frozen=True)
-class MonodromyTraces:
+class MonodromyTraces(_Point):
     """Local monodromy traces a = (a1, a2, a3, a4)."""
 
     a1: complex
@@ -113,23 +107,9 @@ class MonodromyTraces:
     a3: complex
     a4: complex
 
-    def __post_init__(self):
-        if not all(_is_finite(v) for v in self.as_tuple()):
-            raise ValueError("trace entries must be finite")
-
-    def as_tuple(self):
-        return (self.a1, self.a2, self.a3, self.a4)
-
-    def to_json(self) -> dict:
-        return {"a": [_pair(v) for v in self.as_tuple()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MonodromyTraces":
-        return cls(*(_unpair(p) for p in data["a"]))
-
 
 @dataclass(frozen=True)
-class EigenParams:
+class EigenParams(_Point):
     """Monodromy eigenvalue parameters b = (b1, b2, b3, b4), all nonzero."""
 
     b1: complex
@@ -138,45 +118,20 @@ class EigenParams:
     b4: complex
 
     def __post_init__(self):
+        super().__post_init__()
         for l, v in enumerate(self.as_tuple(), start=1):
-            if not _is_finite(v):
-                raise ValueError(f"b{l} must be finite")
             if v == 0:
                 raise ValueError(f"b{l} must be nonzero")
 
-    def as_tuple(self):
-        return (self.b1, self.b2, self.b3, self.b4)
-
-    def to_json(self) -> dict:
-        return {"b": [_pair(v) for v in self.as_tuple()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EigenParams":
-        return cls(*(_unpair(p) for p in data["b"]))
-
 
 @dataclass(frozen=True)
-class ThetaPoint:
+class ThetaPoint(_Point):
     """Coefficients theta = (theta1..theta4) of the affine cubic surface."""
 
     theta1: complex
     theta2: complex
     theta3: complex
     theta4: complex
-
-    def __post_init__(self):
-        if not all(_is_finite(v) for v in self.as_tuple()):
-            raise ValueError("theta entries must be finite")
-
-    def as_tuple(self):
-        return (self.theta1, self.theta2, self.theta3, self.theta4)
-
-    def to_json(self) -> dict:
-        return {"theta": [_pair(v) for v in self.as_tuple()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ThetaPoint":
-        return cls(*(_unpair(p) for p in data["theta"]))
 
 
 @dataclass

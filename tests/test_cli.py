@@ -67,8 +67,22 @@ def test_lattice_full_output_json():
     assert code == 0
     data = json.loads(out)
     assert data["charpoly_coeffs_low_to_high"] == [0, -1, -8, -21, -24, -11, 0, 1]
+    assert data["charpoly"] == "x^7 - 11x^5 - 24x^4 - 21x^3 - 8x^2 - x"
     assert abs(data["spectral_radius"] - data["spectral_radius_closed"]) < 1e-12
     assert len(data["coxeter_star"]) == 7
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [([1, 0, 1], "x^2 + 1"), ([-1, 1], "x - 1"), ([2, 0, -1, 3], "3x^3 - x^2 + 2")],
+)
+def test_lattice_charpoly_string_of_other_polynomials(monkeypatch, coeffs, text):
+    from cubicdyn import lattice
+
+    monkeypatch.setattr(lattice, "charpoly", lambda m: coeffs)
+    code, out = run(["lattice", "--charpoly", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["charpoly"] == text
 
 
 def test_params_subcommand():

@@ -79,12 +79,55 @@ def test_zeta_exponential_identity():
         assert lhs == rhs
 
 
+def test_zeta_recurrence_matches_the_convolution():
+    # the binomial series of (1-z)^-4 convolved with U_n = 18 U_{n-1} - U_{n-2}
+    order = 400
+    binom = [(n + 1) * (n + 2) * (n + 3) // 6 for n in range(order + 1)]
+    u = [1, 18]
+    while len(u) <= order:
+        u.append(18 * u[-1] - u[-2])
+    expected = [sum(binom[k] * u[n - k] for k in range(n + 1)) for n in range(order + 1)]
+    assert zeta_coefficients(order) == expected
+
+
+def test_zeta_times_its_denominator_is_one():
+    z = sympy.symbols("z")
+    d = [int(v) for v in reversed(sympy.Poly((1 - z) ** 4 * (1 - 18 * z + z**2), z).all_coeffs())]
+    order = 2000
+    coeffs = zeta_coefficients(order)
+    product = [sum(d[k] * coeffs[n - k] for k in range(min(n, 6) + 1)) for n in range(order + 1)]
+    assert product == [1] + [0] * order
+
+
 def test_verify_counts():
     report = verify_counts(30)
     assert report["ok"]
     assert report["rows"][0]["per_kappa"] == 22
     with pytest.raises(ValueError):
         verify_counts(0)
+
+
+def test_verify_counts_rows_match_the_closed_forms():
+    rows = verify_counts(60)["rows"]
+    assert [row["N"] for row in rows] == list(range(1, 61))
+    for row in rows:
+        N = row["N"]
+        assert row["lefschetz"] == lefschetz_number(N)[0]
+        assert row["per_affine"] == per_count_closed(N)
+        assert row["per_kappa"] == per_kappa_closed(N)
+
+
+def test_verify_counts_raises_on_a_wrong_c_sequence_or_zeta(monkeypatch):
+    from cubicdyn import counting
+
+    c_sequence, zeta = counting._c_sequence, counting.zeta_coefficients
+    monkeypatch.setattr(counting, "_c_sequence", lambda n: [v + (i == 3) for i, v in enumerate(c_sequence(n))])
+    with pytest.raises(AssertionError, match="per_kappa vs per_6 mismatch at N=3"):
+        verify_counts(5)
+    monkeypatch.setattr(counting, "_c_sequence", c_sequence)
+    monkeypatch.setattr(counting, "zeta_coefficients", lambda n: [v + (i == 4) for i, v in enumerate(zeta(n))])
+    with pytest.raises(AssertionError, match="zeta coefficient mismatch at order 4"):
+        verify_counts(5)
 
 
 def test_random_offwall_kappa_certified():
@@ -170,11 +213,12 @@ def test_count_report_json():
 
 
 def test_lefschetz_check_raises_on_wrong_trace(monkeypatch):
-    from cubicdyn import counting
+    from cubicdyn import counting, lattice
 
     monkeypatch.setattr(counting, "trace_power", lambda m, n: 0)
     with pytest.raises(AssertionError, match="N=3"):
         lefschetz_number(3)
+    monkeypatch.setattr(lattice.LatticeEndo, "trace", lambda self: 0)
     with pytest.raises(AssertionError, match="N=2"):
         verify_counts(5)
 

@@ -274,7 +274,7 @@ def _cmd_lattice(args, config, out):
             c = coeffs[deg]
             if c == 0:
                 continue
-            sign = "+ " if c > 0 and terms else ("- " if c < 0 else "")
+            sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
             mag = "" if abs(c) == 1 and deg > 0 else str(abs(c))
             mono = f"x^{deg}" if deg > 1 else "x" * deg
             terms.append(f"{sign}{mag}{mono}")

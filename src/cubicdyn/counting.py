@@ -180,7 +180,15 @@ def random_offwall_kappa(rng, denominator_bound: int = 40) -> KappaPoint:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs of the multistart Newton solver."""
+    """Tuning knobs of the multistart Newton solver.
+
+    seeds is the number of seed tuples of the first batch; each saturation
+    batch has seeds // 10.  Both are upper bounds: the search stops as soon
+    as it has found as many roots as the closed form counts.
+    saturation_batches quiet batches in a row (no new root) end the search
+    short of the closed form, and at most 8 * saturation_batches follow
+    the first.
+    """
 
     seeds: int = 20000
     rng_seed: int = 0
@@ -304,11 +312,66 @@ def _max_abs(x) -> np.ndarray:
     return np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
 
 
+def _gap(y, x) -> np.ndarray:
+    """max_i |y_i - x_i| per point of three columns."""
+    return _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
+
+
+def _shooting_residual(x, t, n: int):
+    """The shooting residual c(x_k) - x_{k+1 mod n} (k = 0..n-1), then f(x_0).
+
+    x holds seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k; the
+    residual comes back as (3n + 1, M).
+    """
+    res = np.empty((3 * n + 1, x.shape[1]), dtype=complex)
+    for k in range(n):
+        y = _coxeter_cols(x[3 * k:3 * k + 3], t, 1)
+        nxt = 3 * ((k + 1) % n)
+        for r in range(3):
+            np.subtract(y[r], x[nxt + r], out=res[3 * k + r])
+    res[3 * n] = _cubic_cols(x[:3], t)
+    return res
+
+
 def _system_residual(x, t, n: int) -> np.ndarray:
-    """max(|c^n(x) - x|, |f(x)|) per point of three columns."""
-    y = _coxeter_cols(x, t, n)
-    r = _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
-    return np.maximum(r, np.abs(_cubic_cols(x, t)))
+    """The shooting merit max_k |c(x_k) - x_{k+1 mod n}| and |f(x_0)| per
+    tuple of (3n, M) columns."""
+    return np.abs(_shooting_residual(x, t, n)).max(axis=0)
+
+
+def _normal_equations(x, t, n: int):
+    """Gauss-Newton normal equations J^H J and J^H r of the shooting system.
+
+    J is block-cyclic: block row k holds Dc(x_k) in block column k and -I
+    in block column k+1 mod n, and the last row is grad f(x_0) in block
+    column 0.  The products are summed block by block from the n one-step
+    Jacobians, never from a dense J; for n = 1 the block is Dc - I and for
+    n = 2 the two blocks of a row share their off-diagonal block.
+
+    Returns (a, jhr, res) in column layout: a[i, j] and jhr[i] are columns
+    over the tuples, (3n, 3n, M) and (3n, M), and res is the (3n + 1, M)
+    shooting residual.
+    """
+    m = x.shape[1]
+    res = _shooting_residual(x, t, n)
+    a = np.zeros((3 * n, 3 * n, m), dtype=complex)
+    jhr = np.zeros((3 * n, m), dtype=complex)
+    for k in range(n):
+        b, nxt = 3 * k, 3 * ((k + 1) % n)
+        d = _coxeter_cols_jac(x[b:b + 3], t, 1)[1]
+        dc = np.conj(d)
+        a[b:b + 3, b:b + 3] += np.einsum("rim,rjm->ijm", dc, d)
+        a[nxt:nxt + 3, b:b + 3] -= d
+        a[b:b + 3, nxt:nxt + 3] -= dc.transpose(1, 0, 2)
+        for r in range(3):
+            a[nxt + r, nxt + r] += 1
+        jhr[b:b + 3] += np.einsum("rim,rm->im", dc, res[b:b + 3])
+        jhr[nxt:nxt + 3] -= res[b:b + 3]
+    g = np.array(_grad_cols(x[:3], t))
+    gc = np.conj(g)
+    a[:3, :3] += gc[:, None] * g[None, :]
+    jhr[:3] += gc * res[3 * n]
+    return a, jhr, res
 
 
 def _converged(x, gap, f, cfg: SolverConfig):
@@ -336,71 +399,69 @@ def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
     return np.concatenate([pts.T, np.vstack([x1, x23.T])], axis=1)
 
 
+def _make_tuples(count: int, n: int, t: np.ndarray, rng) -> np.ndarray:
+    """count seed tuples of n independent seeds each, as (3n, count) columns."""
+    return _make_seeds(n * count, t, rng).reshape(3, count, n).transpose(2, 0, 1).reshape(3 * n, count)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
-    """Damped Gauss-Newton on the system (c^n(x) - x, f(x)) = 0.
+    """Damped Gauss-Newton on the multiple-shooting system of period n.
 
-    The surface equation must ride along: f is invariant under c, so at
-    an on-surface periodic point the gradient of f is a left null vector
-    of D(c^n) - I and the plain square system is singular exactly at the
-    roots.  The 4-equation least-squares system is regular there.
+    Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n}
+    and f(x_0) = 0: 3n + 1 equations in 3n unknowns.  The surface equation
+    must ride along: f is invariant under c, so at an on-surface periodic
+    orbit the square shooting system is singular.  Shooting one step at a
+    time keeps the Jacobian entries of the size of one step, where
+    c^n(x) - x would multiply n of them.
 
-    x holds the seeds as (3, M) coordinate columns.  Returns the
-    converged points as a (K, 3) array, ordered by the iteration they
-    converged at and then by seed.
+    x holds the seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k.
+    A tuple converges when x_0 passes _converged with gap
+    max |c^n(x_0) - x_0|.  Returns the converged x_0 as a (K, 3) array,
+    ordered by the iteration they converged at and then by seed.
 
-    Escaping seeds overflow to inf/nan and are dropped; the arithmetic
+    Escaping tuples overflow to inf/nan and are dropped; the arithmetic
     warnings that produces are deliberately silenced.
     """
-    # x holds the live points as columns, in seed order; every point that
+    # x holds the live tuples as columns, in seed order; every tuple that
     # converges, escapes or goes bad is compacted away at once
     done = []
     for _ in range(cfg.newton_max_iter):
-        m = x.shape[1]
-        if m == 0:
-            break
-        y, jac = _coxeter_cols_jac(x, t, n)
-        for r in range(3):
-            jac[r, r] -= 1
-        system = np.empty((m, 4, 3), dtype=complex)  # rows: D(c^n) - I, then grad f
-        system[:, :3] = jac.transpose(2, 0, 1)
-        del jac
-        res4 = np.empty((m, 4), dtype=complex)
-        for r in range(3):
-            np.subtract(y[r], x[r], out=res4[:, r])
-        del y
-        res4[:, 3] = _cubic_cols(x, t)
-        rnorm = np.abs(res4).max(axis=1)
-        conv = _converged(x, np.abs(res4[:, :3]).max(axis=1), res4[:, 3], cfg)
+        x0 = x[:3]
+        conv = _converged(x0, _gap(_coxeter_cols(x0, t, n), x0), _cubic_cols(x0, t), cfg)
         if conv.any():
-            done.append(x[:, conv])
-            keep = ~conv
-            x, system, res4, rnorm = x[:, keep], system[keep], res4[keep], rnorm[keep]
-            if x.shape[1] == 0:
-                break
-        system[:, 3, 0], system[:, 3, 1], system[:, 3, 2] = _grad_cols(x, t)
-        jh = np.conj(np.transpose(system, (0, 2, 1)))
-        a = jh @ system
-        rhs = -(jh @ res4[:, :, None])
-        del jh, system, res4
-        # tiny Levenberg shift keeps the normal equations solvable
-        shift = 1e-14 * np.abs(a).max(axis=(1, 2)) + 1e-30
-        for r in range(3):
-            a[:, r, r] += shift
-        det = np.linalg.det(a)
-        bad = (
-            ~np.isfinite(det)
-            | (np.abs(det) < 1e-280)
-            | ~np.isfinite(rhs[:, :, 0]).all(axis=1)
-        )
-        if bad.any():
-            keep = ~bad
+            done.append(x0[:, conv])
+            x = x[:, ~conv]
+        if x.shape[1] == 0:
+            break
+        a, jhr, res = _normal_equations(x, t, n)
+        rnorm = np.abs(res).max(axis=0)
+        del res
+        # tiny Levenberg shift keeps the normal equations solvable; J^H J is
+        # Hermitian positive semidefinite, so its largest entry is on the
+        # diagonal (and a non-finite J shows there too)
+        shift = 1e-14 * np.diagonal(a).real.max(axis=1) + 1e-30
+        for r in range(3 * n):
+            a[r, r] += shift
+        # drop the tuples whose normal equations are not finite, then any
+        # singular ones, found by the sign of the determinant (0 when LU
+        # meets a zero pivot) only if the solve fails: a batched
+        # determinant costs as much as the solve
+        keep = np.isfinite(shift) & np.isfinite(jhr).all(axis=0)
+        if not keep.all():
+            x, a, jhr, rnorm = x[:, keep], a[:, :, keep], jhr[:, keep], rnorm[keep]
+        a, rhs = a.transpose(2, 0, 1), -jhr.T[:, :, None]
+        del jhr
+        try:
+            dx = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            keep = np.linalg.slogdet(a)[0] != 0
             x, a, rhs, rnorm = x[:, keep], a[keep], rhs[keep], rnorm[keep]
-        dx = np.linalg.solve(a, rhs)[:, :, 0].T
+            dx = np.linalg.solve(a, rhs)
+        dx = dx[:, :, 0].T
         del a, rhs
         xnew = _line_search(x, dx, rnorm, t, n)
-        live = np.isfinite(xnew).all(axis=0) & (_max_abs(xnew) <= cfg.escape_radius)
-        x = xnew[:, live]
+        x = xnew[:, np.abs(xnew).max(axis=0) <= cfg.escape_radius]
     if not done:
         return np.empty((0, 3), dtype=complex)
     return np.concatenate(done, axis=1).T
@@ -425,8 +486,8 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
         s = todo.size
         span = min(26 - k, max(1, _LINE_SEARCH_BLOCK // s))
         scale = 0.5 ** np.arange(k, k + span)
-        trial = x[:, None, todo] + scale[:, None] * dx[:, None, todo]  # (3, span, s)
-        better = _system_residual(trial.reshape(3, -1), t, n).reshape(span, s) < rnorm[todo]
+        trial = x[:, None, todo] + scale[:, None] * dx[:, None, todo]  # (3n, span, s)
+        better = _system_residual(trial.reshape(len(x), -1), t, n).reshape(span, s) < rnorm[todo]
         settled = better.any(axis=0)
         pick = np.where(settled, better.argmax(axis=0), span - 1)  # argmax: the first improving halving
         xnew[:, todo] = trial[:, pick, np.arange(s)]
@@ -435,11 +496,25 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
     return xnew
 
 
-def _cluster_index(clusters: list, x: np.ndarray, radius: float):
-    for i, rep in enumerate(clusters):
-        if np.abs(x - rep).max() <= radius * (1 + np.abs(rep).max()):
-            return i
-    return None
+_DEDUP_BLOCK = 1 << 16  # most point-representative pairs one dedup block compares
+
+
+def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray:
+    """For each point of x (K, 3), the index of the first representative of
+    reps (C, 3) within radius * (1 + max |rep_i|) of it in every
+    coordinate, or -1 if there is none.
+
+    The points are compared in blocks of at most _DEDUP_BLOCK pairs.
+    """
+    out = np.full(len(x), -1, dtype=np.intp)
+    if len(reps) == 0:
+        return out
+    scale = radius * (1 + np.abs(reps).max(axis=1))
+    step = max(1, _DEDUP_BLOCK // len(reps))
+    for s in range(0, len(x), step):
+        hit = np.abs(x[s:s + step, None, :] - reps[None]).max(axis=2) <= scale
+        out[s:s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return out
 
 
 def _apply(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
@@ -468,33 +543,46 @@ def _polish(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarr
     return y
 
 
-def _transverse_multiplicity(jac: np.ndarray) -> float:
+def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
     """|(1 - l1)(1 - l2)| over the two surface eigenvalues of Dc^N.
 
     The third eigenvalue of Dc^N at an on-surface periodic point is the
     trivial 1 coming from the invariance of f, so det(I - Dc^N) vanishes
     identically; the sum of the principal 2x2 minors of I - Dc^N factors
     out that root and measures transversality on the surface itself.
+    jac is (3, 3, C), one Jacobian per column; returns C values.
     """
-    a = np.eye(3) - jac
+    a = -jac
+    for r in range(3):
+        a[r, r] += 1
     e2 = (
         a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
         + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
     )
-    return float(abs(e2))
+    return np.abs(e2)
+
+
+_SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 
 
 def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountReport:
     """Find the N-periodic points of c on S(theta) by multistart Newton.
 
-    Damped Gauss-Newton runs on the 4-equation system
-    (c^N(x) - x, f(x)) = 0 in ambient C^3: the square system c^N(x) - x = 0
-    alone is singular at the on-surface roots (see _newton_batch).  A seed
-    counts as converged when the map residual is below cfg.newton_tol and
-    the surface residual within cfg.surface_tol of the surface; the roots
-    are deduplicated, closed under the action of c, and classified by
-    minimal period and orbit.
+    Damped Gauss-Newton runs on the multiple-shooting system
+    c(x_k) = x_{k+1 mod N} (k = 0..N-1) with f(x_0) = 0 in ambient C^{3N},
+    from tuples of N independent seeds (see _newton_batch).  A tuple counts
+    as converged when x_0 has map residual |c^N(x_0) - x_0| below
+    cfg.newton_tol and surface residual within cfg.surface_tol of the
+    surface.  The seeds are drawn and solved in chunks of at most
+    _SEED_CHUNK tuples; after each chunk the roots are deduplicated and
+    closed under the action of c, and the search stops once their number
+    equals per_count_closed(N).  The roots are then classified by minimal
+    period and orbit.
+
+    status is "complete" when the root count equals the closed form and no
+    root is flagged multiple, "saturated" when saturation_batches batches
+    in a row found no new root first, and "partial" otherwise.
 
     If the eigenvalue parameters b are supplied, a vanishing discriminant
     is rejected; otherwise genericity of theta is the caller's burden.
@@ -511,79 +599,93 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     report = CountReport(N=N, closed_form=closed)
 
     max_extra = 8 * cfg.saturation_batches
-    ss = np.random.SeedSequence(cfg.rng_seed)
-    children = iter(ss.spawn(1 + max_extra))
-    clusters = []
+    children = iter(np.random.SeedSequence(cfg.rng_seed).spawn(1 + max_extra))
+    reps = np.empty((64, 3), dtype=complex)  # the clusters, in the first `found` rows
+    found = closed_upto = 0
 
-    def absorb(roots: np.ndarray) -> int:
-        added = 0
-        for x in roots:
-            if _cluster_index(clusters, x, cfg.dedup_radius) is None:
-                clusters.append(x)
-                added += 1
-        return added
+    def add(x):
+        nonlocal reps, found
+        if found == len(reps):
+            reps = np.concatenate([reps, np.empty_like(reps)])
+        reps[found] = x
+        found += 1
 
-    rng = np.random.default_rng(next(children))
-    absorb(_newton_batch(_make_seeds(cfg.seeds, t, rng), t, N, cfg))
+    def absorb(roots: np.ndarray):
+        # a root joins unless it matches an earlier cluster or an earlier
+        # root of this chunk
+        roots = roots[_cluster_index(reps[:found], roots, cfg.dedup_radius) < 0]
+        while len(roots):
+            add(roots[0])
+            rest = roots[1:]
+            roots = rest[_cluster_index(roots[:1], rest, cfg.dedup_radius) < 0]
 
+    def close():
+        # close the cluster set under c (a consistency requirement: the
+        # image of a periodic point is a periodic point); a polished image
+        # joins only if it passes the Newton batch's convergence test
+        nonlocal closed_upto
+        while closed_upto < found:
+            img = _apply(reps[closed_upto], t, 1)
+            if _cluster_index(reps[:found], img[None], cfg.dedup_radius)[0] < 0:
+                y = _polish(img, t, N, cfg)
+                if _converged(y, np.abs(_apply(y, t, N) - y).max(), _cubic_cols(y, t), cfg):
+                    add(y)
+            closed_upto += 1
+
+    # the first batch, then saturation batches until saturation_batches in a
+    # row add no root; each batch is drawn and solved in chunks, and the
+    # search stops as soon as it has as many roots as the closed form
     quiet = 0
-    batch = max(1, cfg.seeds // 10)
-    for _ in range(max_extra):
+    for batch in range(1 + max_extra):
+        size = cfg.seeds if batch == 0 else max(1, cfg.seeds // 10)
         rng = np.random.default_rng(next(children))
-        added = absorb(_newton_batch(_make_seeds(batch, t, rng), t, N, cfg))
-        quiet = 0 if added else quiet + 1
-        if quiet >= cfg.saturation_batches:
+        before = found
+        for start in range(0, size, _SEED_CHUNK):
+            count = min(_SEED_CHUNK, size - start)
+            absorb(_newton_batch(_make_tuples(count, N, t, rng), t, N, cfg))
+            close()
+            if found == closed:
+                break
+        if found == closed:
             break
+        if batch:
+            quiet = 0 if found > before else quiet + 1
+            if quiet >= cfg.saturation_batches:
+                break
     saturated = quiet >= cfg.saturation_batches
-
-    # close the cluster set under c (a consistency requirement: the image
-    # of a periodic point is a periodic point); a polished image joins only
-    # if it passes the Newton batch's convergence test
-    i = 0
-    while i < len(clusters):
-        img = _apply(clusters[i], t, 1)
-        if _cluster_index(clusters, img, cfg.dedup_radius) is None:
-            y = _polish(img, t, N, cfg)
-            if _converged(y, np.abs(_apply(y, t, N) - y).max(), _cubic_cols(y, t), cfg):
-                clusters.append(y)
-        i += 1
+    clusters = reps[:found]
 
     # classify: minimal periods, orbits, multiplicity estimates
-    next_of = []
-    multiple = False
-    for x in clusters:
-        img, jac = _coxeter_cols_jac(x[:, None], t, N)
-        r = float(np.abs(np.concatenate(img) - x).max())
-        report.points.append((AffinePoint(*x), r))
-        mult = _transverse_multiplicity(jac[:, :, 0])
-        if mult < 1e-6:
-            multiple = True
-        report.clusters.append((AffinePoint(*x), mult))
-        period = N
-        for d in range(1, N):
-            if N % d == 0:
-                yd = _apply(x, t, d)
-                if np.abs(yd - x).max() <= cfg.dedup_radius * (1 + np.abs(x).max()):
-                    period = d
-                    break
-        report.minimal_periods.append(period)
-        img1 = _apply(x, t, 1)
-        next_of.append(_cluster_index(clusters, img1, cfg.dedup_radius))
+    cols = clusters.T
+    img, jac = _coxeter_cols_jac(cols, t, N)
+    residuals = _gap(img, cols)
+    mults = _transverse_multiplicity(jac)
+    multiple = bool((mults < 1e-6).any())
+    periods = np.full(found, N)
+    scale = cfg.dedup_radius * (1 + _max_abs(cols))
+    for d in reversed(range(1, N)):
+        if N % d == 0:
+            periods[_gap(_coxeter_cols(cols, t, d), cols) <= scale] = d
+    next_of = _cluster_index(clusters, np.stack(_coxeter_cols(cols, t, 1), axis=1), cfg.dedup_radius).tolist()
+    for x, r, mult, period in zip(clusters, residuals, mults, periods):
+        report.points.append((AffinePoint(*x), float(r)))
+        report.clusters.append((AffinePoint(*x), float(mult)))
+        report.minimal_periods.append(int(period))
 
     seen = set()
-    for i in range(len(clusters)):
+    for i in range(found):
         if i in seen:
             continue
         orbit = []
         j = i
-        while j is not None and j not in seen:
+        while j >= 0 and j not in seen:
             seen.add(j)
             orbit.append(j)
             j = next_of[j]
         report.orbits.append(orbit)
 
-    report.found = len(clusters)
-    if saturated and report.found == closed and not multiple:
+    report.found = found
+    if found == closed and not multiple:
         report.status = "complete"
     elif saturated:
         report.status = "saturated"

@@ -74,7 +74,8 @@ def test_lattice_full_output_json():
 
 @pytest.mark.parametrize(
     "coeffs, text",
-    [([1, 0, 1], "x^2 + 1"), ([-1, 1], "x - 1"), ([2, 0, -1, 3], "3x^3 - x^2 + 2")],
+    [([1, 0, 1], "x^2 + 1"), ([-1, 1], "x - 1"), ([2, 0, -1, 3], "3x^3 - x^2 + 2"),
+     ([-1, 2, -1], "-x^2 + 2x - 1")],
 )
 def test_lattice_charpoly_string_of_other_polynomials(monkeypatch, coeffs, text):
     from cubicdyn import lattice

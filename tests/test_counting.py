@@ -292,7 +292,7 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
     from cubicdyn import counting
 
     t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
-    seeds = counting._make_seeds(50, t, np.random.default_rng(0))
+    seeds = counting._make_tuples(50, 2, t, np.random.default_rng(0))
     seeds[:, 7] = np.nan
     searched = []
     search = counting._line_search
@@ -312,9 +312,14 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
 def test_unconverged_polish_is_not_appended(monkeypatch):
     from cubicdyn import counting
 
-    # a solve that completes only because orbit closure polishes images
+    # a solve that completes only because orbit closure polishes images:
+    # the Newton batch returns one point of each 2-cycle
     kappa = random_offwall_kappa(np.random.default_rng(5))
     cfg = SolverConfig(seeds=200, rng_seed=5)
+    full = solve_for_kappa(kappa, 2, cfg)
+    assert full.status == "complete" and len(full.orbits) == 11
+    one_per_cycle = np.array([full.points[o[0]][0].as_tuple() for o in full.orbits], dtype=complex)
+    monkeypatch.setattr(counting, "_newton_batch", lambda x, t, n, cfg: one_per_cycle)
     polished = []
     polish = counting._polish
 
@@ -374,7 +379,7 @@ def test_line_search_block_size_changes_no_bit():
         steps.append((x, dx, rnorm))
         return search(x, dx, rnorm, t, n)
 
-    seeds = counting._make_seeds(300, t, np.random.default_rng(0))
+    seeds = counting._make_tuples(300, 3, t, np.random.default_rng(0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_line_search", record)
         counting._newton_batch(seeds, t, 3, SolverConfig(newton_max_iter=30))
@@ -395,16 +400,142 @@ def test_newton_batch_orders_by_iteration_then_seed():
     kappa = random_offwall_kappa(np.random.default_rng(3))
     t = counting._coerce_theta4(rh_params(kappa))
     cfg = SolverConfig(seeds=1500)
-    found = counting._newton_batch(counting._make_seeds(1500, t, np.random.default_rng(0)), t, 2, cfg)
+    found = counting._newton_batch(counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg)
     roots = []
     for x in found:
         if all(np.abs(x - r).max() > 1e-3 for r in roots):
             roots.append(x)
     assert len(roots) >= 4
     r0, r1, r2, r3 = roots[:4]
-    # r1 and r3 converge at the first iteration, r2 + 1e-8 before r0 + 1e-4
-    seeds = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
-    out = counting._newton_batch(seeds, t, 2, cfg)
+    # r1 and r3 converge at the first iteration, r2 + 1e-8 before r0 + 1e-4;
+    # each tuple's x_1 is the image of the unperturbed root
+    x0 = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
+    x1 = np.stack([counting._apply(r, t, 1) for r in (r0, r1, r2, r3)], axis=1)
+    out = counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg)
     assert out.shape == (4, 3)
     assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
     assert np.abs(out[2] - r2).max() < 1e-7 and np.abs(out[3] - r0).max() < 1e-7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normal_equations_equal_a_dense_jhj(n):
+    from cubicdyn import counting
+
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(2))))
+    x = counting._make_tuples(40, n, t, np.random.default_rng(n))
+    a, jhr, res = counting._normal_equations(x, t, n)
+    m = x.shape[1]
+    jac = np.zeros((m, 3 * n + 1, 3 * n), dtype=complex)
+    want = np.empty((m, 3 * n + 1), dtype=complex)
+    for k in range(n):
+        nxt = 3 * ((k + 1) % n)
+        y, d = counting._coxeter_cols_jac(x[3 * k:3 * k + 3], t, 1)
+        jac[:, 3 * k:3 * k + 3, 3 * k:3 * k + 3] += d.transpose(2, 0, 1)
+        jac[:, 3 * k:3 * k + 3, nxt:nxt + 3] -= np.eye(3)
+        want[:, 3 * k:3 * k + 3] = (np.array(y) - x[nxt:nxt + 3]).T
+    jac[:, 3 * n, :3] = np.array(counting._grad_cols(x[:3], t)).T
+    want[:, 3 * n] = counting._cubic_cols(x[:3], t)
+    assert np.array_equal(res, want.T)
+    jh = np.conj(jac.transpose(0, 2, 1))
+    jhj, jhr_dense = jh @ jac, (jh @ want[:, :, None])[:, :, 0]
+    scale = np.abs(jhj).max(axis=(1, 2))
+    assert (np.abs(a.transpose(2, 0, 1) - jhj).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    assert (np.abs(jhr.T - jhr_dense).max(axis=1) <= 1e-13 * np.abs(jhr_dense).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_cluster_index_matches_the_linear_scan(monkeypatch, block):
+    from cubicdyn import counting
+
+    def scan(reps, x, radius):
+        for i, rep in enumerate(reps):
+            if np.abs(x - rep).max() <= radius * (1 + np.abs(rep).max()):
+                return i
+        return -1
+
+    rng = np.random.default_rng(0)
+    radius = 0.05
+    reps = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
+    reps[7] = reps[3] + 0.02  # overlapping clusters: the first one wins
+    near = reps[rng.integers(0, 30, size=400)]
+    x = near + radius * (1 + np.abs(near).max(axis=1))[:, None] * rng.uniform(-1.5, 1.5, size=(400, 3))
+    if block is not None:
+        monkeypatch.setattr(counting, "_DEDUP_BLOCK", block)
+    got = counting._cluster_index(reps, x, radius)
+    want = [scan(reps, p, radius) for p in x]
+    assert got.tolist() == want
+    assert -1 in want and 3 in want and len(set(want)) > 10
+    assert counting._cluster_index(reps[:0], x, radius).tolist() == [-1] * len(x)
+
+
+def test_solve_n4_with_the_default_config_is_complete():
+    kappa = random_offwall_kappa(np.random.default_rng(7))
+    report = solve_for_kappa(kappa, 4)
+    assert report.status == "complete"
+    assert report.found == 326 == len(report.points)
+    assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
+
+
+def _record_newton_batch(monkeypatch, stub=None):
+    from cubicdyn import counting
+
+    sizes = []
+    newton = stub or counting._newton_batch
+
+    def record(x, t, n, cfg):
+        assert x.shape[0] == 3 * n
+        sizes.append(x.shape[1])
+        return newton(x, t, n, cfg)
+
+    monkeypatch.setattr(counting, "_newton_batch", record)
+    return sizes
+
+
+def test_newton_batch_never_receives_more_than_a_chunk(monkeypatch):
+    from cubicdyn import counting
+
+    # a solve that never finds a root draws every batch: 5000 seeds, then
+    # saturation_batches quiet batches of 500
+    sizes = _record_newton_batch(monkeypatch, lambda x, t, n, cfg: np.empty((0, 3), dtype=complex))
+    kappa = random_offwall_kappa(np.random.default_rng(3))
+    report = solve_for_kappa(kappa, 2, SolverConfig(seeds=5000))
+    assert report.status == "saturated"
+    chunk = counting._SEED_CHUNK
+    assert sizes == [chunk, chunk, 5000 - 2 * chunk] + [500] * 5
+    assert max(sizes) <= chunk
+
+
+def test_solve_stops_at_the_closed_form(monkeypatch):
+    from cubicdyn import counting
+
+    sizes = _record_newton_batch(monkeypatch)
+    kappa = random_offwall_kappa(np.random.default_rng(3))
+    report = solve_for_kappa(kappa, 2, SolverConfig(seeds=200000))
+    assert report.status == "complete" and report.found == 22
+    assert max(sizes) <= counting._SEED_CHUNK
+    assert sum(sizes) <= 10000
+
+
+def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
+    from cubicdyn import counting
+
+    kappa = random_offwall_kappa(np.random.default_rng(3))
+    t = counting._coerce_theta4(rh_params(kappa))
+    seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
+    cfg = SolverConfig(newton_max_iter=30)
+    want = counting._newton_batch(seeds, t, 2, cfg)
+    solve = np.linalg.solve
+    calls = []
+
+    def zero_one_system(a, b):
+        calls.append(len(a))
+        if len(calls) == 1:
+            a[5] = 0  # in place: the batch now holds one singular system
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", zero_one_system)
+    got = counting._newton_batch(seeds, t, 2, cfg)
+    assert calls[1] == calls[0] - 1  # the retry drops that tuple alone
+    # every other tuple runs as before
+    rows = [x.tobytes() for x in want]
+    assert len(got) >= len(want) - 1 and all(x.tobytes() in rows for x in got)

@@ -369,14 +369,10 @@ def _cmd_solve(args, config, out):
         rng_seed=cfg.rng_seed if out.rng is None else out.rng,
         **{f.name: _opt(args, config, f.name, type(f.default), getattr(cfg, f.name)) for f in _solver_fields()},
     )
-    try:
-        if args.kappa:
-            report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
-        else:
-            report = counting.solve_periodic(parse_theta(args.theta), args.N, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.kappa:
+        report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
+    else:
+        report = counting.solve_periodic(parse_theta(args.theta), args.N, cfg)
     _emit(report.to_json(), out.fmt, out.stream)
     return 0 if report.status == "complete" else 1
 

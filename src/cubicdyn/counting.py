@@ -22,7 +22,15 @@ from .params import (
     rh_params,
     wall_membership,
 )
-from .surface import DEFAULT_ESCAPE_RADIUS, DEFAULT_SURFACE_TOL, AffinePoint, cubic_eval
+from .surface import (
+    DEFAULT_ESCAPE_RADIUS,
+    DEFAULT_SURFACE_TOL,
+    AffinePoint,
+    coxeter_apply,
+    coxeter_jacobian,
+    cubic_eval,
+    cubic_gradient,
+)
 
 __all__ = [
     "CountReport",
@@ -250,63 +258,6 @@ def _coerce_theta4(theta):
     return np.array([complex(t) for t in theta], dtype=complex)
 
 
-def _coxeter_cols(x, t, n: int):
-    """c^n on three coordinate columns.
-
-    Generic over the scalar type, numpy object columns of Fraction
-    included; t is indexed, so an array or a tuple both work.
-    """
-    x1, x2, x3 = x
-    t1, t2, t3 = t[0], t[1], t[2]
-    for _ in range(n):
-        x3 = t3 - x3 - x1 * x2
-        x2 = t2 - x2 - x1 * x3
-        x1 = t1 - x1 - x2 * x3
-    return x1, x2, x3
-
-
-def _coxeter_cols_jac(x, t, n: int):
-    """c^n on three columns, with its Jacobian by the chain rule.
-
-    The Jacobian comes back as a (3, 3, M) array: entry [r, c] is the
-    column of d(c^n)_r / dx_c over the points.
-    """
-    x1, x2, x3 = x
-    t1, t2, t3 = t[0], t[1], t[2]
-    jac = np.zeros((3, 3, len(x1)), dtype=np.result_type(x1, x2, x3))
-    for r in range(3):
-        jac[r, r] = 1
-    j1, j2, j3 = jac
-    for _ in range(n):
-        # row i of D(sigma_i) at the current point, then sigma_i itself
-        j3[...] = -j3 - x2 * j1 - x1 * j2
-        x3 = t3 - x3 - x1 * x2
-        j2[...] = -j2 - x3 * j1 - x1 * j3
-        x2 = t2 - x2 - x1 * x3
-        j1[...] = -j1 - x3 * j2 - x2 * j3
-        x1 = t1 - x1 - x2 * x3
-    return (x1, x2, x3), jac
-
-
-def _cubic_cols(x, t):
-    """f on three columns.
-
-    The sums keep the solver's association,
-    x1x2x3 + ((x1^2 + x2^2) + x3^2) - ((x1t1 + x2t2) + x3t3) + t4, which
-    differs from surface.cubic_eval in the last bits.  Each point rounds
-    the same however many columns it is evaluated with.
-    """
-    x1, x2, x3 = x
-    lin = (x1 * t[0] + x2 * t[1]) + x3 * t[2]
-    return x1 * x2 * x3 + ((x1 * x1 + x2 * x2) + x3 * x3) - lin + t[3]
-
-
-def _grad_cols(x, t):
-    """The gradient of f on three columns."""
-    x1, x2, x3 = x
-    return (x2 * x3 + 2 * x1 - t[0], x1 * x3 + 2 * x2 - t[1], x1 * x2 + 2 * x3 - t[2])
-
-
 def _max_abs(x) -> np.ndarray:
     """max(|x1|, |x2|, |x3|) per point; nan if any entry is nan."""
     return np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
@@ -325,11 +276,11 @@ def _shooting_residual(x, t, n: int):
     """
     res = np.empty((3 * n + 1, x.shape[1]), dtype=complex)
     for k in range(n):
-        y = _coxeter_cols(x[3 * k:3 * k + 3], t, 1)
+        y = coxeter_apply(x[3 * k:3 * k + 3], t)
         nxt = 3 * ((k + 1) % n)
         for r in range(3):
             np.subtract(y[r], x[nxt + r], out=res[3 * k + r])
-    res[3 * n] = _cubic_cols(x[:3], t)
+    res[3 * n] = cubic_eval(x[:3], t)
     return res
 
 
@@ -358,7 +309,7 @@ def _normal_equations(x, t, n: int):
     jhr = np.zeros((3 * n, m), dtype=complex)
     for k in range(n):
         b, nxt = 3 * k, 3 * ((k + 1) % n)
-        d = _coxeter_cols_jac(x[b:b + 3], t, 1)[1]
+        d = np.array(coxeter_jacobian(x[b:b + 3], t, 1, escape_radius=np.inf))
         dc = np.conj(d)
         a[b:b + 3, b:b + 3] += np.einsum("rim,rjm->ijm", dc, d)
         a[nxt:nxt + 3, b:b + 3] -= d
@@ -367,7 +318,7 @@ def _normal_equations(x, t, n: int):
             a[nxt + r, nxt + r] += 1
         jhr[b:b + 3] += np.einsum("rim,rm->im", dc, res[b:b + 3])
         jhr[nxt:nxt + 3] -= res[b:b + 3]
-    g = np.array(_grad_cols(x[:3], t))
+    g = np.array(cubic_gradient(x[:3], t))
     gc = np.conj(g)
     a[:3, :3] += gc[:, None] * g[None, :]
     jhr[:3] += gc * res[3 * n]
@@ -428,7 +379,7 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
     done = []
     for _ in range(cfg.newton_max_iter):
         x0 = x[:3]
-        conv = _converged(x0, _gap(_coxeter_cols(x0, t, n), x0), _cubic_cols(x0, t), cfg)
+        conv = _converged(x0, _gap(coxeter_apply(x0, t, n), x0), cubic_eval(x0, t), cfg)
         if conv.any():
             done.append(x0[:, conv])
             x = x[:, ~conv]
@@ -517,32 +468,6 @@ def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray
     return out
 
 
-def _apply(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """c^n of one point."""
-    return np.concatenate(_coxeter_cols(x[:, None], t, n))
-
-
-def _polish(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
-    """A few undamped Gauss-Newton steps on a single point."""
-    y = x
-    system = np.empty((4, 3), dtype=complex)
-    for _ in range(10):
-        img, jac = _coxeter_cols_jac(y[:, None], t, n)
-        res = np.empty(4, dtype=complex)
-        res[:3] = np.concatenate(img) - y
-        res[3] = cubic_eval(tuple(y), tuple(t))
-        if np.abs(res[:3]).max() < cfg.newton_tol:
-            break
-        system[:3] = jac[:, :, 0] - np.eye(3)
-        system[3] = np.concatenate(_grad_cols(y[:, None], t))
-        try:
-            dy = np.linalg.lstsq(system, -res, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        y = y + dy
-    return y
-
-
 def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
     """|(1 - l1)(1 - l2)| over the two surface eigenvalues of Dc^N.
 
@@ -576,9 +501,12 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     cfg.newton_tol and surface residual within cfg.surface_tol of the
     surface.  The seeds are drawn and solved in chunks of at most
     _SEED_CHUNK tuples; after each chunk the roots are deduplicated and
-    closed under the action of c, and the search stops once their number
-    equals per_count_closed(N).  The roots are then classified by minimal
-    period and orbit.
+    closed under the action of c: the images that match no root yet start
+    orbit tuples (y, c(y), ..., c^{N-1}(y)) for the same Newton batch.
+    The search stops once the number of roots equals per_count_closed(N).
+    The roots are then classified by minimal period and orbit.  The maps
+    are surface's coxeter_apply, coxeter_jacobian, cubic_eval and
+    cubic_gradient, run on coordinate columns.
 
     status is "complete" when the root count equals the closed form and no
     root is flagged multiple, "saturated" when saturation_batches batches
@@ -621,16 +549,20 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
 
     def close():
         # close the cluster set under c (a consistency requirement: the
-        # image of a periodic point is a periodic point); a polished image
-        # joins only if it passes the Newton batch's convergence test
+        # image of a periodic point is a periodic point).  The images of
+        # the new clusters that match no cluster yet start orbit tuples
+        # (y, c(y), ..., c^{N-1}(y)) for the Newton batch, and what
+        # converges is absorbed and closed in the next round.  A round has
+        # at most as many tuples as the batch before it returned roots, so
+        # never more than _SEED_CHUNK
         nonlocal closed_upto
         while closed_upto < found:
-            img = _apply(reps[closed_upto], t, 1)
-            if _cluster_index(reps[:found], img[None], cfg.dedup_radius)[0] < 0:
-                y = _polish(img, t, N, cfg)
-                if _converged(y, np.abs(_apply(y, t, N) - y).max(), _cubic_cols(y, t), cfg):
-                    add(y)
-            closed_upto += 1
+            img = np.array(coxeter_apply(reps[closed_upto:found].T, t))
+            closed_upto = found
+            orbit = [img[:, _cluster_index(reps[:found], img.T, cfg.dedup_radius) < 0]]
+            for _ in range(N - 1):
+                orbit.append(np.array(coxeter_apply(orbit[-1], t)))
+            absorb(_newton_batch(np.concatenate(orbit), t, N, cfg))
 
     # the first batch, then saturation batches until saturation_batches in a
     # row add no root; each batch is drawn and solved in chunks, and the
@@ -657,16 +589,15 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
 
     # classify: minimal periods, orbits, multiplicity estimates
     cols = clusters.T
-    img, jac = _coxeter_cols_jac(cols, t, N)
-    residuals = _gap(img, cols)
-    mults = _transverse_multiplicity(jac)
+    residuals = _gap(coxeter_apply(cols, t, N), cols)
+    mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
     multiple = bool((mults < 1e-6).any())
     periods = np.full(found, N)
     scale = cfg.dedup_radius * (1 + _max_abs(cols))
     for d in reversed(range(1, N)):
         if N % d == 0:
-            periods[_gap(_coxeter_cols(cols, t, d), cols) <= scale] = d
-    next_of = _cluster_index(clusters, np.stack(_coxeter_cols(cols, t, 1), axis=1), cfg.dedup_radius).tolist()
+            periods[_gap(coxeter_apply(cols, t, d), cols) <= scale] = d
+    next_of = _cluster_index(clusters, np.stack(coxeter_apply(cols, t), axis=1), cfg.dedup_radius).tolist()
     for x, r, mult, period in zip(clusters, residuals, mults, periods):
         report.points.append((AffinePoint(*x), float(r)))
         report.clusters.append((AffinePoint(*x), float(mult)))

@@ -13,11 +13,14 @@ periodic-point counts.
 
 All maps are total polynomial maps on C^3 and are generic over the
 scalar type: complex, float or Fraction entries all work, so identities
-can be checked exactly in rational arithmetic.
+can be checked exactly in rational arithmetic.  The periodic-point solver
+runs f, its gradient, c^N and its Jacobian on numpy coordinate columns,
+one point per entry, and a point rounds the same in a batch of any size.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -161,7 +164,7 @@ def cubic_eval(x, theta):
     """f(x, theta); zero exactly on the surface."""
     x1, x2, x3 = x
     t1, t2, t3, t4 = _coerce_theta(theta)
-    return x1 * x2 * x3 + x1 * x1 + x2 * x2 + x3 * x3 - t1 * x1 - t2 * x2 - t3 * x3 + t4
+    return x1 * x2 * x3 + ((x1 * x1 + x2 * x2) + x3 * x3) - ((x1 * t1 + x2 * t2) + x3 * t3) + t4
 
 
 def cubic_gradient(x, theta):
@@ -171,13 +174,17 @@ def cubic_gradient(x, theta):
     return (x2 * x3 + 2 * x1 - t1, x1 * x3 + 2 * x2 - t2, x1 * x2 + 2 * x3 - t3)
 
 
+# the two coordinates sigma_i leaves fixed, as 0-based indices (j < k)
+_FIXED_PAIR = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
+
+
 def sigma_apply(i: int, x, theta):
     """Involution sigma_i: x_i' = theta_i - x_i - x_j x_k, other entries fixed."""
-    if i not in (1, 2, 3):
+    if i not in _FIXED_PAIR:
         raise ValueError("sigma index must be 1, 2 or 3")
     t = _coerce_theta(theta)
     y = list(x)
-    j, k = [a for a in (0, 1, 2) if a != i - 1]
+    j, k = _FIXED_PAIR[i]
     y[i - 1] = t[i - 1] - y[i - 1] - y[j] * y[k]
     return tuple(y)
 
@@ -230,36 +237,26 @@ def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_
     return MapResult(AffinePoint(*y), ThetaPoint(*t), "ok")
 
 
-def coxeter_apply(x, theta):
-    """c = sigma1 o sigma2 o sigma3 (sigma3 applied first); theta unchanged."""
+def coxeter_apply(x, theta, N: int = 1):
+    """c^N, c = sigma1 o sigma2 o sigma3 (sigma3 applied first); theta unchanged."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     t = _coerce_theta(theta)
-    y = sigma_apply(3, x, t)
-    y = sigma_apply(2, y, t)
-    return sigma_apply(1, y, t)
-
-
-def _sigma_jacobian_row(i: int, x):
-    """Row i of the Jacobian of sigma_i at x (other rows are identity)."""
-    j, k = [a for a in (0, 1, 2) if a != i - 1]
-    row = [0, 0, 0]
-    row[i - 1] = -1
-    row[j] = -x[k]
-    row[k] = -x[j]
-    return row
-
-
-def _mat_mul(a, b):
-    return [
-        [sum(a[r][m] * b[m][c] for m in range(3)) for c in range(3)]
-        for r in range(3)
-    ]
+    y = tuple(x)
+    for _ in range(N):
+        for i in (3, 2, 1):
+            y = sigma_apply(i, y, t)
+    return y
 
 
 def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RADIUS):
     """Jacobian of c^N at x as a 3x3 nested list, by the chain rule.
 
-    Exact for exact inputs (the maps are polynomial).  Raises if the
-    orbit escapes before N steps.
+    sigma_i changes coordinate i alone, so each step replaces row i of the
+    Jacobian by -J_i - x_k J_j - x_j J_k ({j, k} the fixed pair).  Exact for
+    exact inputs (the maps are polynomial).  Raises if the orbit escapes
+    before N steps; an infinite escape_radius skips that test, so x may
+    then be numpy coordinate columns.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -268,10 +265,9 @@ def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RAD
     y = tuple(x)
     for _ in range(N):
         for i in (3, 2, 1):
-            step = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-            step[i - 1] = _sigma_jacobian_row(i, y)
-            jac = _mat_mul(step, jac)
+            j, k = _FIXED_PAIR[i]
+            jac[i - 1] = [-a - y[k] * b - y[j] * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
             y = sigma_apply(i, y, t)
-        if _max_abs(y) > escape_radius:
+        if escape_radius != math.inf and _max_abs(y) > escape_radius:
             raise ValueError(f"orbit escaped before {N} iterations")
     return jac

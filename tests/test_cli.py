@@ -137,9 +137,10 @@ def test_malformed_number_exit_code():
     assert code == 1
 
 
-def test_solve_on_wall_exit_code():
+def test_solve_on_wall_exit_code(capsys):
     code, _ = run(["solve", "--kappa", "1,1/4,1/5,1/7", "--N", "2"])
     assert code == 1
+    assert capsys.readouterr().err == "error: nongeneric parameters: kappa lies on a wall\n"
 
 
 def test_solve_subcommand_complete(tmp_path):

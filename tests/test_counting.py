@@ -1,5 +1,6 @@
 """Tests for the exact counts, zeta function, and the numeric solver."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,13 @@ from cubicdyn.counting import (
     zeta_coefficients,
 )
 from cubicdyn.params import kappa_to_eigen, rh_params, wall_membership
+from cubicdyn.surface import (
+    coxeter_apply,
+    coxeter_jacobian,
+    cubic_eval,
+    cubic_gradient,
+    surface_residual_bound,
+)
 
 
 def test_lefschetz_small_values():
@@ -256,23 +264,21 @@ def _fraction_columns(rng, m):
 
 
 def test_column_kernels_exact_on_fraction_columns():
-    from cubicdyn import counting
-    from cubicdyn.surface import coxeter_apply, coxeter_jacobian, cubic_eval, cubic_gradient
-
+    # the solver's kernels are surface's maps on columns: on object columns
+    # of Fraction they give the scalar results exactly
     pts, theta, cols = _fraction_columns(np.random.default_rng(5), 3)
     for N in (1, 2, 3, 4):
-        images = counting._coxeter_cols(cols, theta, N)
-        images_j, jac = counting._coxeter_cols_jac(cols, theta, N)
+        images = coxeter_apply(cols, theta, N)
+        jac = coxeter_jacobian(cols, theta, N, escape_radius=np.inf)
         for p, x in enumerate(pts):
             y = x
             for _ in range(N):
                 y = coxeter_apply(y, theta)
             assert tuple(c[p] for c in images) == y
-            assert tuple(c[p] for c in images_j) == y
             want = coxeter_jacobian(x, theta, N, escape_radius=float("inf"))
-            assert [[jac[r, c, p] for c in range(3)] for r in range(3)] == want
-    grad = counting._grad_cols(cols, theta)
-    f = counting._cubic_cols(cols, theta)
+            assert [[jac[r][c][p] for c in range(3)] for r in range(3)] == want
+    grad = cubic_gradient(cols, theta)
+    f = cubic_eval(cols, theta)
     for p, x in enumerate(pts):
         assert tuple(g[p] for g in grad) == cubic_gradient(x, theta)
         assert f[p] == cubic_eval(x, theta)
@@ -283,9 +289,10 @@ def test_cubic_cols_rounds_a_point_the_same_alone_and_in_a_batch():
 
     t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
     x = counting._make_seeds(2000, t, np.random.default_rng(0))
-    batch = counting._cubic_cols(x, t)
-    alone = np.concatenate([counting._cubic_cols(x[:, p:p + 1], t) for p in range(x.shape[1])])
-    assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+    for kernel in (lambda x: cubic_eval(x, t), lambda x: np.array(coxeter_apply(x, t, 3))):
+        batch = kernel(x)
+        alone = np.concatenate([kernel(x[:, p:p + 1]) for p in range(x.shape[1])], axis=-1)
+        assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
 
 
 def test_no_bad_point_reaches_the_line_search(monkeypatch):
@@ -309,34 +316,60 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
         assert (dx != 0).any(axis=0).all()
 
 
-def test_unconverged_polish_is_not_appended(monkeypatch):
+def _one_point_per_cycle(monkeypatch, closure_newton=None):
+    """Solve random_offwall_kappa(default_rng(5)) at N = 2 with every seed
+    chunk answered by one point of each 2-cycle, so that orbit closure must
+    find the other eleven.  closure_newton, if given, stands in for the
+    Newton batch on the tuples closure builds.  Returns the report and the
+    tuples closure sent."""
     from cubicdyn import counting
 
-    # a solve that completes only because orbit closure polishes images:
-    # the Newton batch returns one point of each 2-cycle
     kappa = random_offwall_kappa(np.random.default_rng(5))
     cfg = SolverConfig(seeds=200, rng_seed=5)
     full = solve_for_kappa(kappa, 2, cfg)
     assert full.status == "complete" and len(full.orbits) == 11
     one_per_cycle = np.array([full.points[o[0]][0].as_tuple() for o in full.orbits], dtype=complex)
-    monkeypatch.setattr(counting, "_newton_batch", lambda x, t, n, cfg: one_per_cycle)
-    polished = []
-    polish = counting._polish
+    drawn, sent = [], []
+    make, newton = counting._make_tuples, counting._newton_batch
 
-    def off_by_a_little(img, t, n, cfg):
-        # only the first image is off: every later one polishes as usual,
-        # so the closure ends even when it keeps the bad point
-        if polished:
-            return polish(img, t, n, cfg)
-        polished.append(img + 1e-3)
-        return polished[-1]
+    def make_tuples(count, n, t, rng):
+        drawn.append(make(count, n, t, rng))
+        return drawn[-1]
 
-    assert solve_for_kappa(kappa, 2, cfg).status == "complete"
-    monkeypatch.setattr(counting, "_polish", off_by_a_little)
-    report = solve_for_kappa(kappa, 2, cfg)
-    assert polished
+    def newton_batch(x, t, n, cfg):
+        if any(x is d for d in drawn):
+            return one_per_cycle
+        sent.append(x.copy())
+        return (closure_newton or newton)(x, t, n, cfg)
+
+    monkeypatch.setattr(counting, "_make_tuples", make_tuples)
+    monkeypatch.setattr(counting, "_newton_batch", newton_batch)
+    return solve_for_kappa(kappa, 2, cfg), sent
+
+
+def test_closure_completes_a_solve_from_one_point_per_cycle(monkeypatch):
+    report, sent = _one_point_per_cycle(monkeypatch)
+    assert report.status == "complete" and report.found == 22
+    assert sum(x.shape[1] for x in sent) == 11
+
+
+def test_unconverged_closure_image_is_not_reported(monkeypatch):
+    from cubicdyn import counting
+
+    # the first tuple closure sends is off by 1e-3 and gets a single Newton
+    # iteration, which tests it before stepping and so cannot converge it;
+    # every other tuple is refined as usual
+    newton = counting._newton_batch
+
+    def off_by_a_little(x, t, n, cfg):
+        stuck = newton(x[:, :1] + 1e-3, t, n, dataclasses.replace(cfg, newton_max_iter=1))
+        return np.concatenate([stuck, newton(x[:, 1:], t, n, cfg)])
+
+    report, sent = _one_point_per_cycle(monkeypatch, off_by_a_little)
+    bad = sent[0][:3, 0] + 1e-3
     points = [np.array(p.as_tuple()) for p, _ in report.points]
-    assert not any(np.abs(p - y).max() < 1e-9 for p in points for y in polished)
+    assert report.found == 21
+    assert not any(np.abs(p - bad).max() < 1e-9 for p in points)
     assert report.status != "complete"
 
 
@@ -410,7 +443,7 @@ def test_newton_batch_orders_by_iteration_then_seed():
     # r1 and r3 converge at the first iteration, r2 + 1e-8 before r0 + 1e-4;
     # each tuple's x_1 is the image of the unperturbed root
     x0 = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
-    x1 = np.stack([counting._apply(r, t, 1) for r in (r0, r1, r2, r3)], axis=1)
+    x1 = np.array(coxeter_apply(np.stack([r0, r1, r2, r3], axis=1), t))
     out = counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg)
     assert out.shape == (4, 3)
     assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
@@ -429,12 +462,13 @@ def test_normal_equations_equal_a_dense_jhj(n):
     want = np.empty((m, 3 * n + 1), dtype=complex)
     for k in range(n):
         nxt = 3 * ((k + 1) % n)
-        y, d = counting._coxeter_cols_jac(x[3 * k:3 * k + 3], t, 1)
+        y = coxeter_apply(x[3 * k:3 * k + 3], t)
+        d = np.array(coxeter_jacobian(x[3 * k:3 * k + 3], t, 1, escape_radius=np.inf))
         jac[:, 3 * k:3 * k + 3, 3 * k:3 * k + 3] += d.transpose(2, 0, 1)
         jac[:, 3 * k:3 * k + 3, nxt:nxt + 3] -= np.eye(3)
         want[:, 3 * k:3 * k + 3] = (np.array(y) - x[nxt:nxt + 3]).T
-    jac[:, 3 * n, :3] = np.array(counting._grad_cols(x[:3], t)).T
-    want[:, 3 * n] = counting._cubic_cols(x[:3], t)
+    jac[:, 3 * n, :3] = np.array(cubic_gradient(x[:3], t)).T
+    want[:, 3 * n] = cubic_eval(x[:3], t)
     assert np.array_equal(res, want.T)
     jh = np.conj(jac.transpose(0, 2, 1))
     jhj, jhr_dense = jh @ jac, (jh @ want[:, :, None])[:, :, 0]
@@ -468,12 +502,43 @@ def test_cluster_index_matches_the_linear_scan(monkeypatch, block):
     assert counting._cluster_index(reps[:0], x, radius).tolist() == [-1] * len(x)
 
 
-def test_solve_n4_with_the_default_config_is_complete():
+def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
+    from cubicdyn import counting
+
+    sizes = _record_newton_batch(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4)
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
+    # orbit closure refines images through the same Newton batch, and no
+    # call, closure's included, exceeds a chunk
+    assert any(0 < s < counting._SEED_CHUNK for s in sizes)
+    assert max(sizes) <= counting._SEED_CHUNK
+
+
+@pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
+def test_reference_roots_pass_a_python_scalar_recheck(N, by_period):
+    # the benchmark's output check re-evaluates every root on Python
+    # complex scalars, which round differently from the solver's numpy
+    # columns: each root must pass there too
+    kappa = random_offwall_kappa(np.random.default_rng(7))
+    theta = tuple(complex(v) for v in rh_params(kappa).as_tuple())
+    cfg = SolverConfig(seeds=20000)
+    report = solve_for_kappa(kappa, N, cfg)
+    assert report.status == "complete"
+    periods = dict.fromkeys(by_period, 0)
+    for p, _ in report.points:
+        x = tuple(complex(v) for v in p.as_tuple())
+        images = [x]
+        for _ in range(N):
+            images.append(coxeter_apply(images[-1], theta))
+        assert max(abs(a - b) for a, b in zip(images[N], x)) <= cfg.newton_tol
+        assert abs(cubic_eval(x, theta)) <= surface_residual_bound(x, cfg.surface_tol)
+        scale = cfg.dedup_radius * (1 + max(abs(v) for v in x))
+        d = next(d for d in periods if max(abs(a - b) for a, b in zip(images[d], x)) <= scale)
+        periods[d] += 1
+    assert periods == by_period
 
 
 def _record_newton_batch(monkeypatch, stub=None):

@@ -185,6 +185,72 @@ def test_coxeter_jacobian_exact_rational():
     assert det == -1
 
 
+def _jacobian_by_matrix_products(x, t, N):
+    """The chain rule as full 3x3 products of the sigma_i Jacobians, the
+    reference for coxeter_jacobian's row update."""
+    jac = [[int(r == c) for c in range(3)] for r in range(3)]
+    y = tuple(x)
+    for _ in range(N):
+        for i in (3, 2, 1):
+            j, k = [a for a in (0, 1, 2) if a != i - 1]
+            step = [[int(r == c) for c in range(3)] for r in range(3)]
+            step[i - 1] = [0, 0, 0]
+            step[i - 1][i - 1], step[i - 1][j], step[i - 1][k] = -1, -y[k], -y[j]
+            jac = [[sum(step[r][m] * jac[m][c] for m in range(3)) for c in range(3)] for r in range(3)]
+            y = sigma_apply(i, y, t)
+    return jac
+
+
+def test_coxeter_jacobian_matches_the_matrix_product_chain_rule():
+    rng = np.random.default_rng(12)
+    inf = float("inf")
+    for N in (1, 2, 3):
+        for _ in range(5):
+            x, t = _rational_state(rng)
+            assert coxeter_jacobian(x, t, N, escape_radius=inf) == _jacobian_by_matrix_products(x, t, N)
+            x, t = _random_state(rng)
+            got = np.array(coxeter_jacobian(x, t, N, escape_radius=inf), dtype=complex)
+            want = np.array(_jacobian_by_matrix_products(x, t, N), dtype=complex)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_coxeter_jacobian_on_columns_rounds_like_one_point_columns():
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-2, 2, (3, 300)) + 1j * rng.uniform(-2, 2, (3, 300))
+    _, t = _random_state(rng, radius=2.0)
+    for N in (1, 2, 3):
+        batch = np.array(coxeter_jacobian(x, t, N, escape_radius=np.inf))
+        alone = np.concatenate(
+            [np.array(coxeter_jacobian(x[:, p:p + 1], t, N, escape_radius=np.inf)) for p in range(x.shape[1])],
+            axis=2,
+        )
+        assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+
+
+def test_coxeter_jacobian_escape_radius():
+    t = (0.3, -0.2, 0.1, 0.7)
+    x = (50.0, 60.0, 70.0)  # |c(x)| ~ 1e9
+    with pytest.raises(ValueError, match="escaped"):
+        coxeter_jacobian(x, t, 2, escape_radius=1e4)
+    with pytest.raises(ValueError, match="escaped"):
+        coxeter_jacobian(x, t, 2)
+    jac = np.array(coxeter_jacobian(x, t, 2, escape_radius=float("inf")))
+    assert np.isfinite(jac).all()
+
+
+def test_coxeter_apply_power_is_repeated_steps():
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        x, t = _rational_state(rng)
+        y = x
+        for N in range(5):
+            assert coxeter_apply(x, t, N) == y
+            y = coxeter_apply(y, t)
+    for fn in (coxeter_apply, coxeter_jacobian):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(x, t, -1)
+
+
 def test_affine_point_residual_and_bound():
     t = (0.0, 0.0, 0.0, -4.0)
     p = AffinePoint(2.0, 0.0, 0.0)  # 4 - 4 = 0

@@ -3,7 +3,8 @@
 Subcommands cover each module: parameter maps and walls, discriminant,
 the exact lattice action, the 27 lines, orbit traces, and the counting
 suite.  Output is JSON, CSV or human-readable text; a key=value config
-file can supply defaults that individual flags override.
+file can supply defaults that individual flags override.  An option left
+unset keeps the default of the library function it is passed to.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
 any other error (one line on stderr, no traceback), 2 usage error.
@@ -24,6 +25,8 @@ from . import counting, lattice, lines, params, surface
 __all__ = ["main", "dispatch"]
 
 _log = logging.getLogger(__name__)
+
+_FORMATS = ("json", "csv", "pretty")
 
 
 def parse_complex(text):
@@ -147,20 +150,21 @@ def _solver_fields():
     return [f for f in dataclasses.fields(counting.SolverConfig) if f.name != "rng_seed"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser, and the subparser of each command by name."""
     parser = argparse.ArgumentParser(
         prog="cubicdyn",
         description="Birational dynamics on affine cubic surfaces: "
         "parameters, lattice action, 27 lines, periodic-point counts.",
     )
     parser.add_argument("--config", help="key=value config file supplying defaults")
-    parser.add_argument("--output", choices=("json", "csv", "pretty"), default=None)
+    parser.add_argument("--output", choices=_FORMATS, default="pretty")
     parser.add_argument("--rng", type=int, default=None, help="RNG seed")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # pre-subcommand value from being clobbered by the subparser default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--output", choices=("json", "csv", "pretty"), default=argparse.SUPPRESS)
+    common.add_argument("--output", choices=_FORMATS, default=argparse.SUPPRESS)
     common.add_argument("--rng", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
@@ -169,13 +173,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("params", help="kappa -> traces, eigenvalues, theta + wall report")
     p.add_argument("--kappa", required=True, help="k1,k2,k3,k4 (rationals allowed) or 5 entries")
-    p.add_argument("--wall-mode", choices=("exact", "tolerant"), default=None)
-    p.add_argument("--wall-tol", type=float, default=None)
+    p.add_argument("--wall-mode", choices=("exact", "tolerant"))
+    p.add_argument("--wall-tol", type=float)
 
+    # the inputs of a required group default to SUPPRESS: only the one
+    # given is in args, so a config file cannot supply another against it
     p = add_parser("disc", help="discriminant of the surface in b-coordinates")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--kappa")
-    g.add_argument("--b", help='four complex entries "re+imi" or [re,im] pairs')
+    g.add_argument("--kappa", default=argparse.SUPPRESS)
+    g.add_argument("--b", default=argparse.SUPPRESS, help='four complex entries "re+imi" or [re,im] pairs')
 
     p = add_parser("lattice", help="exact matrices, charpoly, spectral radius, checks")
     p.add_argument("--matrices", action="store_true")
@@ -186,20 +192,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("lines", help="the 27 lines with on-surface residuals")
     p.add_argument("--kappa", required=True)
     p.add_argument("--verify", action="store_true", help="run the sigma line-swap checks")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float)
 
     p = add_parser("orbit", help="iterate a generator word from a start point")
     p.add_argument("--word", required=True, help='e.g. "s1 s2 s3" or "g1^2 g2^-2"')
     p.add_argument("--x", required=True, help="three complex start coordinates")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--theta")
-    g.add_argument("--kappa")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--escape-radius", type=float, default=None)
+    g.add_argument("--theta", default=argparse.SUPPRESS)
+    g.add_argument("--kappa", default=argparse.SUPPRESS)
+    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--escape-radius", type=float)
 
     p = add_parser("count", help="closed-form N-periodic point count of c")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--space", choices=("affine", "projective"), default=None)
+    p.add_argument("--space", choices=("affine", "projective"), default="affine")
 
     p = add_parser("count-kappa", help="closed-form count along the full loop")
     p.add_argument("--N", type=int, required=True)
@@ -209,35 +215,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("solve", help="numerically find the N-periodic points")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--theta")
-    g.add_argument("--kappa")
+    g.add_argument("--theta", default=argparse.SUPPRESS)
+    g.add_argument("--kappa", default=argparse.SUPPRESS)
     p.add_argument("--N", type=int, required=True)
     for f in _solver_fields():
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
     p = add_parser("verify", help="cross-check every exact counting identity")
     p.add_argument("--nmax", type=int, required=True)
-    return parser
+    return parser, sub.choices
 
 
-def _opt(args, config, name, conv, default):
-    """Flag value, else config-file value, else built-in default."""
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    if name in config:
-        return conv(config[name])
-    return default
+def _given(args, **dests):
+    """{keyword: value} for each keyword=dest whose option was set, by flag
+    or config file; the called function keeps its own default for the rest."""
+    return {k: getattr(args, d) for k, d in dests.items() if getattr(args, d) is not None}
 
 
-def _cmd_params(args, config, out):
+def _cmd_params(args, out):
     kappa = parse_kappa(args.kappa)
-    mode = _opt(args, config, "wall_mode", str, "exact" if kappa.is_rational() else "tolerant")
-    tol = _opt(args, config, "wall_tol", float, 1e-9)
     a = params.kappa_to_traces(kappa)
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
-    wall = params.wall_membership(kappa, mode=mode, tol=tol)
+    wall = params.wall_membership(kappa, **_given(args, mode="wall_mode", tol="wall_tol"))
     _emit(
         {
             "kappa": [str(v) for v in kappa.as_tuple()],
@@ -252,15 +252,15 @@ def _cmd_params(args, config, out):
     return 0
 
 
-def _cmd_disc(args, config, out):
-    b = parse_b(args.b) if args.b else params.kappa_to_eigen(parse_kappa(args.kappa))
+def _cmd_disc(args, out):
+    b = parse_b(args.b) if "b" in args else params.kappa_to_eigen(parse_kappa(args.kappa))
     d = params.discriminant(b)
     _emit({"b": [_fmt_complex(v) for v in b.as_tuple()],
            "discriminant": _fmt_complex(d), "modulus": abs(complex(d))}, out.fmt, out.stream)
     return 0
 
 
-def _cmd_lattice(args, config, out):
+def _cmd_lattice(args, out):
     want_all = not (args.matrices or args.charpoly or args.spectral_radius or args.checks)
     data = {}
     cstar = lattice.coxeter_star()
@@ -289,15 +289,15 @@ def _cmd_lattice(args, config, out):
     return 0
 
 
-def _cmd_lines(args, config, out):
+def _cmd_lines(args, out):
     kappa = parse_kappa(args.kappa)
-    tol = _opt(args, config, "tol", float, 1e-8)
+    tol = _given(args, tol="tol")
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
     rows = []
     ok_all = True
     for ln in lines.all_lines(b):
-        ok, resid = lines.line_on_surface(ln, theta, tol)
+        ok, resid = lines.line_on_surface(ln, theta, **tol)
         ok_all = ok_all and ok
         rows.append({**ln.to_json(), "on_surface": ok, "residual": resid})
     data = {"count": len(rows), "all_on_surface": ok_all, "lines": rows}
@@ -305,7 +305,7 @@ def _cmd_lines(args, config, out):
     if args.verify:
         try:
             data["sigma_checks"] = [
-                {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i, tol)["swaps"]}
+                {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i, **tol)["swaps"]}
                 for i in (1, 2, 3)
             ]
         except (AssertionError, ValueError) as exc:
@@ -315,19 +315,18 @@ def _cmd_lines(args, config, out):
     return code
 
 
-def _cmd_orbit(args, config, out):
+def _cmd_orbit(args, out):
     word = surface.parse_word(args.word)
     x = tuple(parse_complex(v) for v in _split_list(args.x))
     if len(x) != 3:
         raise ValueError("start point needs 3 coordinates")
-    theta = parse_theta(args.theta) if args.theta else params.rh_params(parse_kappa(args.kappa))
-    iters = _opt(args, config, "iters", int, 1)
-    radius = _opt(args, config, "escape_radius", float, surface.DEFAULT_ESCAPE_RADIUS)
+    theta = parse_theta(args.theta) if "theta" in args else params.rh_params(parse_kappa(args.kappa))
+    radius = _given(args, escape_radius="escape_radius")
     t = theta
     steps = []
     status = "ok"
-    for n in range(iters):
-        res = surface.word_apply(word, x, t, escape_radius=radius)
+    for n in range(args.iters):
+        res = surface.word_apply(word, x, t, **radius)
         x, t, status = res.point.as_tuple(), res.theta, res.status
         steps.append(
             {
@@ -344,32 +343,27 @@ def _cmd_orbit(args, config, out):
     return 0
 
 
-def _cmd_count(args, config, out):
-    space = _opt(args, config, "space", str, "affine")
-    val = counting.per_count_closed(args.N, space)
-    _emit({"N": args.N, "space": space, "count": val}, out.fmt, out.stream)
+def _cmd_count(args, out):
+    val = counting.per_count_closed(args.N, args.space)
+    _emit({"N": args.N, "space": args.space, "count": val}, out.fmt, out.stream)
     return 0
 
 
-def _cmd_count_kappa(args, config, out):
+def _cmd_count_kappa(args, out):
     _emit({"N": args.N, "count": counting.per_kappa_closed(args.N)}, out.fmt, out.stream)
     return 0
 
 
-def _cmd_zeta(args, config, out):
+def _cmd_zeta(args, out):
     _emit({"order": args.order, "coefficients": counting.zeta_coefficients(args.order)},
           out.fmt, out.stream)
     return 0
 
 
-def _cmd_solve(args, config, out):
-    cfg = counting.SolverConfig.for_period(args.N)
-    cfg = dataclasses.replace(
-        cfg,
-        rng_seed=cfg.rng_seed if out.rng is None else out.rng,
-        **{f.name: _opt(args, config, f.name, type(f.default), getattr(cfg, f.name)) for f in _solver_fields()},
-    )
-    if args.kappa:
+def _cmd_solve(args, out):
+    settings = _given(args, rng_seed="rng", **{f.name: f.name for f in _solver_fields()})
+    cfg = dataclasses.replace(counting.SolverConfig.for_period(args.N), **settings)
+    if "kappa" in args:
         report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
     else:
         report = counting.solve_periodic(parse_theta(args.theta), args.N, cfg)
@@ -377,7 +371,7 @@ def _cmd_solve(args, config, out):
     return 0 if report.status == "complete" else 1
 
 
-def _cmd_verify(args, config, out):
+def _cmd_verify(args, out):
     try:
         report = counting.verify_counts(args.nmax)
     except AssertionError as exc:
@@ -402,34 +396,42 @@ _COMMANDS = {
 
 
 class _Out:
-    def __init__(self, fmt, stream, rng):
+    def __init__(self, fmt, stream):
         self.fmt = fmt
         self.stream = stream
-        self.rng = rng
 
 
 def dispatch(argv, stream=None) -> int:
-    """Parse argv and run the chosen subcommand; returns the exit code."""
-    parser = _build_parser()
+    """Parse argv and run the chosen subcommand; returns the exit code.
+
+    A --config file's values become the parsers' defaults and argv is
+    parsed again, so a flag beats the file, the file beats the built-in
+    default, and argparse converts the file's values as it does flags'.
+    A key must name an option of the command that takes a value, and not
+    an input whose group another flag already fills.
+    """
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            config = read_config(args.config)
+            keys = {k for k, v in vars(args).items() if not isinstance(v, bool)} - {"command", "config"}
+            unknown = sorted(set(config) - keys)
+            if unknown:
+                raise ValueError(f"{args.config}: {args.command} takes no config key {', '.join(unknown)}")
+            parser.set_defaults(**{k: config.pop(k) for k in ("output", "rng") if k in config})
+            commands[args.command].set_defaults(**config)
+            args = parser.parse_args(argv)
+        if args.output not in _FORMATS:
+            raise ValueError(f"unknown output format {args.output!r}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    config = {}
-    if args.config:
-        try:
-            config = read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    fmt = args.output or config.get("output", "pretty")
-    if fmt not in ("json", "csv", "pretty"):
-        print(f"error: unknown output format {fmt!r}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    rng = args.rng if args.rng is not None else (int(config["rng"]) if "rng" in config else None)
-    out = _Out(fmt, stream if stream is not None else sys.stdout, rng)
+    out = _Out(args.output, stream if stream is not None else sys.stdout)
     try:
-        return _COMMANDS[args.command](args, config, out)
+        return _COMMANDS[args.command](args, out)
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .surface import (
     coxeter_jacobian,
     cubic_eval,
     cubic_gradient,
+    surface_residual_bound,
 )
 
 __all__ = [
@@ -181,18 +183,21 @@ def random_offwall_kappa(rng, denominator_bound: int = 40) -> KappaPoint:
             p = int(rng.integers(1, 2 * q))
             tail.append(Fraction(p, q))
         kappa = KappaPoint.from_tail(*tail)
-        if not wall_membership(kappa, mode="exact").on_wall:
+        if not wall_membership(kappa).on_wall:
             return kappa
     raise RuntimeError("failed to sample an off-wall kappa")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs of the multistart Newton solver.
+    """The two settings of the multistart Newton solver, and its constants.
 
     seeds is the number of seed tuples of the first batch; each saturation
     batch has seeds // 10.  Both are upper bounds: the search stops as soon
     as it has found as many roots as the closed form counts.
+
+    The rest are class constants: newton_tol, surface_tol (see _converged)
+    and dedup_radius define what a complete report certifies.
     saturation_batches quiet batches in a row (no new root) end the search
     short of the closed form, and at most 8 * saturation_batches follow
     the first.
@@ -200,18 +205,16 @@ class SolverConfig:
 
     seeds: int = 20000
     rng_seed: int = 0
-    newton_max_iter: int = 100
-    newton_tol: float = 1e-10
-    dedup_radius: float = 1e-6
-    surface_tol: float = DEFAULT_SURFACE_TOL
-    saturation_batches: int = 5
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS
+    newton_max_iter: ClassVar[int] = 100
+    newton_tol: ClassVar[float] = 1e-10
+    dedup_radius: ClassVar[float] = 1e-6
+    surface_tol: ClassVar[float] = DEFAULT_SURFACE_TOL
+    saturation_batches: ClassVar[int] = 5
+    escape_radius: ClassVar[float] = DEFAULT_ESCAPE_RADIUS
 
     def __post_init__(self):
-        for name in ("seeds", "newton_max_iter", "newton_tol", "dedup_radius",
-                     "surface_tol", "saturation_batches", "escape_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.seeds <= 0:
+            raise ValueError("seeds must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
 
@@ -330,6 +333,19 @@ def _converged(x, gap, f, cfg: SolverConfig):
     gap = max |c^n(x) - x| is below cfg.newton_tol and f(x) lies within
     cfg.surface_tol (1 + max |x_i|^3) of zero."""
     return (gap < cfg.newton_tol) & (np.abs(f) <= cfg.surface_tol * (1 + _max_abs(x) ** 3))
+
+
+def _converged_scalar(x, t: np.ndarray, n: int, cfg: SolverConfig) -> bool:
+    """_converged for one point x (3,) of period n, on Python complex scalars.
+
+    numpy's array loops round complex products and abs differently from
+    Python's scalar arithmetic, so a point that passes on columns can miss
+    newton_tol when re-evaluated one point at a time, as any independent
+    check of a report does.
+    """
+    p, theta = tuple(complex(v) for v in x), tuple(complex(v) for v in t)
+    gap = max(abs(a - b) for a, b in zip(coxeter_apply(p, theta, n), p))
+    return gap < cfg.newton_tol and abs(cubic_eval(p, theta)) <= surface_residual_bound(p, cfg.surface_tol)
 
 
 def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
@@ -499,10 +515,11 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     from tuples of N independent seeds (see _newton_batch).  A tuple counts
     as converged when x_0 has map residual |c^N(x_0) - x_0| below
     cfg.newton_tol and surface residual within cfg.surface_tol of the
-    surface.  The seeds are drawn and solved in chunks of at most
-    _SEED_CHUNK tuples; after each chunk the roots are deduplicated and
-    closed under the action of c: the images that match no root yet start
-    orbit tuples (y, c(y), ..., c^{N-1}(y)) for the same Newton batch.
+    surface, on numpy columns and again on Python scalars.  The seeds are
+    drawn and solved in chunks of at most _SEED_CHUNK tuples; after each
+    chunk the roots are deduplicated and closed under the action of c: the
+    images that match no root yet start orbit tuples
+    (y, c(y), ..., c^{N-1}(y)) for the same Newton batch.
     The search stops once the number of roots equals per_count_closed(N).
     The roots are then classified by minimal period and orbit.  The maps
     are surface's coxeter_apply, coxeter_jacobian, cubic_eval and
@@ -528,41 +545,34 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
 
     max_extra = 8 * cfg.saturation_batches
     children = iter(np.random.SeedSequence(cfg.rng_seed).spawn(1 + max_extra))
-    reps = np.empty((64, 3), dtype=complex)  # the clusters, in the first `found` rows
-    found = closed_upto = 0
-
-    def add(x):
-        nonlocal reps, found
-        if found == len(reps):
-            reps = np.concatenate([reps, np.empty_like(reps)])
-        reps[found] = x
-        found += 1
+    clusters = np.empty((0, 3), dtype=complex)
 
     def absorb(roots: np.ndarray):
         # a root joins unless it matches an earlier cluster or an earlier
-        # root of this chunk
-        roots = roots[_cluster_index(reps[:found], roots, cfg.dedup_radius) < 0]
+        # root of this chunk; one that fails _converged_scalar drops alone,
+        # so its next duplicate is tried.  Then the cluster set is closed
+        # under c (a consistency requirement: the image of a periodic point
+        # is a periodic point): the images of the new clusters that match
+        # no cluster yet start orbit tuples (y, c(y), ..., c^{N-1}(y)) for
+        # the Newton batch, and what converges is absorbed in the next
+        # round.  A round has at most as many tuples as the batch before it
+        # returned roots, so never more than _SEED_CHUNK
+        nonlocal clusters
         while len(roots):
-            add(roots[0])
-            rest = roots[1:]
-            roots = rest[_cluster_index(roots[:1], rest, cfg.dedup_radius) < 0]
-
-    def close():
-        # close the cluster set under c (a consistency requirement: the
-        # image of a periodic point is a periodic point).  The images of
-        # the new clusters that match no cluster yet start orbit tuples
-        # (y, c(y), ..., c^{N-1}(y)) for the Newton batch, and what
-        # converges is absorbed and closed in the next round.  A round has
-        # at most as many tuples as the batch before it returned roots, so
-        # never more than _SEED_CHUNK
-        nonlocal closed_upto
-        while closed_upto < found:
-            img = np.array(coxeter_apply(reps[closed_upto:found].T, t))
-            closed_upto = found
-            orbit = [img[:, _cluster_index(reps[:found], img.T, cfg.dedup_radius) < 0]]
+            start = len(clusters)
+            roots = roots[_cluster_index(clusters, roots, cfg.dedup_radius) < 0]
+            while len(roots):
+                x, roots = roots[:1], roots[1:]
+                if _converged_scalar(x[0], t, N, cfg):
+                    clusters = np.concatenate([clusters, x])
+                    roots = roots[_cluster_index(x, roots, cfg.dedup_radius) < 0]
+            if len(clusters) == start:
+                return
+            img = np.array(coxeter_apply(clusters[start:].T, t))
+            orbit = [img[:, _cluster_index(clusters, img.T, cfg.dedup_radius) < 0]]
             for _ in range(N - 1):
                 orbit.append(np.array(coxeter_apply(orbit[-1], t)))
-            absorb(_newton_batch(np.concatenate(orbit), t, N, cfg))
+            roots = _newton_batch(np.concatenate(orbit), t, N, cfg)
 
     # the first batch, then saturation batches until saturation_batches in a
     # row add no root; each batch is drawn and solved in chunks, and the
@@ -571,21 +581,20 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     for batch in range(1 + max_extra):
         size = cfg.seeds if batch == 0 else max(1, cfg.seeds // 10)
         rng = np.random.default_rng(next(children))
-        before = found
+        before = len(clusters)
         for start in range(0, size, _SEED_CHUNK):
             count = min(_SEED_CHUNK, size - start)
             absorb(_newton_batch(_make_tuples(count, N, t, rng), t, N, cfg))
-            close()
-            if found == closed:
+            if len(clusters) == closed:
                 break
-        if found == closed:
+        if len(clusters) == closed:
             break
         if batch:
-            quiet = 0 if found > before else quiet + 1
+            quiet = 0 if len(clusters) > before else quiet + 1
             if quiet >= cfg.saturation_batches:
                 break
     saturated = quiet >= cfg.saturation_batches
-    clusters = reps[:found]
+    found = len(clusters)
 
     # classify: minimal periods, orbits, multiplicity estimates
     cols = clusters.T
@@ -627,7 +636,6 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
 
 def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = None) -> CountReport:
     """Convenience wrapper: check kappa off-wall, then solve on S(rh(kappa))."""
-    mode = "exact" if kappa.is_rational() else "tolerant"
-    if wall_membership(kappa, mode=mode).on_wall:
+    if wall_membership(kappa).on_wall:
         raise ValueError("nongeneric parameters: kappa lies on a wall")
     return solve_periodic(rh_params(kappa), N, cfg, b=kappa_to_eigen(kappa))

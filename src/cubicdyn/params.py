@@ -225,14 +225,17 @@ def _nearest_int(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def wall_membership(kappa: KappaPoint, mode: str = "exact", tol: float = 1e-9) -> WallReport:
+def wall_membership(kappa: KappaPoint, mode: str = None, tol: float = 1e-9) -> WallReport:
     """Test whether kappa lies on a reflection wall.
 
     The walls are k_i = m (i = 1..4, m integer) and
     k1 +- k2 +- k3 +- k4 = 2m + 1.  In "exact" mode the entries must be
     rational and membership is decided with exact arithmetic; in
     "tolerant" mode a relation counts when its residual is below tol.
+    mode None picks exact for a rational kappa and tolerant otherwise.
     """
+    if mode is None:
+        mode = "exact" if kappa.is_rational() else "tolerant"
     if mode not in ("exact", "tolerant"):
         raise ValueError(f"unknown mode {mode!r}")
     tail = kappa.tail()

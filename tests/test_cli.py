@@ -130,6 +130,8 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run(["no-such-command"])
     assert code == 2
+    code, _ = run(["solve", "--kappa", "1/3,1/4,1/5,1/7", "--N", "2", "--newton-tol", "1e-3"])
+    assert code == 2
 
 
 def test_malformed_number_exit_code():
@@ -174,6 +176,28 @@ def test_config_file_errors(tmp_path):
     assert code == 2
     code, _ = run(["count", "--N", "2", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
+
+
+def test_config_key_that_names_no_option_exits_2(monkeypatch, tmp_path, capsys):
+    from cubicdyn import counting
+
+    called = []
+    monkeypatch.setattr(counting, "solve_periodic", lambda *args: called.append(args))
+    old = tmp_path / "old.cfg"
+    old.write_text("seeds = 100\nnewton_tol = 1e-3\n")
+    code, out = run(["solve", "--theta", "1,2,3,4", "--N", "2", "--config", str(old)])
+    assert code == 2 and out == "" and not called
+    assert capsys.readouterr().err == f"error: {old}: solve takes no config key newton_tol\n"
+    # a key of another command, a flag that takes no value, and an input
+    # whose group a flag fills
+    for argv, text in ((["zeta", "--order", "3"], "space = projective\n"),
+                       (["lines", "--kappa", "1/3,1/4,1/5,1/7"], "verify = false\n"),
+                       (["solve", "--theta", "1,2,3,4", "--N", "1"], "kappa = 1/3,1/4,1/5,1/7\n")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out = run([*argv, "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_verify_beyond_float_range():
@@ -223,8 +247,14 @@ def test_solve_default_config_matches_solver(monkeypatch):
         assert from_cli.seeds == (200000 if N >= 3 else 20000)
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+_SOLVER_CONSTANTS = ["dedup_radius", "escape_radius", "newton_max_iter", "newton_tol",
+                     "saturation_batches", "surface_tol"]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)] + _SOLVER_CONSTANTS)
 def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, name):
+    """A SolverConfig field reaches the solver as a flag and as a config
+    key; a class constant is neither, and naming it is a usage error."""
     import numpy as np
 
     from cubicdyn import counting
@@ -237,12 +267,14 @@ def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, nam
 
     monkeypatch.setattr(counting, "_newton_batch", newton)
     value = 7 if isinstance(getattr(SolverConfig(), name), int) else 0.125
-    want = dataclasses.replace(SolverConfig.for_period(2), **{name: value})
     flag = "--rng" if name == "rng_seed" else "--" + name.replace("_", "-")
     key = "rng" if name == "rng_seed" else name
     cfg_file = tmp_path / "solve.cfg"
     cfg_file.write_text(f"{key} = {value}\n")
     for extra in ([flag, str(value)], ["--config", str(cfg_file)]):
         seen.clear()
-        run(["solve", "--theta", "1,2,3,4", "--N", "2", *extra])
-        assert seen[0] == want
+        code, _ = run(["solve", "--theta", "1,2,3,4", "--N", "2", *extra])
+        if name in _SOLVER_CONSTANTS:
+            assert code == 2 and not seen
+        else:
+            assert seen[0] == dataclasses.replace(SolverConfig.for_period(2), **{name: value})

@@ -152,7 +152,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rng_seed=-1)
     cfg = SolverConfig()
-    assert cfg.newton_tol == 1e-10 and cfg.dedup_radius == 1e-6
+    assert cfg.newton_tol == 1e-10 and cfg.dedup_radius == 1e-6 and cfg.surface_tol == 1e-9
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["seeds", "rng_seed"]
 
 
 def test_solve_rejects_singular_discriminant():
@@ -170,10 +171,11 @@ def test_solve_rejects_singular_discriminant():
         solve_periodic(theta, 0)
 
 
-def test_solver_finds_no_fixed_points():
+def test_solver_finds_no_fixed_points(monkeypatch):
     rng = np.random.default_rng(2)
     kappa = random_offwall_kappa(rng)
-    report = solve_for_kappa(kappa, 1, SolverConfig(seeds=2000, rng_seed=1, newton_max_iter=40))
+    monkeypatch.setattr(SolverConfig, "newton_max_iter", 40)
+    report = solve_for_kappa(kappa, 1, SolverConfig(seeds=2000, rng_seed=1))
     assert report.found == 0
     assert report.closed_form == 0
     assert report.status == "complete"
@@ -309,7 +311,8 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
         return search(x, dx, rnorm, t, n)
 
     monkeypatch.setattr(counting, "_line_search", record)
-    counting._newton_batch(seeds, t, 2, SolverConfig(newton_max_iter=20))
+    monkeypatch.setattr(SolverConfig, "newton_max_iter", 20)
+    counting._newton_batch(seeds, t, 2, SolverConfig())
     assert searched
     for x, dx in searched:
         assert np.isfinite(x).all()
@@ -362,7 +365,9 @@ def test_unconverged_closure_image_is_not_reported(monkeypatch):
     newton = counting._newton_batch
 
     def off_by_a_little(x, t, n, cfg):
-        stuck = newton(x[:, :1] + 1e-3, t, n, dataclasses.replace(cfg, newton_max_iter=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SolverConfig, "newton_max_iter", 1)
+            stuck = newton(x[:, :1] + 1e-3, t, n, cfg)
         return np.concatenate([stuck, newton(x[:, 1:], t, n, cfg)])
 
     report, sent = _one_point_per_cycle(monkeypatch, off_by_a_little)
@@ -415,7 +420,8 @@ def test_line_search_block_size_changes_no_bit():
     seeds = counting._make_tuples(300, 3, t, np.random.default_rng(0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_line_search", record)
-        counting._newton_batch(seeds, t, 3, SolverConfig(newton_max_iter=30))
+        mp.setattr(SolverConfig, "newton_max_iter", 30)
+        counting._newton_batch(seeds, t, 3, SolverConfig())
     assert len(steps) == 30
     with np.errstate(over="ignore", invalid="ignore"):
         for x, dx, rnorm in steps:
@@ -541,6 +547,31 @@ def test_reference_roots_pass_a_python_scalar_recheck(N, by_period):
     assert periods == by_period
 
 
+def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
+    from cubicdyn import counting
+
+    # the first candidate passes _converged on numpy columns but is made to
+    # fail the recheck on Python scalars: it drops alone, and a later
+    # duplicate of it joins in its place
+    bound = counting.surface_residual_bound
+    rejected = []
+
+    def reject_once(x, tol):
+        if not rejected:
+            rejected.append(x)
+            return -1.0
+        return bound(x, tol)
+
+    monkeypatch.setattr(counting, "surface_residual_bound", reject_once)
+    kappa = random_offwall_kappa(np.random.default_rng(3))
+    report = solve_for_kappa(kappa, 2, SolverConfig(seeds=6000, rng_seed=2))
+    assert len(rejected) == 1
+    points = [tuple(map(complex, p.as_tuple())) for p, _ in report.points]
+    assert rejected[0] not in points
+    assert sum(max(abs(a - b) for a, b in zip(p, rejected[0])) < 1e-6 for p in points) == 1
+    assert report.status == "complete" and report.found == 22
+
+
 def _record_newton_batch(monkeypatch, stub=None):
     from cubicdyn import counting
 
@@ -587,7 +618,8 @@ def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
     kappa = random_offwall_kappa(np.random.default_rng(3))
     t = counting._coerce_theta4(rh_params(kappa))
     seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
-    cfg = SolverConfig(newton_max_iter=30)
+    monkeypatch.setattr(SolverConfig, "newton_max_iter", 30)
+    cfg = SolverConfig()
     want = counting._newton_batch(seeds, t, 2, cfg)
     solve = np.linalg.solve
     calls = []

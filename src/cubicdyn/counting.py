@@ -384,8 +384,9 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
 
     x holds the seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k.
     A tuple converges when x_0 passes _converged with gap
-    max |c^n(x_0) - x_0|.  Returns the converged x_0 as a (K, 3) array,
-    ordered by the iteration they converged at and then by seed.
+    max |c^n(x_0) - x_0|.  Returns the converged tuples whole, as a
+    (K, 3n) array whose row holds x_0, ..., x_{n-1} in turn, ordered by
+    the iteration they converged at and then by seed.
 
     Escaping tuples overflow to inf/nan and are dropped; the arithmetic
     warnings that produces are deliberately silenced.
@@ -397,7 +398,7 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
         x0 = x[:3]
         conv = _converged(x0, _gap(coxeter_apply(x0, t, n), x0), cubic_eval(x0, t), cfg)
         if conv.any():
-            done.append(x0[:, conv])
+            done.append(x[:, conv])
             x = x[:, ~conv]
         if x.shape[1] == 0:
             break
@@ -430,7 +431,7 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
         xnew = _line_search(x, dx, rnorm, t, n)
         x = xnew[:, np.abs(xnew).max(axis=0) <= cfg.escape_radius]
     if not done:
-        return np.empty((0, 3), dtype=complex)
+        return np.empty((0, 3 * n), dtype=complex)
     return np.concatenate(done, axis=1).T
 
 
@@ -463,25 +464,27 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
     return xnew
 
 
-_DEDUP_BLOCK = 1 << 16  # most point-representative pairs one dedup block compares
-
-
 def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray:
     """For each point of x (K, 3), the index of the first representative of
     reps (C, 3) within radius * (1 + max |rep_i|) of it in every
     coordinate, or -1 if there is none.
 
-    The points are compared in blocks of at most _DEDUP_BLOCK pairs.
+    A point is compared only with the representatives whose Re x_1 lies
+    within twice the largest scale of its own, found by binary search; the
+    margin covers the rounding of the window's edges, so the result equals
+    the scan over all pairs.  reps must be finite.
     """
-    out = np.full(len(x), -1, dtype=np.intp)
-    if len(reps) == 0:
-        return out
     scale = radius * (1 + np.abs(reps).max(axis=1))
-    step = max(1, _DEDUP_BLOCK // len(reps))
-    for s in range(0, len(x), step):
-        hit = np.abs(x[s:s + step, None, :] - reps[None]).max(axis=2) <= scale
-        out[s:s + step] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    return out
+    order = np.argsort(reps[:, 0].real)
+    key, width = reps[order, 0].real, 2 * scale.max(initial=0)
+    lo = np.searchsorted(key, x[:, 0].real - width)
+    count = np.searchsorted(key, x[:, 0].real + width, side="right") - lo
+    point = np.repeat(np.arange(len(x)), count)
+    rep = order[np.arange(len(point)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    hit = np.abs(x[point] - reps[rep]).max(axis=1) <= scale[rep]
+    first = np.full(len(x), len(reps))
+    np.minimum.at(first, point[hit], rep[hit])
+    return np.where(first < len(reps), first, -1)
 
 
 def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
@@ -515,15 +518,17 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     from tuples of N independent seeds (see _newton_batch).  A tuple counts
     as converged when x_0 has map residual |c^N(x_0) - x_0| below
     cfg.newton_tol and surface residual within cfg.surface_tol of the
-    surface, on numpy columns and again on Python scalars.  The seeds are
-    drawn and solved in chunks of at most _SEED_CHUNK tuples; after each
-    chunk the roots are deduplicated and closed under the action of c: the
-    images that match no root yet start orbit tuples
-    (y, c(y), ..., c^{N-1}(y)) for the same Newton batch.
-    The search stops once the number of roots equals per_count_closed(N).
-    The roots are then classified by minimal period and orbit.  The maps
-    are surface's coxeter_apply, coxeter_jacobian, cubic_eval and
-    cubic_gradient, run on coordinate columns.
+    surface.  The seeds are drawn and solved in chunks of at most
+    _SEED_CHUNK tuples.  A converged tuple holds a whole orbit
+    (x_0, ..., x_{d-1}), d its minimal period read off the tuple, and for
+    real theta, where c commutes with complex conjugation, so does its
+    conjugate.  Each point of an orbit is admitted on its own, if it
+    matches no root and passes the convergence test on numpy columns and
+    again on Python scalars; a point that fails leaves its place to a
+    later tuple of the orbit.  The search stops once the number of roots
+    equals per_count_closed(N).  The roots are then classified by minimal
+    period.  The maps are surface's coxeter_apply, coxeter_jacobian,
+    cubic_eval and cubic_gradient, run on coordinate columns.
 
     status is "complete" when the root count equals the closed form and no
     root is flagged multiple, "saturated" when saturation_batches batches
@@ -545,34 +550,37 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
 
     max_extra = 8 * cfg.saturation_batches
     children = iter(np.random.SeedSequence(cfg.rng_seed).spawn(1 + max_extra))
+    radius = cfg.dedup_radius
+    divisors = [d for d in range(1, N) if N % d == 0]
     clusters = np.empty((0, 3), dtype=complex)
+    orbit_of = []  # for each cluster, the index of its orbit's first cluster
 
-    def absorb(roots: np.ndarray):
-        # a root joins unless it matches an earlier cluster or an earlier
-        # root of this chunk; one that fails _converged_scalar drops alone,
-        # so its next duplicate is tried.  Then the cluster set is closed
-        # under c (a consistency requirement: the image of a periodic point
-        # is a periodic point): the images of the new clusters that match
-        # no cluster yet start orbit tuples (y, c(y), ..., c^{N-1}(y)) for
-        # the Newton batch, and what converges is absorbed in the next
-        # round.  A round has at most as many tuples as the batch before it
-        # returned roots, so never more than _SEED_CHUNK
+    def absorb(tuples: np.ndarray):
+        # a tuple whose x_0 is a root already adds nothing; the others are
+        # taken one at a time, each point of the orbit on its own.  Once an
+        # orbit is whole, the tuples whose x_0 lies on it are dropped; until
+        # then a later tuple of the orbit may supply what is missing
         nonlocal clusters
-        while len(roots):
-            start = len(clusters)
-            roots = roots[_cluster_index(clusters, roots, cfg.dedup_radius) < 0]
-            while len(roots):
-                x, roots = roots[:1], roots[1:]
-                if _converged_scalar(x[0], t, N, cfg):
-                    clusters = np.concatenate([clusters, x])
-                    roots = roots[_cluster_index(x, roots, cfg.dedup_radius) < 0]
-            if len(clusters) == start:
-                return
-            img = np.array(coxeter_apply(clusters[start:].T, t))
-            orbit = [img[:, _cluster_index(clusters, img.T, cfg.dedup_radius) < 0]]
-            for _ in range(N - 1):
-                orbit.append(np.array(coxeter_apply(orbit[-1], t)))
-            roots = _newton_batch(np.concatenate(orbit), t, N, cfg)
+        if not t.imag.any():
+            tuples = np.concatenate([tuples, tuples.conj()])
+        tuples = tuples[_cluster_index(clusters, tuples[:, :3], radius) < 0].reshape(-1, N, 3)
+        while len(tuples):
+            orbit, tuples = tuples[0], tuples[1:]
+            scale = radius * (1 + _max_abs(orbit[0]))
+            d = next((d for d in divisors if _gap(orbit[d], orbit[0]) <= scale), N)
+            pts = orbit[:d]
+            x, idx = pts.T, _cluster_index(clusters, pts, radius)
+            # an entry that repeats an earlier one is never admitted: d reads
+            # too long when x_d lags behind the orbit
+            fresh = (idx < 0) & (_cluster_index(pts, pts, radius) == np.arange(d))
+            fresh &= _converged(x, _gap(coxeter_apply(x, t, N), x), cubic_eval(x, t), cfg)
+            new = pts[[j for j in np.flatnonzero(fresh) if _converged_scalar(pts[j], t, N, cfg)]]
+            known = idx[idx >= 0]
+            orbit_of.extend([orbit_of[known[0]] if len(known) else len(clusters)] * len(new))
+            reps = np.concatenate([clusters[known], new])
+            clusters = np.concatenate([clusters, new])
+            if len(reps) == d:
+                tuples = tuples[_cluster_index(reps, tuples[:, 0], radius) < 0]
 
     # the first batch, then saturation batches until saturation_batches in a
     # row add no root; each batch is drawn and solved in chunks, and the
@@ -596,33 +604,21 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     saturated = quiet >= cfg.saturation_batches
     found = len(clusters)
 
-    # classify: minimal periods, orbits, multiplicity estimates
+    # classify: minimal periods and multiplicity estimates
     cols = clusters.T
     residuals = _gap(coxeter_apply(cols, t, N), cols)
     mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
     multiple = bool((mults < 1e-6).any())
     periods = np.full(found, N)
-    scale = cfg.dedup_radius * (1 + _max_abs(cols))
-    for d in reversed(range(1, N)):
-        if N % d == 0:
-            periods[_gap(coxeter_apply(cols, t, d), cols) <= scale] = d
-    next_of = _cluster_index(clusters, np.stack(coxeter_apply(cols, t), axis=1), cfg.dedup_radius).tolist()
+    scale = radius * (1 + _max_abs(cols))
+    for d in reversed(divisors):
+        periods[_gap(coxeter_apply(cols, t, d), cols) <= scale] = d
     for x, r, mult, period in zip(clusters, residuals, mults, periods):
         report.points.append((AffinePoint(*x), float(r)))
         report.clusters.append((AffinePoint(*x), float(mult)))
         report.minimal_periods.append(int(period))
-
-    seen = set()
-    for i in range(found):
-        if i in seen:
-            continue
-        orbit = []
-        j = i
-        while j >= 0 and j not in seen:
-            seen.add(j)
-            orbit.append(j)
-            j = next_of[j]
-        report.orbits.append(orbit)
+    ids = np.array(orbit_of)
+    report.orbits = [np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)]
 
     report.found = found
     if found == closed and not multiple:

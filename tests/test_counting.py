@@ -319,20 +319,15 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
         assert (dx != 0).any(axis=0).all()
 
 
-def _one_point_per_cycle(monkeypatch, closure_newton=None):
-    """Solve random_offwall_kappa(default_rng(5)) at N = 2 with every seed
-    chunk answered by one point of each 2-cycle, so that orbit closure must
-    find the other eleven.  closure_newton, if given, stands in for the
-    Newton batch on the tuples closure builds.  Returns the report and the
-    tuples closure sent."""
+_COMPLEX_THETA = (1.3 + 0.4j, -0.7 + 0.2j, 2.1 - 0.3j, 0.5 + 0.1j)
+
+
+def _record_seed_chunks(monkeypatch, answer=None):
+    """Record, for each _newton_batch call, whether it received a seed chunk
+    drawn by _make_tuples; answer, if given, stands in for the result."""
     from cubicdyn import counting
 
-    kappa = random_offwall_kappa(np.random.default_rng(5))
-    cfg = SolverConfig(seeds=200, rng_seed=5)
-    full = solve_for_kappa(kappa, 2, cfg)
-    assert full.status == "complete" and len(full.orbits) == 11
-    one_per_cycle = np.array([full.points[o[0]][0].as_tuple() for o in full.orbits], dtype=complex)
-    drawn, sent = [], []
+    drawn, seed_chunk = [], []
     make, newton = counting._make_tuples, counting._newton_batch
 
     def make_tuples(count, n, t, rng):
@@ -340,42 +335,60 @@ def _one_point_per_cycle(monkeypatch, closure_newton=None):
         return drawn[-1]
 
     def newton_batch(x, t, n, cfg):
-        if any(x is d for d in drawn):
-            return one_per_cycle
-        sent.append(x.copy())
-        return (closure_newton or newton)(x, t, n, cfg)
+        seed_chunk.append(any(x is d for d in drawn))
+        return newton(x, t, n, cfg) if answer is None else answer
 
     monkeypatch.setattr(counting, "_make_tuples", make_tuples)
     monkeypatch.setattr(counting, "_newton_batch", newton_batch)
-    return solve_for_kappa(kappa, 2, cfg), sent
+    return seed_chunk
 
 
-def test_closure_completes_a_solve_from_one_point_per_cycle(monkeypatch):
-    report, sent = _one_point_per_cycle(monkeypatch)
-    assert report.status == "complete" and report.found == 22
-    assert sum(x.shape[1] for x in sent) == 11
+def _two_cycles(theta, cfg):
+    """The roots (22, 3) of a complete N = 2 solve, and its 2-cycles."""
+    report = solve_periodic(theta, 2, cfg)
+    assert report.status == "complete" and len(report.orbits) == 11
+    return np.array([p.as_tuple() for p, _ in report.points], dtype=complex), report.orbits
 
 
-def test_unconverged_closure_image_is_not_reported(monkeypatch):
+@pytest.mark.parametrize("one_per_conjugate_pair", [False, True])
+def test_whole_tuples_complete_a_solve_from_one_tuple_per_cycle(monkeypatch, one_per_conjugate_pair):
     from cubicdyn import counting
 
-    # the first tuple closure sends is off by 1e-3 and gets a single Newton
-    # iteration, which tests it before stepping and so cannot converge it;
-    # every other tuple is refined as usual
-    newton = counting._newton_batch
+    # every seed chunk is answered by one converged tuple per 2-cycle, or
+    # per pair of conjugate 2-cycles: the whole tuples and their conjugates
+    # give all 22 roots, and no Newton batch runs but on seed chunks
+    kappa = random_offwall_kappa(np.random.default_rng(5))
+    cfg = SolverConfig(seeds=200, rng_seed=5)
+    x, orbits = _two_cycles(rh_params(kappa), cfg)
+    chosen = orbits
+    if one_per_conjugate_pair:
+        orbit_of = {i: k for k, o in enumerate(orbits) for i in o}
+        partner = counting._cluster_index(x, x.conj(), cfg.dedup_radius)
+        chosen = []
+        for o in orbits:
+            if orbits[orbit_of[partner[o[0]]]] not in chosen:
+                chosen.append(o)
+        assert len(chosen) < len(orbits)
+    seed_chunk = _record_seed_chunks(monkeypatch, np.array([x[o].ravel() for o in chosen]))
+    report = solve_for_kappa(kappa, 2, cfg)
+    assert report.status == "complete" and report.found == 22
+    assert seed_chunk and all(seed_chunk)
 
-    def off_by_a_little(x, t, n, cfg):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SolverConfig, "newton_max_iter", 1)
-            stuck = newton(x[:, :1] + 1e-3, t, n, cfg)
-        return np.concatenate([stuck, newton(x[:, 1:], t, n, cfg)])
 
-    report, sent = _one_point_per_cycle(monkeypatch, off_by_a_little)
-    bad = sent[0][:3, 0] + 1e-3
-    points = [np.array(p.as_tuple()) for p, _ in report.points]
-    assert report.found == 21
-    assert not any(np.abs(p - bad).max() < 1e-9 for p in points)
-    assert report.status != "complete"
+def test_an_unconverged_point_of_a_tuple_is_not_reported(monkeypatch):
+    # theta is complex, so no conjugate tuple stands in: x_1 of the first
+    # answered tuple is off by 1e-3, and no other tuple holds its cycle
+    cfg = SolverConfig(seeds=200, rng_seed=5)
+    x, orbits = _two_cycles(_COMPLEX_THETA, cfg)
+    tuples = np.array([x[o].ravel() for o in orbits])
+    tuples[0, 3:] += 1e-3
+    _record_seed_chunks(monkeypatch, tuples)
+    report = solve_periodic(_COMPLEX_THETA, 2, cfg)
+    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    assert report.found == 21 and report.status != "complete"
+    assert np.abs(points - tuples[0, 3:]).max(axis=1).min() > 1e-9
+    assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() > 1e-6
+    assert np.abs(points - x[orbits[0][0]]).max(axis=1).min() == 0
 
 
 @pytest.mark.parametrize("block", [1, 4, None])
@@ -439,7 +452,7 @@ def test_newton_batch_orders_by_iteration_then_seed():
     kappa = random_offwall_kappa(np.random.default_rng(3))
     t = counting._coerce_theta4(rh_params(kappa))
     cfg = SolverConfig(seeds=1500)
-    found = counting._newton_batch(counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg)
+    found = counting._newton_batch(counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg)[:, :3]
     roots = []
     for x in found:
         if all(np.abs(x - r).max() > 1e-3 for r in roots):
@@ -451,7 +464,8 @@ def test_newton_batch_orders_by_iteration_then_seed():
     x0 = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
     x1 = np.array(coxeter_apply(np.stack([r0, r1, r2, r3], axis=1), t))
     out = counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg)
-    assert out.shape == (4, 3)
+    assert out.shape == (4, 6)
+    out = out[:, :3]
     assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
     assert np.abs(out[2] - r2).max() < 1e-7 and np.abs(out[3] - r0).max() < 1e-7
 
@@ -483,8 +497,7 @@ def test_normal_equations_equal_a_dense_jhj(n):
     assert (np.abs(jhr.T - jhr_dense).max(axis=1) <= 1e-13 * np.abs(jhr_dense).max(axis=1)).all()
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
-def test_cluster_index_matches_the_linear_scan(monkeypatch, block):
+def test_cluster_index_matches_the_linear_scan():
     from cubicdyn import counting
 
     def scan(reps, x, radius):
@@ -499,28 +512,35 @@ def test_cluster_index_matches_the_linear_scan(monkeypatch, block):
     reps[7] = reps[3] + 0.02  # overlapping clusters: the first one wins
     near = reps[rng.integers(0, 30, size=400)]
     x = near + radius * (1 + np.abs(near).max(axis=1))[:, None] * rng.uniform(-1.5, 1.5, size=(400, 3))
-    if block is not None:
-        monkeypatch.setattr(counting, "_DEDUP_BLOCK", block)
-    got = counting._cluster_index(reps, x, radius)
+    nan = x[:20].copy()
+    nan[::2, 0] = np.nan
+    nan[1::2, 2] = np.nan
+    wide = reps.copy()
+    wide[11] *= 1e6  # a scale of 5e4 puts every representative in every window
+    cases = [
+        (reps, x),
+        (reps, x[:0]),
+        (reps, np.concatenate([nan, x[20:40]])),
+        (np.concatenate([reps, reps]), np.repeat(reps, 200, axis=0)),  # each point has two exact copies
+        (wide, np.concatenate([x, wide[11:12] * (1 + 1e-8)])),
+        (reps[:0], x),
+    ]
+    for r, p in cases:
+        assert counting._cluster_index(r, p, radius).tolist() == [scan(r, q, radius) for q in p]
     want = [scan(reps, p, radius) for p in x]
-    assert got.tolist() == want
     assert -1 in want and 3 in want and len(set(want)) > 10
-    assert counting._cluster_index(reps[:0], x, radius).tolist() == [-1] * len(x)
 
 
 def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
-    from cubicdyn import counting
-
-    sizes = _record_newton_batch(monkeypatch)
+    seed_chunk = _record_seed_chunks(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4)
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
-    # orbit closure refines images through the same Newton batch, and no
-    # call, closure's included, exceeds a chunk
-    assert any(0 < s < counting._SEED_CHUNK for s in sizes)
-    assert max(sizes) <= counting._SEED_CHUNK
+    # every Newton batch runs on a seed chunk: the orbits come whole from
+    # the tuples, not from a second batch on images
+    assert seed_chunk and all(seed_chunk)
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
@@ -545,6 +565,48 @@ def test_reference_roots_pass_a_python_scalar_recheck(N, by_period):
         d = next(d for d in periods if max(abs(a - b) for a, b in zip(images[d], x)) <= scale)
         periods[d] += 1
     assert periods == by_period
+
+
+@pytest.mark.parametrize("kappa_seed, rng_seed, N, closed", [(7, 0, 3, 72), (7, 0, 4, 326), (1, 1, 5, 1360),
+                                                           (None, 0, 2, 22), (None, 0, 3, 72)],
+                         ids=["ref-3", "ref-4", "s1-5", "complex-2", "complex-3"])
+def test_complete_root_sets_are_unions_of_orbits(kappa_seed, rng_seed, N, closed):
+    from cubicdyn import counting
+
+    # c permutes the roots, and so does conjugation for real theta (every
+    # real kappa); report.orbits partitions them into c-orbits whose
+    # lengths are their points' minimal periods
+    if kappa_seed is None:
+        theta = _COMPLEX_THETA
+    else:
+        theta = rh_params(random_offwall_kappa(np.random.default_rng(kappa_seed)))
+    report = solve_periodic(theta, N, SolverConfig(seeds=20000, rng_seed=rng_seed))
+    assert report.status == "complete" and report.found == closed
+    t = counting._coerce_theta4(theta)
+    x = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    radius = SolverConfig.dedup_radius
+    image = counting._cluster_index(x, np.array(coxeter_apply(x.T, t)).T, radius)
+    assert sorted(image) == list(range(closed))
+    if kappa_seed is not None:
+        assert sorted(counting._cluster_index(x, x.conj(), radius)) == list(range(closed))
+    orbit_of = np.full(closed, -1)
+    for k, o in enumerate(report.orbits):
+        orbit_of[o] = k
+    assert sorted(i for o in report.orbits for i in o) == list(range(closed))
+    assert np.array_equal(orbit_of[image], orbit_of)
+    lengths = np.array([len(o) for o in report.orbits])[orbit_of]
+    assert np.array_equal(lengths, report.minimal_periods)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_n5_solves_complete_from_at_most_two_newton_batches(monkeypatch, s):
+    # the whole tuples of the first chunk and their conjugates hold every
+    # root, so no later chunk has to converge to a root again
+    sizes = _record_newton_batch(monkeypatch)
+    kappa = random_offwall_kappa(np.random.default_rng(s))
+    report = solve_for_kappa(kappa, 5, SolverConfig(seeds=20000, rng_seed=s))
+    assert report.status == "complete" and report.found == 1360
+    assert len(sizes) <= 2
 
 
 def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):

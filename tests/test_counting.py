@@ -497,8 +497,16 @@ def test_normal_equations_equal_a_dense_jhj(n):
     assert (np.abs(jhr.T - jhr_dense).max(axis=1) <= 1e-13 * np.abs(jhr_dense).max(axis=1)).all()
 
 
-def test_cluster_index_matches_the_linear_scan():
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_cluster_index_matches_the_linear_scan(chunk):
+    """The sorted-window search equals the scan over all pairs, whether the
+    points come in one call (None) or in calls of `chunk` points each."""
     from cubicdyn import counting
+
+    def search(reps, x, radius):
+        step = chunk or max(len(x), 1)
+        parts = [counting._cluster_index(reps, x[i:i + step], radius) for i in range(0, len(x), step)]
+        return np.concatenate(parts or [counting._cluster_index(reps, x, radius)])
 
     def scan(reps, x, radius):
         for i, rep in enumerate(reps):
@@ -526,7 +534,7 @@ def test_cluster_index_matches_the_linear_scan():
         (reps[:0], x),
     ]
     for r, p in cases:
-        assert counting._cluster_index(r, p, radius).tolist() == [scan(r, q, radius) for q in p]
+        assert search(r, p, radius).tolist() == [scan(r, q, radius) for q in p]
     want = [scan(reps, p, radius) for p in x]
     assert -1 in want and 3 in want and len(set(want)) > 10
 

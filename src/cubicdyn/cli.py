@@ -362,7 +362,7 @@ def _cmd_zeta(args, out):
 
 def _cmd_solve(args, out):
     settings = _given(args, rng_seed="rng", **{f.name: f.name for f in _solver_fields()})
-    cfg = dataclasses.replace(counting.SolverConfig.for_period(args.N), **settings)
+    cfg = counting.SolverConfig(**settings)
     if "kappa" in args:
         report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
     else:

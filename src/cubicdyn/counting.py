@@ -16,13 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .lattice import LatticeEndo, coxeter_star, trace_power
-from .params import (
-    KappaPoint,
-    discriminant,
-    kappa_to_eigen,
-    rh_params,
-    wall_membership,
-)
+from .params import KappaPoint, rh_params, wall_membership
 from .surface import (
     DEFAULT_ESCAPE_RADIUS,
     DEFAULT_SURFACE_TOL,
@@ -192,18 +186,17 @@ def random_offwall_kappa(rng, denominator_bound: int = 40) -> KappaPoint:
 class SolverConfig:
     """The two settings of the multistart Newton solver, and its constants.
 
-    seeds is the number of seed tuples of the first batch; each saturation
-    batch has seeds // 10.  Both are upper bounds: the search stops as soon
-    as it has found as many roots as the closed form counts.
+    seeds is the number of seed tuples drawn before the search may stop
+    short of the closed form (see solve_periodic); the default serves
+    every period.
 
     The rest are class constants: newton_tol, surface_tol (see _converged)
-    and dedup_radius define what a complete report certifies.
-    saturation_batches quiet batches in a row (no new root) end the search
-    short of the closed form, and at most 8 * saturation_batches follow
-    the first.
+    and dedup_radius define what a complete report certifies.  Once seeds
+    tuples are drawn, saturation_batches quiet batches in a row (no new
+    root) end the search short of the closed form.
     """
 
-    seeds: int = 20000
+    seeds: int = 200000
     rng_seed: int = 0
     newton_max_iter: ClassVar[int] = 100
     newton_tol: ClassVar[float] = 1e-10
@@ -217,12 +210,6 @@ class SolverConfig:
             raise ValueError("seeds must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
-
-    @classmethod
-    def for_period(cls, N: int) -> "SolverConfig":
-        """The default configuration for period N: 200000 seeds from N = 3
-        on, where the roots are many and their basins small, else 20000."""
-        return cls(seeds=200000 if N >= 3 else 20000)
 
 
 @dataclass
@@ -510,7 +497,7 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 
 
-def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountReport:
+def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
     """Find the N-periodic points of c on S(theta) by multistart Newton.
 
     Damped Gauss-Newton runs on the multiple-shooting system
@@ -518,38 +505,38 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     from tuples of N independent seeds (see _newton_batch).  A tuple counts
     as converged when x_0 has map residual |c^N(x_0) - x_0| below
     cfg.newton_tol and surface residual within cfg.surface_tol of the
-    surface.  The seeds are drawn and solved in chunks of at most
-    _SEED_CHUNK tuples.  A converged tuple holds a whole orbit
-    (x_0, ..., x_{d-1}), d its minimal period read off the tuple, and for
-    real theta, where c commutes with complex conjugation, so does its
-    conjugate.  Each point of an orbit is admitted on its own, if it
-    matches no root and passes the convergence test on numpy columns and
-    again on Python scalars; a point that fails leaves its place to a
-    later tuple of the orbit.  The search stops once the number of roots
-    equals per_count_closed(N).  The roots are then classified by minimal
-    period.  The maps are surface's coxeter_apply, coxeter_jacobian,
-    cubic_eval and cubic_gradient, run on coordinate columns.
+    surface.  The seeds come from one stream, seeded by cfg.rng_seed, in
+    batches of min(_SEED_CHUNK, cfg.seeds) tuples.  A converged tuple
+    holds a whole orbit (x_0, ..., x_{d-1}), d its minimal period read off
+    the tuple, and for real theta, where c commutes with complex
+    conjugation, so does its conjugate.  Each point of an orbit is
+    admitted on its own, if it matches no root and passes the convergence
+    test on numpy columns and again on Python scalars; a point that fails
+    leaves its place to a later tuple of the orbit.  The roots are then
+    classified by minimal period.  The maps are surface's coxeter_apply,
+    coxeter_jacobian, cubic_eval and cubic_gradient, run on coordinate
+    columns.
+
+    After each batch the search stops once the number of roots equals
+    per_count_closed(N), or, once cfg.seeds tuples are drawn, when the
+    last saturation_batches batches added no root.  The first batch always
+    runs.  Every batch that is not quiet adds a root, and the search stops
+    at the closed form, so it ends within
+    saturation_batches * (closed form + 1) batches past cfg.seeds tuples.
 
     status is "complete" when the root count equals the closed form and no
-    root is flagged multiple, "saturated" when saturation_batches batches
-    in a row found no new root first, and "partial" otherwise.
-
-    If the eigenvalue parameters b are supplied, a vanishing discriminant
-    is rejected; otherwise genericity of theta is the caller's burden.
-    Deterministic for a fixed cfg.rng_seed.
+    root is flagged multiple, "saturated" when the search stopped on quiet
+    batches, and "partial" when it reached the closed form with a root
+    flagged multiple.  Genericity of theta is the caller's burden
+    (solve_for_kappa checks the walls).  Deterministic for a fixed
+    cfg.rng_seed.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if cfg is None:
-        cfg = SolverConfig.for_period(N)
-    if b is not None and abs(discriminant(b)) < 1e-12:
-        raise ValueError("nongeneric parameters: discriminant vanishes")
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
     report = CountReport(N=N, closed_form=closed)
 
-    max_extra = 8 * cfg.saturation_batches
-    children = iter(np.random.SeedSequence(cfg.rng_seed).spawn(1 + max_extra))
     radius = cfg.dedup_radius
     divisors = [d for d in range(1, N) if N % d == 0]
     clusters = np.empty((0, 3), dtype=complex)
@@ -582,25 +569,16 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
             if len(reps) == d:
                 tuples = tuples[_cluster_index(reps, tuples[:, 0], radius) < 0]
 
-    # the first batch, then saturation batches until saturation_batches in a
-    # row add no root; each batch is drawn and solved in chunks, and the
-    # search stops as soon as it has as many roots as the closed form
-    quiet = 0
-    for batch in range(1 + max_extra):
-        size = cfg.seeds if batch == 0 else max(1, cfg.seeds // 10)
-        rng = np.random.default_rng(next(children))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
+    size = min(_SEED_CHUNK, cfg.seeds)
+    drawn = quiet = 0
+    while True:
         before = len(clusters)
-        for start in range(0, size, _SEED_CHUNK):
-            count = min(_SEED_CHUNK, size - start)
-            absorb(_newton_batch(_make_tuples(count, N, t, rng), t, N, cfg))
-            if len(clusters) == closed:
-                break
-        if len(clusters) == closed:
+        absorb(_newton_batch(_make_tuples(size, N, t, rng), t, N, cfg))
+        drawn += size
+        quiet = 0 if len(clusters) > before else quiet + 1
+        if len(clusters) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):
             break
-        if batch:
-            quiet = 0 if len(clusters) > before else quiet + 1
-            if quiet >= cfg.saturation_batches:
-                break
     saturated = quiet >= cfg.saturation_batches
     found = len(clusters)
 
@@ -630,8 +608,9 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = None, b=None) -> CountRepo
     return report
 
 
-def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = None) -> CountReport:
-    """Convenience wrapper: check kappa off-wall, then solve on S(rh(kappa))."""
+def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
+    """Solve on S(rh(kappa)) (see solve_periodic) if kappa is off every
+    wall; the surface is singular exactly there, so that test alone decides."""
     if wall_membership(kappa).on_wall:
         raise ValueError("nongeneric parameters: kappa lies on a wall")
-    return solve_periodic(rh_params(kappa), N, cfg, b=kappa_to_eigen(kappa))
+    return solve_periodic(rh_params(kappa), N, cfg)

@@ -15,7 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .lattice import LineLabel
-from .params import EigenParams, ThetaPoint, discriminant, traces_from_eigen, traces_to_theta
+from .params import (
+    EigenParams,
+    ThetaPoint,
+    discriminant,
+    discriminant_vanishes,
+    traces_from_eigen,
+    traces_to_theta,
+)
 from .surface import sigma_apply
 
 __all__ = [
@@ -223,7 +230,7 @@ def line_from_params(i: int, slot: int, b: EigenParams, warn_singular: bool = Tr
         raise ValueError("group index must be 1, 2 or 3")
     if slot not in _SLOT_PATTERNS:
         raise ValueError("slot must be 1..8")
-    if warn_singular and abs(discriminant(b)) < 1e-12:
+    if warn_singular and discriminant_vanishes(b):
         import warnings
 
         warnings.warn("discriminant vanishes; the 27 lines may degenerate")
@@ -308,8 +315,8 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = 1e-8) -> d
     image of the first line of group i, and the unique crossing with the
     slot-3 line.  Raises on vanishing discriminant or any failed check.
     """
-    if abs(discriminant(b)) < 1e-12:
-        raise ValueError("lines not in general position")
+    if discriminant_vanishes(b):
+        raise ValueError(f"lines not in general position (|discriminant| = {abs(discriminant(b)):.3g})")
     theta = traces_to_theta(traces_from_eigen(b)).as_tuple()
     j = i % 3 + 1
     k = j % 3 + 1

@@ -34,6 +34,7 @@ __all__ = [
     "traces_to_theta",
     "rh_params",
     "discriminant",
+    "discriminant_vanishes",
     "wall_membership",
 ]
 
@@ -203,22 +204,33 @@ def rh_params(kappa: KappaPoint) -> ThetaPoint:
     return traces_to_theta(kappa_to_traces(kappa))
 
 
+def _discriminant_factors(b: EigenParams) -> list:
+    """The twenty factors that discriminant multiplies, in its order."""
+    bs = b.as_tuple()
+    factors = [(v - 1 / v) ** 2 for v in bs]
+    for eps in product((1, -1), repeat=4):
+        term = 1
+        for v, e in zip(bs, eps):
+            term *= v if e == 1 else 1 / v
+        factors.append(term - 1)
+    return factors
+
+
 def discriminant(b: EigenParams):
     """Discriminant of the cubic surface in b-coordinates.
 
     prod_l (b_l - 1/b_l)^2 * prod_{eps in {+-1}^4} (b^eps - 1),
     twenty factors in total; vanishes exactly for singular surfaces.
     """
-    bs = b.as_tuple()
-    d = 1
-    for v in bs:
-        d *= (v - 1 / v) ** 2
-    for eps in product((1, -1), repeat=4):
-        term = 1
-        for v, e in zip(bs, eps):
-            term *= v if e == 1 else 1 / v
-        d *= term - 1
-    return d
+    return math.prod(_discriminant_factors(b))
+
+
+def discriminant_vanishes(b: EigenParams) -> bool:
+    """Whether one of the discriminant's factors is below 1e-12 in modulus.
+
+    Each vanishes on one family of walls; their product can fall below
+    1e-12 far from every wall."""
+    return any(abs(factor) < 1e-12 for factor in _discriminant_factors(b))
 
 
 def _nearest_int(x: float) -> int:

@@ -243,8 +243,8 @@ def test_solve_default_config_matches_solver(monkeypatch):
         from_cli = seen[0]
         seen.clear()
         counting.solve_periodic(parse_theta(theta), N)
-        assert seen[0] == from_cli
-        assert from_cli.seeds == (200000 if N >= 3 else 20000)
+        assert seen[0] == from_cli == SolverConfig()
+        assert from_cli.seeds == 200000
 
 
 _SOLVER_CONSTANTS = ["dedup_radius", "escape_radius", "newton_max_iter", "newton_tol",
@@ -277,4 +277,4 @@ def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, nam
         if name in _SOLVER_CONSTANTS:
             assert code == 2 and not seen
         else:
-            assert seen[0] == dataclasses.replace(SolverConfig.for_period(2), **{name: value})
+            assert seen[0] == dataclasses.replace(SolverConfig(), **{name: value})

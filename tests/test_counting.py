@@ -19,7 +19,7 @@ from cubicdyn.counting import (
     verify_counts,
     zeta_coefficients,
 )
-from cubicdyn.params import kappa_to_eigen, rh_params, wall_membership
+from cubicdyn.params import discriminant, kappa_to_eigen, rh_params, wall_membership
 from cubicdyn.surface import (
     coxeter_apply,
     coxeter_jacobian,
@@ -164,11 +164,19 @@ def test_solve_rejects_singular_discriminant():
 
     wall = KappaPoint.from_tail(1, Fraction(1, 4), Fraction(1, 5), Fraction(1, 7))
     with pytest.raises(ValueError):
-        solve_periodic(theta, 2, SolverConfig(seeds=10), b=kappa_to_eigen(wall))
-    with pytest.raises(ValueError):
         solve_for_kappa(wall, 2)
     with pytest.raises(ValueError):
         solve_periodic(theta, 0)
+
+
+def test_the_wall_test_alone_decides_genericity():
+    # off every wall in exact arithmetic, with each factor of the
+    # discriminant at least 1.8e-2, yet their product is below 1e-12
+    kappa = random_offwall_kappa(np.random.default_rng(85))
+    assert [str(v) for v in kappa.tail()] == ["3/29", "18/19", "19/21", "25/26"]
+    assert abs(discriminant(kappa_to_eigen(kappa))) < 1e-12
+    report = solve_for_kappa(kappa, 3, SolverConfig(seeds=20000, rng_seed=85))
+    assert report.status == "complete" and report.found == 72
 
 
 def test_solver_finds_no_fixed_points(monkeypatch):
@@ -657,18 +665,21 @@ def _record_newton_batch(monkeypatch, stub=None):
     return sizes
 
 
-def test_newton_batch_never_receives_more_than_a_chunk(monkeypatch):
+@pytest.mark.parametrize("k", [0, 4])
+def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
     from cubicdyn import counting
 
-    # a solve that never finds a root draws every batch: 5000 seeds, then
-    # saturation_batches quiet batches of 500
-    sizes = _record_newton_batch(monkeypatch, lambda x, t, n, cfg: np.empty((0, 3), dtype=complex))
-    kappa = random_offwall_kappa(np.random.default_rng(3))
-    report = solve_for_kappa(kappa, 2, SolverConfig(seeds=5000))
-    assert report.status == "saturated"
-    chunk = counting._SEED_CHUNK
-    assert sizes == [chunk, chunk, 5000 - 2 * chunk] + [500] * 5
-    assert max(sizes) <= chunk
+    # the first k batches each find one new 2-cycle and no batch after does:
+    # every batch holds one chunk, and the search stops once 5000 seeds are
+    # drawn and saturation_batches batches in a row were quiet.  theta is
+    # complex, so no conjugate is harvested
+    x, orbits = _two_cycles(_COMPLEX_THETA, SolverConfig(seeds=200, rng_seed=5))
+    answers = [x[o].ravel()[None] for o in orbits[:k]]
+    sizes = _record_newton_batch(
+        monkeypatch, lambda *_: answers.pop(0) if answers else np.empty((0, 6), dtype=complex))
+    report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=5000))
+    assert report.status == "saturated" and report.found == 2 * k
+    assert sizes == [counting._SEED_CHUNK] * (5 + k)
 
 
 def test_solve_stops_at_the_closed_form(monkeypatch):

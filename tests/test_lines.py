@@ -19,7 +19,7 @@ from cubicdyn.lines import (
     tritangent_line,
     verify_sigma_line_action,
 )
-from cubicdyn.params import EigenParams, kappa_to_eigen, rh_params
+from cubicdyn.params import EigenParams, discriminant, kappa_to_eigen, rh_params
 
 
 def _setup(seed):
@@ -167,6 +167,19 @@ def test_line_from_params_warns_near_discriminant():
         warnings.simplefilter("always")
         line_from_params(1, 1, b)
     assert any("discriminant" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("s", [85, 193, 1110])
+def test_lines_off_every_wall_verify_whatever_the_discriminant_product(s):
+    # these kappa lie off every wall in exact arithmetic, and each factor of
+    # the discriminant is at least 3e-3, but the product of the twenty is
+    # below 1e-12: a product test would call the surface singular
+    b = kappa_to_eigen(random_offwall_kappa(np.random.default_rng(s)))
+    assert abs(discriminant(b)) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in (1, 2, 3):
+            assert len(verify_sigma_line_action(b, i)["swaps"]) == 4
 
 
 def test_degenerate_line_rejected():

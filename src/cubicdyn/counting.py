@@ -188,7 +188,8 @@ class SolverConfig:
 
     seeds is the number of seed tuples drawn before the search may stop
     short of the closed form (see solve_periodic); the default serves
-    every period.
+    every period, and it applies to each period solved, the divisors of N
+    included.
 
     The rest are class constants: newton_tol, surface_tol (see _converged)
     and dedup_radius define what a complete report certifies.  Once seeds
@@ -375,11 +376,14 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
     (K, 3n) array whose row holds x_0, ..., x_{n-1} in turn, ordered by
     the iteration they converged at and then by seed.
 
+    A tuple whose merit none of _line_search's trials lowers has stalled
+    at a local minimum of the merit and is dropped, so the loop ends once
+    every tuple has converged or left, often long before newton_max_iter.
     Escaping tuples overflow to inf/nan and are dropped; the arithmetic
     warnings that produces are deliberately silenced.
     """
     # x holds the live tuples as columns, in seed order; every tuple that
-    # converges, escapes or goes bad is compacted away at once
+    # converges, stalls, escapes or goes bad is compacted away at once
     done = []
     for _ in range(cfg.newton_max_iter):
         x0 = x[:3]
@@ -415,8 +419,8 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
             dx = np.linalg.solve(a, rhs)
         dx = dx[:, :, 0].T
         del a, rhs
-        xnew = _line_search(x, dx, rnorm, t, n)
-        x = xnew[:, np.abs(xnew).max(axis=0) <= cfg.escape_radius]
+        xnew, improved = _line_search(x, dx, rnorm, t, n)
+        x = xnew[:, improved & (np.abs(xnew).max(axis=0) <= cfg.escape_radius)]
     if not done:
         return np.empty((0, 3 * n), dtype=complex)
     return np.concatenate(done, axis=1).T
@@ -425,9 +429,13 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
 _LINE_SEARCH_BLOCK = 2048  # most trial points one residual call evaluates
 
 
-def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray, n: int):
     """Damp each step: x + 2^-k dx for the first k = 0..25 whose residual
-    is below rnorm, else the k = 25 trial.
+    is below rnorm.
+
+    Returns (xnew, improved).  A point that none of the 26 trials improves
+    has stalled: improved is False there, and its column of xnew holds the
+    undamped step x + dx, which the caller drops.
 
     Only the points that have not improved yet go on to the next halving.
     Once they are few, the next several halvings are evaluated in one call
@@ -435,7 +443,8 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
     in any block, so the result does not depend on the block size.
     """
     xnew = x + dx
-    todo = np.flatnonzero(~(_system_residual(xnew, t, n) < rnorm))
+    improved = _system_residual(xnew, t, n) < rnorm
+    todo = np.flatnonzero(~improved)
     k = 1
     while todo.size and k <= 25:
         s = todo.size
@@ -444,11 +453,13 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
         trial = x[:, None, todo] + scale[:, None] * dx[:, None, todo]  # (3n, span, s)
         better = _system_residual(trial.reshape(len(x), -1), t, n).reshape(span, s) < rnorm[todo]
         settled = better.any(axis=0)
-        pick = np.where(settled, better.argmax(axis=0), span - 1)  # argmax: the first improving halving
-        xnew[:, todo] = trial[:, pick, np.arange(s)]
+        done = todo[settled]
+        # argmax: the first improving halving
+        xnew[:, done] = trial[:, better[:, settled].argmax(axis=0), np.flatnonzero(settled)]
+        improved[done] = True
         todo = todo[~settled]
         k += span
-    return xnew
+    return xnew, improved
 
 
 def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray:
@@ -497,6 +508,10 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 
 
+def _proper_divisors(N: int) -> list:
+    return [d for d in range(1, N) if N % d == 0]
+
+
 def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
     """Find the N-periodic points of c on S(theta) by multistart Newton.
 
@@ -517,12 +532,21 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     coxeter_jacobian, cubic_eval and cubic_gradient, run on coordinate
     columns.
 
+    Before its own batches, the search solves each proper divisor d of N
+    with per_count_closed(d) > 0 in the same way, with the same cfg and
+    its own stream of the same seed, once per call (N = 8 solves d = 2
+    once, for d = 4 and for 8).  Each root found there is offered as the
+    N-tuple (x, c(x), ..., c^{N-1}(x)) and admitted only by the tests at
+    period N; the divisor roots head the report.  A divisor root that
+    fails them is left to the period-N batches.
+
     After each batch the search stops once the number of roots equals
     per_count_closed(N), or, once cfg.seeds tuples are drawn, when the
     last saturation_batches batches added no root.  The first batch always
     runs.  Every batch that is not quiet adds a root, and the search stops
     at the closed form, so it ends within
     saturation_batches * (closed form + 1) batches past cfg.seeds tuples.
+    The divisor searches stop by the same rule at their own closed forms.
 
     status is "complete" when the root count equals the closed form and no
     root is flagged multiple, "saturated" when the search stopped on quiet
@@ -536,9 +560,46 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
     report = CountReport(N=N, closed_form=closed)
+    clusters, orbit_of, saturated = _find_roots(t, N, cfg, {})
+    found = len(clusters)
 
+    # classify: minimal periods and multiplicity estimates
+    cols = clusters.T
+    residuals = _gap(coxeter_apply(cols, t, N), cols)
+    mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
+    multiple = bool((mults < 1e-6).any())
+    periods = np.full(found, N)
+    scale = cfg.dedup_radius * (1 + _max_abs(cols))
+    for d in reversed(_proper_divisors(N)):
+        periods[_gap(coxeter_apply(cols, t, d), cols) <= scale] = d
+    for x, r, mult, period in zip(clusters, residuals, mults, periods):
+        report.points.append((AffinePoint(*x), float(r)))
+        report.clusters.append((AffinePoint(*x), float(mult)))
+        report.minimal_periods.append(int(period))
+    ids = np.array(orbit_of)
+    report.orbits = [np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)]
+
+    report.found = found
+    if found == closed and not multiple:
+        report.status = "complete"
+    elif saturated:
+        report.status = "saturated"
+    else:
+        report.status = "partial"
+    return report
+
+
+def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
+    """The roots of c^N on S(t), as solve_periodic finds them.
+
+    Returns (roots (K, 3), orbit_of, saturated): orbit_of gives, for each
+    root, the index of its orbit's first root.  solved maps each period
+    searched so far in this call to its roots; each proper divisor d of N
+    with per_count_closed(d) > 0 is searched once, through it, and its
+    roots are offered first as N-tuples (x, c(x), ..., c^{N-1}(x)).
+    """
     radius = cfg.dedup_radius
-    divisors = [d for d in range(1, N) if N % d == 0]
+    divisors = _proper_divisors(N)
     clusters = np.empty((0, 3), dtype=complex)
     orbit_of = []  # for each cluster, the index of its orbit's first cluster
 
@@ -569,6 +630,17 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
             if len(reps) == d:
                 tuples = tuples[_cluster_index(reps, tuples[:, 0], radius) < 0]
 
+    for d in divisors:
+        if per_count_closed(d) == 0:
+            continue
+        if d not in solved:
+            solved[d] = _find_roots(t, d, cfg, solved)[0]
+        orbit = [solved[d].T]
+        for _ in range(N - 1):
+            orbit.append(np.array(coxeter_apply(orbit[-1], t)))
+        absorb(np.concatenate(orbit).T)
+
+    closed = per_count_closed(N)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     size = min(_SEED_CHUNK, cfg.seeds)
     drawn = quiet = 0
@@ -579,33 +651,7 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
         quiet = 0 if len(clusters) > before else quiet + 1
         if len(clusters) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):
             break
-    saturated = quiet >= cfg.saturation_batches
-    found = len(clusters)
-
-    # classify: minimal periods and multiplicity estimates
-    cols = clusters.T
-    residuals = _gap(coxeter_apply(cols, t, N), cols)
-    mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
-    multiple = bool((mults < 1e-6).any())
-    periods = np.full(found, N)
-    scale = radius * (1 + _max_abs(cols))
-    for d in reversed(divisors):
-        periods[_gap(coxeter_apply(cols, t, d), cols) <= scale] = d
-    for x, r, mult, period in zip(clusters, residuals, mults, periods):
-        report.points.append((AffinePoint(*x), float(r)))
-        report.clusters.append((AffinePoint(*x), float(mult)))
-        report.minimal_periods.append(int(period))
-    ids = np.array(orbit_of)
-    report.orbits = [np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)]
-
-    report.found = found
-    if found == closed and not multiple:
-        report.status = "complete"
-    elif saturated:
-        report.status = "saturated"
-    else:
-        report.status = "partial"
-    return report
+    return clusters, orbit_of, quiet >= cfg.saturation_batches
 
 
 def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:

@@ -404,7 +404,7 @@ def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
     from cubicdyn import counting
 
     # residual |x1|: point 0 improves at once, point 1 at scale 2^-3
-    # (1 - 8/8 = 0), point 2 never does and keeps the 2^-25 trial
+    # (1 - 8/8 = 0), point 2 never does and is reported stalled
     calls = []
 
     def residual(x, t, n):
@@ -416,10 +416,11 @@ def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
         monkeypatch.setattr(counting, "_LINE_SEARCH_BLOCK", block)
     x = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 6.0, 7.0]], dtype=complex)
     dx = np.array([[-1.0, -8.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
-    xnew = counting._line_search(x, dx, np.ones(3), None, 1)
-    assert list(xnew[1]) == [1.0, 2.0**-3, 2.0**-25]
-    assert list(xnew[0]) == [0.0, 0.0, 1 + 2.0**-25]
-    assert list(xnew[2]) == [5.0, 6.0, 7.0]
+    xnew, improved = counting._line_search(x, dx, np.ones(3), None, 1)
+    assert improved.tolist() == [True, True, False]
+    assert list(xnew[1, :2]) == [1.0, 2.0**-3]
+    assert list(xnew[0, :2]) == [0.0, 0.0]
+    assert list(xnew[2, :2]) == [5.0, 6.0]
     if block == 1:  # one halving at a time, on the points still failing
         assert calls == [3] + [2] * 3 + [1] * 22
     if block is None:  # halvings 1-25 of the two failing points in one block
@@ -446,12 +447,57 @@ def test_line_search_block_size_changes_no_bit():
     assert len(steps) == 30
     with np.errstate(over="ignore", invalid="ignore"):
         for x, dx, rnorm in steps:
-            blocked = search(x, dx, rnorm, t, 3)
+            blocked, blocked_improved = search(x, dx, rnorm, t, 3)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(counting, "_LINE_SEARCH_BLOCK", 1)
-                single = search(x, dx, rnorm, t, 3)
+                single, single_improved = search(x, dx, rnorm, t, 3)
             bits = [np.ascontiguousarray(v).view(np.uint64) for v in (blocked, single)]
             assert np.array_equal(*bits)
+            assert np.array_equal(blocked_improved, single_improved)
+
+
+def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch):
+    from cubicdyn import counting
+
+    # residual |x1| against rnorm 1: point 0 stays at 1 under every trial,
+    # point 1 grows along its step and point 2 improves at 2^-25 only.  A
+    # residual equal to rnorm is no improvement, and all 26 trials are made
+    calls = []
+
+    def residual(x, t, n):
+        calls.append(x.shape[1])
+        return np.abs(x[0])
+
+    monkeypatch.setattr(counting, "_system_residual", residual)
+    monkeypatch.setattr(counting, "_LINE_SEARCH_BLOCK", 1)
+    x = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    dx = np.array([[0.0, 1.0, -1.5 * 2.0**25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], dtype=complex)
+    xnew, improved = counting._line_search(x, dx, np.ones(3), None, 1)
+    assert improved.tolist() == [False, False, True]
+    assert xnew[0, 2] == -0.5 and xnew[2, 2] == 2.0**-25
+    assert calls == [3] * 26
+
+
+def test_newton_batch_drops_stalled_tuples(monkeypatch):
+    from cubicdyn import counting
+
+    # the solver's own first chunk at kappa_ref, N = 3: 84 tuples stall at
+    # a local minimum of the merit and none converges, so once they leave
+    # the batch it ends long before newton_max_iter (100)
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+    seeds = counting._make_tuples(counting._SEED_CHUNK, 3, t, rng)
+    normal = counting._normal_equations
+    calls = []
+
+    def record(x, t, n):
+        calls.append(x.shape[1])
+        return normal(x, t, n)
+
+    monkeypatch.setattr(counting, "_normal_equations", record)
+    out = counting._newton_batch(seeds, t, 3, SolverConfig())
+    assert out.shape == (1964, 9)
+    assert len(calls) <= 60
 
 
 def test_newton_batch_orders_by_iteration_then_seed():
@@ -549,6 +595,7 @@ def test_cluster_index_matches_the_linear_scan(chunk):
 
 def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     seed_chunk = _record_seed_chunks(monkeypatch)
+    calls = _record_newton_batch(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4)
     assert report.status == "complete"
@@ -557,6 +604,51 @@ def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     # every Newton batch runs on a seed chunk: the orbits come whole from
     # the tuples, not from a second batch on images
     assert seed_chunk and all(seed_chunk)
+    # the period-2 solve comes first, and its roots head the report; one
+    # chunk of period-4 tuples finds the rest
+    periods = [n for n, _ in calls]
+    assert periods[-1] == 4 and periods.count(4) == 1 and periods[0] == 2
+    assert report.minimal_periods[0] == 2
+
+
+def test_each_divisor_period_is_solved_once(monkeypatch):
+    # no tuple ever converges: each search runs saturation_batches chunks
+    # of one tuple, d = 2 once (not again for d = 4), then d = 4, then N = 8;
+    # d = 1 has no root to find and is skipped
+    calls = _record_newton_batch(monkeypatch, lambda x, t, n, cfg: np.empty((0, 3 * n), dtype=complex))
+    report = solve_periodic(_COMPLEX_THETA, 8, SolverConfig(seeds=1))
+    assert report.status == "saturated" and report.found == 0
+    batches = SolverConfig.saturation_batches
+    assert calls == [(2, 1)] * batches + [(4, 1)] * batches + [(8, 1)] * batches
+
+
+def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypatch):
+    from cubicdyn import counting
+
+    # the first period-2 root offered at N = 4 is made to fail the recheck
+    # on Python scalars at period 4: it is not admitted, and the report
+    # holds another copy of it in its place
+    kappa = random_offwall_kappa(np.random.default_rng(7))
+    cfg = SolverConfig(seeds=20000)
+    two = [tuple(map(complex, p.as_tuple())) for p, _ in solve_for_kappa(kappa, 2, cfg).points]
+    scalar = counting._converged_scalar
+    calls = _record_newton_batch(monkeypatch)
+    rejected = []
+
+    def reject_once_at_four(x, t, n, cfg):
+        if n == 4 and not rejected:
+            rejected.append((tuple(map(complex, x)), list(calls)))
+            return False
+        return scalar(x, t, n, cfg)
+
+    monkeypatch.setattr(counting, "_converged_scalar", reject_once_at_four)
+    report = solve_for_kappa(kappa, 4, cfg)
+    (point, before), = rejected
+    assert point in two and {n for n, _ in before} == {2}  # offered by the divisor solve
+    points = [tuple(map(complex, p.as_tuple())) for p, _ in report.points]
+    assert point not in points
+    assert sum(max(abs(a - b) for a, b in zip(p, point)) < 1e-6 for p in points) == 1
+    assert report.status == "complete" and report.found == 326
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
@@ -618,11 +710,11 @@ def test_complete_root_sets_are_unions_of_orbits(kappa_seed, rng_seed, N, closed
 def test_n5_solves_complete_from_at_most_two_newton_batches(monkeypatch, s):
     # the whole tuples of the first chunk and their conjugates hold every
     # root, so no later chunk has to converge to a root again
-    sizes = _record_newton_batch(monkeypatch)
+    calls = _record_newton_batch(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(s))
     report = solve_for_kappa(kappa, 5, SolverConfig(seeds=20000, rng_seed=s))
     assert report.status == "complete" and report.found == 1360
-    assert len(sizes) <= 2
+    assert len(calls) <= 2
 
 
 def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
@@ -651,18 +743,20 @@ def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
 
 
 def _record_newton_batch(monkeypatch, stub=None):
+    """Record the period n and the tuple count of each _newton_batch call;
+    stub, if given, stands in for the solve."""
     from cubicdyn import counting
 
-    sizes = []
+    calls = []
     newton = stub or counting._newton_batch
 
     def record(x, t, n, cfg):
         assert x.shape[0] == 3 * n
-        sizes.append(x.shape[1])
+        calls.append((n, x.shape[1]))
         return newton(x, t, n, cfg)
 
     monkeypatch.setattr(counting, "_newton_batch", record)
-    return sizes
+    return calls
 
 
 @pytest.mark.parametrize("k", [0, 4])
@@ -675,20 +769,21 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
     # complex, so no conjugate is harvested
     x, orbits = _two_cycles(_COMPLEX_THETA, SolverConfig(seeds=200, rng_seed=5))
     answers = [x[o].ravel()[None] for o in orbits[:k]]
-    sizes = _record_newton_batch(
+    calls = _record_newton_batch(
         monkeypatch, lambda *_: answers.pop(0) if answers else np.empty((0, 6), dtype=complex))
     report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=5000))
     assert report.status == "saturated" and report.found == 2 * k
-    assert sizes == [counting._SEED_CHUNK] * (5 + k)
+    assert calls == [(2, counting._SEED_CHUNK)] * (5 + k)
 
 
 def test_solve_stops_at_the_closed_form(monkeypatch):
     from cubicdyn import counting
 
-    sizes = _record_newton_batch(monkeypatch)
+    calls = _record_newton_batch(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(3))
     report = solve_for_kappa(kappa, 2, SolverConfig(seeds=200000))
     assert report.status == "complete" and report.found == 22
+    sizes = [size for _, size in calls]
     assert max(sizes) <= counting._SEED_CHUNK
     assert sum(sizes) <= 10000
 

@@ -359,8 +359,7 @@ def _make_tuples(count: int, n: int, t: np.ndarray, rng) -> np.ndarray:
     return _make_seeds(n * count, t, rng).reshape(3, count, n).transpose(2, 0, 1).reshape(3 * n, count)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
+def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig):
     """Damped Gauss-Newton on the multiple-shooting system of period n.
 
     Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n}
@@ -372,58 +371,96 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np
 
     x holds the seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k.
     A tuple converges when x_0 passes _converged with gap
-    max |c^n(x_0) - x_0|.  Returns the converged tuples whole, as a
-    (K, 3n) array whose row holds x_0, ..., x_{n-1} in turn, ordered by
-    the iteration they converged at and then by seed.
+    max |c^n(x_0) - x_0|.  A generator: on each iteration at which some
+    tuples converge, it yields them whole, as a (K, 3n) array whose row
+    holds x_0, ..., x_{n-1} in turn, in seed order.  A caller that has
+    what it needs stops iterating, and the iterations left are never run.
 
     A tuple whose merit none of _line_search's trials lowers has stalled
-    at a local minimum of the merit and is dropped, so the loop ends once
-    every tuple has converged or left, often long before newton_max_iter.
-    Escaping tuples overflow to inf/nan and are dropped; the arithmetic
-    warnings that produces are deliberately silenced.
+    at a local minimum of the merit and is dropped, and so is a tuple
+    whose normal equations are not finite or not positive definite; the
+    loop ends once every tuple has converged or left, often long before
+    newton_max_iter.  Escaping tuples overflow to inf/nan and are dropped;
+    the arithmetic warnings that produces are silenced within each
+    iteration, never across a yield.
     """
     # x holds the live tuples as columns, in seed order; every tuple that
     # converges, stalls, escapes or goes bad is compacted away at once
-    done = []
     for _ in range(cfg.newton_max_iter):
-        x0 = x[:3]
-        conv = _converged(x0, _gap(coxeter_apply(x0, t, n), x0), cubic_eval(x0, t), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = x[:3]
+            conv = _converged(x0, _gap(coxeter_apply(x0, t, n), x0), cubic_eval(x0, t), cfg)
         if conv.any():
-            done.append(x[:, conv])
+            yield x[:, conv].T
             x = x[:, ~conv]
         if x.shape[1] == 0:
-            break
-        a, jhr, res = _normal_equations(x, t, n)
-        rnorm = np.abs(res).max(axis=0)
-        del res
-        # tiny Levenberg shift keeps the normal equations solvable; J^H J is
-        # Hermitian positive semidefinite, so its largest entry is on the
-        # diagonal (and a non-finite J shows there too)
-        shift = 1e-14 * np.diagonal(a).real.max(axis=1) + 1e-30
-        for r in range(3 * n):
-            a[r, r] += shift
-        # drop the tuples whose normal equations are not finite, then any
-        # singular ones, found by the sign of the determinant (0 when LU
-        # meets a zero pivot) only if the solve fails: a batched
-        # determinant costs as much as the solve
-        keep = np.isfinite(shift) & np.isfinite(jhr).all(axis=0)
-        if not keep.all():
-            x, a, jhr, rnorm = x[:, keep], a[:, :, keep], jhr[:, keep], rnorm[keep]
-        a, rhs = a.transpose(2, 0, 1), -jhr.T[:, :, None]
-        del jhr
-        try:
-            dx = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            keep = np.linalg.slogdet(a)[0] != 0
-            x, a, rhs, rnorm = x[:, keep], a[keep], rhs[keep], rnorm[keep]
-            dx = np.linalg.solve(a, rhs)
-        dx = dx[:, :, 0].T
-        del a, rhs
-        xnew, improved = _line_search(x, dx, rnorm, t, n)
-        x = xnew[:, improved & (np.abs(xnew).max(axis=0) <= cfg.escape_radius)]
-    if not done:
-        return np.empty((0, 3 * n), dtype=complex)
-    return np.concatenate(done, axis=1).T
+            return
+        x = _newton_step(x, t, n, cfg)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_step(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
+    """One damped Gauss-Newton step of _newton_batch on the live tuples x,
+    (3n, M) columns; returns the tuples that stay in the batch, stepped."""
+    a, jhr, res = _normal_equations(x, t, n)
+    rnorm = np.abs(res).max(axis=0)
+    del res
+    # tiny Levenberg shift makes J^H J positive definite; it is Hermitian
+    # positive semidefinite, so its largest entry is on the diagonal (and a
+    # non-finite J shows there too, as a pivot that is not finite)
+    shift = 1e-14 * np.diagonal(a).real.max(axis=1) + 1e-30
+    for r in range(3 * n):
+        a[r, r] += shift
+    # drop the tuples whose matrix is not positive definite after all, or
+    # whose step is not finite
+    dx = -jhr
+    ok = _cholesky_solve(a, dx) & np.isfinite(dx).all(axis=0)
+    del a
+    if not ok.all():
+        x, dx, rnorm = x[:, ok], dx[:, ok], rnorm[ok]
+    xnew, improved = _line_search(x, dx, rnorm, t, n)
+    return xnew[:, improved & (np.abs(xnew).max(axis=0) <= cfg.escape_radius)]
+
+
+def _cholesky_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve a z = y for each column of a batch of Hermitian positive
+    definite systems, in place, by a Cholesky factorisation a = L L^H.
+
+    a is (m, m, M) and y is (m, M), in column layout: a[i, j] and y[i] are
+    columns over the systems.  a is overwritten by L on and below its
+    diagonal and by L^H above it, and y by z.  Returns ok (M,): False where
+    a pivot is not positive and finite, that is where a is not positive
+    definite or holds a nan, and the columns of z there are nan.
+
+    No pivoting is needed.  Every operation is on whole (M,) columns,
+    never broadcast across rows, so each system comes out the same bit for
+    bit whatever the other columns hold, and alone.
+    """
+    m = len(a)
+    ok = np.ones(a.shape[2], dtype=bool)
+    diag = np.diagonal(a).real.T  # a view: row j is the real part of a[j, j]
+    tmp = np.empty_like(y[0])
+    for j in range(m):
+        good = (diag[j] > 0) & (diag[j] < np.inf)
+        ok &= good
+        # a failed pivot goes on as 1, so that no nan meets a division
+        a[j, j] = np.sqrt(np.where(good, diag[j], 1))
+        for r in range(j + 1, m):
+            a[r, j] /= diag[j]
+            np.conj(a[r, j], out=a[j, r])
+        for i in range(j + 1, m):
+            for r in range(i, m):
+                a[r, i] -= np.multiply(a[r, j], a[j, i], out=tmp)
+    for j in range(m):  # L w = y
+        y[j] /= diag[j]
+        for r in range(j + 1, m):
+            y[r] -= np.multiply(a[r, j], y[j], out=tmp)
+    for j in reversed(range(m)):  # L^H z = w
+        y[j] /= diag[j]
+        for r in range(j):
+            y[r] -= np.multiply(a[r, j], y[j], out=tmp)
+    y[:, ~ok] = np.nan
+    return ok
 
 
 _LINE_SEARCH_BLOCK = 2048  # most trial points one residual call evaluates
@@ -527,10 +564,11 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     conjugation, so does its conjugate.  Each point of an orbit is
     admitted on its own, if it matches no root and passes the convergence
     test on numpy columns and again on Python scalars; a point that fails
-    leaves its place to a later tuple of the orbit.  The roots are then
-    classified by minimal period.  The maps are surface's coxeter_apply,
-    coxeter_jacobian, cubic_eval and cubic_gradient, run on coordinate
-    columns.
+    leaves its place to a later tuple of the orbit.  Only a tuple whose
+    x_0 lies on an orbit that is already whole adds nothing.  The roots
+    are then classified by minimal period.  The maps are surface's
+    coxeter_apply, coxeter_jacobian, cubic_eval and cubic_gradient, run
+    on coordinate columns.
 
     Before its own batches, the search solves each proper divisor d of N
     with per_count_closed(d) > 0 in the same way, with the same cfg and
@@ -540,12 +578,15 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     period N; the divisor roots head the report.  A divisor root that
     fails them is left to the period-N batches.
 
-    After each batch the search stops once the number of roots equals
-    per_count_closed(N), or, once cfg.seeds tuples are drawn, when the
-    last saturation_batches batches added no root.  The first batch always
-    runs.  Every batch that is not quiet adds a root, and the search stops
-    at the closed form, so it ends within
-    saturation_batches * (closed form + 1) batches past cfg.seeds tuples.
+    A batch hands over its converged tuples after each Newton iteration,
+    and the search stops as soon as the number of roots equals
+    per_count_closed(N), partway through a batch if need be.  Short of
+    that, it stops after a batch once cfg.seeds tuples are drawn and the
+    last saturation_batches batches added no root; a batch left early
+    counts as all its tuples drawn.  The first batch always runs.  Every
+    batch that is not quiet adds a root, and the search stops at the
+    closed form, so it ends within saturation_batches * (closed form + 1)
+    batches past cfg.seeds tuples.
     The divisor searches stop by the same rule at their own closed forms.
 
     status is "complete" when the root count equals the closed form and no
@@ -596,22 +637,26 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
     root, the index of its orbit's first root.  solved maps each period
     searched so far in this call to its roots; each proper divisor d of N
     with per_count_closed(d) > 0 is searched once, through it, and its
-    roots are offered first as N-tuples (x, c(x), ..., c^{N-1}(x)).
+    roots are offered first as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each
+    Newton batch is absorbed one yield at a time and left as soon as the
+    roots reach per_count_closed(N).
     """
     radius = cfg.dedup_radius
     divisors = _proper_divisors(N)
     clusters = np.empty((0, 3), dtype=complex)
     orbit_of = []  # for each cluster, the index of its orbit's first cluster
+    whole = np.empty(0, dtype=bool)  # for each cluster, whether its orbit is whole
 
     def absorb(tuples: np.ndarray):
-        # a tuple whose x_0 is a root already adds nothing; the others are
-        # taken one at a time, each point of the orbit on its own.  Once an
-        # orbit is whole, the tuples whose x_0 lies on it are dropped; until
-        # then a later tuple of the orbit may supply what is missing
-        nonlocal clusters
+        # a tuple whose x_0 lies on a whole orbit adds nothing; the others
+        # are taken one at a time, each point of the orbit on its own, so a
+        # tuple on an orbit that is not whole yet may supply what is missing
+        nonlocal clusters, whole
         if not t.imag.any():
             tuples = np.concatenate([tuples, tuples.conj()])
-        tuples = tuples[_cluster_index(clusters, tuples[:, :3], radius) < 0].reshape(-1, N, 3)
+        # no match (-1) reads the appended False
+        on_whole = np.append(whole, False)[_cluster_index(clusters, tuples[:, :3], radius)]
+        tuples = tuples[~on_whole].reshape(-1, N, 3)
         while len(tuples):
             orbit, tuples = tuples[0], tuples[1:]
             scale = radius * (1 + _max_abs(orbit[0]))
@@ -627,7 +672,9 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
             orbit_of.extend([orbit_of[known[0]] if len(known) else len(clusters)] * len(new))
             reps = np.concatenate([clusters[known], new])
             clusters = np.concatenate([clusters, new])
+            whole = np.concatenate([whole, np.full(len(new), len(reps) == d)])
             if len(reps) == d:
+                whole[known] = True
                 tuples = tuples[_cluster_index(reps, tuples[:, 0], radius) < 0]
 
     for d in divisors:
@@ -646,7 +693,10 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
     drawn = quiet = 0
     while True:
         before = len(clusters)
-        absorb(_newton_batch(_make_tuples(size, N, t, rng), t, N, cfg))
+        for tuples in _newton_batch(_make_tuples(size, N, t, rng), t, N, cfg):
+            absorb(tuples)
+            if len(clusters) == closed:
+                break
         drawn += size
         quiet = 0 if len(clusters) > before else quiet + 1
         if len(clusters) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):

@@ -1,6 +1,7 @@
 """Tests for the exact counts, zeta function, and the numeric solver."""
 
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -320,7 +321,7 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
 
     monkeypatch.setattr(counting, "_line_search", record)
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 20)
-    counting._newton_batch(seeds, t, 2, SolverConfig())
+    list(counting._newton_batch(seeds, t, 2, SolverConfig()))
     assert searched
     for x, dx in searched:
         assert np.isfinite(x).all()
@@ -332,7 +333,8 @@ _COMPLEX_THETA = (1.3 + 0.4j, -0.7 + 0.2j, 2.1 - 0.3j, 0.5 + 0.1j)
 
 def _record_seed_chunks(monkeypatch, answer=None):
     """Record, for each _newton_batch call, whether it received a seed chunk
-    drawn by _make_tuples; answer, if given, stands in for the result."""
+    drawn by _make_tuples; answer, if given, stands in for the batch as its
+    one yield."""
     from cubicdyn import counting
 
     drawn, seed_chunk = [], []
@@ -344,7 +346,7 @@ def _record_seed_chunks(monkeypatch, answer=None):
 
     def newton_batch(x, t, n, cfg):
         seed_chunk.append(any(x is d for d in drawn))
-        return newton(x, t, n, cfg) if answer is None else answer
+        return newton(x, t, n, cfg) if answer is None else iter([answer])
 
     monkeypatch.setattr(counting, "_make_tuples", make_tuples)
     monkeypatch.setattr(counting, "_newton_batch", newton_batch)
@@ -356,6 +358,26 @@ def _two_cycles(theta, cfg):
     report = solve_periodic(theta, 2, cfg)
     assert report.status == "complete" and len(report.orbits) == 11
     return np.array([p.as_tuple() for p, _ in report.points], dtype=complex), report.orbits
+
+
+def test_a_later_tuple_of_an_orbit_that_is_not_whole_completes_it(monkeypatch):
+    from cubicdyn import counting
+
+    # theta is complex, so no conjugate tuple stands in.  The batch first
+    # yields the 2-cycles, one of them with x_1 off by 1e-3, so only its x_0
+    # is admitted; the true tuple of that cycle, yielded later, has its x_0
+    # on the cycle and still supplies x_1
+    cfg = SolverConfig(seeds=200, rng_seed=5)
+    x, orbits = _two_cycles(_COMPLEX_THETA, cfg)
+    tuples = np.array([x[o].ravel() for o in orbits])
+    lagging = tuples.copy()
+    lagging[0, 3:] += 1e-3
+    calls = _record_newton_batch(monkeypatch, lambda *_: iter([lagging, tuples[:1]]))
+    report = solve_periodic(_COMPLEX_THETA, 2, cfg)
+    assert report.status == "complete" and report.found == 22
+    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() == 0
+    assert calls == [(2, 200)]
 
 
 @pytest.mark.parametrize("one_per_conjugate_pair", [False, True])
@@ -443,7 +465,7 @@ def test_line_search_block_size_changes_no_bit():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_line_search", record)
         mp.setattr(SolverConfig, "newton_max_iter", 30)
-        counting._newton_batch(seeds, t, 3, SolverConfig())
+        list(counting._newton_batch(seeds, t, 3, SolverConfig()))
     assert len(steps) == 30
     with np.errstate(over="ignore", invalid="ignore"):
         for x, dx, rnorm in steps:
@@ -481,7 +503,7 @@ def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch)
 def test_newton_batch_drops_stalled_tuples(monkeypatch):
     from cubicdyn import counting
 
-    # the solver's own first chunk at kappa_ref, N = 3: 84 tuples stall at
+    # the solver's own first chunk at kappa_ref, N = 3: 83 tuples stall at
     # a local minimum of the merit and none converges, so once they leave
     # the batch it ends long before newton_max_iter (100)
     t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
@@ -495,8 +517,8 @@ def test_newton_batch_drops_stalled_tuples(monkeypatch):
         return normal(x, t, n)
 
     monkeypatch.setattr(counting, "_normal_equations", record)
-    out = counting._newton_batch(seeds, t, 3, SolverConfig())
-    assert out.shape == (1964, 9)
+    out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig())))
+    assert out.shape == (1965, 9)
     assert len(calls) <= 60
 
 
@@ -506,7 +528,8 @@ def test_newton_batch_orders_by_iteration_then_seed():
     kappa = random_offwall_kappa(np.random.default_rng(3))
     t = counting._coerce_theta4(rh_params(kappa))
     cfg = SolverConfig(seeds=1500)
-    found = counting._newton_batch(counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg)[:, :3]
+    found = np.concatenate(list(counting._newton_batch(
+        counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg)))[:, :3]
     roots = []
     for x in found:
         if all(np.abs(x - r).max() > 1e-3 for r in roots):
@@ -517,11 +540,85 @@ def test_newton_batch_orders_by_iteration_then_seed():
     # each tuple's x_1 is the image of the unperturbed root
     x0 = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
     x1 = np.array(coxeter_apply(np.stack([r0, r1, r2, r3], axis=1), t))
-    out = counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg)
+    out = np.concatenate(list(counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg)))
     assert out.shape == (4, 6)
     out = out[:, :3]
     assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
     assert np.abs(out[2] - r2).max() < 1e-7 and np.abs(out[3] - r0).max() < 1e-7
+
+
+def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
+    from cubicdyn import counting
+
+    # all 72 roots are in after 13 iterations of the first batch, which
+    # would run on to 56 if it were not left at the closed form
+    normal = counting._normal_equations
+    calls = []
+
+    def record(x, t, n):
+        calls.append(n)
+        return normal(x, t, n)
+
+    monkeypatch.setattr(counting, "_normal_equations", record)
+    report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 3, SolverConfig(seeds=20000))
+    assert report.status == "complete" and report.found == 72
+    assert len(calls) <= 20
+
+
+def test_a_batch_left_early_raises_no_warning_and_restores_the_errstate():
+    from cubicdyn import counting
+
+    # a nan tuple and tuples far past the escape radius overflow wherever
+    # the batch does not silence them; the silencing must not outlast a
+    # yield, and the batch is left at its first one
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
+    seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
+    seeds[:, 7] = np.nan
+    seeds[:, 11:20] *= 1e50
+    with pytest.warns(RuntimeWarning):
+        coxeter_apply(seeds[:3, 11:20], t, 2)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = counting._newton_batch(seeds, t, 2, SolverConfig())
+        assert len(next(batch)) and np.geterr() == before
+        batch.close()
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cholesky_solve_matches_numpy_solve(n):
+    from cubicdyn import counting
+
+    rng = np.random.default_rng(n)
+    m, count = 3 * n, 100
+    jac = rng.normal(size=(count, 2 * m, m)) + 1j * rng.normal(size=(count, 2 * m, m))
+    a = np.conj(jac.transpose(0, 2, 1)) @ jac
+    y = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+    want = np.linalg.solve(a, y[:, :, None])[:, :, 0]
+    cols, z = np.ascontiguousarray(a.transpose(1, 2, 0)), y.T.copy()
+    assert counting._cholesky_solve(cols, z).all()
+    assert (np.abs(z.T - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
+
+
+def test_cholesky_solve_flags_bad_systems_and_solves_each_other_one_as_alone():
+    from cubicdyn import counting
+
+    rng = np.random.default_rng(0)
+    m, count = 6, 40
+    jac = rng.normal(size=(count, 2 * m, m)) + 1j * rng.normal(size=(count, 2 * m, m))
+    a = np.ascontiguousarray((np.conj(jac.transpose(0, 2, 1)) @ jac).transpose(1, 2, 0))
+    y = rng.normal(size=(m, count)) + 1j * rng.normal(size=(m, count))
+    a[m - 1, m - 1, 3] = -1  # indefinite, found at the last pivot
+    a[2, 1, 7] = a[1, 2, 7] = np.nan
+    z = y.copy()
+    ok = counting._cholesky_solve(a.copy(), z)
+    assert np.flatnonzero(~ok).tolist() == [3, 7]
+    assert np.isnan(z[:, [3, 7]]).all()
+    for k in np.flatnonzero(ok):
+        alone = y[:, k:k + 1].copy()
+        assert counting._cholesky_solve(a[:, :, k:k + 1].copy(), alone).all()
+        assert np.array_equal(alone.view(np.uint64), z[:, k:k + 1].view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -615,7 +712,7 @@ def test_each_divisor_period_is_solved_once(monkeypatch):
     # no tuple ever converges: each search runs saturation_batches chunks
     # of one tuple, d = 2 once (not again for d = 4), then d = 4, then N = 8;
     # d = 1 has no root to find and is skipped
-    calls = _record_newton_batch(monkeypatch, lambda x, t, n, cfg: np.empty((0, 3 * n), dtype=complex))
+    calls = _record_newton_batch(monkeypatch, lambda *_: iter(()))
     report = solve_periodic(_COMPLEX_THETA, 8, SolverConfig(seeds=1))
     assert report.status == "saturated" and report.found == 0
     batches = SolverConfig.saturation_batches
@@ -744,7 +841,8 @@ def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
 
 def _record_newton_batch(monkeypatch, stub=None):
     """Record the period n and the tuple count of each _newton_batch call;
-    stub, if given, stands in for the solve."""
+    stub, if given, stands in for the solve and returns an iterable of
+    (K, 3n) arrays."""
     from cubicdyn import counting
 
     calls = []
@@ -768,9 +866,9 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
     # drawn and saturation_batches batches in a row were quiet.  theta is
     # complex, so no conjugate is harvested
     x, orbits = _two_cycles(_COMPLEX_THETA, SolverConfig(seeds=200, rng_seed=5))
-    answers = [x[o].ravel()[None] for o in orbits[:k]]
+    answers = [[x[o].ravel()[None]] for o in orbits[:k]]
     calls = _record_newton_batch(
-        monkeypatch, lambda *_: answers.pop(0) if answers else np.empty((0, 6), dtype=complex))
+        monkeypatch, lambda *_: iter(answers.pop(0) if answers else []))
     report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=5000))
     assert report.status == "saturated" and report.found == 2 * k
     assert calls == [(2, counting._SEED_CHUNK)] * (5 + k)
@@ -791,24 +889,33 @@ def test_solve_stops_at_the_closed_form(monkeypatch):
 def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
     from cubicdyn import counting
 
+    # one system of the first step is zeroed, so it is not positive
+    # definite: its tuple alone leaves the batch, and every other tuple
+    # runs as before, bit for bit
     kappa = random_offwall_kappa(np.random.default_rng(3))
     t = counting._coerce_theta4(rh_params(kappa))
     seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 30)
     cfg = SolverConfig()
-    want = counting._newton_batch(seeds, t, 2, cfg)
-    solve = np.linalg.solve
-    calls = []
+    want = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg)))
+    cholesky, search = counting._cholesky_solve, counting._line_search
+    oks, searched = [], []
 
-    def zero_one_system(a, b):
-        calls.append(len(a))
-        if len(calls) == 1:
-            a[5] = 0  # in place: the batch now holds one singular system
-        return solve(a, b)
+    def zero_one_system(a, y):
+        if not oks:
+            a[:, :, 5] = 0
+        oks.append(cholesky(a, y))
+        return oks[-1]
 
-    monkeypatch.setattr(np.linalg, "solve", zero_one_system)
-    got = counting._newton_batch(seeds, t, 2, cfg)
-    assert calls[1] == calls[0] - 1  # the retry drops that tuple alone
-    # every other tuple runs as before
+    def record(x, dx, rnorm, t, n):
+        searched.append(x.shape[1])
+        return search(x, dx, rnorm, t, n)
+
+    monkeypatch.setattr(counting, "_cholesky_solve", zero_one_system)
+    monkeypatch.setattr(counting, "_line_search", record)
+    got = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg)))
+    assert np.flatnonzero(~oks[0]).tolist() == [5]
+    assert all(ok.all() for ok in oks[1:])
+    assert searched[0] == len(oks[0]) - 1
     rows = [x.tobytes() for x in want]
     assert len(got) >= len(want) - 1 and all(x.tobytes() in rows for x in got)

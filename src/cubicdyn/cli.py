@@ -78,18 +78,16 @@ def parse_kappa(text) -> params.KappaPoint:
     raise ValueError("kappa needs 4 entries (k1..k4) or 5 (k0..k4)")
 
 
+def _parse_four(text, cls, name):
+    """cls from four complex entries; name is the input's in the error."""
+    vals = [parse_complex(v) for v in _split_list(text)]
+    if len(vals) != 4:
+        raise ValueError(f"{name} needs 4 entries")
+    return cls(*vals)
+
+
 def parse_theta(text) -> params.ThetaPoint:
-    vals = [parse_complex(v) for v in _split_list(text)]
-    if len(vals) != 4:
-        raise ValueError("theta needs 4 entries")
-    return params.ThetaPoint(*vals)
-
-
-def parse_b(text) -> params.EigenParams:
-    vals = [parse_complex(v) for v in _split_list(text)]
-    if len(vals) != 4:
-        raise ValueError("b needs 4 entries")
-    return params.EigenParams(*vals)
+    return _parse_four(text, params.ThetaPoint, "theta")
 
 
 def _fmt_complex(z) -> str:
@@ -115,18 +113,28 @@ def read_config(path: str) -> dict:
 
 
 def _emit(data, fmt: str, stream) -> None:
-    """Render a JSON-able dict as json, csv (flat rows) or pretty text."""
-    if fmt == "json":
-        json.dump(data, stream, indent=2, default=str)
-        stream.write("\n")
-        return
-    if fmt == "csv":
-        writer = csv.writer(stream)
-        for key, val in _flatten(data):
-            writer.writerow([key, val])
-        return
-    for key, val in _flatten(data):
-        stream.write(f"{key}: {val}\n")
+    """Render a JSON-able dict as json, csv (flat rows) or pretty text.
+
+    The exact counts outgrow Python's limit on the digits of an int turned
+    into a string (4300 from Python 3.10.7 on), so it is lifted meanwhile.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            json.dump(data, stream, indent=2, default=str)
+            stream.write("\n")
+        elif fmt == "csv":
+            writer = csv.writer(stream)
+            for key, val in _flatten(data):
+                writer.writerow([key, val])
+        else:
+            for key, val in _flatten(data):
+                stream.write(f"{key}: {val}\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _flatten(data, prefix=""):
@@ -151,7 +159,9 @@ def _solver_fields():
 
 
 def _build_parser():
-    """The top-level parser, and the subparser of each command by name."""
+    """The top-level parser, and the subparser of each command by name.
+
+    Each subparser names its command's function as the default of run."""
     parser = argparse.ArgumentParser(
         prog="cubicdyn",
         description="Birational dynamics on affine cubic surfaces: "
@@ -168,33 +178,34 @@ def _build_parser():
     common.add_argument("--rng", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, run, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("params", help="kappa -> traces, eigenvalues, theta + wall report")
+    p = add_parser("params", _cmd_params, help="kappa -> traces, eigenvalues, theta + wall report")
     p.add_argument("--kappa", required=True, help="k1,k2,k3,k4 (rationals allowed) or 5 entries")
-    p.add_argument("--wall-mode", choices=("exact", "tolerant"))
     p.add_argument("--wall-tol", type=float)
 
     # the inputs of a required group default to SUPPRESS: only the one
     # given is in args, so a config file cannot supply another against it
-    p = add_parser("disc", help="discriminant of the surface in b-coordinates")
+    p = add_parser("disc", _cmd_disc, help="discriminant of the surface in b-coordinates")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
     g.add_argument("--b", default=argparse.SUPPRESS, help='four complex entries "re+imi" or [re,im] pairs')
 
-    p = add_parser("lattice", help="exact matrices, charpoly, spectral radius, checks")
+    p = add_parser("lattice", _cmd_lattice, help="exact matrices, charpoly, spectral radius, checks")
     p.add_argument("--matrices", action="store_true")
     p.add_argument("--charpoly", action="store_true")
     p.add_argument("--spectral-radius", action="store_true")
     p.add_argument("--checks", action="store_true")
 
-    p = add_parser("lines", help="the 27 lines with on-surface residuals")
+    p = add_parser("lines", _cmd_lines, help="the 27 lines with on-surface residuals")
     p.add_argument("--kappa", required=True)
     p.add_argument("--verify", action="store_true", help="run the sigma line-swap checks")
     p.add_argument("--tol", type=float)
 
-    p = add_parser("orbit", help="iterate a generator word from a start point")
+    p = add_parser("orbit", _cmd_orbit, help="iterate a generator word from a start point")
     p.add_argument("--word", required=True, help='e.g. "s1 s2 s3" or "g1^2 g2^-2"')
     p.add_argument("--x", required=True, help="three complex start coordinates")
     g = p.add_mutually_exclusive_group(required=True)
@@ -203,17 +214,17 @@ def _build_parser():
     p.add_argument("--iters", type=int, default=1)
     p.add_argument("--escape-radius", type=float)
 
-    p = add_parser("count", help="closed-form N-periodic point count of c")
+    p = add_parser("count", _cmd_count, help="closed-form N-periodic point count of c")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--space", choices=("affine", "projective"), default="affine")
 
-    p = add_parser("count-kappa", help="closed-form count along the full loop")
+    p = add_parser("count-kappa", _cmd_count_kappa, help="closed-form count along the full loop")
     p.add_argument("--N", type=int, required=True)
 
-    p = add_parser("zeta", help="Taylor coefficients of the zeta function")
+    p = add_parser("zeta", _cmd_zeta, help="Taylor coefficients of the zeta function")
     p.add_argument("--order", type=int, required=True)
 
-    p = add_parser("solve", help="numerically find the N-periodic points")
+    p = add_parser("solve", _cmd_solve, help="numerically find the N-periodic points")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--theta", default=argparse.SUPPRESS)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
@@ -221,7 +232,7 @@ def _build_parser():
     for f in _solver_fields():
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
-    p = add_parser("verify", help="cross-check every exact counting identity")
+    p = add_parser("verify", _cmd_verify, help="cross-check every exact counting identity")
     p.add_argument("--nmax", type=int, required=True)
     return parser, sub.choices
 
@@ -232,35 +243,35 @@ def _given(args, **dests):
     return {k: getattr(args, d) for k, d in dests.items() if getattr(args, d) is not None}
 
 
-def _cmd_params(args, out):
+# Each command returns (data, exit code); dispatch renders data, if any.
+
+
+def _cmd_params(args):
     kappa = parse_kappa(args.kappa)
     a = params.kappa_to_traces(kappa)
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
-    wall = params.wall_membership(kappa, **_given(args, mode="wall_mode", tol="wall_tol"))
-    _emit(
-        {
-            "kappa": [str(v) for v in kappa.as_tuple()],
-            "a": [_fmt_complex(v) for v in a.as_tuple()],
-            "b": [_fmt_complex(v) for v in b.as_tuple()],
-            "theta": [_fmt_complex(v) for v in theta.as_tuple()],
-            "wall": wall.to_json(),
-        },
-        out.fmt,
-        out.stream,
-    )
-    return 0
+    wall = params.wall_membership(kappa, **_given(args, tol="wall_tol"))
+    return {
+        "kappa": [str(v) for v in kappa.as_tuple()],
+        "a": [_fmt_complex(v) for v in a.as_tuple()],
+        "b": [_fmt_complex(v) for v in b.as_tuple()],
+        "theta": [_fmt_complex(v) for v in theta.as_tuple()],
+        "wall": wall.to_json(),
+    }, 0
 
 
-def _cmd_disc(args, out):
-    b = parse_b(args.b) if "b" in args else params.kappa_to_eigen(parse_kappa(args.kappa))
+def _cmd_disc(args):
+    if "b" in args:
+        b = _parse_four(args.b, params.EigenParams, "b")
+    else:
+        b = params.kappa_to_eigen(parse_kappa(args.kappa))
     d = params.discriminant(b)
-    _emit({"b": [_fmt_complex(v) for v in b.as_tuple()],
-           "discriminant": _fmt_complex(d), "modulus": abs(complex(d))}, out.fmt, out.stream)
-    return 0
+    return {"b": [_fmt_complex(v) for v in b.as_tuple()],
+            "discriminant": _fmt_complex(d), "modulus": abs(complex(d))}, 0
 
 
-def _cmd_lattice(args, out):
+def _cmd_lattice(args):
     want_all = not (args.matrices or args.charpoly or args.spectral_radius or args.checks)
     data = {}
     cstar = lattice.coxeter_star()
@@ -285,11 +296,10 @@ def _cmd_lattice(args, out):
         data["spectral_radius_closed"] = 2 + 5 ** 0.5
     if args.checks or want_all:
         data["eigenvector_checks"] = lattice.eigenvector_checks()
-    _emit(data, out.fmt, out.stream)
-    return 0
+    return data, 0
 
 
-def _cmd_lines(args, out):
+def _cmd_lines(args):
     kappa = parse_kappa(args.kappa)
     tol = _given(args, tol="tol")
     b = params.kappa_to_eigen(kappa)
@@ -311,11 +321,10 @@ def _cmd_lines(args, out):
         except (AssertionError, ValueError) as exc:
             data["sigma_checks_error"] = str(exc)
             code = 1
-    _emit(data, out.fmt, out.stream)
-    return code
+    return data, code
 
 
-def _cmd_orbit(args, out):
+def _cmd_orbit(args):
     word = surface.parse_word(args.word)
     x = tuple(parse_complex(v) for v in _split_list(args.x))
     if len(x) != 3:
@@ -339,70 +348,42 @@ def _cmd_orbit(args, out):
         )
         if status == "escaped":
             break
-    _emit({"word": str(word), "steps": steps, "status": status}, out.fmt, out.stream)
-    return 0
+    return {"word": str(word), "steps": steps, "status": status}, 0
 
 
-def _cmd_count(args, out):
-    val = counting.per_count_closed(args.N, args.space)
-    _emit({"N": args.N, "space": args.space, "count": val}, out.fmt, out.stream)
-    return 0
+def _cmd_count(args):
+    return {"N": args.N, "space": args.space, "count": counting.per_count_closed(args.N, args.space)}, 0
 
 
-def _cmd_count_kappa(args, out):
-    _emit({"N": args.N, "count": counting.per_kappa_closed(args.N)}, out.fmt, out.stream)
-    return 0
+def _cmd_count_kappa(args):
+    return {"N": args.N, "count": counting.per_kappa_closed(args.N)}, 0
 
 
-def _cmd_zeta(args, out):
-    _emit({"order": args.order, "coefficients": counting.zeta_coefficients(args.order)},
-          out.fmt, out.stream)
-    return 0
+def _cmd_zeta(args):
+    return {"order": args.order, "coefficients": counting.zeta_coefficients(args.order)}, 0
 
 
-def _cmd_solve(args, out):
+def _cmd_solve(args):
     settings = _given(args, rng_seed="rng", **{f.name: f.name for f in _solver_fields()})
     cfg = counting.SolverConfig(**settings)
     if "kappa" in args:
         report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
     else:
         report = counting.solve_periodic(parse_theta(args.theta), args.N, cfg)
-    _emit(report.to_json(), out.fmt, out.stream)
-    return 0 if report.status == "complete" else 1
+    return report.to_json(), 0 if report.status == "complete" else 1
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     try:
-        report = counting.verify_counts(args.nmax)
+        return counting.verify_counts(args.nmax), 0
     except AssertionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    _emit(report, out.fmt, out.stream)
-    return 0
-
-
-_COMMANDS = {
-    "params": _cmd_params,
-    "disc": _cmd_disc,
-    "lattice": _cmd_lattice,
-    "lines": _cmd_lines,
-    "orbit": _cmd_orbit,
-    "count": _cmd_count,
-    "count-kappa": _cmd_count_kappa,
-    "zeta": _cmd_zeta,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-}
-
-
-class _Out:
-    def __init__(self, fmt, stream):
-        self.fmt = fmt
-        self.stream = stream
+        return None, 1
 
 
 def dispatch(argv, stream=None) -> int:
-    """Parse argv and run the chosen subcommand; returns the exit code.
+    """Parse argv, run the chosen subcommand and render its data to stream
+    (stdout by default) in the --output format; returns the exit code.
 
     A --config file's values become the parsers' defaults and argv is
     parsed again, so a flag beats the file, the file beats the built-in
@@ -415,7 +396,7 @@ def dispatch(argv, stream=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             config = read_config(args.config)
-            keys = {k for k, v in vars(args).items() if not isinstance(v, bool)} - {"command", "config"}
+            keys = {k for k, v in vars(args).items() if not isinstance(v, bool)} - {"command", "config", "run"}
             unknown = sorted(set(config) - keys)
             if unknown:
                 raise ValueError(f"{args.config}: {args.command} takes no config key {', '.join(unknown)}")
@@ -429,9 +410,11 @@ def dispatch(argv, stream=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = _Out(args.output, stream if stream is not None else sys.stdout)
     try:
-        return _COMMANDS[args.command](args, out)
+        data, code = args.run(args)
+        if data is not None:
+            _emit(data, args.output, stream if stream is not None else sys.stdout)
+        return code
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -168,12 +168,13 @@ def verify_counts(n_max: int) -> dict:
     return {"n_max": n_max, "rows": rows, "zeta_order": order, "zeta": za, "ok": True}
 
 
-def random_offwall_kappa(rng, denominator_bound: int = 40) -> KappaPoint:
-    """Random rational kappa certified off every wall in exact arithmetic."""
+def random_offwall_kappa(rng) -> KappaPoint:
+    """Random rational kappa certified off every wall in exact arithmetic:
+    each k_i is p/q with 2 <= q <= 40 and 0 < p < 2q."""
     for _ in range(1000):
         tail = []
         for _ in range(4):
-            q = int(rng.integers(2, denominator_bound + 1))
+            q = int(rng.integers(2, 41))
             p = int(rng.integers(1, 2 * q))
             tail.append(Fraction(p, q))
         kappa = KappaPoint.from_tail(*tail)
@@ -219,12 +220,15 @@ class CountReport:
 
     N: int
     closed_form: int
-    found: int = 0
     points: list = field(default_factory=list)  # (AffinePoint, residual)
     clusters: list = field(default_factory=list)  # (AffinePoint, multiplicity est.)
     minimal_periods: list = field(default_factory=list)
     orbits: list = field(default_factory=list)  # lists of cluster indices
     status: str = "partial"  # complete | saturated | partial
+
+    @property
+    def found(self) -> int:
+        return len(self.points)
 
     def to_json(self) -> dict:
         return {
@@ -316,11 +320,12 @@ def _normal_equations(x, t, n: int):
     return a, jhr, res
 
 
-def _converged(x, gap, f, cfg: SolverConfig):
-    """The solver's convergence test, per point: the map residual
-    gap = max |c^n(x) - x| is below cfg.newton_tol and f(x) lies within
-    cfg.surface_tol (1 + max |x_i|^3) of zero."""
-    return (gap < cfg.newton_tol) & (np.abs(f) <= cfg.surface_tol * (1 + _max_abs(x) ** 3))
+def _converged(x, t: np.ndarray, n: int, cfg: SolverConfig):
+    """The solver's convergence test, per point of x (3, M) at period n:
+    the map residual max |c^n(x) - x| is below cfg.newton_tol and f(x)
+    lies within cfg.surface_tol (1 + max |x_i|^3) of zero."""
+    gap = _gap(coxeter_apply(x, t, n), x)
+    return (gap < cfg.newton_tol) & (np.abs(cubic_eval(x, t)) <= cfg.surface_tol * (1 + _max_abs(x) ** 3))
 
 
 def _converged_scalar(x, t: np.ndarray, n: int, cfg: SolverConfig) -> bool:
@@ -370,8 +375,7 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig):
     c^n(x) - x would multiply n of them.
 
     x holds the seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k.
-    A tuple converges when x_0 passes _converged with gap
-    max |c^n(x_0) - x_0|.  A generator: on each iteration at which some
+    A tuple converges when x_0 passes _converged at period n.  A generator: on each iteration at which some
     tuples converge, it yields them whole, as a (K, 3n) array whose row
     holds x_0, ..., x_{n-1} in turn, in seed order.  A caller that has
     what it needs stops iterating, and the iterations left are never run.
@@ -388,8 +392,7 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig):
     # converges, stalls, escapes or goes bad is compacted away at once
     for _ in range(cfg.newton_max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            x0 = x[:3]
-            conv = _converged(x0, _gap(coxeter_apply(x0, t, n), x0), cubic_eval(x0, t), cfg)
+            conv = _converged(x[:3], t, n, cfg)
         if conv.any():
             yield x[:, conv].T
             x = x[:, ~conv]
@@ -573,10 +576,11 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     Before its own batches, the search solves each proper divisor d of N
     with per_count_closed(d) > 0 in the same way, with the same cfg and
     its own stream of the same seed, once per call (N = 8 solves d = 2
-    once, for d = 4 and for 8).  Each root found there is offered as the
-    N-tuple (x, c(x), ..., c^{N-1}(x)) and admitted only by the tests at
-    period N; the divisor roots head the report.  A divisor root that
-    fails them is left to the period-N batches.
+    once, for d = 4 and for 8).  The roots found there, each as the
+    N-tuple (x, c(x), ..., c^{N-1}(x)), make up one period-N Newton
+    batch, absorbed like the others, so the divisor roots head the report;
+    a root whose error has grown past the tests over the longer orbit is
+    refined there at period N.
 
     A batch hands over its converged tuples after each Newton iteration,
     and the search stops as soon as the number of roots equals
@@ -620,7 +624,6 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     ids = np.array(orbit_of)
     report.orbits = [np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)]
 
-    report.found = found
     if found == closed and not multiple:
         report.status = "complete"
     elif saturated:
@@ -636,10 +639,11 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
     Returns (roots (K, 3), orbit_of, saturated): orbit_of gives, for each
     root, the index of its orbit's first root.  solved maps each period
     searched so far in this call to its roots; each proper divisor d of N
-    with per_count_closed(d) > 0 is searched once, through it, and its
-    roots are offered first as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each
-    Newton batch is absorbed one yield at a time and left as soon as the
-    roots reach per_count_closed(N).
+    with per_count_closed(d) > 0 is searched once, through it, and the
+    first Newton batch, skipped if they found no root, holds their roots
+    as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each Newton batch is absorbed
+    one yield at a time and left as soon as the roots reach
+    per_count_closed(N).
     """
     radius = cfg.dedup_radius
     divisors = _proper_divisors(N)
@@ -666,7 +670,7 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
             # an entry that repeats an earlier one is never admitted: d reads
             # too long when x_d lags behind the orbit
             fresh = (idx < 0) & (_cluster_index(pts, pts, radius) == np.arange(d))
-            fresh &= _converged(x, _gap(coxeter_apply(x, t, N), x), cubic_eval(x, t), cfg)
+            fresh &= _converged(x, t, N, cfg)
             new = pts[[j for j in np.flatnonzero(fresh) if _converged_scalar(pts[j], t, N, cfg)]]
             known = idx[idx >= 0]
             orbit_of.extend([orbit_of[known[0]] if len(known) else len(clusters)] * len(new))
@@ -677,26 +681,31 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
                 whole[known] = True
                 tuples = tuples[_cluster_index(reps, tuples[:, 0], radius) < 0]
 
+    closed = per_count_closed(N)
+
+    def run_batch(x: np.ndarray):
+        for tuples in _newton_batch(x, t, N, cfg):
+            absorb(tuples)
+            if len(clusters) == closed:
+                break
+
     for d in divisors:
-        if per_count_closed(d) == 0:
-            continue
-        if d not in solved:
+        if per_count_closed(d) > 0 and d not in solved:
             solved[d] = _find_roots(t, d, cfg, solved)[0]
-        orbit = [solved[d].T]
+    # one batch refines each divisor root x as the N-tuple (x, c(x), ..., c^{N-1}(x))
+    roots = [x for d in divisors if d in solved for x in solved[d]]
+    if roots:
+        orbit = [np.array(roots).T]
         for _ in range(N - 1):
             orbit.append(np.array(coxeter_apply(orbit[-1], t)))
-        absorb(np.concatenate(orbit).T)
+        run_batch(np.concatenate(orbit))
 
-    closed = per_count_closed(N)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     size = min(_SEED_CHUNK, cfg.seeds)
     drawn = quiet = 0
     while True:
         before = len(clusters)
-        for tuples in _newton_batch(_make_tuples(size, N, t, rng), t, N, cfg):
-            absorb(tuples)
-            if len(clusters) == closed:
-                break
+        run_batch(_make_tuples(size, N, t, rng))
         drawn += size
         quiet = 0 if len(clusters) > before else quiet + 1
         if len(clusters) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):

@@ -265,31 +265,23 @@ def coxeter_star() -> LatticeEndo:
 
 def charpoly(m: LatticeEndo) -> list:
     """Characteristic polynomial det(xI - m), integer coefficients
-    lowest degree first, via the division-free Berkowitz algorithm."""
-    a = [list(row) for row in m.entries]
-    n = RANK
-    # Berkowitz: iteratively build the coefficient vector of the
-    # characteristic polynomial of the leading principal submatrices.
-    vec = [1, -a[0][0]]
-    for k in range(1, n):
-        # Toeplitz column for the k-th step.
-        row = a[k][:k]  # R
-        col = [a[r][k] for r in range(k)]  # C
-        akk = a[k][k]
-        # entries t_m = R * A_{k-1}^{m-2} * C, with A_{k-1} the leading block
-        t = [1, -akk]
-        v = col[:]
-        for _ in range(k):
-            t.append(-sum(row[r] * v[r] for r in range(k)))
-            v = [sum(a[r][c] * v[c] for c in range(k)) for r in range(k)]
-        new = [0] * (k + 2)
-        for m_idx, tm in enumerate(t):
-            for j, vj in enumerate(vec):
-                if m_idx + j < k + 2:
-                    new[m_idx + j] += tm * vj
-        vec = new
-    # vec holds coefficients highest degree first
-    return list(reversed(vec))
+    lowest degree first, by the Faddeev-LeVerrier recurrence.
+
+    With M_0 = 0 and c_0 = 1, M_k = m (M_{k-1} + c_{k-1} I) and
+    c_k = -tr(M_k) / k is the coefficient of x^(7-k); each division is
+    exact for an integer matrix.
+    """
+    coeffs = [1]
+    mk = LatticeEndo(((0,) * RANK,) * RANK)
+    for k in range(1, RANK + 1):
+        shifted = tuple(tuple(v + coeffs[-1] * (r == c) for c, v in enumerate(row))
+                        for r, row in enumerate(mk.entries))
+        mk = m @ LatticeEndo(shifted)
+        c, rem = divmod(-mk.trace(), k)
+        if rem:
+            raise AssertionError(f"tr(M_{k}) is not divisible by {k}")
+        coeffs.append(c)
+    return coeffs[::-1]
 
 
 def spectral_radius(m: LatticeEndo) -> float:

@@ -9,6 +9,7 @@ the involutions sigma_i permute them.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,8 +113,8 @@ class ProjectiveLine:
         pts.append(v)
         return pts
 
-    def affine_points(self, count: int = 3):
-        """Sample affine points (X0 = 1) of the line as (x1, x2, x3) tuples."""
+    def affine_points(self):
+        """Three affine points (X0 = 1) of the line as (x1, x2, x3) tuples."""
         u, v = self.spanning_points()
         # move the X0 component into u
         if abs(v[0]) > abs(u[0]):
@@ -122,11 +123,7 @@ class ProjectiveLine:
             raise ValueError("line lies in the plane at infinity")
         u = u / u[0]
         v = v - v[0] * u
-        pts = []
-        for t in range(count):
-            p = u + (t + 1) * v
-            pts.append((p[1], p[2], p[3]))
-        return pts
+        return [tuple(u + t * v)[1:] for t in (1, 2, 3)]
 
     def contains_affine(self, x, tol: float = 1e-8) -> bool:
         X = np.array([1, *x], dtype=complex)
@@ -214,7 +211,7 @@ def _slot_label(i: int, slot: int) -> LineLabel:
     return table[slot]
 
 
-def line_from_params(i: int, slot: int, b: EigenParams, warn_singular: bool = True) -> ProjectiveLine:
+def line_from_params(i: int, slot: int, b: EigenParams) -> ProjectiveLine:
     """One of the eight affine lines meeting the tritangent line L_i.
 
     The line L_i(beta1, beta2; beta3, beta4) is cut out by
@@ -224,15 +221,14 @@ def line_from_params(i: int, slot: int, b: EigenParams, warn_singular: bool = Tr
             - (beta1 (beta4 + 1/beta4) + beta2 (beta3 + 1/beta3)) X0,
 
     with (i, j, k) the cyclic triple starting at i and the slot choosing
-    the argument pattern from the table of eight.
+    the argument pattern from the table of eight.  Warns if one factor of
+    the discriminant vanishes.
     """
     if i not in (1, 2, 3):
         raise ValueError("group index must be 1, 2 or 3")
     if slot not in _SLOT_PATTERNS:
         raise ValueError("slot must be 1..8")
-    if warn_singular and discriminant_vanishes(b):
-        import warnings
-
+    if discriminant_vanishes(b):
         warnings.warn("discriminant vanishes; the 27 lines may degenerate")
     bs = b.as_tuple()
     j = i % 3 + 1
@@ -327,7 +323,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = 1e-8) -> d
         for s1, s2 in ((1, 2), (3, 4)):
             src = line_from_params(g, s1, b)
             dst = line_from_params(g, s2, b)
-            for x in src.affine_points(3):
+            for x in src.affine_points():
                 y = sigma_apply(i, x, theta)
                 if not dst.contains_affine(y, tol):
                     raise AssertionError(

@@ -233,50 +233,32 @@ def discriminant_vanishes(b: EigenParams) -> bool:
     return any(abs(factor) < 1e-12 for factor in _discriminant_factors(b))
 
 
-def _nearest_int(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _nearest_int(x) -> int:
+    """The integer nearest x, exactly for a Fraction."""
+    return math.floor(x + Fraction(1, 2))
 
 
-def wall_membership(kappa: KappaPoint, mode: str = None, tol: float = 1e-9) -> WallReport:
+def wall_membership(kappa: KappaPoint, tol: float = 1e-9) -> WallReport:
     """Test whether kappa lies on a reflection wall.
 
     The walls are k_i = m (i = 1..4, m integer) and
-    k1 +- k2 +- k3 +- k4 = 2m + 1.  In "exact" mode the entries must be
-    rational and membership is decided with exact arithmetic; in
-    "tolerant" mode a relation counts when its residual is below tol.
-    mode None picks exact for a rational kappa and tolerant otherwise.
+    k1 +- k2 +- k3 +- k4 = 2m + 1.  Each relation is tested at its nearest
+    m.  For a rational kappa it counts when its residual is exactly 0, in
+    Fraction arithmetic; for any other kappa, when its residual is at most
+    tol.
     """
-    if mode is None:
-        mode = "exact" if kappa.is_rational() else "tolerant"
-    if mode not in ("exact", "tolerant"):
-        raise ValueError(f"unknown mode {mode!r}")
-    tail = kappa.tail()
+    exact = kappa.is_rational()
+    vals = [Fraction(v) if exact else complex(v) for v in kappa.tail()]
+    # (kind, which, value, odd): the value is to be m, or 2m + 1 if odd
+    relations = [("kappa_i_integer", i, v, 0) for i, v in enumerate(vals, start=1)]
+    for signs in product((1, -1), repeat=3):
+        pattern = "+" + "".join("+" if e == 1 else "-" for e in signs)
+        s = vals[0] + sum(e * v for e, v in zip(signs, vals[1:]))
+        relations.append(("signed_sum_odd", pattern, s, 1))
     witnesses = []
-    if mode == "exact":
-        if not all(isinstance(v, (int, Rational)) for v in tail):
-            raise ValueError("exact mode requires rational kappa")
-        vals = [Fraction(v) for v in tail]
-        for i, v in enumerate(vals, start=1):
-            if v.denominator == 1:
-                witnesses.append(("kappa_i_integer", i, int(v), 0.0))
-        for signs in product((1, -1), repeat=3):
-            s = vals[0] + sum(e * v for e, v in zip(signs, vals[1:]))
-            if s.denominator == 1 and int(s) % 2 != 0:
-                pattern = "+" + "".join("+" if e == 1 else "-" for e in signs)
-                witnesses.append(("signed_sum_odd", pattern, (int(s) - 1) // 2, 0.0))
-    else:
-        vals = [complex(v) for v in tail]
-        for i, v in enumerate(vals, start=1):
-            m = _nearest_int(v.real)
-            r = abs(v - m)
-            if r <= tol:
-                witnesses.append(("kappa_i_integer", i, m, r))
-        for signs in product((1, -1), repeat=3):
-            s = vals[0] + sum(e * v for e, v in zip(signs, vals[1:]))
-            # nearest odd integer 2m+1
-            m = _nearest_int((s.real - 1) / 2)
-            r = abs(s - (2 * m + 1))
-            if r <= tol:
-                pattern = "+" + "".join("+" if e == 1 else "-" for e in signs)
-                witnesses.append(("signed_sum_odd", pattern, m, r))
+    for kind, which, v, odd in relations:
+        m = _nearest_int((v.real - odd) / (1 + odd))
+        r = abs(v - ((1 + odd) * m + odd))
+        if (r == 0 if exact else r <= tol):
+            witnesses.append((kind, which, m, float(r)))
     return WallReport(on_wall=bool(witnesses), witnesses=witnesses)

@@ -81,11 +81,8 @@ class AffinePoint:
     def on_surface(self, theta, tol: float = DEFAULT_SURFACE_TOL) -> bool:
         return self.residual(theta) <= surface_residual_bound(self.as_tuple(), tol)
 
-    def to_json(self, theta=None) -> dict:
-        data = {"x": [[complex(v).real, complex(v).imag] for v in self.as_tuple()]}
-        if theta is not None:
-            data["residual"] = self.residual(theta)
-        return data
+    def to_json(self) -> dict:
+        return {"x": [[complex(v).real, complex(v).imag] for v in self.as_tuple()]}
 
 
 @dataclass(frozen=True)

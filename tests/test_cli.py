@@ -100,6 +100,17 @@ def test_disc_subcommand():
     assert json.loads(out)["modulus"] < 1e-12
 
 
+def test_disc_subcommand_on_b(capsys):
+    from cubicdyn import params
+
+    code, out = run(["disc", "--b", "2,3,5,7", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["modulus"] == abs(params.discriminant(params.EigenParams(2, 3, 5, 7)))
+    code, out = run(["disc", "--b", "2,3,5"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: b needs 4 entries\n"
+
+
 def test_verify_subcommand():
     code, out = run(["verify", "--nmax", "20", "--output", "json"])
     assert code == 0
@@ -188,6 +199,10 @@ def test_config_key_that_names_no_option_exits_2(monkeypatch, tmp_path, capsys):
     code, out = run(["solve", "--theta", "1,2,3,4", "--N", "2", "--config", str(old)])
     assert code == 2 and out == "" and not called
     assert capsys.readouterr().err == f"error: {old}: solve takes no config key newton_tol\n"
+    old.write_text("wall_mode = exact\n")
+    code, out = run(["params", "--kappa", "1/3,1/4,1/5,1/7", "--config", str(old)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {old}: params takes no config key wall_mode\n"
     # a key of another command, a flag that takes no value, and an input
     # whose group a flag fills
     for argv, text in ((["zeta", "--order", "3"], "space = projective\n"),
@@ -209,6 +224,32 @@ def test_verify_beyond_float_range():
     rows = json.loads(out)["rows"]
     assert len(rows) == 500
     assert rows[-1]["lefschetz"] == counting.per_count_closed(500, "projective") + 1
+
+
+def test_exact_counts_past_the_int_to_str_digit_limit():
+    # the counts outgrow the 4300 digits Python converts an int to str by
+    # default; the limit is lifted while the CLI renders, and restored
+    import sys
+
+    from cubicdyn import counting
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    outs = {}
+    for argv in (["zeta", "--order", "3500"], ["count", "--N", "7000"],
+                 ["count-kappa", "--N", "3500"], ["verify", "--nmax", "3500"]):
+        code, outs[argv[0]] = run([*argv, "--output", "json"])
+        assert code == 0, argv
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+    # reading the coefficient back needs the limit lifted too
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        last = json.loads(outs["zeta"])["coefficients"][-1]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert last == counting.zeta_coefficients(3500)[-1]
 
 
 def test_unexpected_error_exit_code(monkeypatch, capsys):

@@ -42,7 +42,9 @@ def test_coxeter_charpoly_exact():
 
 
 def test_charpoly_against_sympy_oracle():
-    for m in [coxeter_star(), sigma_star(1), sigma_star(2), sigma_star(3)]:
+    rng = np.random.default_rng(0)
+    random = [LatticeEndo(rng.integers(-9, 10, size=(7, 7)).tolist()) for _ in range(20)]
+    for m in [coxeter_star(), sigma_star(1), sigma_star(2), sigma_star(3), *random]:
         ours = charpoly(m)
         theirs = sympy.Matrix(m.to_json()).charpoly().all_coeffs()[::-1]
         assert [int(c) for c in theirs] == list(ours)

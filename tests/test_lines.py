@@ -61,7 +61,7 @@ def test_tritangent_on_every_surface():
 
 def test_line_from_params_hand_value():
     b = EigenParams(2, 3, 5, 7)
-    ln = line_from_params(1, 1, b, warn_singular=False)
+    ln = line_from_params(1, 1, b)
     # first form X1 - (14 + 1/14) X0, normalized so the largest entry is 1
     f = np.array(ln.form1)
     f = f / f[1]
@@ -71,8 +71,8 @@ def test_line_from_params_hand_value():
 
 def test_slot_pairs_differ_by_inverting_lead_arguments():
     b = EigenParams(2, 3, 5, 7)
-    l1 = line_from_params(1, 1, b, warn_singular=False)
-    l2 = line_from_params(1, 2, b, warn_singular=False)
+    l1 = line_from_params(1, 1, b)
+    l2 = line_from_params(1, 2, b)
     # slot 2 uses (1/b1, 1/b4): same product inverted in the first form
     f1 = np.array(l1.form1) / np.array(l1.form1)[1]
     f2 = np.array(l2.form1) / np.array(l2.form1)[1]

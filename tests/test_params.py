@@ -115,7 +115,7 @@ def test_discriminant_factor_count():
 
 def test_wall_membership_exact_integer_witness():
     k = KappaPoint.from_tail(2, Fraction(1, 4), Fraction(1, 5), Fraction(1, 7))
-    rep = wall_membership(k, mode="exact")
+    rep = wall_membership(k)
     assert rep.on_wall
     kinds = {(w[0], w[1]) for w in rep.witnesses}
     assert ("kappa_i_integer", 1) in kinds
@@ -124,24 +124,18 @@ def test_wall_membership_exact_integer_witness():
 def test_wall_membership_exact_signed_sum_witness():
     # k1 - k2 + k3 - k4 = 1 (odd)
     k = KappaPoint.from_tail(Fraction(3, 4), Fraction(1, 4), Fraction(3, 4), Fraction(1, 4))
-    rep = wall_membership(k, mode="exact")
+    rep = wall_membership(k)
     assert rep.on_wall
     patterns = {w[1] for w in rep.witnesses if w[0] == "signed_sum_odd"}
     assert "+-+-" in patterns
 
 
-def test_wall_membership_exact_requires_rational():
-    k = KappaPoint.from_tail(0.1, 0.2, 0.3, 0.1)
-    with pytest.raises(ValueError):
-        wall_membership(k, mode="exact")
-
-
 def test_wall_membership_tolerant():
     k = KappaPoint.from_tail(1.0 + 5e-10, 0.25, 0.2, 1.0 / 7)
-    rep = wall_membership(k, mode="tolerant", tol=1e-9)
+    rep = wall_membership(k, tol=1e-9)
     assert rep.on_wall
     assert rep.witnesses[0][:3] == ("kappa_i_integer", 1, 1)
-    rep = wall_membership(k, mode="tolerant", tol=1e-12)
+    rep = wall_membership(k, tol=1e-12)
     assert not rep.on_wall
 
 

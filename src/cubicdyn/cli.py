@@ -62,10 +62,19 @@ def parse_scalar(text):
 
 
 def _split_list(text):
-    s = text.strip()
-    if s.startswith("["):
-        return json.loads(s)
-    return [p for p in s.split(",") if p.strip()]
+    """The entries of text: a JSON list if that is all it is, else a comma
+    list split at the commas outside brackets, so a [re, im] pair may stand
+    anywhere in it."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    if len(parts) == 1 and parts[0].strip().startswith("["):
+        return json.loads(parts[0])
+    return [p for p in parts if p.strip()]
 
 
 def parse_kappa(text) -> params.KappaPoint:
@@ -310,7 +319,8 @@ def _cmd_lines(args):
         ok, resid = lines.line_on_surface(ln, theta, **tol)
         ok_all = ok_all and ok
         rows.append({**ln.to_json(), "on_surface": ok, "residual": resid})
-    data = {"count": len(rows), "all_on_surface": ok_all, "lines": rows}
+    data = {"count": len(rows), "all_on_surface": ok_all,
+            "general_position": not params.discriminant_vanishes(b), "lines": rows}
     code = 0 if ok_all else 1
     if args.verify:
         try:

@@ -21,6 +21,7 @@ from .surface import (
     DEFAULT_ESCAPE_RADIUS,
     DEFAULT_SURFACE_TOL,
     AffinePoint,
+    _coerce_theta,
     coxeter_apply,
     coxeter_jacobian,
     cubic_eval,
@@ -216,14 +217,15 @@ class SolverConfig:
 
 @dataclass
 class CountReport:
-    """Outcome of one solve_periodic run."""
+    """Outcome of one solve_periodic run: one entry per root in points,
+    multiplicities and minimal_periods, in the same order."""
 
     N: int
     closed_form: int
     points: list = field(default_factory=list)  # (AffinePoint, residual)
-    clusters: list = field(default_factory=list)  # (AffinePoint, multiplicity est.)
+    multiplicities: list = field(default_factory=list)  # |det| estimate (see _transverse_multiplicity)
     minimal_periods: list = field(default_factory=list)
-    orbits: list = field(default_factory=list)  # lists of cluster indices
+    orbits: list = field(default_factory=list)  # lists of root indices
     status: str = "partial"  # complete | saturated | partial
 
     @property
@@ -240,17 +242,16 @@ class CountReport:
                 {**p.to_json(), "residual": float(r)} for (p, r) in self.points
             ],
             "clusters": [
-                {**p.to_json(), "multiplicity_det": float(m)} for (p, m) in self.clusters
+                {**p.to_json(), "multiplicity_det": float(m)}
+                for (p, _), m in zip(self.points, self.multiplicities)
             ],
             "minimal_periods": list(self.minimal_periods),
             "orbits": [list(o) for o in self.orbits],
         }
 
 
-def _coerce_theta4(theta):
-    if hasattr(theta, "as_tuple"):
-        theta = theta.as_tuple()
-    return np.array([complex(t) for t in theta], dtype=complex)
+def _coerce_theta4(theta) -> np.ndarray:
+    return np.array([complex(t) for t in _coerce_theta(theta)], dtype=complex)
 
 
 def _max_abs(x) -> np.ndarray:
@@ -562,14 +563,15 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     cfg.newton_tol and surface residual within cfg.surface_tol of the
     surface.  The seeds come from one stream, seeded by cfg.rng_seed, in
     batches of min(_SEED_CHUNK, cfg.seeds) tuples.  A converged tuple
-    holds a whole orbit (x_0, ..., x_{d-1}), d its minimal period read off
-    the tuple, and for real theta, where c commutes with complex
-    conjugation, so does its conjugate.  Each point of an orbit is
-    admitted on its own, if it matches no root and passes the convergence
-    test on numpy columns and again on Python scalars; a point that fails
-    leaves its place to a later tuple of the orbit.  Only a tuple whose
-    x_0 lies on an orbit that is already whole adds nothing.  The roots
-    are then classified by minimal period.  The maps are surface's
+    holds a whole orbit (x_0, ..., x_{d-1}), and for real theta, where c
+    commutes with complex conjugation, so does its conjugate.  d, the
+    minimal period reported for each root of the orbit, is read once: the
+    least divisor d of N with c^d(x_0) within cfg.dedup_radius of x_0.
+    Each point of an orbit is admitted on its own, if it matches no root
+    and passes the convergence test on numpy columns and again on Python
+    scalars; a point that fails leaves its place to a later tuple of the
+    orbit.  Only a tuple whose x_0 lies on a whole orbit, one with as many
+    roots as its period, adds nothing.  The maps are surface's
     coxeter_apply, coxeter_jacobian, cubic_eval and cubic_gradient, run
     on coordinate columns.
 
@@ -593,109 +595,98 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     batches past cfg.seeds tuples.
     The divisor searches stop by the same rule at their own closed forms.
 
-    status is "complete" when the root count equals the closed form and no
-    root is flagged multiple, "saturated" when the search stopped on quiet
-    batches, and "partial" when it reached the closed form with a root
-    flagged multiple.  Genericity of theta is the caller's burden
-    (solve_for_kappa checks the walls).  Deterministic for a fixed
+    status is "saturated" when the root count differs from the closed
+    form, else "partial" when some root's multiplicity estimate is below
+    1e-6 and "complete" when none is.  Genericity of theta is the caller's
+    burden (solve_for_kappa checks the walls).  Deterministic for a fixed
     cfg.rng_seed.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
-    report = CountReport(N=N, closed_form=closed)
-    clusters, orbit_of, saturated = _find_roots(t, N, cfg, {})
-    found = len(clusters)
-
-    # classify: minimal periods and multiplicity estimates
-    cols = clusters.T
+    roots, orbit_of, periods = _find_roots(t, N, cfg, {})
+    cols = roots.T
     residuals = _gap(coxeter_apply(cols, t, N), cols)
     mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
-    multiple = bool((mults < 1e-6).any())
-    periods = np.full(found, N)
-    scale = cfg.dedup_radius * (1 + _max_abs(cols))
-    for d in reversed(_proper_divisors(N)):
-        periods[_gap(coxeter_apply(cols, t, d), cols) <= scale] = d
-    for x, r, mult, period in zip(clusters, residuals, mults, periods):
-        report.points.append((AffinePoint(*x), float(r)))
-        report.clusters.append((AffinePoint(*x), float(mult)))
-        report.minimal_periods.append(int(period))
     ids = np.array(orbit_of)
-    report.orbits = [np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)]
-
-    if found == closed and not multiple:
-        report.status = "complete"
-    elif saturated:
-        report.status = "saturated"
-    else:
-        report.status = "partial"
-    return report
+    status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
+    return CountReport(N, closed, [(AffinePoint(*x), float(r)) for x, r in zip(roots, residuals)],
+                       multiplicities=mults.tolist(), minimal_periods=periods, status=status,
+                       orbits=[np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)])
 
 
 def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
     """The roots of c^N on S(t), as solve_periodic finds them.
 
-    Returns (roots (K, 3), orbit_of, saturated): orbit_of gives, for each
-    root, the index of its orbit's first root.  solved maps each period
-    searched so far in this call to its roots; each proper divisor d of N
-    with per_count_closed(d) > 0 is searched once, through it, and the
-    first Newton batch, skipped if they found no root, holds their roots
-    as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each Newton batch is absorbed
-    one yield at a time and left as soon as the roots reach
-    per_count_closed(N).
+    Returns (roots (K, 3), orbit_of, periods): for each root, orbit_of
+    gives the index of its orbit's first root and periods its minimal
+    period.  solved maps each period searched so far in this call to its
+    roots; each proper divisor d of N with per_count_closed(d) > 0 is
+    searched once, through it, and the first Newton batch, skipped if they
+    found no root, holds their roots as N-tuples (x, c(x), ...,
+    c^{N-1}(x)).  Each Newton batch is absorbed one yield at a time and
+    left as soon as the roots reach per_count_closed(N); the search ends
+    there, or on quiet batches.
     """
     radius = cfg.dedup_radius
     divisors = _proper_divisors(N)
-    clusters = np.empty((0, 3), dtype=complex)
-    orbit_of = []  # for each cluster, the index of its orbit's first cluster
-    whole = np.empty(0, dtype=bool)  # for each cluster, whether its orbit is whole
+    roots = np.empty((0, 3), dtype=complex)
+    orbit_of = []  # for each root, the index of its orbit's first root
+    period_of = []  # for each root, its minimal period
 
     def absorb(tuples: np.ndarray):
         # a tuple whose x_0 lies on a whole orbit adds nothing; the others
         # are taken one at a time, each point of the orbit on its own, so a
         # tuple on an orbit that is not whole yet may supply what is missing
-        nonlocal clusters, whole
+        nonlocal roots
         if not t.imag.any():
             tuples = np.concatenate([tuples, tuples.conj()])
-        # no match (-1) reads the appended False
-        on_whole = np.append(whole, False)[_cluster_index(clusters, tuples[:, :3], radius)]
+        # an orbit is whole once it holds as many roots as its period; no
+        # match (-1) reads the appended False
+        ids = np.array(orbit_of, dtype=int)
+        whole = np.bincount(ids)[ids] == np.array(period_of, dtype=int)
+        on_whole = np.append(whole, False)[_cluster_index(roots, tuples[:, :3], radius)]
         tuples = tuples[~on_whole].reshape(-1, N, 3)
+        # each x_0's minimal period: the least divisor d of N with c^d(x_0) near x_0
+        x0 = tuples[:, 0].T
+        scale = radius * (1 + _max_abs(x0))
+        periods = np.full(len(tuples), N)
+        for d in reversed(divisors):
+            periods[_gap(coxeter_apply(x0, t, d), x0) <= scale] = d
         while len(tuples):
-            orbit, tuples = tuples[0], tuples[1:]
-            scale = radius * (1 + _max_abs(orbit[0]))
-            d = next((d for d in divisors if _gap(orbit[d], orbit[0]) <= scale), N)
+            orbit, d, tuples, periods = tuples[0], int(periods[0]), tuples[1:], periods[1:]
             pts = orbit[:d]
-            x, idx = pts.T, _cluster_index(clusters, pts, radius)
-            # an entry that repeats an earlier one is never admitted: d reads
-            # too long when x_d lags behind the orbit
+            x, idx = pts.T, _cluster_index(roots, pts, radius)
+            # d is read off c^d(x_0), not off the tuple, so a later x_k may
+            # still repeat an earlier point: no root is admitted twice
             fresh = (idx < 0) & (_cluster_index(pts, pts, radius) == np.arange(d))
             fresh &= _converged(x, t, N, cfg)
             new = pts[[j for j in np.flatnonzero(fresh) if _converged_scalar(pts[j], t, N, cfg)]]
             known = idx[idx >= 0]
-            orbit_of.extend([orbit_of[known[0]] if len(known) else len(clusters)] * len(new))
-            reps = np.concatenate([clusters[known], new])
-            clusters = np.concatenate([clusters, new])
-            whole = np.concatenate([whole, np.full(len(new), len(reps) == d)])
+            orbit_of.extend([orbit_of[known[0]] if len(known) else len(roots)] * len(new))
+            period_of.extend([d] * len(new))
+            reps = np.concatenate([roots[known], new])
+            roots = np.concatenate([roots, new])
             if len(reps) == d:
-                whole[known] = True
-                tuples = tuples[_cluster_index(reps, tuples[:, 0], radius) < 0]
+                keep = _cluster_index(reps, tuples[:, 0], radius) < 0
+                tuples, periods = tuples[keep], periods[keep]
 
     closed = per_count_closed(N)
 
     def run_batch(x: np.ndarray):
         for tuples in _newton_batch(x, t, N, cfg):
             absorb(tuples)
-            if len(clusters) == closed:
+            if len(roots) == closed:
                 break
 
     for d in divisors:
         if per_count_closed(d) > 0 and d not in solved:
             solved[d] = _find_roots(t, d, cfg, solved)[0]
     # one batch refines each divisor root x as the N-tuple (x, c(x), ..., c^{N-1}(x))
-    roots = [x for d in divisors if d in solved for x in solved[d]]
-    if roots:
-        orbit = [np.array(roots).T]
+    divisor_roots = [x for d in divisors if d in solved for x in solved[d]]
+    if divisor_roots:
+        orbit = [np.array(divisor_roots).T]
         for _ in range(N - 1):
             orbit.append(np.array(coxeter_apply(orbit[-1], t)))
         run_batch(np.concatenate(orbit))
@@ -704,13 +695,13 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
     size = min(_SEED_CHUNK, cfg.seeds)
     drawn = quiet = 0
     while True:
-        before = len(clusters)
+        before = len(roots)
         run_batch(_make_tuples(size, N, t, rng))
         drawn += size
-        quiet = 0 if len(clusters) > before else quiet + 1
-        if len(clusters) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):
+        quiet = 0 if len(roots) > before else quiet + 1
+        if len(roots) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):
             break
-    return clusters, orbit_of, quiet >= cfg.saturation_batches
+    return roots, orbit_of, period_of
 
 
 def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:

@@ -9,7 +9,6 @@ the involutions sigma_i permute them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -221,15 +220,13 @@ def line_from_params(i: int, slot: int, b: EigenParams) -> ProjectiveLine:
             - (beta1 (beta4 + 1/beta4) + beta2 (beta3 + 1/beta3)) X0,
 
     with (i, j, k) the cyclic triple starting at i and the slot choosing
-    the argument pattern from the table of eight.  Warns if one factor of
-    the discriminant vanishes.
+    the argument pattern from the table of eight.  The lines degenerate
+    where a factor of the discriminant vanishes, which callers test once.
     """
     if i not in (1, 2, 3):
         raise ValueError("group index must be 1, 2 or 3")
     if slot not in _SLOT_PATTERNS:
         raise ValueError("slot must be 1..8")
-    if discriminant_vanishes(b):
-        warnings.warn("discriminant vanishes; the 27 lines may degenerate")
     bs = b.as_tuple()
     j = i % 3 + 1
     k = j % 3 + 1

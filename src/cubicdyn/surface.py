@@ -189,27 +189,28 @@ def sigma_apply(i: int, x, theta):
 def g_apply(i: int, sign: int, x, theta):
     """Braid map g_i^{sign} acting on (x, theta).
 
-    For the cyclic triple (i, j, k) starting at i, g_i sends
-    x -> (theta_j - x_j - x_k x_i, x_i, x_k) in slots (i, j, k) and
-    swaps theta_i with theta_j.  sign = -1 applies the exact inverse.
-    Returns (x', theta') as tuples.
+    g_i applies sigma_j (j = i mod 3 + 1), then swaps slots i and j of x
+    and of theta: x -> (theta_j - x_j - x_k x_i, x_i, x_k) in the slots
+    (i, j, k) of the cyclic triple starting at i.  sign = -1 applies the
+    exact inverse, the two steps in the reverse order.  Returns (x', theta')
+    as tuples.
     """
     if i not in (1, 2, 3):
         raise ValueError("braid index must be 1, 2 or 3")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t = list(_coerce_theta(theta))
-    ii = i - 1
-    jj = i % 3
-    kk = (i + 1) % 3
-    y = list(x)
+    j = i % 3 + 1
+
+    def swap(v):
+        v = list(v)
+        v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
+        return tuple(v)
+
+    t = _coerce_theta(theta)
     if sign == 1:
-        y[ii], y[jj] = t[jj] - x[jj] - x[kk] * x[ii], x[ii]
-        t[ii], t[jj] = t[jj], t[ii]
-    else:
-        t[ii], t[jj] = t[jj], t[ii]
-        y[ii], y[jj] = x[jj], t[jj] - x[ii] - x[kk] * x[jj]
-    return tuple(y), tuple(t)
+        return swap(sigma_apply(j, x, t)), swap(t)
+    t = swap(t)
+    return sigma_apply(j, swap(x), t), t
 
 
 def _max_abs(x) -> float:

@@ -111,6 +111,22 @@ def test_disc_subcommand_on_b(capsys):
     assert capsys.readouterr().err == "error: b needs 4 entries\n"
 
 
+@pytest.mark.parametrize("text, whole", [
+    ("1+1i,[0.5,2],3,4", "[[1,1],[0.5,2],3,4]"),
+    ("[0.5,2],1+1i,3,4", "[[0.5,2],[1,1],3,4]"),
+])
+def test_complex_pairs_stand_anywhere_in_a_comma_list(text, whole):
+    code, out = run(["disc", "--b", text, "--output", "json"])
+    assert code == 0 and out == run(["disc", "--b", whole, "--output", "json"])[1]
+
+
+def test_orbit_takes_complex_pairs_in_its_comma_lists():
+    argv = ["orbit", "--word", "s1 g2^-1", "--iters", "2", "--output", "json"]
+    code, out = run(argv + ["--x", "[0.1,0],0.2,0.3", "--theta", "[1,0.5],[2,-1],[0.3,0.7],[-1,2]"])
+    assert code == 0
+    assert out == run(argv + ["--x", "0.1,0.2,0.3", "--theta", "1+0.5i,2-1i,0.3+0.7i,-1+2i"])[1]
+
+
 def test_verify_subcommand():
     code, out = run(["verify", "--nmax", "20", "--output", "json"])
     assert code == 0

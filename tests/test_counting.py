@@ -229,6 +229,20 @@ def test_count_report_json():
     data = report.to_json()
     assert data["N"] == 2 and data["status"] == "partial"
     assert data["points"] == [] and data["orbits"] == []
+    from cubicdyn.surface import AffinePoint
+
+    report = CountReport(N=2, closed_form=22, points=[(AffinePoint(1, 2j, -3 + 0.5j), 1e-12)],
+                         multiplicities=[0.25], minimal_periods=[2], orbits=[[0]])
+    data = report.to_json()
+    assert data["points"][0]["residual"] == 1e-12
+    assert data["clusters"][0]["x"] == [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.5]] == data["points"][0]["x"]
+    assert data["clusters"][0]["multiplicity_det"] == 0.25
+    assert data["minimal_periods"] == [2] and data["orbits"] == [[0]]
+
+
+def test_solve_periodic_takes_theta_with_four_entries_only():
+    with pytest.raises(ValueError, match="theta must have four entries"):
+        solve_periodic([1, 2, 3], 2)
 
 
 def test_lefschetz_check_raises_on_wrong_trace(monkeypatch):

@@ -161,12 +161,21 @@ def test_sigma_line_action_rejects_singular_surface():
         verify_sigma_line_action(b, 1)
 
 
-def test_line_from_params_warns_near_discriminant():
-    b = EigenParams(1, 0.3 + 0.4j, 0.5, 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        line_from_params(1, 1, b)
-    assert any("discriminant" in str(w.message) for w in caught)
+def test_lines_report_general_position_once_and_warn_nothing(capsys):
+    import io
+    import json
+
+    from cubicdyn.cli import dispatch
+
+    # b1 = 1 makes (b1 - 1/b1)^2 vanish
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line_from_params(1, 1, EigenParams(1, 0.3 + 0.4j, 0.5, 2))
+        for kappa, general in (("1,1/4,1/5,1/7", False), ("1/3,1/4,1/5,1/7", True)):
+            out = io.StringIO()
+            assert dispatch(["lines", "--kappa", kappa, "--output", "json"], stream=out) == 0
+            assert capsys.readouterr().err == ""
+            assert json.loads(out.getvalue())["general_position"] is general
 
 
 @pytest.mark.parametrize("s", [85, 193, 1110])

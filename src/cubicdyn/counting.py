@@ -218,7 +218,13 @@ class SolverConfig:
 @dataclass
 class CountReport:
     """Outcome of one solve_periodic run: one entry per root in points,
-    multiplicities and minimal_periods, in the same order."""
+    multiplicities and minimal_periods, in the same order.
+
+    orbits partitions the root indices into c-orbits, each in root order
+    and headed by its least index.  In a run short of the closed form an
+    orbit may miss points: its record then holds the roots found, and
+    may be shorter than their minimal period.
+    """
 
     N: int
     closed_form: int
@@ -562,16 +568,13 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     as converged when x_0 has map residual |c^N(x_0) - x_0| below
     cfg.newton_tol and surface residual within cfg.surface_tol of the
     surface.  The seeds come from one stream, seeded by cfg.rng_seed, in
-    batches of min(_SEED_CHUNK, cfg.seeds) tuples.  A converged tuple
-    holds a whole orbit (x_0, ..., x_{d-1}), and for real theta, where c
-    commutes with complex conjugation, so does its conjugate.  d, the
-    minimal period reported for each root of the orbit, is read once: the
-    least divisor d of N with c^d(x_0) within cfg.dedup_radius of x_0.
-    Each point of an orbit is admitted on its own, if it matches no root
-    and passes the convergence test on numpy columns and again on Python
-    scalars; a point that fails leaves its place to a later tuple of the
-    orbit.  Only a tuple whose x_0 lies on a whole orbit, one with as many
-    roots as its period, adds nothing.  The maps are surface's
+    batches of min(_SEED_CHUNK, cfg.seeds) tuples.  Every point of a
+    converged tuple is a candidate root on its own, and for real theta,
+    where c commutes with complex conjugation, so is every point of its
+    conjugate.  A candidate is admitted if it matches no root and passes
+    the convergence test on numpy columns and again on Python scalars; of
+    the copies of one point in a yield only the first is tested, and if
+    it fails, the point is left to a later yield.  The maps are surface's
     coxeter_apply, coxeter_jacobian, cubic_eval and cubic_gradient, run
     on coordinate columns.
 
@@ -595,82 +598,72 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     batches past cfg.seeds tuples.
     The divisor searches stop by the same rule at their own closed forms.
 
+    Once the search ends, one pass of c over the roots gives, for each
+    root x, the images c^k(x) (k = 1..N): its orbit is labelled by the
+    least index of a root that an image matches within cfg.dedup_radius,
+    itself included; its minimal period is the least divisor k of N with
+    c^k(x) within cfg.dedup_radius of x; and its residual is
+    |c^N(x) - x|.  An orbit that misses points is still one record.
+
     status is "saturated" when the root count differs from the closed
     form, else "partial" when some root's multiplicity estimate is below
     1e-6 and "complete" when none is.  Genericity of theta is the caller's
     burden (solve_for_kappa checks the walls).  Deterministic for a fixed
-    cfg.rng_seed.
+    cfg.rng_seed on one host: numpy's vectorised complex loops may round
+    differently on another CPU, and N = 6 on the reference kappa has ended
+    at 5760 roots on one host and at 5746 on another.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
-    roots, orbit_of, periods = _find_roots(t, N, cfg, {})
+    roots = _find_roots(t, N, cfg, {})
     cols = roots.T
-    residuals = _gap(coxeter_apply(cols, t, N), cols)
+    scale = cfg.dedup_radius * (1 + _max_abs(cols))
+    orbit_of, periods, y = np.arange(len(roots)), np.full(len(roots), N), cols
+    for k in range(1, N):
+        y = coxeter_apply(y, t)
+        match = _cluster_index(roots, np.array(y).T, cfg.dedup_radius)
+        orbit_of = np.where(match >= 0, np.minimum(orbit_of, match), orbit_of)
+        if N % k == 0:
+            periods[(periods == N) & (_gap(y, cols) <= scale)] = k
+    residuals = _gap(coxeter_apply(y, t), cols)
     mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
-    ids = np.array(orbit_of)
     status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
     return CountReport(N, closed, [(AffinePoint(*x), float(r)) for x, r in zip(roots, residuals)],
-                       multiplicities=mults.tolist(), minimal_periods=periods, status=status,
-                       orbits=[np.flatnonzero(ids == o).tolist() for o in dict.fromkeys(orbit_of)])
+                       multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
+                       orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
 
 
-def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
-    """The roots of c^N on S(t), as solve_periodic finds them.
+def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict) -> np.ndarray:
+    """The roots (K, 3) of c^N on S(t) that solve_periodic reports, in the
+    order found.
 
-    Returns (roots (K, 3), orbit_of, periods): for each root, orbit_of
-    gives the index of its orbit's first root and periods its minimal
-    period.  solved maps each period searched so far in this call to its
-    roots; each proper divisor d of N with per_count_closed(d) > 0 is
-    searched once, through it, and the first Newton batch, skipped if they
-    found no root, holds their roots as N-tuples (x, c(x), ...,
-    c^{N-1}(x)).  Each Newton batch is absorbed one yield at a time and
-    left as soon as the roots reach per_count_closed(N); the search ends
-    there, or on quiet batches.
+    solved maps each period searched so far in this call to its roots;
+    each proper divisor d of N with per_count_closed(d) > 0 is searched
+    once, through it, and the first Newton batch, skipped if they found no
+    root, holds their roots as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each
+    Newton batch is absorbed one yield at a time and left as soon as the
+    roots reach per_count_closed(N); the search ends there, or on quiet
+    batches.
     """
     radius = cfg.dedup_radius
     divisors = _proper_divisors(N)
     roots = np.empty((0, 3), dtype=complex)
-    orbit_of = []  # for each root, the index of its orbit's first root
-    period_of = []  # for each root, its minimal period
 
     def absorb(tuples: np.ndarray):
-        # a tuple whose x_0 lies on a whole orbit adds nothing; the others
-        # are taken one at a time, each point of the orbit on its own, so a
-        # tuple on an orbit that is not whole yet may supply what is missing
+        # every point of every tuple, then of every conjugate tuple, is a
+        # candidate; of those that match no root and converge, the first
+        # copy of each point goes on to the recheck on Python scalars
         nonlocal roots
         if not t.imag.any():
             tuples = np.concatenate([tuples, tuples.conj()])
-        # an orbit is whole once it holds as many roots as its period; no
-        # match (-1) reads the appended False
-        ids = np.array(orbit_of, dtype=int)
-        whole = np.bincount(ids)[ids] == np.array(period_of, dtype=int)
-        on_whole = np.append(whole, False)[_cluster_index(roots, tuples[:, :3], radius)]
-        tuples = tuples[~on_whole].reshape(-1, N, 3)
-        # each x_0's minimal period: the least divisor d of N with c^d(x_0) near x_0
-        x0 = tuples[:, 0].T
-        scale = radius * (1 + _max_abs(x0))
-        periods = np.full(len(tuples), N)
-        for d in reversed(divisors):
-            periods[_gap(coxeter_apply(x0, t, d), x0) <= scale] = d
-        while len(tuples):
-            orbit, d, tuples, periods = tuples[0], int(periods[0]), tuples[1:], periods[1:]
-            pts = orbit[:d]
-            x, idx = pts.T, _cluster_index(roots, pts, radius)
-            # d is read off c^d(x_0), not off the tuple, so a later x_k may
-            # still repeat an earlier point: no root is admitted twice
-            fresh = (idx < 0) & (_cluster_index(pts, pts, radius) == np.arange(d))
-            fresh &= _converged(x, t, N, cfg)
-            new = pts[[j for j in np.flatnonzero(fresh) if _converged_scalar(pts[j], t, N, cfg)]]
-            known = idx[idx >= 0]
-            orbit_of.extend([orbit_of[known[0]] if len(known) else len(roots)] * len(new))
-            period_of.extend([d] * len(new))
-            reps = np.concatenate([roots[known], new])
-            roots = np.concatenate([roots, new])
-            if len(reps) == d:
-                keep = _cluster_index(reps, tuples[:, 0], radius) < 0
-                tuples, periods = tuples[keep], periods[keep]
+        pts = tuples.reshape(-1, 3)
+        pts = pts[_cluster_index(roots, pts, radius) < 0]
+        pts = pts[_converged(pts.T, t, N, cfg)]
+        pts = pts[_cluster_index(pts, pts, radius) == np.arange(len(pts))]
+        scalar = np.array([_converged_scalar(x, t, N, cfg) for x in pts], dtype=bool)
+        roots = np.concatenate([roots, pts[scalar]])
 
     closed = per_count_closed(N)
 
@@ -682,7 +675,7 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
 
     for d in divisors:
         if per_count_closed(d) > 0 and d not in solved:
-            solved[d] = _find_roots(t, d, cfg, solved)[0]
+            solved[d] = _find_roots(t, d, cfg, solved)
     # one batch refines each divisor root x as the N-tuple (x, c(x), ..., c^{N-1}(x))
     divisor_roots = [x for d in divisors if d in solved for x in solved[d]]
     if divisor_roots:
@@ -701,7 +694,7 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict):
         quiet = 0 if len(roots) > before else quiet + 1
         if len(roots) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):
             break
-    return roots, orbit_of, period_of
+    return roots
 
 
 def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:

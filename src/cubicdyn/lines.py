@@ -275,7 +275,7 @@ def line_on_surface(line: ProjectiveLine, theta, tol: float = 1e-8):
         scale = 1 + float(np.max(np.abs(X))) ** 3
         r = abs(cubic_eval_hom(tuple(X), theta)) / scale
         worst = max(worst, r)
-    return worst <= tol, worst
+    return bool(worst <= tol), float(worst)
 
 
 def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine, tol: float = 1e-9):

@@ -148,7 +148,8 @@ def test_lines_subcommand():
     code, out = run(["lines", "--kappa", "1/3,1/4,1/5,1/7", "--verify", "--output", "json"])
     assert code == 0
     data = json.loads(out)
-    assert data["count"] == 27 and data["all_on_surface"]
+    assert data["count"] == 27 and data["all_on_surface"] is True
+    assert all(ln["on_surface"] is True for ln in data["lines"])
     assert [c["sigma"] for c in data["sigma_checks"]] == [1, 2, 3]
 
 

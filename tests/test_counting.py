@@ -394,18 +394,22 @@ def test_a_later_tuple_of_an_orbit_that_is_not_whole_completes_it(monkeypatch):
     assert calls == [(2, 200)]
 
 
-@pytest.mark.parametrize("one_per_conjugate_pair", [False, True])
+@pytest.mark.parametrize("one_per_conjugate_pair", [False, True, "repeated"])
 def test_whole_tuples_complete_a_solve_from_one_tuple_per_cycle(monkeypatch, one_per_conjugate_pair):
     from cubicdyn import counting
 
     # every seed chunk is answered by one converged tuple per 2-cycle, or
-    # per pair of conjugate 2-cycles: the whole tuples and their conjugates
-    # give all 22 roots, and no Newton batch runs but on seed chunks
+    # per pair of conjugate 2-cycles, or ("repeated") by every 2-cycle
+    # twice and once reversed, all in one yield: the whole tuples and
+    # their conjugates give all 22 roots in 11 orbits, each admitted once,
+    # and no Newton batch runs but on seed chunks
     kappa = random_offwall_kappa(np.random.default_rng(5))
     cfg = SolverConfig(seeds=200, rng_seed=5)
     x, orbits = _two_cycles(rh_params(kappa), cfg)
     chosen = orbits
-    if one_per_conjugate_pair:
+    if one_per_conjugate_pair == "repeated":
+        chosen = orbits + orbits + [o[::-1] for o in orbits]
+    elif one_per_conjugate_pair:
         orbit_of = {i: k for k, o in enumerate(orbits) for i in o}
         partner = counting._cluster_index(x, x.conj(), cfg.dedup_radius)
         chosen = []
@@ -415,7 +419,7 @@ def test_whole_tuples_complete_a_solve_from_one_tuple_per_cycle(monkeypatch, one
         assert len(chosen) < len(orbits)
     seed_chunk = _record_seed_chunks(monkeypatch, np.array([x[o].ravel() for o in chosen]))
     report = solve_for_kappa(kappa, 2, cfg)
-    assert report.status == "complete" and report.found == 22
+    assert report.status == "complete" and report.found == 22 and len(report.orbits) == 11
     assert seed_chunk and all(seed_chunk)
 
 
@@ -433,6 +437,32 @@ def test_an_unconverged_point_of_a_tuple_is_not_reported(monkeypatch):
     assert np.abs(points - tuples[0, 3:]).max(axis=1).min() > 1e-9
     assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() > 1e-6
     assert np.abs(points - x[orbits[0][0]]).max(axis=1).min() == 0
+    # the lone x_0 is an orbit record of its own, still of period 2
+    lone = np.flatnonzero(np.abs(points - x[orbits[0][0]]).max(axis=1) == 0).tolist()
+    assert len(report.orbits) == 11 and lone in report.orbits
+    assert report.minimal_periods == [2] * 21
+
+
+def test_a_partial_orbit_is_one_record(monkeypatch):
+    from cubicdyn import counting
+
+    # theta is complex, so no conjugate tuple stands in: every batch yields
+    # one 3-cycle (x_0, x_1, x_2) with x_1 off by 1e-3.  x_0 and x_2 are
+    # admitted, and c^2(x_0) = x_2 ties them into one orbit of period 3
+    radius = SolverConfig.dedup_radius
+    report = solve_periodic(_COMPLEX_THETA, 3, SolverConfig(seeds=20000))
+    x = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    t = counting._coerce_theta4(_COMPLEX_THETA)
+    image = counting._cluster_index(x, np.array(coxeter_apply(x.T, t)).T, radius)
+    cycle = [0, image[0], image[image[0]]]
+    lagging = x[cycle].ravel()[None]
+    lagging[0, 3:6] += 1e-3
+    _record_newton_batch(monkeypatch, lambda *_: iter([lagging]))
+    partial = solve_periodic(_COMPLEX_THETA, 3, SolverConfig(seeds=1))
+    points = np.array([p.as_tuple() for p, _ in partial.points], dtype=complex)
+    assert partial.found == 2 and partial.status == "saturated"
+    assert np.array_equal(points, x[[cycle[0], cycle[2]]])
+    assert partial.orbits == [[0, 1]] and partial.minimal_periods == [3, 3]
 
 
 @pytest.mark.parametrize("block", [1, 4, None])

@@ -7,7 +7,9 @@ file can supply defaults that individual flags override.  An option left
 unset keeps the default of the library function it is passed to.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-any other error (one line on stderr, no traceback), 2 usage error.
+any other error (one line on stderr, no traceback), 2 usage error.  A
+reader that closes standard output early gets exit code 1 and nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 from fractions import Fraction
 
@@ -335,6 +338,8 @@ def _cmd_lines(args):
 
 
 def _cmd_orbit(args):
+    if args.iters < 0:
+        raise ValueError("iters must be >= 0")
     word = surface.parse_word(args.word)
     x = tuple(parse_complex(v) for v in _split_list(args.x))
     if len(x) != 3:
@@ -428,6 +433,9 @@ def dispatch(argv, stream=None) -> int:
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone away, and nothing more can reach it
+        return 1
     except Exception as exc:
         # the CLI's boundary: one line on stderr, the traceback at DEBUG
         _log.debug("unexpected error in %s", args.command, exc_info=True)
@@ -436,7 +444,15 @@ def dispatch(argv, stream=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone away: point stdout at devnull, so that the
+        # flush at exit does not fail again and print to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -191,7 +191,8 @@ class SolverConfig:
     seeds is the number of seed tuples drawn before the search may stop
     short of the closed form (see solve_periodic); the default serves
     every period, and it applies to each period solved, the divisors of N
-    included.
+    included.  It also caps the width of each seed batch (see
+    solve_periodic).
 
     The rest are class constants: newton_tol, surface_tol (see _converged)
     and dedup_radius define what a complete report certifies.  Once seeds
@@ -509,7 +510,24 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray
     return xnew, improved
 
 
-def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray:
+def _sort_reps(reps: np.ndarray, radius: float):
+    """The index that _cluster_index searches reps (C, 3) by, as (scale,
+    order, key): each representative's match radius, in reps' order; the
+    order of reps by Re x_1; and Re x_1 in that order."""
+    order = np.argsort(reps[:, 0].real)
+    return radius * (1 + np.abs(reps).max(axis=1)), order, reps[order, 0].real
+
+
+def _insert_reps(index, new: np.ndarray, radius: float):
+    """The _sort_reps index of reps with new (K, 3) appended, from the
+    index of reps: each new key is merged in by binary search."""
+    scale, order, key = index
+    s, o, k = _sort_reps(new, radius)
+    at = np.searchsorted(key, k)
+    return np.concatenate([scale, s]), np.insert(order, at, o + len(scale)), np.insert(key, at, k)
+
+
+def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float, index=None) -> np.ndarray:
     """For each point of x (K, 3), the index of the first representative of
     reps (C, 3) within radius * (1 + max |rep_i|) of it in every
     coordinate, or -1 if there is none.
@@ -517,11 +535,12 @@ def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray
     A point is compared only with the representatives whose Re x_1 lies
     within twice the largest scale of its own, found by binary search; the
     margin covers the rounding of the window's edges, so the result equals
-    the scan over all pairs.  reps must be finite.
+    the scan over all pairs.  reps must be finite.  index, if given, is
+    _sort_reps(reps, radius), kept by a caller whose reps only grow; the
+    order of equal keys in it does not change the result.
     """
-    scale = radius * (1 + np.abs(reps).max(axis=1))
-    order = np.argsort(reps[:, 0].real)
-    key, width = reps[order, 0].real, 2 * scale.max(initial=0)
+    scale, order, key = _sort_reps(reps, radius) if index is None else index
+    width = 2 * scale.max(initial=0)
     lo = np.searchsorted(key, x[:, 0].real - width)
     count = np.searchsorted(key, x[:, 0].real + width, side="right") - lo
     point = np.repeat(np.arange(len(x)), count)
@@ -553,6 +572,11 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 
 
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
+# The first batch of a search holds this many seed tuples per root it must
+# find.  On 40 random kappa, 9 N = 2 searches need a second batch at 8, 30
+# at 4, and the extra batches cost more than the narrower first ones save;
+# at 16 the N = 3 searches take longer in total
+_TUPLES_PER_ROOT = 8
 
 
 def _proper_divisors(N: int) -> list:
@@ -567,8 +591,10 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     from tuples of N independent seeds (see _newton_batch).  A tuple counts
     as converged when x_0 has map residual |c^N(x_0) - x_0| below
     cfg.newton_tol and surface residual within cfg.surface_tol of the
-    surface.  The seeds come from one stream, seeded by cfg.rng_seed, in
-    batches of min(_SEED_CHUNK, cfg.seeds) tuples.  Every point of a
+    surface.  The seeds come from one stream, seeded by cfg.rng_seed.  The
+    first batch of a search at period n holds min(_SEED_CHUNK, cfg.seeds,
+    _TUPLES_PER_ROOT * per_count_closed(n)) tuples, and each later batch
+    twice as many, up to min(_SEED_CHUNK, cfg.seeds).  Every point of a
     converged tuple is a candidate root on its own, and for real theta,
     where c commutes with complex conjugation, so is every point of its
     conjugate.  A candidate is admitted if it matches no root and passes
@@ -592,8 +618,9 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     per_count_closed(N), partway through a batch if need be.  Short of
     that, it stops after a batch once cfg.seeds tuples are drawn and the
     last saturation_batches batches added no root; a batch left early
-    counts as all its tuples drawn.  The first batch always runs.  Every
-    batch that is not quiet adds a root, and the search stops at the
+    counts as all its tuples drawn.  A search whose roots already number
+    the closed form draws no batch, as at N = 1, whose closed form is 0.
+    Every batch that is not quiet adds a root, and the search stops at the
     closed form, so it ends within saturation_batches * (closed form + 1)
     batches past cfg.seeds tuples.
     The divisor searches stop by the same rule at their own closed forms.
@@ -645,25 +672,30 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict) -> np.nd
     root, holds their roots as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each
     Newton batch is absorbed one yield at a time and left as soon as the
     roots reach per_count_closed(N); the search ends there, or on quiet
-    batches.
+    batches.  The seed batches start at _TUPLES_PER_ROOT tuples per root
+    to find and double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index
+    for _cluster_index is kept across yields, each yield's new roots merged
+    in.
     """
     radius = cfg.dedup_radius
     divisors = _proper_divisors(N)
     roots = np.empty((0, 3), dtype=complex)
+    index = _sort_reps(roots, radius)
 
     def absorb(tuples: np.ndarray):
         # every point of every tuple, then of every conjugate tuple, is a
         # candidate; of those that match no root and converge, the first
         # copy of each point goes on to the recheck on Python scalars
-        nonlocal roots
+        nonlocal roots, index
         if not t.imag.any():
             tuples = np.concatenate([tuples, tuples.conj()])
         pts = tuples.reshape(-1, 3)
-        pts = pts[_cluster_index(roots, pts, radius) < 0]
+        pts = pts[_cluster_index(roots, pts, radius, index) < 0]
         pts = pts[_converged(pts.T, t, N, cfg)]
         pts = pts[_cluster_index(pts, pts, radius) == np.arange(len(pts))]
-        scalar = np.array([_converged_scalar(x, t, N, cfg) for x in pts], dtype=bool)
-        roots = np.concatenate([roots, pts[scalar]])
+        pts = pts[np.array([_converged_scalar(x, t, N, cfg) for x in pts], dtype=bool)]
+        roots = np.concatenate([roots, pts])
+        index = _insert_reps(index, pts, radius)
 
     closed = per_count_closed(N)
 
@@ -685,15 +717,15 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict) -> np.nd
         run_batch(np.concatenate(orbit))
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
-    size = min(_SEED_CHUNK, cfg.seeds)
+    full = min(_SEED_CHUNK, cfg.seeds)
+    size = min(full, _TUPLES_PER_ROOT * closed)
     drawn = quiet = 0
-    while True:
+    while len(roots) != closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
         before = len(roots)
         run_batch(_make_tuples(size, N, t, rng))
         drawn += size
         quiet = 0 if len(roots) > before else quiet + 1
-        if len(roots) == closed or (drawn >= cfg.seeds and quiet >= cfg.saturation_batches):
-            break
+        size = min(2 * size, full)
     return roots
 
 

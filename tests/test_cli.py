@@ -144,6 +144,13 @@ def test_orbit_subcommand():
     assert data["status"] in ("ok", "escaped")
 
 
+def test_orbit_negative_iters_exit_code(capsys):
+    code, out = run(["orbit", "--word", "s1 s2 s3", "--x", "0.1,0.2,0.3",
+                     "--kappa", "1/3,1/4,1/5,1/7", "--iters", "-1", "--output", "json"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: iters must be >= 0\n"
+
+
 def test_lines_subcommand():
     code, out = run(["lines", "--kappa", "1/3,1/4,1/5,1/7", "--verify", "--output", "json"])
     assert code == 0
@@ -280,6 +287,36 @@ def test_unexpected_error_exit_code(monkeypatch, capsys):
     assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err == "error: unexpected RuntimeError: injected failure\n"
+
+
+def test_a_closed_output_stream_exits_1_in_silence(capsys):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    assert dispatch(["zeta", "--order", "30", "--output", "json"], stream=Closed()) == 1
+    assert capsys.readouterr() == ("", "")
+
+
+def test_the_console_script_exits_1_in_silence_when_its_reader_leaves():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cubicdyn
+
+    # like `cubicdyn zeta --order 3000 --output json | head -c 100`: the
+    # reader leaves long before the output is written
+    src = str(Path(cubicdyn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "cubicdyn.cli", "zeta", "--order", "3000", "--output", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == b""
 
 
 def test_solve_default_config_matches_solver(monkeypatch):

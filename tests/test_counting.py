@@ -391,7 +391,8 @@ def test_a_later_tuple_of_an_orbit_that_is_not_whole_completes_it(monkeypatch):
     assert report.status == "complete" and report.found == 22
     points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
     assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() == 0
-    assert calls == [(2, 200)]
+    # one batch of 8 tuples for each of the 22 roots to find
+    assert calls == [(2, 176)]
 
 
 @pytest.mark.parametrize("one_per_conjugate_pair", [False, True, "repeated"])
@@ -734,6 +735,30 @@ def test_cluster_index_matches_the_linear_scan(chunk):
     assert -1 in want and 3 in want and len(set(want)) > 10
 
 
+def test_an_index_merged_yield_by_yield_matches_like_a_fresh_one():
+    from cubicdyn import counting
+
+    # representatives arrive in chunks, one empty and some repeating
+    # earlier keys: the merged index stays sorted by Re x_1, and matching
+    # through it gives what a fresh sort gives
+    rng = np.random.default_rng(1)
+    radius = 0.05
+    reps = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
+    reps[40:50] = reps[:10] + 0.01j  # the same Re x_1 as earlier roots
+    near = reps[rng.integers(0, 60, size=500)]
+    x = near + radius * (1 + np.abs(near).max(axis=1))[:, None] * rng.uniform(-1.5, 1.5, size=(500, 3))
+    index = counting._sort_reps(reps[:0], radius)
+    for lo, hi in [(0, 7), (7, 7), (7, 30), (30, 31), (31, 60)]:
+        index = counting._insert_reps(index, reps[lo:hi], radius)
+        scale, order, key = index
+        assert sorted(order) == list(range(hi)) and np.array_equal(key, reps[order, 0].real)
+        assert np.all(np.diff(key) >= 0)
+        assert np.array_equal(scale, counting._sort_reps(reps[:hi], radius)[0])
+        got = counting._cluster_index(reps[:hi], x, radius, index)
+        assert np.array_equal(got, counting._cluster_index(reps[:hi], x, radius))
+    assert (got >= 40).any() and (got == -1).any()
+
+
 def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     seed_chunk = _record_seed_chunks(monkeypatch)
     calls = _record_newton_batch(monkeypatch)
@@ -742,12 +767,12 @@ def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
-    # the period-2 solve comes first, one batch refines its 22 roots as
-    # period-4 tuples, and their roots head the report; one chunk of
-    # period-4 tuples finds the rest.  Every other Newton batch runs on a
-    # seed chunk: the orbits come whole from the tuples, not from a second
-    # batch on images
-    assert calls == [(2, 2048), (4, 22), (4, 2048)]
+    # the period-2 solve comes first, in one batch of 8 tuples per root,
+    # one batch refines its 22 roots as period-4 tuples, and their roots
+    # head the report; one chunk of period-4 tuples finds the rest.  Every
+    # other Newton batch runs on a seed chunk: the orbits come whole from
+    # the tuples, not from a second batch on images
+    assert calls == [(2, 176), (4, 22), (4, 2048)]
     assert seed_chunk == [True, False, True]
     assert report.minimal_periods[0] == 2
 
@@ -788,7 +813,7 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     (point, before), = rejected
     # offered by the divisor solve
     assert min(max(abs(a - b) for a, b in zip(p, point)) for p in two) <= cfg.dedup_radius
-    assert before == [(2, 2048), (4, 22)]
+    assert before == [(2, 176), (4, 22)]
     points = [tuple(map(complex, p.as_tuple())) for p, _ in report.points]
     assert point not in points
     assert sum(max(abs(a - b) for a, b in zip(p, point)) < 1e-6 for p in points) == 1
@@ -804,7 +829,7 @@ def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=7))
     assert report.status == "complete"
-    assert calls == [(2, 2048), (4, 22), (4, 2048)]
+    assert calls == [(2, 176), (4, 22), (4, 2048)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
@@ -921,16 +946,41 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
     from cubicdyn import counting
 
     # the first k batches each find one new 2-cycle and no batch after does:
-    # every batch holds one chunk, and the search stops once 5000 seeds are
-    # drawn and saturation_batches batches in a row were quiet.  theta is
-    # complex, so no conjugate is harvested
+    # the batches double from 176 tuples to one chunk, and the search stops
+    # once 5000 seeds are drawn and saturation_batches batches in a row were
+    # quiet (k = 0: 4688 are drawn after five batches, so a sixth runs).
+    # theta is complex, so no conjugate is harvested
     x, orbits = _two_cycles(_COMPLEX_THETA, SolverConfig(seeds=200, rng_seed=5))
     answers = [[x[o].ravel()[None]] for o in orbits[:k]]
     calls = _record_newton_batch(
         monkeypatch, lambda *_: iter(answers.pop(0) if answers else []))
     report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=5000))
     assert report.status == "saturated" and report.found == 2 * k
-    assert calls == [(2, counting._SEED_CHUNK)] * (5 + k)
+    widths = [176, 352, 704, 1408] + [counting._SEED_CHUNK] * 5
+    assert calls == [(2, w) for w in widths[:max(6, 5 + k)]]
+
+
+@pytest.mark.parametrize("seeds, widths", [(20000, [176, 352, 704, 1408] + [2048] * 9),
+                                           (300, [176] + [300] * 4)])
+def test_a_quiet_search_doubles_its_batches_and_counts_the_tuples_drawn(monkeypatch, seeds, widths):
+    # no tuple converges: the first batch holds 8 tuples for each of the 22
+    # roots, each later one twice as many up to min(_SEED_CHUNK, seeds), and
+    # the search stops once the tuples drawn reach seeds and
+    # saturation_batches batches in a row were quiet: 20000 after the
+    # thirteenth batch, 300 before the fifth quiet one
+    calls = _record_newton_batch(monkeypatch, lambda *_: iter(()))
+    report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=seeds))
+    assert report.status == "saturated" and report.found == 0
+    assert calls == [(2, w) for w in widths]
+
+
+def test_a_search_with_no_root_to_find_runs_no_newton_batch(monkeypatch):
+    # per_count_closed(1) = 0: the fixed-point search is complete before
+    # any seed is drawn
+    calls = _record_newton_batch(monkeypatch)
+    report = solve_periodic(_COMPLEX_THETA, 1, SolverConfig())
+    assert report.status == "complete" and report.found == 0
+    assert calls == []
 
 
 def test_solve_stops_at_the_closed_form(monkeypatch):

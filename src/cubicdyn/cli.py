@@ -52,7 +52,10 @@ def parse_complex(text):
 def parse_scalar(text):
     """Parse a rational ("3/10"), integer, real, or complex scalar."""
     if isinstance(text, str) and "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     v = parse_complex(text)
     if v.imag == 0 and isinstance(text, str) and "i" not in text and "j" not in text:
         # keep exact integers exact for wall membership

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar
 
 import numpy as np
@@ -22,6 +23,7 @@ from .surface import (
     DEFAULT_SURFACE_TOL,
     AffinePoint,
     _coerce_theta,
+    _max_abs,
     coxeter_apply,
     coxeter_jacobian,
     cubic_eval,
@@ -43,20 +45,13 @@ __all__ = [
 ]
 
 
-def _s_sequence(n: int) -> list:
-    """s_N = (2+sqrt5)^N + (2-sqrt5)^N as exact integers, indices 0..n."""
-    s = [2, 4]
-    while len(s) <= n:
-        s.append(4 * s[-1] + s[-2])
-    return s[: n + 1]
-
-
-def _c_sequence(n: int) -> list:
-    """C_N = (9+4 sqrt5)^N + (9-4 sqrt5)^N as exact integers, indices 0..n."""
-    c = [2, 18]
-    while len(c) <= n:
-        c.append(18 * c[-1] - c[-2])
-    return c[: n + 1]
+def _recurrence(a0: int, a1: int, p: int, q: int):
+    """The exact integers a_0, a_1, ... with a_{n+2} = p a_{n+1} + q a_n, lazily,
+    so that term N costs no list of the earlier ones: s_N is
+    _recurrence(2, 4, 4, 1) and C_N is _recurrence(2, 18, 18, -1)."""
+    while True:
+        yield a0
+        a0, a1 = a1, p * a1 + q * a0
 
 
 def lefschetz_number(N: int):
@@ -70,7 +65,7 @@ def lefschetz_number(N: int):
     if N < 1:
         raise ValueError("N must be >= 1")
     exact = 1 + trace_power(coxeter_star(), N) + 1
-    closed = _s_sequence(N)[N] + 4 * (-1) ** N + 2
+    closed = next(islice(_recurrence(2, 4, 4, 1), N, None)) + 4 * (-1) ** N + 2
     if exact != closed:
         raise AssertionError(f"Lefschetz trace {exact} differs from the closed form {closed} at N={N}")
     return exact, closed
@@ -86,7 +81,7 @@ def per_count_closed(N: int, space: str = "affine") -> int:
         raise ValueError("N must be >= 1")
     if space not in ("affine", "projective"):
         raise ValueError(f"unknown space {space!r}")
-    val = _s_sequence(N)[N] + 4 * (-1) ** N
+    val = next(islice(_recurrence(2, 4, 4, 1), N, None)) + 4 * (-1) ** N
     return val + 1 if space == "projective" else val
 
 
@@ -94,7 +89,7 @@ def per_kappa_closed(N: int) -> int:
     """Number of N-periodic solutions along the full loop: C_N + 4."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _c_sequence(N)[N] + 4
+    return next(islice(_recurrence(2, 18, 18, -1), N, None)) + 4
 
 
 # (1-z)^4 (1-18z+z^2), the zeta function's denominator, lowest degree first
@@ -145,8 +140,8 @@ def verify_counts(n_max: int) -> dict:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    s = _s_sequence(2 * n_max)
-    c = _c_sequence(n_max)
+    s = list(islice(_recurrence(2, 4, 4, 1), 2 * n_max + 1))
+    c = list(islice(_recurrence(2, 18, 18, -1), n_max + 1))
     cstar = coxeter_star()
     power = LatticeEndo.identity()
     rows = []
@@ -261,13 +256,8 @@ def _coerce_theta4(theta) -> np.ndarray:
     return np.array([complex(t) for t in _coerce_theta(theta)], dtype=complex)
 
 
-def _max_abs(x) -> np.ndarray:
-    """max(|x1|, |x2|, |x3|) per point; nan if any entry is nan."""
-    return np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
-
-
-def _gap(y, x) -> np.ndarray:
-    """max_i |y_i - x_i| per point of three columns."""
+def _gap(y, x):
+    """max_i |y_i - x_i| of a point, or per point of three columns."""
     return _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
 
 
@@ -328,25 +318,20 @@ def _normal_equations(x, t, n: int):
     return a, jhr, res
 
 
-def _converged(x, t: np.ndarray, n: int, cfg: SolverConfig):
-    """The solver's convergence test, per point of x (3, M) at period n:
-    the map residual max |c^n(x) - x| is below cfg.newton_tol and f(x)
-    lies within cfg.surface_tol (1 + max |x_i|^3) of zero."""
-    gap = _gap(coxeter_apply(x, t, n), x)
-    return (gap < cfg.newton_tol) & (np.abs(cubic_eval(x, t)) <= cfg.surface_tol * (1 + _max_abs(x) ** 3))
+def _converged(x, t, n: int, cfg: SolverConfig):
+    """The solver's convergence test at period n: the map residual
+    max |c^n(x) - x| is below cfg.newton_tol and |f(x)| is within
+    surface_residual_bound(x, cfg.surface_tol).
 
-
-def _converged_scalar(x, t: np.ndarray, n: int, cfg: SolverConfig) -> bool:
-    """_converged for one point x (3,) of period n, on Python complex scalars.
-
-    numpy's array loops round complex products and abs differently from
-    Python's scalar arithmetic, so a point that passes on columns can miss
-    newton_tol when re-evaluated one point at a time, as any independent
-    check of a report does.
+    x is numpy coordinate columns (3, M) with t a numpy array, tested per
+    point, or one point of three Python complex scalars with t four Python
+    complex scalars.  A point is tested in Python's own arithmetic and abs,
+    as any independent check of a report re-evaluates it; numpy's array
+    loops round complex products and abs differently, so a point that
+    passes on columns can fail as a point.
     """
-    p, theta = tuple(complex(v) for v in x), tuple(complex(v) for v in t)
-    gap = max(abs(a - b) for a, b in zip(coxeter_apply(p, theta, n), p))
-    return gap < cfg.newton_tol and abs(cubic_eval(p, theta)) <= surface_residual_bound(p, cfg.surface_tol)
+    gap = _gap(coxeter_apply(x, t, n), x)
+    return (gap < cfg.newton_tol) & (abs(cubic_eval(x, t)) <= surface_residual_bound(x, cfg.surface_tol))
 
 
 def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
@@ -579,39 +564,35 @@ _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 _TUPLES_PER_ROOT = 8
 
 
-def _proper_divisors(N: int) -> list:
-    return [d for d in range(1, N) if N % d == 0]
-
-
 def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
     """Find the N-periodic points of c on S(theta) by multistart Newton.
 
     Damped Gauss-Newton runs on the multiple-shooting system
     c(x_k) = x_{k+1 mod N} (k = 0..N-1) with f(x_0) = 0 in ambient C^{3N},
     from tuples of N independent seeds (see _newton_batch).  A tuple counts
-    as converged when x_0 has map residual |c^N(x_0) - x_0| below
-    cfg.newton_tol and surface residual within cfg.surface_tol of the
-    surface.  The seeds come from one stream, seeded by cfg.rng_seed.  The
+    as converged when x_0 passes _converged: map residual |c^N(x_0) - x_0|
+    below cfg.newton_tol, and surface residual within
+    surface_residual_bound(x_0, cfg.surface_tol).  The seeds come from one
+    stream, seeded by cfg.rng_seed.  The
     first batch of a search at period n holds min(_SEED_CHUNK, cfg.seeds,
     _TUPLES_PER_ROOT * per_count_closed(n)) tuples, and each later batch
     twice as many, up to min(_SEED_CHUNK, cfg.seeds).  Every point of a
     converged tuple is a candidate root on its own, and for real theta,
     where c commutes with complex conjugation, so is every point of its
     conjugate.  A candidate is admitted if it matches no root and passes
-    the convergence test on numpy columns and again on Python scalars; of
-    the copies of one point in a yield only the first is tested, and if
-    it fails, the point is left to a later yield.  The maps are surface's
-    coxeter_apply, coxeter_jacobian, cubic_eval and cubic_gradient, run
-    on coordinate columns.
+    _converged on numpy columns and then on Python scalars; of the copies
+    of one point in a yield only the first is tested, and if it fails, the
+    point is left to a later yield.  The maps are surface's coxeter_apply,
+    coxeter_jacobian, cubic_eval and cubic_gradient, run on coordinate
+    columns.
 
-    Before its own batches, the search solves each proper divisor d of N
-    with per_count_closed(d) > 0 in the same way, with the same cfg and
-    its own stream of the same seed, once per call (N = 8 solves d = 2
-    once, for d = 4 and for 8).  The roots found there, each as the
-    N-tuple (x, c(x), ..., c^{N-1}(x)), make up one period-N Newton
-    batch, absorbed like the others, so the divisor roots head the report;
-    a root whose error has grown past the tests over the longer orbit is
-    refined there at period N.
+    The divisors n of N are searched in ascending order, N last, each in
+    the same way, with the same cfg and its own stream of the same seed.
+    The roots of the proper divisors of n, each as the n-tuple
+    (x, c(x), ..., c^{n-1}(x)), make up the first period-n Newton batch,
+    absorbed like the others, so the divisor roots head the report; a root
+    whose error has grown past the test over the longer orbit is refined
+    there at period n.
 
     A batch hands over its converged tuples after each Newton iteration,
     and the search stops as soon as the number of roots equals
@@ -623,7 +604,7 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     Every batch that is not quiet adds a root, and the search stops at the
     closed form, so it ends within saturation_batches * (closed form + 1)
     batches past cfg.seeds tuples.
-    The divisor searches stop by the same rule at their own closed forms.
+    Each divisor search stops by the same rule at its own closed form.
 
     Once the search ends, one pass of c over the roots gives, for each
     root x, the images c^k(x) (k = 1..N): its orbit is labelled by the
@@ -644,7 +625,10 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
         raise ValueError("N must be >= 1")
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
-    roots = _find_roots(t, N, cfg, {})
+    found = {}  # each divisor of N searched so far, in ascending order, to its roots
+    for n in [d for d in range(1, N + 1) if N % d == 0]:
+        found[n] = _find_roots(t, n, cfg, [found[d] for d in found if n % d == 0])
+    roots = found[N]
     cols = roots.T
     scale = cfg.dedup_radius * (1 + _max_abs(cols))
     orbit_of, periods, y = np.arange(len(roots)), np.full(len(roots), N), cols
@@ -662,30 +646,28 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
                        orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
 
 
-def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict) -> np.ndarray:
+def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -> np.ndarray:
     """The roots (K, 3) of c^N on S(t) that solve_periodic reports, in the
     order found.
 
-    solved maps each period searched so far in this call to its roots;
-    each proper divisor d of N with per_count_closed(d) > 0 is searched
-    once, through it, and the first Newton batch, skipped if they found no
-    root, holds their roots as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each
-    Newton batch is absorbed one yield at a time and left as soon as the
-    roots reach per_count_closed(N); the search ends there, or on quiet
-    batches.  The seed batches start at _TUPLES_PER_ROOT tuples per root
-    to find and double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index
-    for _cluster_index is kept across yields, each yield's new roots merged
-    in.
+    divisor_roots holds the roots of the proper divisors of N, one (K, 3)
+    array each; the first Newton batch, skipped if they hold no root,
+    holds them as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each Newton batch
+    is absorbed one yield at a time and left as soon as the roots reach
+    per_count_closed(N); the search ends there, or on quiet batches.  The
+    seed batches start at _TUPLES_PER_ROOT tuples per root to find and
+    double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index for
+    _cluster_index is kept across yields, each yield's new roots merged in.
     """
     radius = cfg.dedup_radius
-    divisors = _proper_divisors(N)
+    theta = tuple(complex(v) for v in t)
     roots = np.empty((0, 3), dtype=complex)
     index = _sort_reps(roots, radius)
 
     def absorb(tuples: np.ndarray):
         # every point of every tuple, then of every conjugate tuple, is a
-        # candidate; of those that match no root and converge, the first
-        # copy of each point goes on to the recheck on Python scalars
+        # candidate; of those that match no root and converge on columns,
+        # the first copy of each point is tested again on Python scalars
         nonlocal roots, index
         if not t.imag.any():
             tuples = np.concatenate([tuples, tuples.conj()])
@@ -693,7 +675,7 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict) -> np.nd
         pts = pts[_cluster_index(roots, pts, radius, index) < 0]
         pts = pts[_converged(pts.T, t, N, cfg)]
         pts = pts[_cluster_index(pts, pts, radius) == np.arange(len(pts))]
-        pts = pts[np.array([_converged_scalar(x, t, N, cfg) for x in pts], dtype=bool)]
+        pts = pts[np.array([_converged(x, theta, N, cfg) for x in pts.tolist()], dtype=bool)]
         roots = np.concatenate([roots, pts])
         index = _insert_reps(index, pts, radius)
 
@@ -705,13 +687,10 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, solved: dict) -> np.nd
             if len(roots) == closed:
                 break
 
-    for d in divisors:
-        if per_count_closed(d) > 0 and d not in solved:
-            solved[d] = _find_roots(t, d, cfg, solved)
     # one batch refines each divisor root x as the N-tuple (x, c(x), ..., c^{N-1}(x))
-    divisor_roots = [x for d in divisors if d in solved for x in solved[d]]
-    if divisor_roots:
-        orbit = [np.array(divisor_roots).T]
+    start = np.concatenate([roots, *divisor_roots])
+    if len(start):
+        orbit = [start.T]
         for _ in range(N - 1):
             orbit.append(np.array(coxeter_apply(orbit[-1], t)))
         run_batch(np.concatenate(orbit))

@@ -155,8 +155,8 @@ class LatticeEndo:
         while N:
             if N & 1:
                 result = result @ base
-            base = base @ base
             N >>= 1
+            base = base @ base if N else base
         return result
 
     def to_json(self) -> list:

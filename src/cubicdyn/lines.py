@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
+# scaled residual within which a point lies on a line and a line on the surface
+_LINE_TOL = 1e-8
 
 
 def _normalize4(v):
@@ -124,7 +126,7 @@ class ProjectiveLine:
         v = v - v[0] * u
         return [tuple(u + t * v)[1:] for t in (1, 2, 3)]
 
-    def contains_affine(self, x, tol: float = 1e-8) -> bool:
+    def contains_affine(self, x, tol: float = _LINE_TOL) -> bool:
         X = np.array([1, *x], dtype=complex)
         scale = 1 + np.max(np.abs(X))
         return all(
@@ -263,7 +265,7 @@ def all_lines(b: EigenParams) -> list:
     return lines
 
 
-def line_on_surface(line: ProjectiveLine, theta, tol: float = 1e-8):
+def line_on_surface(line: ProjectiveLine, theta, tol: float = _LINE_TOL):
     """Whether the line lies on the surface, with the max residual.
 
     Samples five points of the line (four suffice: a cubic vanishing at
@@ -300,7 +302,7 @@ def _quadratic_roots(a, b, c):
     return ((-b + sq) / (2 * a), (-b - sq) / (2 * a))
 
 
-def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = 1e-8) -> dict:
+def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL) -> dict:
     """Check how sigma_i permutes the affine lines (general position only).
 
     Verifies the four line swaps (the E/G pairs of the two other

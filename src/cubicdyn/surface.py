@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from .params import ThetaPoint
 
@@ -58,10 +59,22 @@ def _coerce_theta(theta):
     return t
 
 
-def surface_residual_bound(x: Sequence, tol: float = DEFAULT_SURFACE_TOL) -> float:
-    """Residual threshold scaled by the cubic growth of f: tol * (1 + |x|^3)."""
-    nrm = max(abs(complex(v)) for v in x)
-    return tol * (1 + nrm**3)
+def _max_abs(x):
+    """max(|x1|, |x2|, |x3|) of a point, or per point of coordinate columns;
+    nan if any entry is nan."""
+    x1, x2, x3 = x
+    return np.maximum(np.maximum(abs(x1), abs(x2)), abs(x3))
+
+
+def surface_residual_bound(x, tol: float = DEFAULT_SURFACE_TOL):
+    """Residual threshold scaled by the cubic growth of f: tol * (1 + max |x_i|^3).
+
+    x is one point of complex or float coordinates, or numpy coordinate
+    columns, bounded per point.  A point of Python complex scalars is
+    bounded with Python's abs, bit for bit as max(abs(v) for v in x) would.
+    The float exponent cubes integer entries in floating point, not int64.
+    """
+    return tol * (1 + _max_abs(x) ** 3.0)
 
 
 @dataclass(frozen=True)
@@ -213,8 +226,8 @@ def g_apply(i: int, sign: int, x, theta):
     return sigma_apply(j, swap(x), t), t
 
 
-def _max_abs(x) -> float:
-    return max(abs(complex(v)) for v in x)
+def _escaped(x, escape_radius: float) -> bool:
+    return max(abs(complex(v)) for v in x) > escape_radius
 
 
 def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> MapResult:
@@ -230,7 +243,7 @@ def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_
             y = sigma_apply(letter.index, y, t)
         else:
             y, t = g_apply(letter.index, letter.power, y, t)
-        if _max_abs(y) > escape_radius:
+        if _escaped(y, escape_radius):
             return MapResult(AffinePoint(*y), ThetaPoint(*t), "escaped")
     return MapResult(AffinePoint(*y), ThetaPoint(*t), "ok")
 
@@ -266,6 +279,6 @@ def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RAD
             j, k = _FIXED_PAIR[i]
             jac[i - 1] = [-a - y[k] * b - y[j] * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
             y = sigma_apply(i, y, t)
-        if escape_radius != math.inf and _max_abs(y) > escape_radius:
+        if escape_radius != math.inf and _escaped(y, escape_radius):
             raise ValueError(f"orbit escaped before {N} iterations")
     return jac

@@ -174,6 +174,13 @@ def test_malformed_number_exit_code():
     assert code == 1
 
 
+@pytest.mark.parametrize("kappa, entry", [("3/0,1/4,1/5,1/7", "3/0"), ("1/3,1/4,1/5,-2/0", "-2/0")])
+def test_a_zero_denominator_exits_1_naming_the_entry(capsys, kappa, entry):
+    code, out = run(["params", "--kappa", kappa])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: zero denominator in {entry!r}\n"
+
+
 def test_solve_on_wall_exit_code(capsys):
     code, _ = run(["solve", "--kappa", "1,1/4,1/5,1/7", "--N", "2"])
     assert code == 1

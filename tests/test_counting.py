@@ -1,6 +1,7 @@
 """Tests for the exact counts, zeta function, and the numeric solver."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -129,14 +130,29 @@ def test_verify_counts_rows_match_the_closed_forms():
 def test_verify_counts_raises_on_a_wrong_c_sequence_or_zeta(monkeypatch):
     from cubicdyn import counting
 
-    c_sequence, zeta = counting._c_sequence, counting.zeta_coefficients
-    monkeypatch.setattr(counting, "_c_sequence", lambda n: [v + (i == 3) for i, v in enumerate(c_sequence(n))])
+    # C_N is the recurrence whose term 1 is 18; only its term 3 is made wrong
+    recurrence, zeta = counting._recurrence, counting.zeta_coefficients
+    monkeypatch.setattr(counting, "_recurrence", lambda a0, a1, p, q: (
+        v + (a1 == 18 and i == 3) for i, v in enumerate(recurrence(a0, a1, p, q))))
     with pytest.raises(AssertionError, match="per_kappa vs per_6 mismatch at N=3"):
         verify_counts(5)
-    monkeypatch.setattr(counting, "_c_sequence", c_sequence)
+    monkeypatch.setattr(counting, "_recurrence", recurrence)
     monkeypatch.setattr(counting, "zeta_coefficients", lambda n: [v + (i == 4) for i, v in enumerate(zeta(n))])
     with pytest.raises(AssertionError, match="zeta coefficient mismatch at order 4"):
         verify_counts(5)
+
+
+@pytest.mark.parametrize("count", [per_count_closed, per_kappa_closed, lefschetz_number])
+def test_an_exact_count_at_large_n_holds_no_earlier_terms(count):
+    # the answer at N = 20000 has about 12500 digits (5 KB); a list of all
+    # the earlier terms would take tens of MiB
+    tracemalloc.start()
+    try:
+        count(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_random_offwall_kappa_certified():
@@ -798,17 +814,18 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     kappa = random_offwall_kappa(np.random.default_rng(7))
     cfg = SolverConfig(seeds=20000)
     two = [tuple(map(complex, p.as_tuple())) for p, _ in solve_for_kappa(kappa, 2, cfg).points]
-    scalar = counting._converged_scalar
+    converged = counting._converged
     calls = _record_newton_batch(monkeypatch)
     rejected = []
 
     def reject_once_at_four(x, t, n, cfg):
-        if n == 4 and not rejected:
+        # numpy columns pass through: only a test of one point on scalars rejects
+        if n == 4 and not rejected and not isinstance(x, np.ndarray):
             rejected.append((tuple(map(complex, x)), list(calls)))
             return False
-        return scalar(x, t, n, cfg)
+        return converged(x, t, n, cfg)
 
-    monkeypatch.setattr(counting, "_converged_scalar", reject_once_at_four)
+    monkeypatch.setattr(counting, "_converged", reject_once_at_four)
     report = solve_for_kappa(kappa, 4, cfg)
     (point, before), = rejected
     # offered by the divisor solve
@@ -854,6 +871,56 @@ def test_reference_roots_pass_a_python_scalar_recheck(N, by_period):
         d = next(d for d in periods if max(abs(a - b) for a, b in zip(images[d], x)) <= scale)
         periods[d] += 1
     assert periods == by_period
+
+
+@pytest.fixture(scope="module")
+def roots_near_the_gate():
+    """The roots of the reference kappa at N = 3 and 4, each as found and
+    moved by 0 to 1e-13 relative in 25 random directions: 10348 points,
+    on both sides of the convergence test, as (N, theta, points) per N."""
+    kappa = random_offwall_kappa(np.random.default_rng(7))
+    theta = rh_params(kappa)
+    cases = []
+    for N in (3, 4):
+        rng = np.random.default_rng(11)
+        x = np.array([p.as_tuple() for p, _ in solve_for_kappa(kappa, N, SolverConfig(seeds=20000)).points])
+        step = rng.uniform(-1, 1, (25, *x.shape)) + 1j * rng.uniform(-1, 1, (25, *x.shape))
+        rel = rng.uniform(0, 1e-13, (25, len(x), 1))
+        cases.append((N, theta, np.concatenate([x, (x * (1 + rel * step)).reshape(-1, 3)])))
+    return cases
+
+
+def test_the_gate_on_python_scalars_decides_as_a_scalar_reevaluation(roots_near_the_gate):
+    from cubicdyn import counting
+
+    cfg = SolverConfig()
+    decided = []
+    for N, theta, pts in roots_near_the_gate:
+        t = tuple(complex(v) for v in theta.as_tuple())
+        for x in pts.tolist():
+            gap = max(abs(a - b) for a, b in zip(coxeter_apply(x, t, N), x))
+            bound = cfg.surface_tol * (1 + max(abs(v) for v in x) ** 3)
+            want = gap < cfg.newton_tol and abs(cubic_eval(x, t)) <= bound
+            assert counting._converged(x, t, N, cfg) == want
+            decided.append(want)
+    assert len(decided) >= 10000
+    assert sum(decided) >= 1000 and len(decided) - sum(decided) >= 1000
+
+
+def test_the_gate_on_columns_decides_each_point_as_alone(roots_near_the_gate):
+    from cubicdyn import counting
+
+    cfg = SolverConfig()
+    for N, theta, pts in roots_near_the_gate:
+        t = counting._coerce_theta4(theta)
+        cols = pts.T
+        got = counting._converged(cols, t, N, cfg)
+        gap = np.abs(np.array(coxeter_apply(cols, t, N)) - cols).max(axis=0)
+        bound = cfg.surface_tol * (1 + np.abs(cols).max(axis=0) ** 3)
+        assert np.array_equal(got, (gap < cfg.newton_tol) & (np.abs(cubic_eval(cols, t)) <= bound))
+        assert 0 < got.sum() < len(got)
+        for i in range(0, len(pts), 13):
+            assert counting._converged(cols[:, i:i + 1], t, N, cfg)[0] == got[i]
 
 
 @pytest.mark.parametrize("kappa_seed, rng_seed, N, closed", [(7, 0, 3, 72), (7, 0, 4, 326), (1, 1, 5, 1360),
@@ -908,8 +975,9 @@ def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
     rejected = []
 
     def reject_once(x, tol):
-        if not rejected:
-            rejected.append(x)
+        # numpy columns pass through: only a test of one point on scalars rejects
+        if not rejected and not isinstance(x, np.ndarray):
+            rejected.append(tuple(x))
             return -1.0
         return bound(x, tol)
 

@@ -256,5 +256,6 @@ def test_affine_point_residual_and_bound():
     p = AffinePoint(2.0, 0.0, 0.0)  # 4 - 4 = 0
     assert p.on_surface(t)
     assert surface_residual_bound((10, 0, 0), 1e-9) == pytest.approx(1e-9 * 1001)
+    assert surface_residual_bound((0, 10**7, 0), 1e-9) == pytest.approx(1e-9 * (1 + 1e21))
     grad = cubic_gradient((2.0, 0.0, 0.0), t)
     assert np.allclose(grad, (4.0, 0.0, 0.0))

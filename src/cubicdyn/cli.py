@@ -30,6 +30,7 @@ __all__ = ["main", "dispatch"]
 _log = logging.getLogger(__name__)
 
 _FORMATS = ("json", "csv", "pretty")
+_WRITE_PIECE = 1 << 16  # characters of JSON per write, a pipe's capacity on Linux
 
 
 def parse_complex(text):
@@ -138,8 +139,13 @@ def _emit(data, fmt: str, stream) -> None:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            json.dump(data, stream, indent=2, default=str)
-            stream.write("\n")
+            # one line, as json's C encoder renders only without indent.
+            # A single write that a closed pipe takes in part returns
+            # without an error, so the text goes out in pieces, and the
+            # piece after a reader has gone away raises BrokenPipeError
+            text = json.dumps(data, default=str) + "\n"
+            for i in range(0, len(text), _WRITE_PIECE):
+                stream.write(text[i:i + _WRITE_PIECE])
         elif fmt == "csv":
             writer = csv.writer(stream)
             for key, val in _flatten(data):

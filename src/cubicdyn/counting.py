@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import ClassVar
 
@@ -357,7 +358,16 @@ def _make_tuples(count: int, n: int, t: np.ndarray, rng) -> np.ndarray:
     return _make_seeds(n * count, t, rng).reshape(3, count, n).transpose(2, 0, 1).reshape(3 * n, count)
 
 
-def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig):
+def _orbit_tuples(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """The n-tuples (x, c(x), ..., c^{n-1}(x)) of the points x (K, 3), as
+    (3n, K) columns."""
+    orbit = [x.T]
+    for _ in range(n - 1):
+        orbit.append(np.array(coxeter_apply(orbit[-1], t)))
+    return np.concatenate(orbit)
+
+
+def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig, joining: list):
     """Damped Gauss-Newton on the multiple-shooting system of period n.
 
     Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n}
@@ -368,10 +378,15 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig):
     c^n(x) - x would multiply n of them.
 
     x holds the seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k.
-    A tuple converges when x_0 passes _converged at period n.  A generator: on each iteration at which some
-    tuples converge, it yields them whole, as a (K, 3n) array whose row
-    holds x_0, ..., x_{n-1} in turn, in seed order.  A caller that has
-    what it needs stops iterating, and the iterations left are never run.
+    A tuple converges when x_0 passes _converged at period n.  A generator:
+    on each iteration at which some tuples converge, it yields them whole,
+    as a (K, 3n) array whose row holds x_0, ..., x_{n-1} in turn, in the
+    order of x.  A caller that has what it needs stops iterating, and the
+    iterations left are never run.  Tuples (3n, K) that the caller appends
+    to the list joining while it holds a yield are moved into the batch
+    after its other tuples, and are stepped from the next iteration on.
+    Each system is solved the same bit for bit whatever the other columns
+    hold, so the tuples that join change no other tuple's path.
 
     A tuple whose merit none of _line_search's trials lowers has stalled
     at a local minimum of the merit and is dropped, and so is a tuple
@@ -389,6 +404,9 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig):
         if conv.any():
             yield x[:, conv].T
             x = x[:, ~conv]
+        if joining:
+            x = np.concatenate([x, *joining], axis=1)
+            joining.clear()
         if x.shape[1] == 0:
             return
         x = _newton_step(x, t, n, cfg)
@@ -410,7 +428,7 @@ def _newton_step(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.
     # drop the tuples whose matrix is not positive definite after all, or
     # whose step is not finite
     dx = -jhr
-    ok = _cholesky_solve(a, dx) & np.isfinite(dx).all(axis=0)
+    ok = _cholesky_solve(a, dx, _cholesky_pattern(n)) & np.isfinite(dx).all(axis=0)
     del a
     if not ok.all():
         x, dx, rnorm = x[:, ok], dx[:, ok], rnorm[ok]
@@ -418,43 +436,86 @@ def _newton_step(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.
     return xnew[:, improved & (np.abs(xnew).max(axis=0) <= cfg.escape_radius)]
 
 
-def _cholesky_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _cholesky_pattern(n: int) -> np.ndarray:
+    """The nonzero pattern of the Cholesky factor L of J^H J at period n,
+    as a read-only (3n, 3n) boolean array, True on and below the diagonal
+    where L may be nonzero.
+
+    J^H J is block-cyclic tridiagonal in 3x3 blocks (see _normal_equations):
+    block (k, l) is nonzero for l = k and l = k +- 1 mod n.  Symbolic
+    elimination adds the fill: eliminating column j joins every pair of
+    rows below the diagonal that column j holds.  For n <= 3 every block is
+    nonzero and L is dense; from n = 4 on the fill is the last block row,
+    and the factorisation takes 85 n - 135 column updates in place of
+    (3n + 1) 3n (3n - 1) / 6.
+    """
+    blocks = np.zeros((n, n), dtype=bool)
+    for k in range(n):
+        blocks[k, k] = blocks[k, (k + 1) % n] = blocks[(k + 1) % n, k] = True
+    pattern = np.tril(np.kron(blocks, np.ones((3, 3), dtype=bool)))
+    for j in range(3 * n):
+        rows = np.flatnonzero(pattern[j + 1:, j]) + j + 1
+        pattern[np.ix_(rows, rows)] |= np.tri(len(rows), dtype=bool)
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Solve a z = y for each column of a batch of Hermitian positive
     definite systems, in place, by a Cholesky factorisation a = L L^H.
 
     a is (m, m, M) and y is (m, M), in column layout: a[i, j] and y[i] are
-    columns over the systems.  a is overwritten by L on and below its
-    diagonal and by L^H above it, and y by z.  Returns ok (M,): False where
-    a pivot is not positive and finite, that is where a is not positive
-    definite or holds a nan, and the columns of z there are nan.
+    columns over the systems.  pattern (m, m) holds, on and below its
+    diagonal, every entry where L may be nonzero (see _cholesky_pattern;
+    all True for a dense a); the factorisation and both triangular solves
+    run over it alone.  a is overwritten by L within the pattern and by
+    L^H at its mirror image above the diagonal, and y by z.  Returns ok
+    (M,): False where a pivot is not positive and finite, that is where a
+    is not positive definite or holds a nan, and the columns of z there
+    are nan.
 
-    No pivoting is needed.  Every operation is on whole (M,) columns,
-    never broadcast across rows, so each system comes out the same bit for
-    bit whatever the other columns hold, and alone.
+    No pivoting is needed.  The factorisation is left-looking, and each
+    entry of L receives its updates in ascending column order, as a dense
+    right-looking one gives them; an update left out would subtract an
+    exact zero, so the result is the same bit for bit.  Every operation is
+    on whole (M,) columns, never broadcast across rows, so each system
+    comes out the same bit for bit whatever the other columns hold, and
+    alone.
     """
     m = len(a)
     ok = np.ones(a.shape[2], dtype=bool)
     diag = np.diagonal(a).real.T  # a view: row j is the real part of a[j, j]
     tmp = np.empty_like(y[0])
-    for j in range(m):
-        good = (diag[j] > 0) & (diag[j] < np.inf)
+    # bound once: a lookup on np per call costs a sizeable part of a short column's arithmetic
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    col = [list(a[:, j]) for j in range(m)]  # col[j][r] is the view a[r, j]
+    z = list(y)  # z[r] is the view y[r]
+    # the rows of L's column j below the diagonal, and the columns of L's
+    # row i left of it, in ascending order
+    below = [(np.flatnonzero(pattern[j + 1:, j]) + j + 1).tolist() for j in range(m)]
+    left = [np.flatnonzero(pattern[i, :i]).tolist() for i in range(m)]
+    for i in range(m):
+        ci, d = col[i], diag[i]
+        for j in left[i]:
+            cj, u, rows = col[j], ci[j], below[j]  # u is a[j, i], the conjugate of L[i, j]
+            for r in rows[rows.index(i):]:
+                subtract(ci[r], multiply(cj[r], u, out=tmp), out=ci[r])
+        good = (d > 0) & (d < np.inf)
         ok &= good
         # a failed pivot goes on as 1, so that no nan meets a division
-        a[j, j] = np.sqrt(np.where(good, diag[j], 1))
-        for r in range(j + 1, m):
-            a[r, j] /= diag[j]
-            np.conj(a[r, j], out=a[j, r])
-        for i in range(j + 1, m):
-            for r in range(i, m):
-                a[r, i] -= np.multiply(a[r, j], a[j, i], out=tmp)
+        ci[i][...] = np.sqrt(np.where(good, d, 1))
+        for r in below[i]:
+            divide(ci[r], d, out=ci[r])
+            np.conj(ci[r], out=col[r][i])
     for j in range(m):  # L w = y
-        y[j] /= diag[j]
-        for r in range(j + 1, m):
-            y[r] -= np.multiply(a[r, j], y[j], out=tmp)
+        cj, zj = col[j], divide(z[j], diag[j], out=z[j])
+        for r in below[j]:
+            subtract(z[r], multiply(cj[r], zj, out=tmp), out=z[r])
     for j in reversed(range(m)):  # L^H z = w
-        y[j] /= diag[j]
-        for r in range(j):
-            y[r] -= np.multiply(a[r, j], y[j], out=tmp)
+        cj, zj = col[j], divide(z[j], diag[j], out=z[j])
+        for r in left[j]:
+            subtract(z[r], multiply(cj[r], zj, out=tmp), out=z[r])
     y[:, ~ok] = np.nan
     return ok
 
@@ -582,9 +643,11 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     conjugate.  A candidate is admitted if it matches no root and passes
     _converged on numpy columns and then on Python scalars; of the copies
     of one point in a yield only the first is tested, and if it fails, the
-    point is left to a later yield.  The maps are surface's coxeter_apply,
-    coxeter_jacobian, cubic_eval and cubic_gradient, run on coordinate
-    columns.
+    point is left to a later yield.  A candidate that matches no root and
+    fails on columns lags behind its tuple: its N-tuple (x, c(x), ...,
+    c^{N-1}(x)) joins the running batch, to be refined there.  The maps
+    are surface's coxeter_apply, coxeter_jacobian, cubic_eval and
+    cubic_gradient, run on coordinate columns.
 
     The divisors n of N are searched in ascending order, N last, each in
     the same way, with the same cfg and its own stream of the same seed.
@@ -595,10 +658,12 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     there at period n.
 
     A batch hands over its converged tuples after each Newton iteration,
-    and the search stops as soon as the number of roots equals
-    per_count_closed(N), partway through a batch if need be.  Short of
-    that, it stops after a batch once cfg.seeds tuples are drawn and the
-    last saturation_batches batches added no root; a batch left early
+    and the search stops as soon as the number of roots reaches
+    per_count_closed(N), partway through a batch if need be; roots past it
+    raise ValueError, as S(theta) is then singular or copies of one root
+    failed to merge.  Short of that, it stops after a batch once cfg.seeds
+    tuples are drawn and the last saturation_batches batches added no
+    root; a batch left early
     counts as all its tuples drawn.  A search whose roots already number
     the closed form draws no batch, as at N = 1, whose closed form is 0.
     Every batch that is not quiet adds a root, and the search stops at the
@@ -613,7 +678,7 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     c^k(x) within cfg.dedup_radius of x; and its residual is
     |c^N(x) - x|.  An orbit that misses points is still one record.
 
-    status is "saturated" when the root count differs from the closed
+    status is "saturated" when the root count falls short of the closed
     form, else "partial" when some root's multiplicity estimate is below
     1e-6 and "complete" when none is.  Genericity of theta is the caller's
     burden (solve_for_kappa checks the walls).  Deterministic for a fixed
@@ -653,8 +718,9 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
     divisor_roots holds the roots of the proper divisors of N, one (K, 3)
     array each; the first Newton batch, skipped if they hold no root,
     holds them as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each Newton batch
-    is absorbed one yield at a time and left as soon as the roots reach
-    per_count_closed(N); the search ends there, or on quiet batches.  The
+    is absorbed one yield at a time, its lagging points join it, and it is
+    left as soon as the roots reach per_count_closed(N); the search ends
+    there, or on quiet batches, and raises ValueError past it.  The
     seed batches start at _TUPLES_PER_ROOT tuples per root to find and
     double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index for
     _cluster_index is kept across yields, each yield's new roots merged in.
@@ -664,7 +730,7 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
     roots = np.empty((0, 3), dtype=complex)
     index = _sort_reps(roots, radius)
 
-    def absorb(tuples: np.ndarray):
+    def absorb(tuples: np.ndarray, joining: list):
         # every point of every tuple, then of every conjugate tuple, is a
         # candidate; of those that match no root and converge on columns,
         # the first copy of each point is tested again on Python scalars
@@ -673,38 +739,47 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
             tuples = np.concatenate([tuples, tuples.conj()])
         pts = tuples.reshape(-1, 3)
         pts = pts[_cluster_index(roots, pts, radius, index) < 0]
-        pts = pts[_converged(pts.T, t, N, cfg)]
+        conv = _converged(pts.T, t, N, cfg)
+        pts, lagging = pts[conv], pts[~conv]
         pts = pts[_cluster_index(pts, pts, radius) == np.arange(len(pts))]
         pts = pts[np.array([_converged(x, theta, N, cfg) for x in pts.tolist()], dtype=bool)]
         roots = np.concatenate([roots, pts])
         index = _insert_reps(index, pts, radius)
+        # a candidate that fails on columns lags behind its converged tuple:
+        # unless it is a copy of a new root or of an earlier such point, its
+        # N-tuple joins the running batch
+        near = np.concatenate([pts, lagging])
+        first = _cluster_index(near, near, radius)[len(pts):] == np.arange(len(pts), len(near))
+        if first.any():
+            joining.append(_orbit_tuples(lagging[first], t, N))
 
     closed = per_count_closed(N)
 
     def run_batch(x: np.ndarray):
-        for tuples in _newton_batch(x, t, N, cfg):
-            absorb(tuples)
-            if len(roots) == closed:
+        joining = []
+        for tuples in _newton_batch(x, t, N, cfg, joining):
+            absorb(tuples, joining)
+            if len(roots) >= closed:
                 break
 
-    # one batch refines each divisor root x as the N-tuple (x, c(x), ..., c^{N-1}(x))
+    # one batch refines each divisor root as the N-tuple of its orbit
     start = np.concatenate([roots, *divisor_roots])
     if len(start):
-        orbit = [start.T]
-        for _ in range(N - 1):
-            orbit.append(np.array(coxeter_apply(orbit[-1], t)))
-        run_batch(np.concatenate(orbit))
+        run_batch(_orbit_tuples(start, t, N))
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     full = min(_SEED_CHUNK, cfg.seeds)
     size = min(full, _TUPLES_PER_ROOT * closed)
     drawn = quiet = 0
-    while len(roots) != closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
+    while len(roots) < closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
         before = len(roots)
         run_batch(_make_tuples(size, N, t, rng))
         drawn += size
         quiet = 0 if len(roots) > before else quiet + 1
         size = min(2 * size, full)
+    if len(roots) > closed:
+        raise ValueError(f"{len(roots)} roots of period {N} exceed the closed form {closed}: "
+                         "S(theta) is singular, or roots failed to merge")
     return roots
 
 

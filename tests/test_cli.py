@@ -326,12 +326,29 @@ def test_the_console_script_exits_1_in_silence_when_its_reader_leaves():
     assert proc.wait(timeout=60) == 1 and err == b""
 
 
+def test_a_singular_theta_exits_1_with_one_error_line(capsys):
+    # the roots of S(0) outnumber the closed form: the solve stops there
+    code, out = run(["solve", "--theta", "0,0,0,0", "--N", "2", "--seeds", "300", "--output", "json"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "closed form 22" in err
+
+
+@pytest.mark.parametrize("argv", [["zeta", "--order", "30"], ["lines", "--kappa", "1/3,1/4,1/5,1/7"],
+                                  ["solve", "--theta", "[1.3,0.4],[-0.7,0.2],[2.1,-0.3],[0.5,0.1]",
+                                   "--N", "2", "--seeds", "200"]])
+def test_json_output_is_one_line(argv):
+    code, out = run([*argv, "--output", "json"])
+    assert code == 0 and out.endswith("\n") and out.count("\n") == 1
+    assert isinstance(json.loads(out), dict)
+
+
 def test_solve_default_config_matches_solver(monkeypatch):
     from cubicdyn import counting
 
     seen = []
 
-    def newton(x0, t, n, cfg):
+    def newton(x0, t, n, cfg, joining):
         seen.append(cfg)
         return iter(())
 
@@ -359,7 +376,7 @@ def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, nam
 
     seen = []
 
-    def newton(x0, t, n, cfg):
+    def newton(x0, t, n, cfg, joining):
         seen.append(cfg)
         return iter(())
 

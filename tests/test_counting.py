@@ -351,7 +351,7 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
 
     monkeypatch.setattr(counting, "_line_search", record)
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 20)
-    list(counting._newton_batch(seeds, t, 2, SolverConfig()))
+    list(counting._newton_batch(seeds, t, 2, SolverConfig(), []))
     assert searched
     for x, dx in searched:
         assert np.isfinite(x).all()
@@ -374,9 +374,9 @@ def _record_seed_chunks(monkeypatch, answer=None):
         drawn.append(make(count, n, t, rng))
         return drawn[-1]
 
-    def newton_batch(x, t, n, cfg):
+    def newton_batch(x, t, n, cfg, joining):
         seed_chunk.append(any(x is d for d in drawn))
-        return newton(x, t, n, cfg) if answer is None else iter([answer])
+        return newton(x, t, n, cfg, joining) if answer is None else iter([answer])
 
     monkeypatch.setattr(counting, "_make_tuples", make_tuples)
     monkeypatch.setattr(counting, "_newton_batch", newton_batch)
@@ -526,7 +526,7 @@ def test_line_search_block_size_changes_no_bit():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_line_search", record)
         mp.setattr(SolverConfig, "newton_max_iter", 30)
-        list(counting._newton_batch(seeds, t, 3, SolverConfig()))
+        list(counting._newton_batch(seeds, t, 3, SolverConfig(), []))
     assert len(steps) == 30
     with np.errstate(over="ignore", invalid="ignore"):
         for x, dx, rnorm in steps:
@@ -578,7 +578,7 @@ def test_newton_batch_drops_stalled_tuples(monkeypatch):
         return normal(x, t, n)
 
     monkeypatch.setattr(counting, "_normal_equations", record)
-    out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig())))
+    out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig(), [])))
     assert out.shape == (1965, 9)
     assert len(calls) <= 60
 
@@ -590,7 +590,7 @@ def test_newton_batch_orders_by_iteration_then_seed():
     t = counting._coerce_theta4(rh_params(kappa))
     cfg = SolverConfig(seeds=1500)
     found = np.concatenate(list(counting._newton_batch(
-        counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg)))[:, :3]
+        counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg, [])))[:, :3]
     roots = []
     for x in found:
         if all(np.abs(x - r).max() > 1e-3 for r in roots):
@@ -601,7 +601,7 @@ def test_newton_batch_orders_by_iteration_then_seed():
     # each tuple's x_1 is the image of the unperturbed root
     x0 = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
     x1 = np.array(coxeter_apply(np.stack([r0, r1, r2, r3], axis=1), t))
-    out = np.concatenate(list(counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg)))
+    out = np.concatenate(list(counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg, [])))
     assert out.shape == (4, 6)
     out = out[:, :3]
     assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
@@ -626,6 +626,56 @@ def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
+    # two roots first show up at period-4 iteration 19 as orbit images
+    # that fail the gate; refined in the running batch, they are in at
+    # iteration 20, where the seed batch would run on to iteration 24
+    # (17 + 24 = 41 steps, the period-2 solve's 17 included)
+    from cubicdyn import counting
+
+    normal = counting._normal_equations
+    calls = []
+
+    def record(x, t, n):
+        calls.append(n)
+        return normal(x, t, n)
+
+    monkeypatch.setattr(counting, "_normal_equations", record)
+    report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 4, SolverConfig(seeds=20000))
+    assert report.status == "complete" and report.found == 326
+    assert len(calls) <= 37
+
+
+def test_a_lagging_point_of_a_converged_tuple_is_admitted_from_the_same_batch(monkeypatch):
+    from cubicdyn import counting
+
+    # theta is complex, so no conjugate stands in.  The one seed batch
+    # holds the 2-cycles as tuples, with x_1 of the first moved past the
+    # gate: every x_0 converges as offered, and the lagging x_1 joins the
+    # running batch as the tuple (x_1, c(x_1)), is refined there and is
+    # admitted, with no second batch
+    cfg = SolverConfig(seeds=200, rng_seed=5)
+    x, orbits = _two_cycles(_COMPLEX_THETA, cfg)
+    tuples = np.array([x[o].ravel() for o in orbits])
+    tuples[0, 3:] *= 1 + 1e-9
+    t = counting._coerce_theta4(_COMPLEX_THETA)
+    assert not counting._converged(tuples[0, 3:, None], t, 2, cfg)[0]
+    monkeypatch.setattr(counting, "_make_tuples", lambda count, n, t, rng: tuples.T.copy())
+    calls = _record_newton_batch(monkeypatch)
+    report = solve_periodic(_COMPLEX_THETA, 2, cfg)
+    assert report.status == "complete" and report.found == 22
+    assert calls == [(2, 11)]
+    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() < 1e-9
+
+
+def test_a_singular_theta_stops_at_the_closed_form_and_raises():
+    # S(0) is singular, and its roots run past the closed form 22 within
+    # the first batch: the search stops there, and no report is made
+    with pytest.raises(ValueError, match=r"roots of period 2 exceed the closed form 22"):
+        solve_periodic((0, 0, 0, 0), 2, SolverConfig(seeds=300))
+
+
 def test_a_batch_left_early_raises_no_warning_and_restores_the_errstate():
     from cubicdyn import counting
 
@@ -641,10 +691,15 @@ def test_a_batch_left_early_raises_no_warning_and_restores_the_errstate():
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = counting._newton_batch(seeds, t, 2, SolverConfig())
+        batch = counting._newton_batch(seeds, t, 2, SolverConfig(), [])
         assert len(next(batch)) and np.geterr() == before
         batch.close()
     assert np.geterr() == before
+
+
+def _dense(m):
+    """The all-true pattern, under which _cholesky_solve is a dense solve."""
+    return np.ones((m, m), dtype=bool)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -658,7 +713,7 @@ def test_cholesky_solve_matches_numpy_solve(n):
     y = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
     want = np.linalg.solve(a, y[:, :, None])[:, :, 0]
     cols, z = np.ascontiguousarray(a.transpose(1, 2, 0)), y.T.copy()
-    assert counting._cholesky_solve(cols, z).all()
+    assert counting._cholesky_solve(cols, z, _dense(m)).all()
     assert (np.abs(z.T - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
 
 
@@ -673,13 +728,74 @@ def test_cholesky_solve_flags_bad_systems_and_solves_each_other_one_as_alone():
     a[m - 1, m - 1, 3] = -1  # indefinite, found at the last pivot
     a[2, 1, 7] = a[1, 2, 7] = np.nan
     z = y.copy()
-    ok = counting._cholesky_solve(a.copy(), z)
+    ok = counting._cholesky_solve(a.copy(), z, _dense(m))
     assert np.flatnonzero(~ok).tolist() == [3, 7]
     assert np.isnan(z[:, [3, 7]]).all()
     for k in np.flatnonzero(ok):
         alone = y[:, k:k + 1].copy()
-        assert counting._cholesky_solve(a[:, :, k:k + 1].copy(), alone).all()
+        assert counting._cholesky_solve(a[:, :, k:k + 1].copy(), alone, _dense(m)).all()
         assert np.array_equal(alone.view(np.uint64), z[:, k:k + 1].view(np.uint64))
+
+
+def _shooting_systems(n, count):
+    """The shifted normal equations (a, -J^H r) of count period-n seed
+    tuples at the reference kappa, as _newton_step solves them."""
+    from cubicdyn import counting
+
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
+    x = counting._make_tuples(count, n, t, np.random.default_rng(n))
+    a, jhr, _ = counting._normal_equations(x, t, n)
+    shift = 1e-14 * np.diagonal(a).real.max(axis=1) + 1e-30
+    for r in range(3 * n):
+        a[r, r] += shift
+    return a, -jhr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_pattern_solve_of_a_shooting_system_equals_the_dense_one_bit_for_bit(n):
+    from cubicdyn import counting
+
+    # one system is indefinite and one holds a nan: both are flagged as
+    # by the dense solve, and every other system comes out the same bit
+    # for bit, in the batch and alone
+    m = 3 * n
+    a, y = _shooting_systems(n, 60)
+    a[m - 1, m - 1, 3] = -1
+    a[m - 1, m - 2, 7] = a[m - 2, m - 1, 7] = np.nan
+    pattern = counting._cholesky_pattern(n)
+    dense_a, dense_z = a.copy(), y.copy()
+    dense_ok = counting._cholesky_solve(dense_a, dense_z, _dense(m))
+    got_a, got_z = a.copy(), y.copy()
+    ok = counting._cholesky_solve(got_a, got_z, pattern)
+    assert np.flatnonzero(~ok).tolist() == np.flatnonzero(~dense_ok).tolist() == [3, 7]
+    assert np.isnan(got_z[:, [3, 7]]).all()
+    assert np.array_equal(got_z.view(np.uint64), dense_z.view(np.uint64))
+    lower = np.tri(m, dtype=bool)
+    assert np.array_equal(got_a[lower].view(np.uint64), dense_a[lower].view(np.uint64))
+    for k in range(0, 60, 7):
+        if ok[k]:
+            alone = y[:, k:k + 1].copy()
+            assert counting._cholesky_solve(a[:, :, k:k + 1].copy(), alone, pattern).all()
+            assert np.array_equal(alone.view(np.uint64), got_z[:, k:k + 1].view(np.uint64))
+
+
+@pytest.mark.parametrize("n, updates", [(1, 4), (2, 35), (3, 120), (4, 205), (5, 290), (6, 375), (7, 460)])
+def test_the_symbolic_pattern_covers_the_numeric_factor(n, updates):
+    from cubicdyn import counting
+
+    # every entry of the dense factor of a shooting system that is not
+    # zero lies in the pattern, and the pattern's column updates number
+    # C(3n + 1, 3) while L is dense (n <= 3) and 85 n - 135 from n = 3 on
+    m = 3 * n
+    pattern = counting._cholesky_pattern(n)
+    assert np.array_equal(pattern, np.tril(pattern)) and pattern.diagonal().all()
+    a, y = _shooting_systems(n, 60)
+    assert counting._cholesky_solve(a, y, _dense(m)).all()
+    assert not ((a != 0).any(axis=2) & np.tri(m, dtype=bool) & ~pattern).any()
+    below = [np.flatnonzero(pattern[j + 1:, j]) + j + 1 for j in range(m)]
+    assert sum(np.count_nonzero(pattern[i:, j]) for j in range(m) for i in below[j]) == updates
+    assert n < 3 or updates == 85 * n - 135
+    assert n > 3 or pattern.sum() == m * (m + 1) // 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -994,16 +1110,16 @@ def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
 def _record_newton_batch(monkeypatch, stub=None):
     """Record the period n and the tuple count of each _newton_batch call;
     stub, if given, stands in for the solve and returns an iterable of
-    (K, 3n) arrays."""
+    (K, 3n) arrays, and takes no tuples from the list joining."""
     from cubicdyn import counting
 
     calls = []
     newton = stub or counting._newton_batch
 
-    def record(x, t, n, cfg):
+    def record(x, t, n, cfg, joining):
         assert x.shape[0] == 3 * n
         calls.append((n, x.shape[1]))
-        return newton(x, t, n, cfg)
+        return newton(x, t, n, cfg, joining)
 
     monkeypatch.setattr(counting, "_newton_batch", record)
     return calls
@@ -1074,14 +1190,14 @@ def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
     seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 30)
     cfg = SolverConfig()
-    want = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg)))
+    want = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg, [])))
     cholesky, search = counting._cholesky_solve, counting._line_search
     oks, searched = [], []
 
-    def zero_one_system(a, y):
+    def zero_one_system(a, y, pattern):
         if not oks:
             a[:, :, 5] = 0
-        oks.append(cholesky(a, y))
+        oks.append(cholesky(a, y, pattern))
         return oks[-1]
 
     def record(x, dx, rnorm, t, n):
@@ -1090,7 +1206,7 @@ def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
 
     monkeypatch.setattr(counting, "_cholesky_solve", zero_one_system)
     monkeypatch.setattr(counting, "_line_search", record)
-    got = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg)))
+    got = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg, [])))
     assert np.flatnonzero(~oks[0]).tolist() == [5]
     assert all(ok.all() for ok in oks[1:])
     assert searched[0] == len(oks[0]) - 1

@@ -3,8 +3,9 @@
 Subcommands cover each module: parameter maps and walls, discriminant,
 the exact lattice action, the 27 lines, orbit traces, and the counting
 suite.  Output is JSON, CSV or human-readable text; a key=value config
-file can supply defaults that individual flags override.  An option left
-unset keeps the default of the library function it is passed to.
+file can supply defaults that individual flags override.  The verdicts'
+tolerances and the orbit escape radius are the library's constants; a
+solver setting left unset keeps the default of SolverConfig.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
 any other error (one line on stderr, no traceback), 2 usage error.  A
@@ -206,7 +207,6 @@ def _build_parser():
 
     p = add_parser("params", _cmd_params, help="kappa -> traces, eigenvalues, theta + wall report")
     p.add_argument("--kappa", required=True, help="k1,k2,k3,k4 (rationals allowed) or 5 entries")
-    p.add_argument("--wall-tol", type=float)
 
     # the inputs of a required group default to SUPPRESS: only the one
     # given is in args, so a config file cannot supply another against it
@@ -215,16 +215,11 @@ def _build_parser():
     g.add_argument("--kappa", default=argparse.SUPPRESS)
     g.add_argument("--b", default=argparse.SUPPRESS, help='four complex entries "re+imi" or [re,im] pairs')
 
-    p = add_parser("lattice", _cmd_lattice, help="exact matrices, charpoly, spectral radius, checks")
-    p.add_argument("--matrices", action="store_true")
-    p.add_argument("--charpoly", action="store_true")
-    p.add_argument("--spectral-radius", action="store_true")
-    p.add_argument("--checks", action="store_true")
+    add_parser("lattice", _cmd_lattice, help="exact matrices, charpoly, spectral radius, checks")
 
     p = add_parser("lines", _cmd_lines, help="the 27 lines with on-surface residuals")
     p.add_argument("--kappa", required=True)
     p.add_argument("--verify", action="store_true", help="run the sigma line-swap checks")
-    p.add_argument("--tol", type=float)
 
     p = add_parser("orbit", _cmd_orbit, help="iterate a generator word from a start point")
     p.add_argument("--word", required=True, help='e.g. "s1 s2 s3" or "g1^2 g2^-2"')
@@ -233,7 +228,6 @@ def _build_parser():
     g.add_argument("--theta", default=argparse.SUPPRESS)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
     p.add_argument("--iters", type=int, default=1)
-    p.add_argument("--escape-radius", type=float)
 
     p = add_parser("count", _cmd_count, help="closed-form N-periodic point count of c")
     p.add_argument("--N", type=int, required=True)
@@ -258,12 +252,6 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _given(args, **dests):
-    """{keyword: value} for each keyword=dest whose option was set, by flag
-    or config file; the called function keeps its own default for the rest."""
-    return {k: getattr(args, d) for k, d in dests.items() if getattr(args, d) is not None}
-
-
 # Each command returns (data, exit code); dispatch renders data, if any.
 
 
@@ -272,7 +260,7 @@ def _cmd_params(args):
     a = params.kappa_to_traces(kappa)
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
-    wall = params.wall_membership(kappa, **_given(args, tol="wall_tol"))
+    wall = params.wall_membership(kappa)
     return {
         "kappa": [str(v) for v in kappa.as_tuple()],
         "a": [_fmt_complex(v) for v in a.as_tuple()],
@@ -293,42 +281,36 @@ def _cmd_disc(args):
 
 
 def _cmd_lattice(args):
-    want_all = not (args.matrices or args.charpoly or args.spectral_radius or args.checks)
-    data = {}
     cstar = lattice.coxeter_star()
-    if args.matrices or want_all:
-        data["sigma_star"] = {str(i): lattice.sigma_star(i).to_json() for i in (1, 2, 3)}
-        data["coxeter_star"] = cstar.to_json()
-    if args.charpoly or want_all:
-        coeffs = lattice.charpoly(cstar)
-        terms = []
-        for deg in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[deg]
-            if c == 0:
-                continue
-            sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
-            mag = "" if abs(c) == 1 and deg > 0 else str(abs(c))
-            mono = f"x^{deg}" if deg > 1 else "x" * deg
-            terms.append(f"{sign}{mag}{mono}")
-        data["charpoly_coeffs_low_to_high"] = list(coeffs)
-        data["charpoly"] = " ".join(terms)
-    if args.spectral_radius or want_all:
-        data["spectral_radius"] = lattice.spectral_radius(cstar)
-        data["spectral_radius_closed"] = 2 + 5 ** 0.5
-    if args.checks or want_all:
-        data["eigenvector_checks"] = lattice.eigenvector_checks()
-    return data, 0
+    coeffs = lattice.charpoly(cstar)
+    terms = []
+    for deg in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[deg]
+        if c == 0:
+            continue
+        sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
+        mag = "" if abs(c) == 1 and deg > 0 else str(abs(c))
+        mono = f"x^{deg}" if deg > 1 else "x" * deg
+        terms.append(f"{sign}{mag}{mono}")
+    return {
+        "sigma_star": {str(i): lattice.sigma_star(i).to_json() for i in (1, 2, 3)},
+        "coxeter_star": cstar.to_json(),
+        "charpoly_coeffs_low_to_high": list(coeffs),
+        "charpoly": " ".join(terms),
+        "spectral_radius": lattice.spectral_radius(cstar),
+        "spectral_radius_closed": 2 + 5 ** 0.5,
+        "eigenvector_checks": lattice.eigenvector_checks(),
+    }, 0
 
 
 def _cmd_lines(args):
     kappa = parse_kappa(args.kappa)
-    tol = _given(args, tol="tol")
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
     rows = []
     ok_all = True
     for ln in lines.all_lines(b):
-        ok, resid = lines.line_on_surface(ln, theta, **tol)
+        ok, resid = lines.line_on_surface(ln, theta)
         ok_all = ok_all and ok
         rows.append({**ln.to_json(), "on_surface": ok, "residual": resid})
     data = {"count": len(rows), "all_on_surface": ok_all,
@@ -337,7 +319,7 @@ def _cmd_lines(args):
     if args.verify:
         try:
             data["sigma_checks"] = [
-                {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i, **tol)["swaps"]}
+                {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i)["swaps"]}
                 for i in (1, 2, 3)
             ]
         except (AssertionError, ValueError) as exc:
@@ -354,12 +336,11 @@ def _cmd_orbit(args):
     if len(x) != 3:
         raise ValueError("start point needs 3 coordinates")
     theta = parse_theta(args.theta) if "theta" in args else params.rh_params(parse_kappa(args.kappa))
-    radius = _given(args, escape_radius="escape_radius")
     t = theta
     steps = []
     status = "ok"
     for n in range(args.iters):
-        res = surface.word_apply(word, x, t, **radius)
+        res = surface.word_apply(word, x, t)
         x, t, status = res.point.as_tuple(), res.theta, res.status
         steps.append(
             {
@@ -388,8 +369,9 @@ def _cmd_zeta(args):
 
 
 def _cmd_solve(args):
-    settings = _given(args, rng_seed="rng", **{f.name: f.name for f in _solver_fields()})
-    cfg = counting.SolverConfig(**settings)
+    # the options set by flag or config file; SolverConfig keeps its default for the rest
+    dests = {"rng_seed": "rng", **{f.name: f.name for f in _solver_fields()}}
+    cfg = counting.SolverConfig(**{k: getattr(args, d) for k, d in dests.items() if getattr(args, d) is not None})
     if "kappa" in args:
         report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
     else:

@@ -59,14 +59,12 @@ def lefschetz_number(N: int):
     """Lefschetz number of c^N on the compactified surface.
 
     Returns (exact, closed) where exact = 1 + tr((c*)^N) + 1 with
-    big-integer matrix powers and closed is the closed form
-    (2+sqrt5)^N + (2-sqrt5)^N + 4(-1)^N + 2, an exact integer through the
-    recurrence for the surd part.  Raises AssertionError if they differ.
+    big-integer matrix powers and closed is the projective count of
+    per_count_closed plus one, (2+sqrt5)^N + (2-sqrt5)^N + 4(-1)^N + 2.
+    Raises AssertionError if they differ.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    closed = per_count_closed(N, "projective") + 1
     exact = 1 + trace_power(coxeter_star(), N) + 1
-    closed = next(islice(_recurrence(2, 4, 4, 1), N, None)) + 4 * (-1) ** N + 2
     if exact != closed:
         raise AssertionError(f"Lefschetz trace {exact} differs from the closed form {closed} at N={N}")
     return exact, closed

@@ -17,13 +17,12 @@ import numpy as np
 from .lattice import LineLabel
 from .params import (
     EigenParams,
-    ThetaPoint,
     discriminant,
     discriminant_vanishes,
     traces_from_eigen,
     traces_to_theta,
 )
-from .surface import sigma_apply
+from .surface import _coerce_theta, sigma_apply
 
 __all__ = [
     "ProjectivePoint",
@@ -40,6 +39,8 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
+# singular values below this fraction of the largest count as zero
+_INTERSECTION_TOL = 1e-9
 # scaled residual within which a point lies on a line and a line on the surface
 _LINE_TOL = 1e-8
 
@@ -147,9 +148,7 @@ class ProjectiveLine:
 
 def cubic_eval_hom(X, theta) -> complex:
     """Homogeneous cubic F(X, theta) on P^3."""
-    if isinstance(theta, ThetaPoint):
-        theta = theta.as_tuple()
-    t1, t2, t3, t4 = theta
+    t1, t2, t3, t4 = _coerce_theta(theta)
     X0, X1, X2, X3 = X
     return (
         X1 * X2 * X3
@@ -265,7 +264,7 @@ def all_lines(b: EigenParams) -> list:
     return lines
 
 
-def line_on_surface(line: ProjectiveLine, theta, tol: float = _LINE_TOL):
+def line_on_surface(line: ProjectiveLine, theta):
     """Whether the line lies on the surface, with the max residual.
 
     Samples five points of the line (four suffice: a cubic vanishing at
@@ -277,10 +276,10 @@ def line_on_surface(line: ProjectiveLine, theta, tol: float = _LINE_TOL):
         scale = 1 + float(np.max(np.abs(X))) ** 3
         r = abs(cubic_eval_hom(tuple(X), theta)) / scale
         worst = max(worst, r)
-    return bool(worst <= tol), float(worst)
+    return bool(worst <= _LINE_TOL), float(worst)
 
 
-def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine, tol: float = 1e-9):
+def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine):
     """Intersection of two lines in P^3.
 
     Returns ("point", ProjectivePoint), ("disjoint", None) or
@@ -288,7 +287,7 @@ def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine, tol: float = 1e-9
     """
     m = np.vstack([l1.matrix(), l2.matrix()])
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > _INTERSECTION_TOL * s[0]))
     if rank == 2:
         return "equal", None
     if rank == 3:

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _CONSTRAINT_TOL = 1e-12
+# residual within which a kappa that is not rational lies on a wall
+_WALL_TOL = 1e-9
 
 
 def _is_finite(z) -> bool:
@@ -238,14 +240,14 @@ def _nearest_int(x) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def wall_membership(kappa: KappaPoint, tol: float = 1e-9) -> WallReport:
+def wall_membership(kappa: KappaPoint) -> WallReport:
     """Test whether kappa lies on a reflection wall.
 
     The walls are k_i = m (i = 1..4, m integer) and
     k1 +- k2 +- k3 +- k4 = 2m + 1.  Each relation is tested at its nearest
     m.  For a rational kappa it counts when its residual is exactly 0, in
     Fraction arithmetic; for any other kappa, when its residual is at most
-    tol.
+    _WALL_TOL.
     """
     exact = kappa.is_rational()
     vals = [Fraction(v) if exact else complex(v) for v in kappa.tail()]
@@ -259,6 +261,6 @@ def wall_membership(kappa: KappaPoint, tol: float = 1e-9) -> WallReport:
     for kind, which, v, odd in relations:
         m = _nearest_int((v.real - odd) / (1 + odd))
         r = abs(v - ((1 + odd) * m + odd))
-        if (r == 0 if exact else r <= tol):
+        if (r == 0 if exact else r <= _WALL_TOL):
             witnesses.append((kind, which, m, float(r)))
     return WallReport(on_wall=bool(witnesses), witnesses=witnesses)

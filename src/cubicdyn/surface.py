@@ -91,8 +91,8 @@ class AffinePoint:
     def residual(self, theta) -> float:
         return abs(complex(cubic_eval(self.as_tuple(), theta)))
 
-    def on_surface(self, theta, tol: float = DEFAULT_SURFACE_TOL) -> bool:
-        return self.residual(theta) <= surface_residual_bound(self.as_tuple(), tol)
+    def on_surface(self, theta) -> bool:
+        return self.residual(theta) <= surface_residual_bound(self.as_tuple())
 
     def to_json(self) -> dict:
         return {"x": [[complex(v).real, complex(v).imag] for v in self.as_tuple()]}

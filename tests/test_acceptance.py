@@ -146,7 +146,7 @@ def test_criterion_4_lines_suite():
             lines = all_lines(b)
             assert len(lines) == 27
             for ln in lines:
-                ok, r = line_on_surface(ln, theta, tol=1e-8)
+                ok, r = line_on_surface(ln, theta)
                 assert ok, f"{ln.label}: residual {r}"
             for i in (1, 2, 3):
                 grp = group_lines(i, b)

@@ -57,7 +57,7 @@ def test_zeta_subcommand_csv():
 
 
 def test_lattice_charpoly_string():
-    code, out = run(["lattice", "--charpoly"])
+    code, out = run(["lattice"])
     assert code == 0
     assert "x^7" in out and "11x^5" in out and "24x^4" in out
 
@@ -70,6 +70,8 @@ def test_lattice_full_output_json():
     assert data["charpoly"] == "x^7 - 11x^5 - 24x^4 - 21x^3 - 8x^2 - x"
     assert abs(data["spectral_radius"] - data["spectral_radius_closed"]) < 1e-12
     assert len(data["coxeter_star"]) == 7
+    assert list(data) == ["sigma_star", "coxeter_star", "charpoly_coeffs_low_to_high", "charpoly",
+                          "spectral_radius", "spectral_radius_closed", "eigenvector_checks"]
 
 
 @pytest.mark.parametrize(
@@ -81,7 +83,7 @@ def test_lattice_charpoly_string_of_other_polynomials(monkeypatch, coeffs, text)
     from cubicdyn import lattice
 
     monkeypatch.setattr(lattice, "charpoly", lambda m: coeffs)
-    code, out = run(["lattice", "--charpoly", "--output", "json"])
+    code, out = run(["lattice", "--output", "json"])
     assert code == 0
     assert json.loads(out)["charpoly"] == text
 
@@ -92,6 +94,37 @@ def test_params_subcommand():
     data = json.loads(out)
     assert data["wall"]["on_wall"] is False
     assert len(data["theta"]) == 4
+
+
+@pytest.mark.parametrize("k1, parsed, on_wall", [
+    ("0.9999999999", "0.9999999999", True),  # 1e-10 from the wall k1 = 1
+    ("0.99999995", "0.99999995", False),  # 5e-8 from it, past the fixed 1e-9
+    ("0.3+0.1i", "(0.3+0.1j)", False),
+])
+def test_params_on_a_float_or_complex_kappa(k1, parsed, on_wall):
+    code, out = run(["params", "--kappa", f"{k1},1/4,1/5,1/7", "--output", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["kappa"][1] == parsed
+    assert data["wall"]["on_wall"] is on_wall
+    if on_wall:
+        assert data["wall"]["witnesses"][0]["kind"] == "kappa_i_integer"
+        assert data["wall"]["witnesses"][0]["residual"] == pytest.approx(1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--kappa", "1/3,1/4,1/5,1/7", "--wall-tol", "1"],
+    ["lines", "--kappa", "1/3,1/4,1/5,1/7", "--tol", "1"],
+    ["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4", "--escape-radius", "10"],
+    ["lattice", "--matrices"],
+    ["lattice", "--charpoly"],
+    ["lattice", "--spectral-radius"],
+    ["lattice", "--checks"],
+])
+def test_a_removed_flag_is_a_usage_error(capsys, argv):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().out == ""
 
 
 def test_disc_subcommand():
@@ -149,6 +182,18 @@ def test_orbit_negative_iters_exit_code(capsys):
                      "--kappa", "1/3,1/4,1/5,1/7", "--iters", "-1", "--output", "json"])
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: iters must be >= 0\n"
+
+
+def test_csv_and_pretty_rows_index_lists_of_dicts():
+    code, out = run(["lines", "--kappa", "1/3,1/4,1/5,1/7", "--output", "csv"])
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.splitlines())
+    assert rows["lines[0].label"] == "F12" and rows["lines[26].on_surface"] == "True"
+    code, out = run(["solve", "--theta", "[1.3,0.4],[-0.7,0.2],[2.1,-0.3],[0.5,0.1]", "--N", "2",
+                     "--seeds", "200", "--output", "pretty"])
+    assert code == 0
+    keys = [line.split(": ", 1)[0] for line in out.splitlines()]
+    assert "points[0].x[0]" in keys and "points[0].residual" in keys
 
 
 def test_lines_subcommand():
@@ -234,16 +279,22 @@ def test_config_key_that_names_no_option_exits_2(monkeypatch, tmp_path, capsys):
     code, out = run(["params", "--kappa", "1/3,1/4,1/5,1/7", "--config", str(old)])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {old}: params takes no config key wall_mode\n"
-    # a key of another command, a flag that takes no value, and an input
-    # whose group a flag fills
+    # a key of another command, a flag that takes no value, an input whose
+    # group a flag fills, and the keys of options that are now constants
     for argv, text in ((["zeta", "--order", "3"], "space = projective\n"),
                        (["lines", "--kappa", "1/3,1/4,1/5,1/7"], "verify = false\n"),
-                       (["solve", "--theta", "1,2,3,4", "--N", "1"], "kappa = 1/3,1/4,1/5,1/7\n")):
+                       (["solve", "--theta", "1,2,3,4", "--N", "1"], "kappa = 1/3,1/4,1/5,1/7\n"),
+                       (["params", "--kappa", "1/3,1/4,1/5,1/7"], "wall_tol = 1\n"),
+                       (["lines", "--kappa", "1/3,1/4,1/5,1/7"], "tol = 1\n"),
+                       (["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4"],
+                        "escape_radius = 10\n"),
+                       (["lattice"], "charpoly = true\n")):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code, out = run([*argv, "--config", str(cfg)])
         assert code == 2 and out == ""
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_beyond_float_range():

@@ -219,7 +219,7 @@ def test_solver_period_two_count_and_cycles():
     theta = rh_params(kappa)
     for (p, r) in report.points:
         assert r < cfg.newton_tol
-        assert p.on_surface(theta, cfg.surface_tol)
+        assert p.on_surface(theta)
 
 
 def test_solver_determinism():

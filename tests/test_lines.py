@@ -87,7 +87,7 @@ def test_all_27_lines_on_surface():
         lines = all_lines(b)
         assert len(lines) == 27
         for ln in lines:
-            ok, r = line_on_surface(ln, theta, tol=1e-8)
+            ok, r = line_on_surface(ln, theta)
             assert ok, f"{ln.label} off surface, residual {r}"
 
 
@@ -141,6 +141,14 @@ def test_random_secant_is_not_on_surface():
     assert abs(cubic_eval_hom(tuple(p), theta)) < 1e-9
     ok, r = line_on_surface(ln, theta)
     assert not ok and r > 1e-6
+
+
+def test_cubic_eval_hom_takes_theta_as_the_affine_cubic_does():
+    _, theta = _setup(8)
+    X = (1, 0.3, -0.2 + 0.1j, 0.5)
+    assert cubic_eval_hom(X, theta) == cubic_eval_hom(X, list(theta.as_tuple()))
+    with pytest.raises(ValueError, match="theta must have four entries"):
+        cubic_eval_hom(X, theta.as_tuple()[:3])
 
 
 def test_sigma_line_action_all_indices():

@@ -131,11 +131,12 @@ def test_wall_membership_exact_signed_sum_witness():
 
 
 def test_wall_membership_tolerant():
+    # a kappa that is not rational is on a wall within a fixed 1e-9
     k = KappaPoint.from_tail(1.0 + 5e-10, 0.25, 0.2, 1.0 / 7)
-    rep = wall_membership(k, tol=1e-9)
+    rep = wall_membership(k)
     assert rep.on_wall
     assert rep.witnesses[0][:3] == ("kappa_i_integer", 1, 1)
-    rep = wall_membership(k, tol=1e-12)
+    rep = wall_membership(KappaPoint.from_tail(1.0 + 5e-8, 0.25, 0.2, 1.0 / 7))
     assert not rep.on_wall
 
 

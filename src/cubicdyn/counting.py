@@ -380,9 +380,9 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig, joini
     on each iteration at which some tuples converge, it yields them whole,
     as a (K, 3n) array whose row holds x_0, ..., x_{n-1} in turn, in the
     order of x.  A caller that has what it needs stops iterating, and the
-    iterations left are never run.  Tuples (3n, K) that the caller appends
-    to the list joining while it holds a yield are moved into the batch
-    after its other tuples, and are stepped from the next iteration on.
+    iterations left are never run.  Tuples (3n, K) in the list joining, at
+    the start or appended while the caller holds a yield, are moved into
+    the batch after its other tuples, and are stepped from then on.
     Each system is solved the same bit for bit whatever the other columns
     hold, so the tuples that join change no other tuple's path.
 
@@ -650,10 +650,10 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     The divisors n of N are searched in ascending order, N last, each in
     the same way, with the same cfg and its own stream of the same seed.
     The roots of the proper divisors of n, each as the n-tuple
-    (x, c(x), ..., c^{n-1}(x)), make up the first period-n Newton batch,
-    absorbed like the others, so the divisor roots head the report; a root
-    whose error has grown past the test over the longer orbit is refined
-    there at period n.
+    (x, c(x), ..., c^{n-1}(x)), are absorbed as one yield before the first
+    seed batch, so the divisor roots head the report; a point whose error
+    has grown past the test over the longer orbit lags, and its n-tuple
+    joins the first seed batch, to be refined there at period n.
 
     A batch hands over its converged tuples after each Newton iteration,
     and the search stops as soon as the number of roots reaches
@@ -714,21 +714,23 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
     order found.
 
     divisor_roots holds the roots of the proper divisors of N, one (K, 3)
-    array each; the first Newton batch, skipped if they hold no root,
-    holds them as N-tuples (x, c(x), ..., c^{N-1}(x)).  Each Newton batch
-    is absorbed one yield at a time, its lagging points join it, and it is
-    left as soon as the roots reach per_count_closed(N); the search ends
-    there, or on quiet batches, and raises ValueError past it.  The
-    seed batches start at _TUPLES_PER_ROOT tuples per root to find and
-    double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index for
-    _cluster_index is kept across yields, each yield's new roots merged in.
+    array each; their N-tuples (x, c(x), ..., c^{N-1}(x)), if any, are
+    absorbed as the first yield.  Each seed batch is absorbed one yield at
+    a time, the N-tuples of lagging points from any yield join it, and it
+    is left as soon as the roots reach per_count_closed(N); the search ends
+    there, or on quiet batches, and raises ValueError past it.  The seed
+    batches start at _TUPLES_PER_ROOT tuples per root to find and double up
+    to min(_SEED_CHUNK, cfg.seeds).  The roots' index for _cluster_index is
+    kept across yields, each yield's new roots merged in.
     """
     radius = cfg.dedup_radius
     theta = tuple(complex(v) for v in t)
     roots = np.empty((0, 3), dtype=complex)
     index = _sort_reps(roots, radius)
 
-    def absorb(tuples: np.ndarray, joining: list):
+    joining = []
+
+    def absorb(tuples: np.ndarray):
         # every point of every tuple, then of every conjugate tuple, is a
         # candidate; of those that match no root and converge on columns,
         # the first copy of each point is tested again on Python scalars
@@ -743,9 +745,9 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
         pts = pts[np.array([_converged(x, theta, N, cfg) for x in pts.tolist()], dtype=bool)]
         roots = np.concatenate([roots, pts])
         index = _insert_reps(index, pts, radius)
-        # a candidate that fails on columns lags behind its converged tuple:
-        # unless it is a copy of a new root or of an earlier such point, its
-        # N-tuple joins the running batch
+        # a candidate that fails on columns lags behind its converged tuple
+        # or divisor root: unless it is a copy of a new root or of an
+        # earlier such point, its N-tuple joins the running or next batch
         near = np.concatenate([pts, lagging])
         first = _cluster_index(near, near, radius)[len(pts):] == np.arange(len(pts), len(near))
         if first.any():
@@ -753,17 +755,10 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
 
     closed = per_count_closed(N)
 
-    def run_batch(x: np.ndarray):
-        joining = []
-        for tuples in _newton_batch(x, t, N, cfg, joining):
-            absorb(tuples, joining)
-            if len(roots) >= closed:
-                break
-
-    # one batch refines each divisor root as the N-tuple of its orbit
+    # the divisor roots come first, as one yield of N-tuples
     start = np.concatenate([roots, *divisor_roots])
     if len(start):
-        run_batch(_orbit_tuples(start, t, N))
+        absorb(_orbit_tuples(start, t, N).T)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     full = min(_SEED_CHUNK, cfg.seeds)
@@ -771,7 +766,10 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
     drawn = quiet = 0
     while len(roots) < closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
         before = len(roots)
-        run_batch(_make_tuples(size, N, t, rng))
+        for tuples in _newton_batch(_make_tuples(size, N, t, rng), t, N, cfg, joining):
+            absorb(tuples)
+            if len(roots) >= closed:
+                break
         drawn += size
         quiet = 0 if len(roots) > before else quiet + 1
         size = min(2 * size, full)

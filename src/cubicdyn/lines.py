@@ -366,7 +366,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL)
     # linear system for (x_j, x_k): rows from the slot-3 line and the image line
     rhs1 = a4 * bj + ai * bk
     rhs2 = ak * bi + aj * b4
-    xk = (rhs1 - rhs2) / (bj * bk - p)
+    xk = (rhs1 - rhs2) / det
     xj = rhs1 - bj * bk * xk
     x = [0j, 0j, 0j]
     x[i - 1] = bj * bk + 1 / (bj * bk)

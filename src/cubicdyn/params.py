@@ -139,19 +139,19 @@ class ThetaPoint(_Point):
 
 @dataclass
 class WallReport:
-    """Result of the wall-membership test.
+    """Result of the wall-membership test: the wall relations that kappa
+    satisfies, as witnesses, and on_wall, true when there is any.
 
     Each witness is (kind, which, m, residual) with kind one of
     "kappa_i_integer" (which = index i) or "signed_sum_odd"
     (which = sign pattern string such as "+--+").
     """
 
-    on_wall: bool
     witnesses: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.on_wall != bool(self.witnesses):
-            raise ValueError("on_wall must agree with witnesses being nonempty")
+    @property
+    def on_wall(self) -> bool:
+        return bool(self.witnesses)
 
     def to_json(self) -> dict:
         return {
@@ -263,4 +263,4 @@ def wall_membership(kappa: KappaPoint) -> WallReport:
         r = abs(v - ((1 + odd) * m + odd))
         if (r == 0 if exact else r <= _WALL_TOL):
             witnesses.append((kind, which, m, float(r)))
-    return WallReport(on_wall=bool(witnesses), witnesses=witnesses)
+    return WallReport(witnesses)

@@ -162,8 +162,6 @@ def parse_word(text: str) -> GroupWord:
         kind = "sigma" if m.group(1) == "s" else "g"
         index = int(m.group(2))
         power = int(m.group(3)) if m.group(3) is not None else 1
-        if kind == "sigma" and power < 0:
-            power = -power  # involutions
         sign = 1 if power >= 0 else -1
         for _ in range(abs(power)):
             letters.append(GeneratorLetter(kind, index, sign if kind == "g" else 1))

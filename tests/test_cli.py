@@ -120,6 +120,8 @@ def test_params_on_a_float_or_complex_kappa(k1, parsed, on_wall):
     ["lattice", "--charpoly"],
     ["lattice", "--spectral-radius"],
     ["lattice", "--checks"],
+    ["--rng", "3", "lattice"],
+    ["zeta", "--order", "3", "--rng", "3"],
 ])
 def test_a_removed_flag_is_a_usage_error(capsys, argv):
     code, out = run(argv)
@@ -153,6 +155,12 @@ def test_complex_pairs_stand_anywhere_in_a_comma_list(text, whole):
     assert code == 0 and out == run(["disc", "--b", whole, "--output", "json"])[1]
 
 
+def test_disc_reads_a_python_complex_literal():
+    code, out = run(["disc", "--b", "(1+1j),2,3,4", "--output", "json"])
+    _, want = run(["disc", "--b", "1+1i,2,3,4", "--output", "json"])
+    assert code == 0 and json.loads(out)["discriminant"] == json.loads(want)["discriminant"]
+
+
 def test_orbit_takes_complex_pairs_in_its_comma_lists():
     argv = ["orbit", "--word", "s1 g2^-1", "--iters", "2", "--output", "json"]
     code, out = run(argv + ["--x", "[0.1,0],0.2,0.3", "--theta", "[1,0.5],[2,-1],[0.3,0.7],[-1,2]"])
@@ -164,6 +172,18 @@ def test_verify_subcommand():
     code, out = run(["verify", "--nmax", "20", "--output", "json"])
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_a_failed_verification_exits_1_with_one_error_line(monkeypatch, capsys):
+    from cubicdyn import counting
+
+    def fail(nmax):
+        raise AssertionError("N=3: lefschetz 77 != closed 78")
+
+    monkeypatch.setattr(counting, "verify_counts", fail)
+    code, out = run(["verify", "--nmax", "3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: N=3: lefschetz 77 != closed 78\n"
 
 
 def test_orbit_subcommand():
@@ -256,13 +276,21 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert "count:" in out
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a pair\n")
     code, _ = run(["count", "--N", "2", "--config", str(bad)])
     assert code == 2
     code, _ = run(["count", "--N", "2", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
+    # a value outside its option's choices, as --space foo or --output xml
+    for text in ("space = foo\n", "output = xml\n"):
+        bad.write_text(text)
+        capsys.readouterr()
+        code, out = run(["count", "--N", "2", "--config", str(bad)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_config_key_that_names_no_option_exits_2(monkeypatch, tmp_path, capsys):
@@ -288,7 +316,8 @@ def test_config_key_that_names_no_option_exits_2(monkeypatch, tmp_path, capsys):
                        (["lines", "--kappa", "1/3,1/4,1/5,1/7"], "tol = 1\n"),
                        (["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4"],
                         "escape_radius = 10\n"),
-                       (["lattice"], "charpoly = true\n")):
+                       (["lattice"], "charpoly = true\n"),
+                       (["lattice"], "rng = 3\n")):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code, out = run([*argv, "--config", str(cfg)])

@@ -899,13 +899,13 @@ def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
-    # the period-2 solve comes first, in one batch of 8 tuples per root,
-    # one batch refines its 22 roots as period-4 tuples, and their roots
-    # head the report; one chunk of period-4 tuples finds the rest.  Every
-    # other Newton batch runs on a seed chunk: the orbits come whole from
-    # the tuples, not from a second batch on images
-    assert calls == [(2, 176), (4, 22), (4, 2048)]
-    assert seed_chunk == [True, False, True]
+    # the period-2 solve comes first, in one batch of 8 tuples per root;
+    # its 22 roots are absorbed as period-4 tuples and head the report, and
+    # one chunk of period-4 tuples finds the rest.  Every Newton batch runs
+    # on a seed chunk: the orbits come whole from the tuples, not from a
+    # second batch on images
+    assert calls == [(2, 176), (4, 2048)]
+    assert seed_chunk == [True, True]
     assert report.minimal_periods[0] == 2
 
 
@@ -923,8 +923,8 @@ def test_each_divisor_period_is_solved_once(monkeypatch):
 def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypatch):
     from cubicdyn import counting
 
-    # the first period-2 root offered at N = 4, by the batch that refines
-    # the period-2 roots as period-4 tuples, is made to fail the recheck on
+    # the first period-2 root offered at N = 4, when the period-2 roots are
+    # absorbed as period-4 tuples, is made to fail the recheck on
     # Python scalars at period 4: it is not admitted, and the report holds
     # another copy of it in its place
     kappa = random_offwall_kappa(np.random.default_rng(7))
@@ -946,7 +946,7 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     (point, before), = rejected
     # offered by the divisor solve
     assert min(max(abs(a - b) for a, b in zip(p, point)) for p in two) <= cfg.dedup_radius
-    assert before == [(2, 176), (4, 22)]
+    assert before == [(2, 176)]
     points = [tuple(map(complex, p.as_tuple())) for p, _ in report.points]
     assert point not in points
     assert sum(max(abs(a - b) for a, b in zip(p, point)) < 1e-6 for p in points) == 1
@@ -954,15 +954,15 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
 
 
 def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
-    # with rng 7, 6 of the 22 period-2 roots fail the tests at period 4 as
-    # offered; left to the chunks of period-4 seeds, they keep the search
-    # going for four chunks.  Refined in one batch of period-4 tuples, they are all in before the
-    # first chunk, which then finds every other root
+    # with rng 7, 4 of the 22 period-2 roots fail the tests at period 4 as
+    # offered; left to be found again from period-4 seeds, they keep the
+    # search going for four chunks.  Their period-4 tuples join the first
+    # chunk and are refined there, and that chunk finds every other root
     calls = _record_newton_batch(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=7))
     assert report.status == "complete"
-    assert calls == [(2, 176), (4, 22), (4, 2048)]
+    assert calls == [(2, 176), (4, 2048)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])

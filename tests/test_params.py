@@ -140,13 +140,6 @@ def test_wall_membership_tolerant():
     assert not rep.on_wall
 
 
-def test_wall_report_consistency_guard():
-    from cubicdyn.params import WallReport
-
-    with pytest.raises(ValueError):
-        WallReport(on_wall=True, witnesses=[])
-
-
 def test_eigen_unit_circle_for_real_kappa():
     k = KappaPoint.from_tail(0.31, 0.27, 0.12, 0.55)
     b = kappa_to_eigen(k)

@@ -135,6 +135,7 @@ def test_commutator_word_exact_rational():
 def test_parse_word_roundtrip_and_errors():
     w = parse_word("s1 g2^-2 g3")
     assert str(w) == "s1 g2^-1 g2^-1 g3"
+    assert parse_word("s1^-2") == parse_word("s1 s1")
     with pytest.raises(ValueError):
         parse_word("h1")
     with pytest.raises(ValueError):

@@ -180,6 +180,23 @@ def _solver_fields():
     return [f for f in dataclasses.fields(counting.SolverConfig) if f.name != "rng_seed"]
 
 
+def _solver_option(name):
+    """The argparse type of the SolverConfig field name: its value, checked
+    as SolverConfig checks it, so that a value it rejects is a usage error."""
+    convert = type(getattr(counting.SolverConfig(), name))
+
+    def parse(text):
+        value = convert(text)
+        try:
+            counting.SolverConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser():
     """The top-level parser, and the subparser of each command by name.
 
@@ -243,8 +260,8 @@ def _build_parser():
     g.add_argument("--kappa", default=argparse.SUPPRESS)
     p.add_argument("--N", type=int, required=True)
     for f in _solver_fields():
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
-    p.add_argument("--rng", type=int, help="RNG seed")
+        p.add_argument("--" + f.name.replace("_", "-"), type=_solver_option(f.name))
+    p.add_argument("--rng", type=_solver_option("rng_seed"), help="RNG seed")
 
     p = add_parser("verify", _cmd_verify, help="cross-check every exact counting identity")
     p.add_argument("--nmax", type=int, required=True)

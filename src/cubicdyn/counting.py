@@ -333,15 +333,32 @@ def _converged(x, t, n: int, cfg: SolverConfig):
     return (gap < cfg.newton_tol) & (abs(cubic_eval(x, t)) <= surface_residual_bound(x, cfg.surface_tol))
 
 
-def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
-    """Half box seeds of radius 10, half seeds placed on the surface.
+def _seed_radius(t: np.ndarray) -> float:
+    """R(theta) = 2 + sqrt(max_i |theta_i|) / 2, the half-width of the seed box.
 
-    Returned as a (3, count) array of coordinate columns.
+    The periodic points of c lie in a bounded set that grows with theta:
+    on 41 off-wall kappa every root of c^N (N = 2, 3, 4) has max |x_i|
+    between 1.66 and 3.47, growing like sqrt(max |theta_i|), and between
+    0.68 R and 0.97 R.
     """
+    return 2 + 0.5 * np.sqrt(np.abs(t).max())
+
+
+def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
+    """Half box seeds, half seeds placed on the surface.
+
+    A box seed's coordinates, and the x_2 and x_3 of a surface seed, have
+    real and imaginary parts uniform in [-R, R], R = _seed_radius(t); x_1
+    then solves f = 0 with a random one of its two roots.  Seeds near the
+    periodic points save the Newton steps that would pull far ones in, and
+    the box scales with theta, so that it still holds them where they lie
+    farther out.  Returned as a (3, count) array of coordinate columns.
+    """
+    r = _seed_radius(t)
     box = count // 2
-    pts = (rng.uniform(-10, 10, size=(box, 3)) + 1j * rng.uniform(-10, 10, size=(box, 3)))
+    pts = (rng.uniform(-r, r, size=(box, 3)) + 1j * rng.uniform(-r, r, size=(box, 3)))
     rest = count - box
-    x23 = rng.uniform(-10, 10, size=(rest, 2)) + 1j * rng.uniform(-10, 10, size=(rest, 2))
+    x23 = rng.uniform(-r, r, size=(rest, 2)) + 1j * rng.uniform(-r, r, size=(rest, 2))
     # solve x1^2 + (x2 x3 - t1) x1 + (x2^2 + x3^2 - t2 x2 - t3 x3 + t4) = 0
     bq = x23[:, 0] * x23[:, 1] - t[0]
     cq = (x23 * x23).sum(axis=1) - t[1] * x23[:, 0] - t[2] * x23[:, 1] + t[3]
@@ -473,6 +490,13 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
     is not positive definite or holds a nan, and the columns of z there
     are nan.
 
+    Each column is multiplied by the reciprocal 1 / L[j, j] of its pivot,
+    held as a complex column with imaginary part 0, and not divided by the
+    real pivot.  numpy divides a complex a + bi by d + 0i (Smith's method)
+    as (a + b 0) s + (b - a 0) s i with s = 1 / d, and multiplying by
+    s + 0i gives (a s - b 0) + (a 0 + b s) i: the same values, up to the
+    sign of an exact zero, at a fraction of a division's cost.
+
     No pivoting is needed.  The factorisation is left-looking, and each
     entry of L receives its updates in ascending column order, as a dense
     right-looking one gives them; an update left out would subtract an
@@ -484,9 +508,10 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
     m = len(a)
     ok = np.ones(a.shape[2], dtype=bool)
     diag = np.diagonal(a).real.T  # a view: row j is the real part of a[j, j]
+    inv = np.empty_like(y)  # inv[j] is 1 / L[j, j], with imaginary part 0
     tmp = np.empty_like(y[0])
     # bound once: a lookup on np per call costs a sizeable part of a short column's arithmetic
-    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    multiply, subtract = np.multiply, np.subtract
     col = [list(a[:, j]) for j in range(m)]  # col[j][r] is the view a[r, j]
     z = list(y)  # z[r] is the view y[r]
     # the rows of L's column j below the diagonal, and the columns of L's
@@ -501,17 +526,18 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
                 subtract(ci[r], multiply(cj[r], u, out=tmp), out=ci[r])
         good = (d > 0) & (d < np.inf)
         ok &= good
-        # a failed pivot goes on as 1, so that no nan meets a division
+        # a failed pivot goes on as 1, so that no nan or inf reaches 1 / L[i, i]
         ci[i][...] = np.sqrt(np.where(good, d, 1))
+        np.divide(1, d, out=inv[i])
         for r in below[i]:
-            divide(ci[r], d, out=ci[r])
+            multiply(ci[r], inv[i], out=ci[r])
             np.conj(ci[r], out=col[r][i])
     for j in range(m):  # L w = y
-        cj, zj = col[j], divide(z[j], diag[j], out=z[j])
+        cj, zj = col[j], multiply(z[j], inv[j], out=z[j])
         for r in below[j]:
             subtract(z[r], multiply(cj[r], zj, out=tmp), out=z[r])
     for j in reversed(range(m)):  # L^H z = w
-        cj, zj = col[j], divide(z[j], diag[j], out=z[j])
+        cj, zj = col[j], multiply(z[j], inv[j], out=z[j])
         for r in left[j]:
             subtract(z[r], multiply(cj[r], zj, out=tmp), out=z[r])
     y[:, ~ok] = np.nan
@@ -617,9 +643,9 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 # The first batch of a search holds this many seed tuples per root it must
-# find.  On 40 random kappa, 9 N = 2 searches need a second batch at 8, 30
-# at 4, and the extra batches cost more than the narrower first ones save;
-# at 16 the N = 3 searches take longer in total
+# find.  On the README's 41 kappa, no N = 2 or 3 search needs a second
+# batch at 8 and 19 N = 2 searches do at 4; the N = 2 and 3 searches take
+# 2.5 s in all at 8, against 3.0 s at 4 and at 16
 _TUPLES_PER_ROOT = 8
 
 

@@ -473,3 +473,23 @@ def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, nam
             assert code == 2 and not seen
         else:
             assert seen[0] == dataclasses.replace(SolverConfig(), **{name: value})
+
+
+@pytest.mark.parametrize("flag, key, value, message", [("--seeds", "seeds", "0", "seeds must be positive"),
+                                                       ("--rng", "rng", "-1", "rng_seed must be nonnegative"),
+                                                       ("--rng", "rng", "abc", "invalid int value")])
+def test_a_solver_setting_out_of_range_is_a_usage_error(monkeypatch, tmp_path, capsys, flag, key, value, message):
+    """SolverConfig's own checks reject the value before any solve, given
+    as a flag or as a config key, as argparse rejects a value that is not
+    an int."""
+    from cubicdyn import counting
+
+    called = []
+    monkeypatch.setattr(counting, "solve_periodic", lambda *args: called.append(args))
+    cfg_file = tmp_path / "solve.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    for extra in ([flag, value], ["--config", str(cfg_file)]):
+        capsys.readouterr()
+        code, out = run(["solve", "--theta", "1,2,3,4", "--N", "2", *extra])
+        assert code == 2 and out == "" and not called
+        assert f"error: argument {flag}: {message}" in capsys.readouterr().err

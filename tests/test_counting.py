@@ -21,7 +21,7 @@ from cubicdyn.counting import (
     verify_counts,
     zeta_coefficients,
 )
-from cubicdyn.params import discriminant, kappa_to_eigen, rh_params, wall_membership
+from cubicdyn.params import KappaPoint, discriminant, kappa_to_eigen, rh_params, wall_membership
 from cubicdyn.surface import (
     coxeter_apply,
     coxeter_jacobian,
@@ -564,7 +564,7 @@ def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch)
 def test_newton_batch_drops_stalled_tuples(monkeypatch):
     from cubicdyn import counting
 
-    # the solver's own first chunk at kappa_ref, N = 3: 83 tuples stall at
+    # the solver's own first chunk at kappa_ref, N = 3: 109 tuples stall at
     # a local minimum of the merit and none converges, so once they leave
     # the batch it ends long before newton_max_iter (100)
     t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
@@ -579,7 +579,7 @@ def test_newton_batch_drops_stalled_tuples(monkeypatch):
 
     monkeypatch.setattr(counting, "_normal_equations", record)
     out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig(), [])))
-    assert out.shape == (1965, 9)
+    assert out.shape == (1939, 9)
     assert len(calls) <= 60
 
 
@@ -627,10 +627,11 @@ def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
 
 
 def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
-    # two roots first show up at period-4 iteration 19 as orbit images
-    # that fail the gate; refined in the running batch, they are in at
-    # iteration 20, where the seed batch would run on to iteration 24
-    # (17 + 24 = 41 steps, the period-2 solve's 17 included)
+    # lagging orbit images that fail the gate join the running batch after
+    # period-4 iterations 9 and 11, and two period-2 roots that fail it at
+    # period 4 join the batch from its start; refined there, every root is
+    # in after 16 + 12 = 28 steps, the period-2 solve's 16 included (29
+    # without the joins)
     from cubicdyn import counting
 
     normal = counting._normal_equations
@@ -798,6 +799,68 @@ def test_the_symbolic_pattern_covers_the_numeric_factor(n, updates):
     assert n > 3 or pattern.sum() == m * (m + 1) // 2
 
 
+def _cholesky_solve_by_division(a, y, pattern):
+    """_cholesky_solve with each column divided by its real pivot L[j, j]
+    in place of multiplied by its reciprocal: the reference it must agree
+    with."""
+    m = len(a)
+    ok = np.ones(a.shape[2], dtype=bool)
+    diag = np.diagonal(a).real.T
+    col = [list(a[:, j]) for j in range(m)]
+    z = list(y)
+    below = [(np.flatnonzero(pattern[j + 1:, j]) + j + 1).tolist() for j in range(m)]
+    left = [np.flatnonzero(pattern[i, :i]).tolist() for i in range(m)]
+    for i in range(m):
+        ci, d = col[i], diag[i]
+        for j in left[i]:
+            cj, u, rows = col[j], ci[j], below[j]
+            for r in rows[rows.index(i):]:
+                np.subtract(ci[r], cj[r] * u, out=ci[r])
+        good = (d > 0) & (d < np.inf)
+        ok &= good
+        ci[i][...] = np.sqrt(np.where(good, d, 1))
+        for r in below[i]:
+            np.divide(ci[r], d, out=ci[r])
+            np.conj(ci[r], out=col[r][i])
+    for j in range(m):
+        np.divide(z[j], diag[j], out=z[j])
+        for r in below[j]:
+            np.subtract(z[r], col[j][r] * z[j], out=z[r])
+    for j in reversed(range(m)):
+        np.divide(z[j], diag[j], out=z[j])
+        for r in left[j]:
+            np.subtract(z[r], col[j][r] * z[j], out=z[r])
+    y[:, ~ok] = np.nan
+    return ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_reciprocal_pivots_solve_as_division_by_the_pivots(n):
+    from cubicdyn import counting
+
+    # the factor and the solutions equal the division's, where == counts
+    # -0 and 0 as equal, in the batch and with each system alone; the
+    # indefinite and the nan system are flagged as by the division
+    m = 3 * n
+    a, y = _shooting_systems(n, 60)
+    a[m - 1, m - 1, 3] = -1
+    a[m - 1, m - 2, 7] = a[m - 2, m - 1, 7] = np.nan
+    pattern = counting._cholesky_pattern(n)
+    want_a, want_z = a.copy(), y.copy()
+    want_ok = _cholesky_solve_by_division(want_a, want_z, pattern)
+    got_a, got_z = a.copy(), y.copy()
+    ok = counting._cholesky_solve(got_a, got_z, pattern)
+    assert np.flatnonzero(~ok).tolist() == np.flatnonzero(~want_ok).tolist() == [3, 7]
+    assert np.isnan(got_z[:, [3, 7]]).all()
+    assert np.array_equal(got_z, want_z, equal_nan=True)
+    lower = np.tri(m, dtype=bool)
+    assert np.array_equal(got_a[lower], want_a[lower], equal_nan=True)
+    for k in np.flatnonzero(ok):
+        alone = y[:, k:k + 1].copy()
+        assert counting._cholesky_solve(a[:, :, k:k + 1].copy(), alone, pattern).all()
+        assert np.array_equal(alone, want_z[:, k:k + 1])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_normal_equations_equal_a_dense_jhj(n):
     from cubicdyn import counting
@@ -909,6 +972,67 @@ def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     assert report.minimal_periods[0] == 2
 
 
+_KAPPA_REF = random_offwall_kappa(np.random.default_rng(7))
+# max |theta_i| is 17.3, against 2.35 at _KAPPA_REF, and its roots reach
+# max |x_i| = 3.47, past _KAPPA_REF's seed radius of 2.77
+_KAPPA_FAR = KappaPoint.from_tail(Fraction(45, 23), Fraction(1, 9), Fraction(3, 10), Fraction(15, 16))
+
+
+@pytest.mark.parametrize("kappa", [_KAPPA_REF, _KAPPA_FAR])
+def test_the_seeds_lie_in_the_theta_scaled_box(kappa):
+    from cubicdyn import counting
+
+    t = counting._coerce_theta4(rh_params(kappa))
+    r = counting._seed_radius(t)
+    assert r == 2 + np.sqrt(np.abs(t).max()) / 2
+    x = counting._make_seeds(4001, t, np.random.default_rng(0))
+    box, on_surface = x[:, :2000], x[:, 2000:]
+    # the box seeds' coordinates and the surface seeds' x_2 and x_3 span
+    # the box, real and imaginary parts alike; x_1 then solves f = 0
+    for part in (box, on_surface[1:]):
+        for v in (part.real, part.imag):
+            assert np.abs(v).max() <= r and np.abs(v).max() > 0.99 * r
+    assert (np.abs(cubic_eval(on_surface, t)) <= surface_residual_bound(on_surface, SolverConfig.surface_tol)).all()
+
+
+def test_the_seed_radius_grows_with_theta():
+    from cubicdyn import counting
+
+    ref, far = (counting._coerce_theta4(rh_params(k)) for k in (_KAPPA_REF, _KAPPA_FAR))
+    assert round(counting._seed_radius(ref), 2) == 2.77 and round(counting._seed_radius(far), 2) == 4.08
+    radii = [counting._seed_radius(s * far) for s in (0, 0.01, 0.1, 1, 10, 100)]
+    assert radii[0] == 2 and all(a < b for a, b in zip(radii, radii[1:]))
+
+
+def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_period_four_batch(monkeypatch):
+    from cubicdyn import counting
+
+    calls = _record_newton_batch(monkeypatch)
+    report = solve_for_kappa(_KAPPA_FAR, 4, SolverConfig(seeds=20000, rng_seed=6))
+    assert report.status == "complete" and report.found == 326
+    assert calls == [(2, 176), (4, 2048)]
+    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    assert np.abs(points).max() > counting._seed_radius(counting._coerce_theta4(rh_params(_KAPPA_REF)))
+
+
+@pytest.mark.parametrize("N, steps", [(3, 10), (4, 28)])
+def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(monkeypatch, N, steps):
+    from cubicdyn import counting
+
+    # seeds in a box of radius 10 take 15 and 37 steps
+    normal = counting._normal_equations
+    calls = []
+
+    def record(x, t, n):
+        calls.append(n)
+        return normal(x, t, n)
+
+    monkeypatch.setattr(counting, "_normal_equations", record)
+    report = solve_for_kappa(_KAPPA_REF, N, SolverConfig(seeds=20000))
+    assert report.status == "complete" and report.found == per_count_closed(N)
+    assert len(calls) <= steps
+
+
 def test_each_divisor_period_is_solved_once(monkeypatch):
     # no tuple ever converges: each search runs saturation_batches chunks
     # of one tuple, d = 2 once (not again for d = 4), then d = 4, then N = 8;
@@ -954,15 +1078,33 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
 
 
 def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
-    # with rng 7, 4 of the 22 period-2 roots fail the tests at period 4 as
-    # offered; left to be found again from period-4 seeds, they keep the
-    # search going for four chunks.  Their period-4 tuples join the first
-    # chunk and are refined there, and that chunk finds every other root
+    # a period-2 root that fails the tests at period 4 as offered would
+    # keep the search going for more chunks if it were left to be found
+    # again from period-4 seeds.  Its period-4 tuple joins the first chunk
+    # and is refined there, and that chunk finds every other root
     calls = _record_newton_batch(monkeypatch)
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=7))
     assert report.status == "complete"
     assert calls == [(2, 176), (4, 2048)]
+
+
+def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypatch):
+    from cubicdyn import counting
+
+    # at rng 0, 2 of the 22 period-2 roots fail the tests at period 4 as
+    # offered: their period-4 tuples wait in joining for the first chunk
+    newton = counting._newton_batch
+    calls = []
+
+    def record(x, t, n, cfg, joining):
+        calls.append((n, x.shape[1], sum(j.shape[1] for j in joining)))
+        return newton(x, t, n, cfg, joining)
+
+    monkeypatch.setattr(counting, "_newton_batch", record)
+    report = solve_for_kappa(_KAPPA_REF, 4, SolverConfig(seeds=20000))
+    assert report.status == "complete" and report.found == 326
+    assert calls == [(2, 176, 0), (4, 2048, 2)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])

@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import counting, lattice, lines, params, surface
 
@@ -268,6 +269,12 @@ def _build_parser():
     return parser, sub.choices
 
 
+@lru_cache(maxsize=None)
+def _shared_parser():
+    """The parser tree of every run without --config, built on first use."""
+    return _build_parser()
+
+
 # Each command returns (data, exit code); dispatch renders data, if any.
 
 
@@ -403,18 +410,21 @@ def dispatch(argv, stream=None) -> int:
     """Parse argv, run the chosen subcommand and render its data to stream
     (stdout by default) in the --output format; returns the exit code.
 
-    A --config file's values become the parsers' defaults and argv is
-    parsed again, so a flag beats the file, the file beats the built-in
-    default, and argparse converts the file's values as it does flags'.
-    A key must name an option of the command that takes a value, not an
-    input whose group another flag already fills, and hold one of the
-    option's choices if it has any.
+    The parser tree is built once per process and shared by every call.
+    A --config file's values become the defaults of a tree built for that
+    call alone, and argv is parsed again, so a flag beats the file, the
+    file beats the built-in default, argparse converts the file's values
+    as it does flags', and no value reaches a later call.  A key must name
+    an option of the command that takes a value, not an input whose group
+    another flag already fills, and hold one of the option's choices if it
+    has any.
     """
-    parser, commands = _build_parser()
+    parser, commands = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             config = read_config(args.config)
+            parser, commands = _build_parser()
             keys = {k for k, v in vars(args).items() if not isinstance(v, bool)} - {"command", "config", "run"}
             unknown = sorted(set(config) - keys)
             if unknown:

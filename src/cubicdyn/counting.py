@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import ClassVar
 
 import numpy as np
@@ -91,23 +91,20 @@ def per_kappa_closed(N: int) -> int:
     return next(islice(_recurrence(2, 18, 18, -1), N, None)) + 4
 
 
-# (1-z)^4 (1-18z+z^2), the zeta function's denominator, lowest degree first
-_ZETA_DENOMINATOR = (1, -22, 79, -116, 79, -22, 1)
-
-
 def zeta_coefficients(order: int) -> list:
     """Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order.
 
-    With d_0..d_6 the denominator's coefficients, the series satisfies
-    z_0 = 1 and z_n = -(d_1 z_{n-1} + ... + d_6 z_{n-6}) for n >= 1,
-    where z_n = 0 for n < 0; all arithmetic exact.
+    The coefficients of 1/(1-18z+z^2) are C_N's recurrence started at 1, 18
+    (a_{n+2} = 18 a_{n+1} - a_n), and multiplying a series by 1/(1-z) turns
+    it into its running sums, so the series is four running sums of that
+    recurrence; all arithmetic exact.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    z = [0] * 6 + [1]
-    for _ in range(order):
-        z.append(-sum(d * z[-k] for k, d in enumerate(_ZETA_DENOMINATOR[1:], start=1)))
-    return z[6:]
+    series = islice(_recurrence(1, 18, 18, -1), order + 1)
+    for _ in range(4):
+        series = accumulate(series)
+    return list(series)
 
 
 def _zeta_via_exp(order: int) -> list:
@@ -463,7 +460,8 @@ def _cholesky_pattern(n: int) -> np.ndarray:
     rows below the diagonal that column j holds.  For n <= 3 every block is
     nonzero and L is dense; from n = 4 on the fill is the last block row,
     and the factorisation takes 85 n - 135 column updates in place of
-    (3n + 1) 3n (3n - 1) / 6.
+    (3n + 1) 3n (3n - 1) / 6.  _cholesky_schedule turns the pattern into
+    _cholesky_solve's loops, once per pattern.
     """
     blocks = np.zeros((n, n), dtype=bool)
     for k in range(n):
@@ -476,6 +474,22 @@ def _cholesky_pattern(n: int) -> np.ndarray:
     return pattern
 
 
+@lru_cache(maxsize=None)
+def _cholesky_schedule(m: int, bits: bytes):
+    """The loops of _cholesky_solve under the (m, m) boolean pattern whose
+    bytes are bits, built on the pattern's first use and shared by every
+    later solve under it: (updates, below, left), where below[j] holds the
+    rows of L's column j below the diagonal and left[i] the columns of L's
+    row i left of it, in ascending order, and updates[i] pairs each j of
+    left[i] with the rows of below[j] from i on, the entries of column i
+    that column j updates."""
+    pattern = np.frombuffer(bits, dtype=bool).reshape(m, m)
+    below = [tuple((np.flatnonzero(pattern[j + 1:, j]) + j + 1).tolist()) for j in range(m)]
+    left = [tuple(np.flatnonzero(pattern[i, :i]).tolist()) for i in range(m)]
+    updates = [tuple((j, below[j][below[j].index(i):]) for j in left[i]) for i in range(m)]
+    return tuple(updates), tuple(below), tuple(left)
+
+
 def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Solve a z = y for each column of a batch of Hermitian positive
     definite systems, in place, by a Cholesky factorisation a = L L^H.
@@ -484,11 +498,11 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
     columns over the systems.  pattern (m, m) holds, on and below its
     diagonal, every entry where L may be nonzero (see _cholesky_pattern;
     all True for a dense a); the factorisation and both triangular solves
-    run over it alone.  a is overwritten by L within the pattern and by
-    L^H at its mirror image above the diagonal, and y by z.  Returns ok
-    (M,): False where a pivot is not positive and finite, that is where a
-    is not positive definite or holds a nan, and the columns of z there
-    are nan.
+    run over it alone, in the order of its _cholesky_schedule.  a is
+    overwritten by L within the pattern and by L^H at its mirror image
+    above the diagonal, and y by z.  Returns ok (M,): False where a pivot
+    is not positive and finite, that is where a is not positive definite
+    or holds a nan, and the columns of z there are nan.
 
     Each column is multiplied by the reciprocal 1 / L[j, j] of its pivot,
     held as a complex column with imaginary part 0, and not divided by the
@@ -514,15 +528,12 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
     multiply, subtract = np.multiply, np.subtract
     col = [list(a[:, j]) for j in range(m)]  # col[j][r] is the view a[r, j]
     z = list(y)  # z[r] is the view y[r]
-    # the rows of L's column j below the diagonal, and the columns of L's
-    # row i left of it, in ascending order
-    below = [(np.flatnonzero(pattern[j + 1:, j]) + j + 1).tolist() for j in range(m)]
-    left = [np.flatnonzero(pattern[i, :i]).tolist() for i in range(m)]
+    updates, below, left = _cholesky_schedule(m, pattern.tobytes())
     for i in range(m):
         ci, d = col[i], diag[i]
-        for j in left[i]:
-            cj, u, rows = col[j], ci[j], below[j]  # u is a[j, i], the conjugate of L[i, j]
-            for r in rows[rows.index(i):]:
+        for j, rows in updates[i]:
+            cj, u = col[j], ci[j]  # u is a[j, i], the conjugate of L[i, j]
+            for r in rows:
                 subtract(ci[r], multiply(cj[r], u, out=tmp), out=ci[r])
         good = (d > 0) & (d < np.inf)
         ok &= good

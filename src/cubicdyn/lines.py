@@ -10,6 +10,7 @@ the involutions sigma_i permute them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -187,8 +188,10 @@ _SLOT_PATTERNS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _slot_label(i: int, slot: int) -> LineLabel:
-    """Classical label of a slot, following the arrangement figure.
+    """Classical label of a slot, following the arrangement figure; built
+    once per slot, as a LineLabel is immutable.
 
     Group i hosts E/G lines with indices (2i-1, 2i) and four F lines
     connecting the other two index pairs.  Which line of an F pair gets

@@ -225,14 +225,18 @@ def g_apply(i: int, sign: int, x, theta):
 
 
 def _escaped(x, escape_radius: float) -> bool:
-    return max(abs(complex(v)) for v in x) > escape_radius
+    # abs of the scalar itself, exact for Fraction and int coordinates of
+    # any size, where a conversion to complex would overflow
+    return max(abs(v) for v in x) > escape_radius
 
 
 def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> MapResult:
     """Apply a group word (rightmost letter first), tracking theta swaps.
 
     status is "escaped" as soon as an intermediate coordinate exceeds
-    escape_radius; the partial state reached is returned.
+    escape_radius in modulus; the partial state reached is returned.  The
+    moduli are compared exactly, and an infinite escape_radius skips the
+    test, so exact coordinates of any size pass through.
     """
     t = _coerce_theta(theta)
     y = tuple(x)
@@ -241,7 +245,7 @@ def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_
             y = sigma_apply(letter.index, y, t)
         else:
             y, t = g_apply(letter.index, letter.power, y, t)
-        if _escaped(y, escape_radius):
+        if escape_radius != math.inf and _escaped(y, escape_radius):
             return MapResult(AffinePoint(*y), ThetaPoint(*t), "escaped")
     return MapResult(AffinePoint(*y), ThetaPoint(*t), "ok")
 

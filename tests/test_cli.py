@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import types
 
 import pytest
 
@@ -274,6 +275,36 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     # and so does --output
     code, out = run(["count", "--N", "2", "--config", str(cfg), "--output", "pretty"])
     assert "count:" in out
+
+
+def test_a_config_file_reaches_its_own_call_alone(tmp_path):
+    from cubicdyn import cli
+
+    # the file's values are the defaults of that call's parser tree, never
+    # of the tree that the calls without --config share
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = projective\noutput = json\n")
+    plain = (0, "N: 2\nspace: affine\ncount: 22\n")
+    assert run(["count", "--N", "2"]) == plain
+    shared = cli._shared_parser()
+    code, out = run(["count", "--N", "2", "--config", str(cfg)])
+    assert code == 0 and json.loads(out) == {"N": 2, "space": "projective", "count": 23}
+    assert run(["count", "--N", "2"]) == plain
+    code, out = run(["count", "--N", "2", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["space"] == "projective"
+    assert cli._shared_parser() is shared
+
+
+def test_every_public_function_is_a_plain_function():
+    from cubicdyn import cli, counting, lattice, lines, params, surface
+
+    # the benchmark's tracer wraps types.FunctionType objects alone, so a
+    # cache belongs on a private helper, never on a public function
+    for mod in (cli, params, surface, lattice, lines, counting):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not isinstance(obj, type):
+                assert isinstance(obj, types.FunctionType), f"{mod.__name__}.{name}"
 
 
 def test_config_file_errors(tmp_path, capsys):

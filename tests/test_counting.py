@@ -71,6 +71,23 @@ def test_zeta_small_coefficients():
     assert zeta_coefficients(2) == [1, 22, 405]
 
 
+def _zeta_by_the_denominator(order):
+    """z_0 = 1 and z_n = -(d_1 z_{n-1} + ... + d_6 z_{n-6}) over the
+    coefficients d of (1-z)^4 (1-18z+z^2), expanded: the reference that
+    zeta_coefficients' running sums must equal."""
+    d = (1, -22, 79, -116, 79, -22, 1)
+    z = [0] * 6 + [1]
+    for _ in range(order):
+        z.append(-sum(d[k] * z[-k] for k in range(1, 7)))
+    return z[6:]
+
+
+@pytest.mark.parametrize("orders", [range(1, 61), [3500]])
+def test_zeta_running_sums_equal_the_six_term_recurrence(orders):
+    for order in orders:
+        assert zeta_coefficients(order) == _zeta_by_the_denominator(order)
+
+
 def test_zeta_against_sympy_series():
     z = sympy.symbols("z")
     expr = 1 / ((1 - z) ** 4 * (1 - 18 * z + z**2))
@@ -797,6 +814,28 @@ def test_the_symbolic_pattern_covers_the_numeric_factor(n, updates):
     assert sum(np.count_nonzero(pattern[i:, j]) for j in range(m) for i in below[j]) == updates
     assert n < 3 or updates == 85 * n - 135
     assert n > 3 or pattern.sum() == m * (m + 1) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_cholesky_schedule_is_built_once_per_pattern(n):
+    from cubicdyn import counting
+
+    # the schedule lists the updates of column i as the rows of below[j]
+    # from i on, for each j of left[i], as the loops took them when they
+    # rebuilt both lists on every call; a solve under the same pattern, or
+    # under an equal copy of it, builds no new schedule
+    m = 3 * n
+    pattern = counting._cholesky_pattern(n)
+    a, y = _shooting_systems(n, 8)
+    counting._cholesky_solve(a.copy(), y.copy(), pattern)
+    built = counting._cholesky_schedule.cache_info().misses
+    updates, below, left = counting._cholesky_schedule(m, pattern.tobytes())
+    assert list(below) == [tuple(np.flatnonzero(pattern[j + 1:, j]) + j + 1) for j in range(m)]
+    assert list(left) == [tuple(np.flatnonzero(pattern[i, :i])) for i in range(m)]
+    for i in range(m):
+        assert updates[i] == tuple((j, below[j][below[j].index(i):]) for j in left[i])
+    counting._cholesky_solve(a.copy(), y.copy(), pattern.copy())
+    assert counting._cholesky_schedule.cache_info().misses == built
 
 
 def _cholesky_solve_by_division(a, y, pattern):

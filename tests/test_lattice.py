@@ -62,13 +62,21 @@ def test_sigma_star_charpoly_and_kernel():
         assert list(charpoly(m)) == expected
         killed = class_of(LineLabel("F", pair))
         assert m.apply(killed).is_zero()
-        # the root 1 is a double root, so the numeric radius only
-        # carries square-root-of-epsilon accuracy
-        assert abs(spectral_radius(m) - 1) < 1e-4
+        # the root 1 is a double root of the charpoly, and a simple one of
+        # its squarefree part, whose roots spectral_radius takes
+        assert abs(spectral_radius(m) - 1) < 1e-12
 
 
 def test_spectral_radius_golden_ratio_like_value():
     assert abs(spectral_radius(coxeter_star()) - (2 + np.sqrt(5))) < 1e-12
+
+
+def test_spectral_radius_at_a_sixfold_root():
+    # (sigma1 sigma2)^* is unipotent up to its kernel: charpoly x (x - 1)^6,
+    # whose float roots scatter about 1 by 3e-3
+    m = sigma_star(1) @ sigma_star(2)
+    assert charpoly(m) == [0, 1, -6, 15, -20, 15, -6, 1]
+    assert abs(spectral_radius(m) - 1) < 1e-12
 
 
 def test_traces_of_coxeter_powers():
@@ -127,6 +135,29 @@ def test_lattice_endo_algebra():
     assert c.power(5).trace() == trace_power(c, 5)
     v = class_of(LineLabel("E", (1,)))
     assert ident.apply(v) == v
+
+
+def _naive_product(a, b):
+    return [[sum(a[r][k] * b[k][c] for k in range(7)) for c in range(7)] for r in range(7)]
+
+
+def test_lattice_product_is_the_row_by_column_sum_on_big_integers():
+    c = coxeter_star()
+    power = LatticeEndo.identity()  # c*^k, k = 0..60
+    for _ in range(61):
+        for i in (1, 2, 3):
+            s = sigma_star(i)
+            assert (power @ s).to_json() == _naive_product(power.entries, s.entries)
+        power = LatticeEndo(_naive_product(power.entries, c.entries))
+    assert c.power(61) == power
+    # entries of about +-10^40
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        a, b = ([[int(hi) * 10**36 + int(lo) for hi, lo in rng.integers(-10**4, 10**4, (7, 2))]
+                 for _ in range(7)] for _ in range(2))
+        product = (LatticeEndo(a) @ LatticeEndo(b)).to_json()
+        assert product == _naive_product(a, b)
+        assert all(type(v) is int for row in product for v in row)
 
 
 def test_class_arithmetic():

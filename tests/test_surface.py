@@ -151,6 +151,24 @@ def test_word_apply_escape_status():
     assert res.status == "escaped"
 
 
+def test_word_apply_passes_exact_coordinates_of_any_size_at_an_infinite_radius():
+    # 10^400 overflows a float; coxeter_apply and coxeter_jacobian pass it
+    x, t = (Fraction(10) ** 400, Fraction(1), Fraction(2)), (Fraction(1, 3), 2, 3, 4)
+    res = word_apply(parse_word("s1 s2 s3"), x, t, escape_radius=float("inf"))
+    assert res.status == "ok"
+    assert res.point.as_tuple() == coxeter_apply(x, t)
+
+
+def test_word_apply_reports_an_exact_coordinate_past_a_finite_radius_as_escaped():
+    x, t = (Fraction(10) ** 400, Fraction(1), Fraction(2)), (Fraction(1, 3), 2, 3, 4)
+    res = word_apply(parse_word("s1 s2 s3"), x, t, escape_radius=1e8)
+    assert res.status == "escaped"
+    # the modulus is compared exactly: 10^8 + 1/10^20 is past 1e8, 10^8 is not
+    for x1, status in ((Fraction(10) ** 8 + Fraction(1, 10**20), "escaped"), (Fraction(10) ** 8, "ok")):
+        res = word_apply(parse_word("s1"), (x1, 0, 0), (0, 0, 0, 0), escape_radius=1e8)
+        assert res.status == status
+
+
 def test_coxeter_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     x, t = _random_state(rng, radius=0.5)

@@ -2,13 +2,14 @@
 
 Subcommands cover each module: parameter maps and walls, discriminant,
 the exact lattice action, the 27 lines, orbit traces, and the counting
-suite.  Output is JSON, CSV or human-readable text; a key=value config
-file can supply defaults that flags override, checked as flags are.  The
-verdicts' tolerances and the orbit escape radius are the library's
-constants; a solver setting left unset keeps SolverConfig's default.
+suite.  Output is JSON, CSV or human-readable text.  Settings come from
+the command line alone.  The verdicts' tolerances and the orbit escape
+radius are the library's constants; a solver setting left unset keeps
+SolverConfig's default.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-any other error (one line on stderr, no traceback), 2 usage error.  A
+any other error (one line on stderr, no traceback), 2 usage error,
+among them an integer flag below its least value.  A
 reader that closes standard output early gets exit code 1 and nothing on
 stderr.
 """
@@ -115,21 +116,6 @@ def _fmt_complex(z) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def read_config(path: str) -> dict:
-    """Read a key=value config file; '#' starts a comment."""
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
 def _emit(data, fmt: str, stream) -> None:
     """Render a JSON-able dict as json, csv (flat rows) or pretty text.
 
@@ -145,7 +131,7 @@ def _emit(data, fmt: str, stream) -> None:
             # A single write that a closed pipe takes in part returns
             # without an error, so the text goes out in pieces, and the
             # piece after a reader has gone away raises BrokenPipeError
-            text = json.dumps(data, default=str) + "\n"
+            text = json.dumps(data) + "\n"
             for i in range(0, len(text), _WRITE_PIECE):
                 stream.write(text[i:i + _WRITE_PIECE])
         elif fmt == "csv":
@@ -176,8 +162,8 @@ def _flatten(data, prefix=""):
 
 
 def _solver_fields():
-    """The SolverConfig fields that are solve flags and config-file keys;
-    rng_seed is solve's --rng."""
+    """The SolverConfig fields that are solve flags; rng_seed is solve's
+    --rng."""
     return [f for f in dataclasses.fields(counting.SolverConfig) if f.name != "rng_seed"]
 
 
@@ -198,8 +184,23 @@ def _solver_option(name):
     return parse
 
 
-def _build_parser():
-    """The top-level parser, and the subparser of each command by name.
+def _at_least(low):
+    """The argparse type of an integer flag whose least value is low, so
+    that a smaller one is a usage error."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser tree, built once per process on first use.
 
     Each subparser names its command's function as the default of run."""
     parser = argparse.ArgumentParser(
@@ -207,17 +208,14 @@ def _build_parser():
         description="Birational dynamics on affine cubic surfaces: "
         "parameters, lattice action, 27 lines, periodic-point counts.",
     )
-    parser.add_argument("--config", help="key=value config file supplying defaults")
     parser.add_argument("--output", choices=_FORMATS, default="pretty")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a
-    # pre-subcommand value from being clobbered by the subparser default
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--output", choices=_FORMATS, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, run, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
+        p = sub.add_parser(name, **kw)
+        # --output is accepted after the subcommand too; SUPPRESS keeps a
+        # pre-subcommand value from being clobbered by the subparser default
+        p.add_argument("--output", choices=_FORMATS, default=argparse.SUPPRESS)
         p.set_defaults(run=run)
         return p
 
@@ -225,7 +223,7 @@ def _build_parser():
     p.add_argument("--kappa", required=True, help="k1,k2,k3,k4 (rationals allowed) or 5 entries")
 
     # the inputs of a required group default to SUPPRESS: only the one
-    # given is in args, so a config file cannot supply another against it
+    # given is in args, so "kappa" in args tells which input was given
     p = add_parser("disc", _cmd_disc, help="discriminant of the surface in b-coordinates")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
@@ -243,36 +241,30 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--theta", default=argparse.SUPPRESS)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
-    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--iters", type=_at_least(0), default=1)
 
     p = add_parser("count", _cmd_count, help="closed-form N-periodic point count of c")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_at_least(1), required=True)
     p.add_argument("--space", choices=("affine", "projective"), default="affine")
 
     p = add_parser("count-kappa", _cmd_count_kappa, help="closed-form count along the full loop")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_at_least(1), required=True)
 
     p = add_parser("zeta", _cmd_zeta, help="Taylor coefficients of the zeta function")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(1), required=True)
 
     p = add_parser("solve", _cmd_solve, help="numerically find the N-periodic points")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--theta", default=argparse.SUPPRESS)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_at_least(1), required=True)
     for f in _solver_fields():
         p.add_argument("--" + f.name.replace("_", "-"), type=_solver_option(f.name))
     p.add_argument("--rng", type=_solver_option("rng_seed"), help="RNG seed")
 
     p = add_parser("verify", _cmd_verify, help="cross-check every exact counting identity")
-    p.add_argument("--nmax", type=int, required=True)
-    return parser, sub.choices
-
-
-@lru_cache(maxsize=None)
-def _shared_parser():
-    """The parser tree of every run without --config, built on first use."""
-    return _build_parser()
+    p.add_argument("--nmax", type=_at_least(1), required=True)
+    return parser
 
 
 # Each command returns (data, exit code); dispatch renders data, if any.
@@ -352,8 +344,6 @@ def _cmd_lines(args):
 
 
 def _cmd_orbit(args):
-    if args.iters < 0:
-        raise ValueError("iters must be >= 0")
     word = surface.parse_word(args.word)
     x = tuple(parse_complex(v) for v in _split_list(args.x))
     if len(x) != 3:
@@ -392,7 +382,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_solve(args):
-    # the options set by flag or config file; SolverConfig keeps its default for the rest
+    # the options set by flag; SolverConfig keeps its default for the rest
     dests = {"rng_seed": "rng", **{f.name: f.name for f in _solver_fields()}}
     cfg = counting.SolverConfig(**{k: getattr(args, d) for k, d in dests.items() if getattr(args, d) is not None})
     if "kappa" in args:
@@ -411,38 +401,11 @@ def dispatch(argv, stream=None) -> int:
     (stdout by default) in the --output format; returns the exit code.
 
     The parser tree is built once per process and shared by every call.
-    A --config file's values become the defaults of a tree built for that
-    call alone, and argv is parsed again, so a flag beats the file, the
-    file beats the built-in default, argparse converts the file's values
-    as it does flags', and no value reaches a later call.  A key must name
-    an option of the command that takes a value, not an input whose group
-    another flag already fills, and hold one of the option's choices if it
-    has any.
     """
-    parser, commands = _shared_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            config = read_config(args.config)
-            parser, commands = _build_parser()
-            keys = {k for k, v in vars(args).items() if not isinstance(v, bool)} - {"command", "config", "run"}
-            unknown = sorted(set(config) - keys)
-            if unknown:
-                raise ValueError(f"{args.config}: {args.command} takes no config key {', '.join(unknown)}")
-            # argparse checks choices on the command line only
-            choices = {a.dest: a.choices for p in (parser, commands[args.command]) for a in p._actions}
-            for k, v in config.items():
-                if choices[k] and v not in choices[k]:
-                    raise ValueError(f"{args.config}: {k} = {v} is not one of {', '.join(choices[k])}")
-            if "output" in config:
-                parser.set_defaults(output=config.pop("output"))
-            commands[args.command].set_defaults(**config)
-            args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         data, code = args.run(args)
         if data is not None:

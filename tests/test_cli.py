@@ -123,11 +123,14 @@ def test_params_on_a_float_or_complex_kappa(k1, parsed, on_wall):
     ["lattice", "--checks"],
     ["--rng", "3", "lattice"],
     ["zeta", "--order", "3", "--rng", "3"],
+    ["--config", "f", "count", "--N", "2"],
+    ["count", "--N", "2", "--config", "f"],
 ])
 def test_a_removed_flag_is_a_usage_error(capsys, argv):
     code, out = run(argv)
     assert code == 2 and out == ""
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_disc_subcommand():
@@ -201,8 +204,22 @@ def test_orbit_subcommand():
 def test_orbit_negative_iters_exit_code(capsys):
     code, out = run(["orbit", "--word", "s1 s2 s3", "--x", "0.1,0.2,0.3",
                      "--kappa", "1/3,1/4,1/5,1/7", "--iters", "-1", "--output", "json"])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == "error: iters must be >= 0\n"
+    assert code == 2 and out == ""
+    assert "error: argument --iters: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, least", [
+    (["count", "--N", "0"], "--N", 1),
+    (["count-kappa", "--N", "0"], "--N", 1),
+    (["solve", "--theta", "1,2,3,4", "--N", "0"], "--N", 1),
+    (["zeta", "--order", "0"], "--order", 1),
+    (["verify", "--nmax", "0"], "--nmax", 1),
+    (["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4", "--iters", "-1"], "--iters", 0),
+])
+def test_an_integer_flag_below_its_least_value_is_a_usage_error(capsys, argv, flag, least):
+    code, out = run([*argv, "--output", "json"])
+    assert code == 2 and out == ""
+    assert f"error: argument {flag}: must be >= {least}\n" in capsys.readouterr().err
 
 
 def test_csv_and_pretty_rows_index_lists_of_dicts():
@@ -263,36 +280,16 @@ def test_solve_subcommand_complete(tmp_path):
     assert data["found"] == 0 and data["status"] == "complete"
 
 
-def test_config_file_defaults_and_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("output = json\nspace = projective\n")
-    code, out = run(["count", "--N", "2", "--config", str(cfg)])
-    assert code == 0
-    assert json.loads(out)["space"] == "projective"
-    # a flag beats the config file
-    code, out = run(["count", "--N", "2", "--config", str(cfg), "--space", "affine"])
-    assert json.loads(out)["space"] == "affine"
-    # and so does --output
-    code, out = run(["count", "--N", "2", "--config", str(cfg), "--output", "pretty"])
-    assert "count:" in out
-
-
-def test_a_config_file_reaches_its_own_call_alone(tmp_path):
+def test_one_parser_tree_serves_every_dispatch_call():
     from cubicdyn import cli
 
-    # the file's values are the defaults of that call's parser tree, never
-    # of the tree that the calls without --config share
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("space = projective\noutput = json\n")
     plain = (0, "N: 2\nspace: affine\ncount: 22\n")
     assert run(["count", "--N", "2"]) == plain
-    shared = cli._shared_parser()
-    code, out = run(["count", "--N", "2", "--config", str(cfg)])
-    assert code == 0 and json.loads(out) == {"N": 2, "space": "projective", "count": 23}
+    shared = cli._parser()
+    assert run(["count", "--N", "2", "--space", "projective", "--output", "json"]) == (
+        0, '{"N": 2, "space": "projective", "count": 23}\n')
     assert run(["count", "--N", "2"]) == plain
-    code, out = run(["count", "--N", "2", "--config", str(cfg)])
-    assert code == 0 and json.loads(out)["space"] == "projective"
-    assert cli._shared_parser() is shared
+    assert cli._parser() is shared
 
 
 def test_every_public_function_is_a_plain_function():
@@ -305,56 +302,6 @@ def test_every_public_function_is_a_plain_function():
             obj = getattr(mod, name)
             if callable(obj) and not isinstance(obj, type):
                 assert isinstance(obj, types.FunctionType), f"{mod.__name__}.{name}"
-
-
-def test_config_file_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("not a pair\n")
-    code, _ = run(["count", "--N", "2", "--config", str(bad)])
-    assert code == 2
-    code, _ = run(["count", "--N", "2", "--config", str(tmp_path / "missing.cfg")])
-    assert code == 2
-    # a value outside its option's choices, as --space foo or --output xml
-    for text in ("space = foo\n", "output = xml\n"):
-        bad.write_text(text)
-        capsys.readouterr()
-        code, out = run(["count", "--N", "2", "--config", str(bad)])
-        assert code == 2 and out == ""
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
-
-def test_config_key_that_names_no_option_exits_2(monkeypatch, tmp_path, capsys):
-    from cubicdyn import counting
-
-    called = []
-    monkeypatch.setattr(counting, "solve_periodic", lambda *args: called.append(args))
-    old = tmp_path / "old.cfg"
-    old.write_text("seeds = 100\nnewton_tol = 1e-3\n")
-    code, out = run(["solve", "--theta", "1,2,3,4", "--N", "2", "--config", str(old)])
-    assert code == 2 and out == "" and not called
-    assert capsys.readouterr().err == f"error: {old}: solve takes no config key newton_tol\n"
-    old.write_text("wall_mode = exact\n")
-    code, out = run(["params", "--kappa", "1/3,1/4,1/5,1/7", "--config", str(old)])
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err == f"error: {old}: params takes no config key wall_mode\n"
-    # a key of another command, a flag that takes no value, an input whose
-    # group a flag fills, and the keys of options that are now constants
-    for argv, text in ((["zeta", "--order", "3"], "space = projective\n"),
-                       (["lines", "--kappa", "1/3,1/4,1/5,1/7"], "verify = false\n"),
-                       (["solve", "--theta", "1,2,3,4", "--N", "1"], "kappa = 1/3,1/4,1/5,1/7\n"),
-                       (["params", "--kappa", "1/3,1/4,1/5,1/7"], "wall_tol = 1\n"),
-                       (["lines", "--kappa", "1/3,1/4,1/5,1/7"], "tol = 1\n"),
-                       (["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4"],
-                        "escape_radius = 10\n"),
-                       (["lattice"], "charpoly = true\n"),
-                       (["lattice"], "rng = 3\n")):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        code, out = run([*argv, "--config", str(cfg)])
-        assert code == 2 and out == ""
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_beyond_float_range():
@@ -447,7 +394,11 @@ def test_a_singular_theta_exits_1_with_one_error_line(capsys):
 
 @pytest.mark.parametrize("argv", [["zeta", "--order", "30"], ["lines", "--kappa", "1/3,1/4,1/5,1/7"],
                                   ["solve", "--theta", "[1.3,0.4],[-0.7,0.2],[2.1,-0.3],[0.5,0.1]",
-                                   "--N", "2", "--seeds", "200"]])
+                                   "--N", "2", "--seeds", "200"],
+                                  ["params", "--kappa", "1/3,1/4,1/5,1/7"], ["disc", "--b", "1+1i,2,3,4"],
+                                  ["lattice"], ["orbit", "--word", "s1 s2", "--x", "0.1,0.2,0.3",
+                                                "--theta", "1,2,3,4", "--iters", "3"],
+                                  ["count", "--N", "3"], ["count-kappa", "--N", "2"], ["verify", "--nmax", "20"]])
 def test_json_output_is_one_line(argv):
     code, out = run([*argv, "--output", "json"])
     assert code == 0 and out.endswith("\n") and out.count("\n") == 1
@@ -480,9 +431,9 @@ _SOLVER_CONSTANTS = ["dedup_radius", "escape_radius", "newton_max_iter", "newton
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)] + _SOLVER_CONSTANTS)
-def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, name):
-    """A SolverConfig field reaches the solver as a flag and as a config
-    key; a class constant is neither, and naming it is a usage error."""
+def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, name):
+    """A SolverConfig field reaches the solver as its flag; a class
+    constant is no flag, and naming it is a usage error."""
     from cubicdyn import counting
 
     seen = []
@@ -494,33 +445,23 @@ def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, tmp_path, nam
     monkeypatch.setattr(counting, "_newton_batch", newton)
     value = 7 if isinstance(getattr(SolverConfig(), name), int) else 0.125
     flag = "--rng" if name == "rng_seed" else "--" + name.replace("_", "-")
-    key = "rng" if name == "rng_seed" else name
-    cfg_file = tmp_path / "solve.cfg"
-    cfg_file.write_text(f"{key} = {value}\n")
-    for extra in ([flag, str(value)], ["--config", str(cfg_file)]):
-        seen.clear()
-        code, _ = run(["solve", "--theta", "1,2,3,4", "--N", "2", *extra])
-        if name in _SOLVER_CONSTANTS:
-            assert code == 2 and not seen
-        else:
-            assert seen[0] == dataclasses.replace(SolverConfig(), **{name: value})
+    code, _ = run(["solve", "--theta", "1,2,3,4", "--N", "2", flag, str(value)])
+    if name in _SOLVER_CONSTANTS:
+        assert code == 2 and not seen
+    else:
+        assert seen[0] == dataclasses.replace(SolverConfig(), **{name: value})
 
 
-@pytest.mark.parametrize("flag, key, value, message", [("--seeds", "seeds", "0", "seeds must be positive"),
-                                                       ("--rng", "rng", "-1", "rng_seed must be nonnegative"),
-                                                       ("--rng", "rng", "abc", "invalid int value")])
-def test_a_solver_setting_out_of_range_is_a_usage_error(monkeypatch, tmp_path, capsys, flag, key, value, message):
-    """SolverConfig's own checks reject the value before any solve, given
-    as a flag or as a config key, as argparse rejects a value that is not
-    an int."""
+@pytest.mark.parametrize("flag, value, message", [("--seeds", "0", "seeds must be positive"),
+                                                  ("--rng", "-1", "rng_seed must be nonnegative"),
+                                                  ("--rng", "abc", "invalid int value")])
+def test_a_solver_setting_out_of_range_is_a_usage_error(monkeypatch, capsys, flag, value, message):
+    """SolverConfig's own checks reject the value before any solve, as
+    argparse rejects a value that is not an int."""
     from cubicdyn import counting
 
     called = []
     monkeypatch.setattr(counting, "solve_periodic", lambda *args: called.append(args))
-    cfg_file = tmp_path / "solve.cfg"
-    cfg_file.write_text(f"{key} = {value}\n")
-    for extra in ([flag, value], ["--config", str(cfg_file)]):
-        capsys.readouterr()
-        code, out = run(["solve", "--theta", "1,2,3,4", "--N", "2", *extra])
-        assert code == 2 and out == "" and not called
-        assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+    code, out = run(["solve", "--theta", "1,2,3,4", "--N", "2", flag, value])
+    assert code == 2 and out == "" and not called
+    assert f"error: argument {flag}: {message}" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import json
 import logging
 import os
@@ -34,6 +35,9 @@ _log = logging.getLogger(__name__)
 
 _FORMATS = ("json", "csv", "pretty")
 _WRITE_PIECE = 1 << 16  # characters of JSON per write, a pipe's capacity on Linux
+# zeta's arithmetic: every operation exact, or it raises Inexact or Rounded
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
 
 
 def parse_complex(text):
@@ -119,21 +123,17 @@ def _fmt_complex(z) -> str:
 def _emit(data, fmt: str, stream) -> None:
     """Render a JSON-able dict as json, csv (flat rows) or pretty text.
 
-    The exact counts outgrow Python's limit on the digits of an int turned
-    into a string (4300 from Python 3.10.7 on), so it is lifted meanwhile.
+    A list of Decimals, zeta's coefficients, is bare numbers in every format.
+    The counts of count, count-kappa and verify at large N outgrow Python's
+    limit on the digits of an int turned into a string (4300 from Python
+    3.10.7 on), so it is lifted meanwhile.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            # one line, as json's C encoder renders only without indent.
-            # A single write that a closed pipe takes in part returns
-            # without an error, so the text goes out in pieces, and the
-            # piece after a reader has gone away raises BrokenPipeError
-            text = json.dumps(data) + "\n"
-            for i in range(0, len(text), _WRITE_PIECE):
-                stream.write(text[i:i + _WRITE_PIECE])
+            _write_in_pieces(_json_parts(data), stream)
         elif fmt == "csv":
             writer = csv.writer(stream)
             for key, val in _flatten(data):
@@ -144,6 +144,40 @@ def _emit(data, fmt: str, stream) -> None:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _json_parts(data):
+    """The one-line JSON text of the dict data, in parts.  json's C encoder
+    has no raw-number path, so a list of Decimals is spliced in between the
+    encoded rest, and each str() is taken only as its part is used."""
+    yield "{"
+    for i, (key, val) in enumerate(data.items()):
+        yield f"{', ' if i else ''}{json.dumps(key)}: "
+        if isinstance(val, list) and val and isinstance(val[0], decimal.Decimal):
+            yield "["
+            yield from (f"{', ' if j else ''}{v}" for j, v in enumerate(val))
+            yield "]"
+        else:
+            yield json.dumps(val)
+    yield "}\n"
+
+
+def _write_in_pieces(parts, stream) -> None:
+    """Write the concatenated parts to stream in pieces of _WRITE_PIECE
+    characters.  A single write that a closed pipe takes in part returns
+    without an error, so the piece after a reader has gone away raises
+    BrokenPipeError."""
+    held, size = [], 0
+    for part in parts:
+        held.append(part)
+        size += len(part)
+        if size >= _WRITE_PIECE:
+            text = "".join(held)
+            end = size - size % _WRITE_PIECE
+            for i in range(0, end, _WRITE_PIECE):
+                stream.write(text[i:i + _WRITE_PIECE])
+            held, size = [text[end:]], size - end
+    stream.write("".join(held))
 
 
 def _flatten(data, prefix=""):
@@ -378,7 +412,11 @@ def _cmd_count_kappa(args):
 
 
 def _cmd_zeta(args):
-    return {"order": args.order, "coefficients": counting.zeta_coefficients(args.order)}, 0
+    # the digits in base ten from the start: str() of a Decimal is linear
+    # in its digits, where an int's is quadratic
+    with decimal.localcontext(_EXACT):
+        coefficients = list(counting._zeta_series(args.order, decimal.Decimal(1)))
+    return {"order": args.order, "coefficients": coefficients}, 0
 
 
 def _cmd_solve(args):

@@ -47,9 +47,9 @@ __all__ = [
 
 
 def _recurrence(a0: int, a1: int, p: int, q: int):
-    """The exact integers a_0, a_1, ... with a_{n+2} = p a_{n+1} + q a_n, lazily,
-    so that term N costs no list of the earlier ones: s_N is
-    _recurrence(2, 4, 4, 1) and C_N is _recurrence(2, 18, 18, -1)."""
+    """The terms a_0, a_1, ... with a_{n+2} = p a_{n+1} + q a_n, lazily and in
+    the number type of a0 and a1, so that term N costs no list of the earlier
+    ones: s_N is _recurrence(2, 4, 4, 1) and C_N is _recurrence(2, 18, 18, -1)."""
     while True:
         yield a0
         a0, a1 = a1, p * a1 + q * a0
@@ -91,20 +91,25 @@ def per_kappa_closed(N: int) -> int:
     return next(islice(_recurrence(2, 18, 18, -1), N, None)) + 4
 
 
-def zeta_coefficients(order: int) -> list:
-    """Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order.
-
-    The coefficients of 1/(1-18z+z^2) are C_N's recurrence started at 1, 18
-    (a_{n+2} = 18 a_{n+1} - a_n), and multiplying a series by 1/(1-z) turns
+def _zeta_series(order: int, one):
+    """The Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order,
+    lazily, in the number type of one (1, or Decimal(1) under a context
+    that traps rounding).  The coefficients of 1/(1-18z+z^2) are C_N's
+    recurrence started at 1, 18, and multiplying a series by 1/(1-z) turns
     it into its running sums, so the series is four running sums of that
-    recurrence; all arithmetic exact.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    series = islice(_recurrence(1, 18, 18, -1), order + 1)
+    recurrence."""
+    series = islice(_recurrence(one, 18 * one, 18, -1), order + 1)
     for _ in range(4):
         series = accumulate(series)
-    return list(series)
+    return series
+
+
+def zeta_coefficients(order: int) -> list:
+    """Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order, as
+    exact integers (see _zeta_series)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return list(_zeta_series(order, 1))
 
 
 def _zeta_via_exp(order: int) -> list:

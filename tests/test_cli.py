@@ -363,6 +363,96 @@ def test_a_closed_output_stream_exits_1_in_silence(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.fixture
+def no_digit_limit():
+    """Python's int-to-str digit limit lifted, as _emit lifts it, and
+    restored after the test."""
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("order", [1, 2, 300, 2000, 3500])
+def test_zeta_prints_the_digits_of_the_integer_coefficients(no_digit_limit, order):
+    # the CLI computes zeta in Decimal and splices its digits into the JSON;
+    # the bytes must be those of the library's ints rendered as before
+    import csv
+
+    from cubicdyn import counting
+
+    ints = counting.zeta_coefficients(order)
+    digits = " ".join(map(str, ints))
+    rows = io.StringIO()
+    csv.writer(rows).writerows([["order", order], ["coefficients", digits]])
+    want = {"json": json.dumps({"order": order, "coefficients": ints}) + "\n", "csv": rows.getvalue(),
+            "pretty": f"order: {order}\ncoefficients: {digits}\n"}
+    for fmt, text in want.items():
+        assert run(["zeta", "--order", str(order), "--output", fmt]) == (0, text), fmt
+
+
+def test_large_exact_counts_print_as_json_dumps_renders_them(no_digit_limit):
+    from cubicdyn import counting
+
+    for argv, data in ((["verify", "--nmax", "500"], counting.verify_counts(500)),
+                       (["count", "--N", "7000"],
+                        {"N": 7000, "space": "affine", "count": counting.per_count_closed(7000)}),
+                       (["count-kappa", "--N", "3500"], {"N": 3500, "count": counting.per_kappa_closed(3500)})):
+        assert run([*argv, "--output", "json"]) == (0, json.dumps(data) + "\n"), argv
+
+
+def test_zeta_arithmetic_raises_where_it_would_round():
+    import decimal
+
+    from cubicdyn import cli, counting
+
+    # with 10 digits of precision, the coefficients past about z^8 cannot
+    # be exact: the context must raise, not round
+    short = cli._EXACT.copy()
+    short.prec = 10
+    with decimal.localcontext(short), pytest.raises((decimal.Inexact, decimal.Rounded)):
+        list(counting._zeta_series(30, decimal.Decimal(1)))
+    with decimal.localcontext(cli._EXACT):
+        assert list(counting._zeta_series(30, decimal.Decimal(1))) == counting.zeta_coefficients(30)
+
+
+def test_a_reader_leaving_after_the_first_piece_exits_1_in_silence(capsys):
+    from cubicdyn import cli
+
+    class OnePiece(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError(32, "Broken pipe")
+            assert len(text) == cli._WRITE_PIECE
+            return super().write(text)
+
+    stream = OnePiece()
+    assert dispatch(["zeta", "--order", "3000", "--output", "json"], stream=stream) == 1
+    assert stream.getvalue().startswith('{"order": 3000, "coefficients": [1, 22, 405, ')
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_a_zeta_failure_on_its_last_term_prints_nothing(monkeypatch, capsys, fmt):
+    from cubicdyn import counting
+
+    series = counting._zeta_series
+
+    def failing(order, one):
+        for n, v in enumerate(series(order, one)):
+            if n == order:
+                raise RuntimeError("injected failure")
+            yield v
+
+    monkeypatch.setattr(counting, "_zeta_series", failing)
+    assert run(["zeta", "--order", "3000", "--output", fmt]) == (1, "")
+    assert capsys.readouterr().err == "error: unexpected RuntimeError: injected failure\n"
+
+
 def test_the_console_script_exits_1_in_silence_when_its_reader_leaves():
     import os
     import subprocess

@@ -17,12 +17,13 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
-import dataclasses
 import decimal
 import json
 import logging
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ __all__ = ["main", "dispatch"]
 _log = logging.getLogger(__name__)
 
 _FORMATS = ("json", "csv", "pretty")
-_WRITE_PIECE = 1 << 16  # characters of JSON per write, a pipe's capacity on Linux
+_WRITE_PIECE = 1 << 16  # least characters of JSON per write, a pipe's capacity on Linux
 # zeta's arithmetic: every operation exact, or it raises Inexact or Rounded
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          traps=[decimal.Inexact, decimal.Rounded])
@@ -52,7 +53,8 @@ def parse_complex(text):
     if s.startswith("["):
         return parse_complex(json.loads(s))
     try:
-        return complex(s.replace(" ", "").replace("i", "j"))
+        # only a standalone imaginary unit: the i of inf or infinity stays
+        return complex(re.sub(r"i(?![a-z])", "j", s.replace(" ", "")))
     except ValueError:
         raise ValueError(f"cannot parse complex number {text!r}") from None
 
@@ -101,16 +103,19 @@ def parse_kappa(text) -> params.KappaPoint:
     raise ValueError("kappa needs 4 entries (k1..k4) or 5 (k0..k4)")
 
 
-def _parse_four(text, cls, name):
-    """cls from four complex entries; name is the input's in the error."""
-    vals = [parse_complex(v) for v in _split_list(text)]
-    if len(vals) != 4:
-        raise ValueError(f"{name} needs 4 entries")
-    return cls(*vals)
+def _parse_point(text, n, name) -> tuple:
+    """The n finite complex entries of text; name is the input's in the
+    errors."""
+    vals = tuple(parse_complex(v) for v in _split_list(text))
+    if len(vals) != n:
+        raise ValueError(f"{name} needs {n} entries")
+    if not all(map(cmath.isfinite, vals)):
+        raise ValueError(f"{name} must be finite")
+    return vals
 
 
 def parse_theta(text) -> params.ThetaPoint:
-    return _parse_four(text, params.ThetaPoint, "theta")
+    return params.ThetaPoint(*_parse_point(text, 4, "theta"))
 
 
 def _fmt_complex(z) -> str:
@@ -135,12 +140,9 @@ def _emit(data, fmt: str, stream) -> None:
         if fmt == "json":
             _write_in_pieces(_json_parts(data), stream)
         elif fmt == "csv":
-            writer = csv.writer(stream)
-            for key, val in _flatten(data):
-                writer.writerow([key, val])
+            csv.writer(stream).writerows(_flatten(data))
         else:
-            for key, val in _flatten(data):
-                stream.write(f"{key}: {val}\n")
+            stream.writelines(f"{key}: {val}\n" for key, val in _flatten(data))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -163,20 +165,17 @@ def _json_parts(data):
 
 
 def _write_in_pieces(parts, stream) -> None:
-    """Write the concatenated parts to stream in pieces of _WRITE_PIECE
-    characters.  A single write that a closed pipe takes in part returns
-    without an error, so the piece after a reader has gone away raises
-    BrokenPipeError."""
+    """Write the concatenated parts to stream, each write but the last
+    joining the parts held until they reach _WRITE_PIECE characters.  A
+    single write that a closed pipe takes in part returns without an error,
+    so the write after a reader has gone away raises BrokenPipeError."""
     held, size = [], 0
     for part in parts:
         held.append(part)
         size += len(part)
         if size >= _WRITE_PIECE:
-            text = "".join(held)
-            end = size - size % _WRITE_PIECE
-            for i in range(0, end, _WRITE_PIECE):
-                stream.write(text[i:i + _WRITE_PIECE])
-            held, size = [text[end:]], size - end
+            stream.write("".join(held))
+            held, size = [], 0
     stream.write("".join(held))
 
 
@@ -193,29 +192,6 @@ def _flatten(data, prefix=""):
                 yield from _flatten(v, f"{prefix.rstrip('.')}[{i}].")
     else:
         yield prefix.rstrip("."), data
-
-
-def _solver_fields():
-    """The SolverConfig fields that are solve flags; rng_seed is solve's
-    --rng."""
-    return [f for f in dataclasses.fields(counting.SolverConfig) if f.name != "rng_seed"]
-
-
-def _solver_option(name):
-    """The argparse type of the SolverConfig field name: its value, checked
-    as SolverConfig checks it, so that a value it rejects is a usage error."""
-    convert = type(getattr(counting.SolverConfig(), name))
-
-    def parse(text):
-        value = convert(text)
-        try:
-            counting.SolverConfig(**{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
 
 
 def _at_least(low):
@@ -292,9 +268,8 @@ def _parser():
     g.add_argument("--theta", default=argparse.SUPPRESS)
     g.add_argument("--kappa", default=argparse.SUPPRESS)
     p.add_argument("--N", type=_at_least(1), required=True)
-    for f in _solver_fields():
-        p.add_argument("--" + f.name.replace("_", "-"), type=_solver_option(f.name))
-    p.add_argument("--rng", type=_solver_option("rng_seed"), help="RNG seed")
+    p.add_argument("--seeds", type=_at_least(1))
+    p.add_argument("--rng", type=_at_least(0), help="RNG seed")
 
     p = add_parser("verify", _cmd_verify, help="cross-check every exact counting identity")
     p.add_argument("--nmax", type=_at_least(1), required=True)
@@ -321,7 +296,7 @@ def _cmd_params(args):
 
 def _cmd_disc(args):
     if "b" in args:
-        b = _parse_four(args.b, params.EigenParams, "b")
+        b = params.EigenParams(*_parse_point(args.b, 4, "b"))
     else:
         b = params.kappa_to_eigen(parse_kappa(args.kappa))
     d = params.discriminant(b)
@@ -379,9 +354,7 @@ def _cmd_lines(args):
 
 def _cmd_orbit(args):
     word = surface.parse_word(args.word)
-    x = tuple(parse_complex(v) for v in _split_list(args.x))
-    if len(x) != 3:
-        raise ValueError("start point needs 3 coordinates")
+    x = _parse_point(args.x, 3, "x")
     theta = parse_theta(args.theta) if "theta" in args else params.rh_params(parse_kappa(args.kappa))
     t = theta
     steps = []
@@ -421,8 +394,8 @@ def _cmd_zeta(args):
 
 def _cmd_solve(args):
     # the options set by flag; SolverConfig keeps its default for the rest
-    dests = {"rng_seed": "rng", **{f.name: f.name for f in _solver_fields()}}
-    cfg = counting.SolverConfig(**{k: getattr(args, d) for k, d in dests.items() if getattr(args, d) is not None})
+    options = {"seeds": args.seeds, "rng_seed": args.rng}
+    cfg = counting.SolverConfig(**{k: v for k, v in options.items() if v is not None})
     if "kappa" in args:
         report = counting.solve_for_kappa(parse_kappa(args.kappa), args.N, cfg)
     else:

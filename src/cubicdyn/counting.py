@@ -726,8 +726,6 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     differently on another CPU, and N = 6 on the reference kappa has ended
     at 5760 roots on one host and at 5746 on another.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
     found = {}  # each divisor of N searched so far, in ascending order, to its roots

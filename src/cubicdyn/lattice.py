@@ -316,8 +316,6 @@ def spectral_radius(m: LatticeEndo) -> float:
 
 def trace_power(m: LatticeEndo, N: int) -> int:
     """Exact big-integer trace of m^N."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
     return m.power(N).trace()
 
 

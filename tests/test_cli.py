@@ -20,6 +20,10 @@ def run(argv):
 def test_parse_complex_forms():
     assert parse_complex("1.5+2i") == 1.5 + 2j
     assert parse_complex("-3i") == -3j
+    assert parse_complex("1+i") == 1 + 1j and parse_complex("2i") == 2j
+    assert parse_complex("1e-3i") == 1e-3j and parse_complex("(1+1j)") == 1 + 1j
+    assert parse_complex("inf") == complex("inf") and parse_complex("-inf") == complex("-inf")
+    assert parse_complex("infinity") == complex("inf")
     assert parse_complex("2") == 2
     assert parse_complex("[1, -2]") == 1 - 2j
     assert parse_complex([0.5, 0.25]) == 0.5 + 0.25j
@@ -150,6 +154,25 @@ def test_disc_subcommand_on_b(capsys):
     assert capsys.readouterr().err == "error: b needs 4 entries\n"
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "infinity"])
+@pytest.mark.parametrize("name, argv", [
+    ("theta", ["solve", "--theta", "1,{},3,4", "--N", "2"]),
+    ("theta", ["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,{},4"]),
+    ("b", ["disc", "--b", "1,2,3,{}"]),
+    ("x", ["orbit", "--word", "s1", "--x", "0,{},0", "--theta", "1,2,3,4"]),
+])
+def test_a_point_with_a_non_finite_entry_exits_1(capsys, name, argv, entry):
+    code, out = run([a.format(entry) for a in argv] + ["--output", "json"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+
+
+def test_a_start_point_needs_3_entries(capsys):
+    code, out = run(["orbit", "--word", "s1", "--x", "0.1,0.2", "--theta", "1,2,3,4"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: x needs 3 entries\n"
+
+
 @pytest.mark.parametrize("text, whole", [
     ("1+1i,[0.5,2],3,4", "[[1,1],[0.5,2],3,4]"),
     ("[0.5,2],1+1i,3,4", "[[0.5,2],[1,1],3,4]"),
@@ -201,6 +224,14 @@ def test_orbit_subcommand():
     assert data["status"] in ("ok", "escaped")
 
 
+def test_an_orbit_that_escapes_stops_at_its_first_step():
+    code, out = run(["orbit", "--word", "s1 s2 s3", "--x", "50,60,70", "--theta", "0.3,-0.2,0.1,0.7",
+                     "--iters", "5", "--output", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert [s["status"] for s in data["steps"]] == ["escaped"] and data["status"] == "escaped"
+
+
 def test_orbit_negative_iters_exit_code(capsys):
     code, out = run(["orbit", "--word", "s1 s2 s3", "--x", "0.1,0.2,0.3",
                      "--kappa", "1/3,1/4,1/5,1/7", "--iters", "-1", "--output", "json"])
@@ -215,6 +246,8 @@ def test_orbit_negative_iters_exit_code(capsys):
     (["zeta", "--order", "0"], "--order", 1),
     (["verify", "--nmax", "0"], "--nmax", 1),
     (["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4", "--iters", "-1"], "--iters", 0),
+    (["solve", "--theta", "1,2,3,4", "--N", "2", "--seeds", "0"], "--seeds", 1),
+    (["solve", "--theta", "1,2,3,4", "--N", "2", "--rng", "-1"], "--rng", 0),
 ])
 def test_an_integer_flag_below_its_least_value_is_a_usage_error(capsys, argv, flag, least):
     code, out = run([*argv, "--output", "json"])
@@ -241,6 +274,14 @@ def test_lines_subcommand():
     assert data["count"] == 27 and data["all_on_surface"] is True
     assert all(ln["on_surface"] is True for ln in data["lines"])
     assert [c["sigma"] for c in data["sigma_checks"]] == [1, 2, 3]
+
+
+def test_lines_verify_on_a_wall_reports_the_failed_checks():
+    code, out = run(["lines", "--kappa", "1,1/4,1/5,1/7", "--verify", "--output", "json"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["general_position"] is False and "sigma_checks" not in data
+    assert data["sigma_checks_error"].startswith("lines not in general position")
 
 
 def test_usage_error_exit_code():
@@ -427,7 +468,7 @@ def test_a_reader_leaving_after_the_first_piece_exits_1_in_silence(capsys):
         def write(self, text):
             if self.tell():
                 raise BrokenPipeError(32, "Broken pipe")
-            assert len(text) == cli._WRITE_PIECE
+            assert len(text) >= cli._WRITE_PIECE
             return super().write(text)
 
     stream = OnePiece()
@@ -542,12 +583,9 @@ def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, name):
         assert seen[0] == dataclasses.replace(SolverConfig(), **{name: value})
 
 
-@pytest.mark.parametrize("flag, value, message", [("--seeds", "0", "seeds must be positive"),
-                                                  ("--rng", "-1", "rng_seed must be nonnegative"),
-                                                  ("--rng", "abc", "invalid int value")])
+@pytest.mark.parametrize("flag, value, message", [("--rng", "abc", "invalid int value")])
 def test_a_solver_setting_out_of_range_is_a_usage_error(monkeypatch, capsys, flag, value, message):
-    """SolverConfig's own checks reject the value before any solve, as
-    argparse rejects a value that is not an int."""
+    """argparse rejects a value that is not an int before any solve."""
     from cubicdyn import counting
 
     called = []

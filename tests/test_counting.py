@@ -199,7 +199,7 @@ def test_solve_rejects_singular_discriminant():
     wall = KappaPoint.from_tail(1, Fraction(1, 4), Fraction(1, 5), Fraction(1, 7))
     with pytest.raises(ValueError):
         solve_for_kappa(wall, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N must be >= 1"):
         solve_periodic(theta, 0)
 
 

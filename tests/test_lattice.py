@@ -93,6 +93,8 @@ def test_traces_of_coxeter_powers():
     m = np.array(c.to_json(), dtype=float)
     for n in range(1, 8):
         assert trace_power(c, n) == round(np.trace(np.linalg.matrix_power(m, n)))
+    with pytest.raises(ValueError):
+        trace_power(c, -1)
 
 
 def test_eigenvector_checks_pass():

@@ -25,6 +25,20 @@ def test_kappa_constraint_enforced():
     KappaPoint(Fraction(1, 2), 0, 0, 0, 0)
     with pytest.raises(ValueError):
         KappaPoint(1, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="constraint"):
+        KappaPoint(0.5 + 1e-9, 0.25, -0.1, 0.2, -0.35)
+
+
+@pytest.mark.parametrize("big", [1e4, 12345.678, 1e6])
+def test_the_constraint_tolerance_scales_with_kappa(big):
+    # the rounding of the float sum 2*k0 + k1 + ... grows with its terms
+    for slot in range(4):
+        tail = [0.25, 0.2, 0.1, 0.3]
+        tail[slot] = big
+        assert KappaPoint.from_tail(*tail).tail() == tuple(tail)
+    for exact in (Fraction(big), Fraction(10**400, 3)):
+        k = KappaPoint.from_tail(exact, Fraction(1, 4), Fraction(1, 5), Fraction(1, 10))
+        assert k.is_rational() and 2 * k.kappa0 + sum(k.tail()) == 1
 
 
 def test_from_tail_reconstructs_kappa0_exactly():

@@ -25,10 +25,12 @@ from .surface import (
     AffinePoint,
     _coerce_theta,
     _max_abs,
+    _sigma_row,
     coxeter_apply,
     coxeter_jacobian,
     cubic_eval,
     cubic_gradient,
+    sigma_apply,
     surface_residual_bound,
 )
 
@@ -187,8 +189,7 @@ class SolverConfig:
     seeds is the number of seed tuples drawn before the search may stop
     short of the closed form (see solve_periodic); the default serves
     every period, and it applies to each period solved, the divisors of N
-    included.  It also caps the width of each seed batch (see
-    solve_periodic).
+    included.  It also caps the width of each seed batch (see _find_roots).
 
     The rest are class constants: newton_tol, surface_tol (see _converged)
     and dedup_radius define what a complete report certifies.  Once seeds
@@ -262,56 +263,69 @@ def _gap(y, x):
     return _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
 
 
-def _shooting_residual(x, t, n: int):
-    """The shooting residual c(x_k) - x_{k+1 mod n} (k = 0..n-1), then f(x_0).
-
-    x holds seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k; the
-    residual comes back as (3n + 1, M).
-    """
-    res = np.empty((3 * n + 1, x.shape[1]), dtype=complex)
+@lru_cache(maxsize=None)
+def _letters(n: int):
+    """The letter system at period n, as (rows, gram).  Block k applies
+    sigma_3, sigma_2 and sigma_1 to x_k, each moving its slot i of the state
+    on to x_{k+1 mod n}'s: row (row, i, state, new) matches sigma_i's new
+    coordinate on the unknowns state to unknown new = row + 3 mod 3n.  The
+    Jacobian's constant part is -(I + P), -1 at unknowns row and new, with P
+    the shift from x_k to x_{k+1 mod n}; gram, read-only, is (I + P)^H (I + P)."""
+    rows = []
     for k in range(n):
-        y = coxeter_apply(x[3 * k:3 * k + 3], t)
-        nxt = 3 * ((k + 1) % n)
-        for r in range(3):
-            np.subtract(y[r], x[nxt + r], out=res[3 * k + r])
+        state = [3 * k, 3 * k + 1, 3 * k + 2]
+        for i in (3, 2, 1):
+            row, new = 3 * k + i - 1, (3 * k + i + 2) % (3 * n)
+            rows.append((row, i, tuple(state), new))
+            state[i - 1] = new
+    c = np.eye(3 * n) + np.roll(np.eye(3 * n), 3, axis=1)
+    gram = c.T @ c
+    gram.flags.writeable = False
+    return tuple(rows), gram
+
+
+def _letter_residual(x, t, n: int):
+    """sigma_i(state)_i - x_new for each row of _letters(n), then f(x_0), as
+    (3n + 1, M) for the tuples x, (3n, M) columns with rows 3k..3k+2 holding
+    x_k.  Block k is 0 exactly when c(x_k) = x_{k+1 mod n}."""
+    res = np.empty((3 * n + 1, x.shape[1]), dtype=complex)
+    for row, i, state, new in _letters(n)[0]:
+        np.subtract(sigma_apply(i, [x[s] for s in state], t)[i - 1], x[new], out=res[row])
     res[3 * n] = cubic_eval(x[:3], t)
     return res
 
 
 def _system_residual(x, t, n: int) -> np.ndarray:
-    """The shooting merit max_k |c(x_k) - x_{k+1 mod n}| and |f(x_0)| per
-    tuple of (3n, M) columns."""
-    return np.abs(_shooting_residual(x, t, n)).max(axis=0)
+    """The shooting merit max |_letter_residual| per tuple of (3n, M) columns."""
+    return np.abs(_letter_residual(x, t, n)).max(axis=0)
 
 
 def _normal_equations(x, t, n: int):
-    """Gauss-Newton normal equations J^H J and J^H r of the shooting system.
+    """Gauss-Newton normal equations J^H J and J^H r of the letter system.
 
-    J is block-cyclic: block row k holds Dc(x_k) in block column k and -I
-    in block column k+1 mod n, and the last row is grad f(x_0) in block
-    column 0.  The products are summed block by block from the n one-step
-    Jacobians, never from a dense J; for n = 1 the block is Dc - I and for
-    n = 2 the two blocks of a row share their off-diagonal block.
-
-    Returns (a, jhr, res) in column layout: a[i, j] and jhr[i] are columns
-    over the tuples, (3n, 3n, M) and (3n, M), and res is the (3n + 1, M)
-    shooting residual.
+    A row of J holds -1 at unknowns row and new, and sigma_i's partials
+    (_sigma_row) at the state's other two unknowns; the last row is
+    grad f(x_0).  J^H J starts from the gram of _letters, the product of
+    the -1 entries, and the rest is added column by column.  Returns (a,
+    jhr, res) in column layout: a[i, j] and jhr[i] are columns over the
+    tuples, (3n, 3n, M) and (3n, M); res is _letter_residual.
     """
-    m = x.shape[1]
-    res = _shooting_residual(x, t, n)
-    a = np.zeros((3 * n, 3 * n, m), dtype=complex)
-    jhr = np.zeros((3 * n, m), dtype=complex)
-    for k in range(n):
-        b, nxt = 3 * k, 3 * ((k + 1) % n)
-        d = np.array(coxeter_jacobian(x[b:b + 3], t, 1, escape_radius=np.inf))
-        dc = np.conj(d)
-        a[b:b + 3, b:b + 3] += np.einsum("rim,rjm->ijm", dc, d)
-        a[nxt:nxt + 3, b:b + 3] -= d
-        a[b:b + 3, nxt:nxt + 3] -= dc.transpose(1, 0, 2)
-        for r in range(3):
-            a[nxt + r, nxt + r] += 1
-        jhr[b:b + 3] += np.einsum("rim,rm->im", dc, res[b:b + 3])
-        jhr[nxt:nxt + 3] -= res[b:b + 3]
+    rows, gram = _letters(n)
+    res = _letter_residual(x, t, n)
+    a = np.broadcast_to(gram[:, :, None], (3 * n, 3 * n, x.shape[1])).astype(complex)
+    jhr = np.zeros((3 * n, x.shape[1]), dtype=complex)
+    for row, i, state, new in rows:
+        r = res[row]
+        partials = [(state[j], w, np.conj(w)) for j, w in _sigma_row(i, [x[s] for s in state])]
+        for p in (row, new):
+            jhr[p] -= r
+            for u, w, wc in partials:  # the partial at unknown u is -w
+                a[u, p] += wc
+                a[p, u] += w
+        for u, w, wc in partials:
+            jhr[u] -= wc * r
+            for v, e, _ in partials:
+                a[u, v] += wc * e
     g = np.array(cubic_gradient(x[:3], t))
     gc = np.conj(g)
     a[:3, :3] += gc[:, None] * g[None, :]
@@ -385,14 +399,13 @@ def _orbit_tuples(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
 
 
 def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig, joining: list):
-    """Damped Gauss-Newton on the multiple-shooting system of period n.
+    """Damped Gauss-Newton on the letter system of period n.
 
-    Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n}
-    and f(x_0) = 0: 3n + 1 equations in 3n unknowns.  The surface equation
-    must ride along: f is invariant under c, so at an on-surface periodic
-    orbit the square shooting system is singular.  Shooting one step at a
-    time keeps the Jacobian entries of the size of one step, where
-    c^n(x) - x would multiply n of them.
+    Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n},
+    one sigma-letter at a time (see _letters), and f(x_0) = 0: 3n + 1
+    equations in 3n unknowns; f rides along, as it is invariant under c and
+    the square system is singular at an on-surface orbit.  Each Jacobian row
+    is quadratic, with four entries, where a step of c has degree 5.
 
     x holds the seed tuples as (3n, M) columns, rows 3k..3k+2 being x_k.
     A tuple converges when x_0 passes _converged at period n.  A generator:
@@ -459,8 +472,9 @@ def _cholesky_pattern(n: int) -> np.ndarray:
     as a read-only (3n, 3n) boolean array, True on and below the diagonal
     where L may be nonzero.
 
-    J^H J is block-cyclic tridiagonal in 3x3 blocks (see _normal_equations):
-    block (k, l) is nonzero for l = k and l = k +- 1 mod n.  Symbolic
+    A block row of the letter system touches x_k and x_{k+1 mod n} alone, so
+    J^H J is block-cyclic tridiagonal in 3x3 blocks, each taken whole: block
+    (k, l) is nonzero for l = k and l = k +- 1 mod n.  Symbolic
     elimination adds the fill: eliminating column j joins every pair of
     rows below the diagonal that column j holds.  For n <= 3 every block is
     nonzero and L is dense; from n = 4 on the fill is the last block row,
@@ -659,57 +673,41 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 # The first batch of a search holds this many seed tuples per root it must
-# find.  On the README's 41 kappa, no N = 2 or 3 search needs a second
-# batch at 8 and 19 N = 2 searches do at 4; the N = 2 and 3 searches take
-# 2.5 s in all at 8, against 3.0 s at 4 and at 16
+# find.  On the README's 41 kappa, one N = 2 search needs a second batch at
+# 8, seven do at 4 and none at 16, and no N = 3 search does; the N = 2 and 3
+# searches take 1.7 s in all at 8, against 1.5 s at 4 and 2.0 s at 16
 _TUPLES_PER_ROOT = 8
 
 
 def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
     """Find the N-periodic points of c on S(theta) by multistart Newton.
 
-    Damped Gauss-Newton runs on the multiple-shooting system
-    c(x_k) = x_{k+1 mod N} (k = 0..N-1) with f(x_0) = 0 in ambient C^{3N},
-    from tuples of N independent seeds (see _newton_batch).  A tuple counts
-    as converged when x_0 passes _converged: map residual |c^N(x_0) - x_0|
-    below cfg.newton_tol, and surface residual within
-    surface_residual_bound(x_0, cfg.surface_tol).  The seeds come from one
-    stream, seeded by cfg.rng_seed.  The
-    first batch of a search at period n holds min(_SEED_CHUNK, cfg.seeds,
-    _TUPLES_PER_ROOT * per_count_closed(n)) tuples, and each later batch
-    twice as many, up to min(_SEED_CHUNK, cfg.seeds).  Every point of a
-    converged tuple is a candidate root on its own, and for real theta,
-    where c commutes with complex conjugation, so is every point of its
-    conjugate.  A candidate is admitted if it matches no root and passes
-    _converged on numpy columns and then on Python scalars; of the copies
-    of one point in a yield only the first is tested, and if it fails, the
-    point is left to a later yield.  A candidate that matches no root and
-    fails on columns lags behind its tuple: its N-tuple (x, c(x), ...,
-    c^{N-1}(x)) joins the running batch, to be refined there.  The maps
-    are surface's coxeter_apply, coxeter_jacobian, cubic_eval and
-    cubic_gradient, run on coordinate columns.
+    Damped Gauss-Newton runs on the letter system of period N (see
+    _newton_batch), in ambient C^{3N}, from tuples of N independent seeds
+    drawn from one stream, seeded by cfg.rng_seed.  A tuple counts as
+    converged when x_0 passes _converged: |c^N(x_0) - x_0| below
+    cfg.newton_tol, and |f(x_0)| within surface_residual_bound(x_0,
+    cfg.surface_tol).  Every point of a converged tuple, and for real theta
+    of its conjugate, is a candidate root, admitted if it matches no root
+    and passes _converged on numpy columns and then on Python scalars (see
+    _find_roots).  The Newton steps run surface's sigma_apply, _sigma_row,
+    cubic_eval and cubic_gradient on coordinate columns, and the test and
+    the report coxeter_apply and coxeter_jacobian.
 
     The divisors n of N are searched in ascending order, N last, each in
-    the same way, with the same cfg and its own stream of the same seed.
-    The roots of the proper divisors of n, each as the n-tuple
-    (x, c(x), ..., c^{n-1}(x)), are absorbed as one yield before the first
-    seed batch, so the divisor roots head the report; a point whose error
-    has grown past the test over the longer orbit lags, and its n-tuple
-    joins the first seed batch, to be refined there at period n.
+    the same way (see _find_roots for the batches), with the same cfg and
+    its own stream of the same seed, and the divisor roots head the report.
 
-    A batch hands over its converged tuples after each Newton iteration,
-    and the search stops as soon as the number of roots reaches
-    per_count_closed(N), partway through a batch if need be; roots past it
-    raise ValueError, as S(theta) is then singular or copies of one root
-    failed to merge.  Short of that, it stops after a batch once cfg.seeds
-    tuples are drawn and the last saturation_batches batches added no
-    root; a batch left early
-    counts as all its tuples drawn.  A search whose roots already number
-    the closed form draws no batch, as at N = 1, whose closed form is 0.
-    Every batch that is not quiet adds a root, and the search stops at the
-    closed form, so it ends within saturation_batches * (closed form + 1)
-    batches past cfg.seeds tuples.
-    Each divisor search stops by the same rule at its own closed form.
+    A search stops as soon as its roots reach per_count_closed of its
+    period, partway through a batch if need be; roots past it raise
+    ValueError, as S(theta) is then singular or copies of one root failed
+    to merge.  Short of that, it stops after a batch once cfg.seeds tuples
+    are drawn and the last saturation_batches batches added no root; a
+    batch left early counts as all its tuples drawn.  Every batch that is
+    not quiet adds a root, so a search ends within saturation_batches *
+    (closed form + 1) batches past cfg.seeds tuples.  A search whose roots
+    already number the closed form draws no batch, as at N = 1, whose
+    closed form is 0.
 
     Once the search ends, one pass of c over the roots gives, for each
     root x, the images c^k(x) (k = 1..N): its orbit is labelled by the
@@ -723,8 +721,8 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     1e-6 and "complete" when none is.  Genericity of theta is the caller's
     burden (solve_for_kappa checks the walls).  Deterministic for a fixed
     cfg.rng_seed on one host: numpy's vectorised complex loops may round
-    differently on another CPU, and N = 6 on the reference kappa has ended
-    at 5760 roots on one host and at 5746 on another.
+    differently on another CPU, which can change a count short of the
+    closed form.
     """
     t = _coerce_theta4(theta)
     closed = per_count_closed(N, "affine")
@@ -755,7 +753,8 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
 
     divisor_roots holds the roots of the proper divisors of N, one (K, 3)
     array each; their N-tuples (x, c(x), ..., c^{N-1}(x)), if any, are
-    absorbed as the first yield.  Each seed batch is absorbed one yield at
+    absorbed as the first yield, and those of the points that lag there
+    join the first seed batch.  Each seed batch is absorbed one yield at
     a time, the N-tuples of lagging points from any yield join it, and it
     is left as soon as the roots reach per_count_closed(N); the search ends
     there, or on quiet batches, and raises ValueError past it.  The seed
@@ -773,7 +772,8 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
     def absorb(tuples: np.ndarray):
         # every point of every tuple, then of every conjugate tuple, is a
         # candidate; of those that match no root and converge on columns,
-        # the first copy of each point is tested again on Python scalars
+        # the first copy of each point is tested again on Python scalars,
+        # and one that fails there is left to a later yield
         nonlocal roots, index
         if not t.imag.any():
             tuples = np.concatenate([tuples, tuples.conj()])

@@ -167,26 +167,22 @@ class WallReport:
         }
 
 
+def _half_turns(kappa: KappaPoint) -> tuple:
+    """pi k_i (i = 1..4), a rational k_i reduced mod 2 exactly first: cos(pi k)
+    and exp(i pi k) have period 2, and a remainder converts to a float."""
+    return tuple(cmath.pi * (k % 2 if isinstance(k, Rational) else k) for k in kappa.tail())
+
+
 def kappa_to_traces(kappa: KappaPoint) -> MonodromyTraces:
     """a_i = 2 cos(pi k_i) for i = 1, 2, 3 and a_4 = -2 cos(pi k_4)."""
-    k1, k2, k3, k4 = kappa.tail()
-    return MonodromyTraces(
-        2 * cmath.cos(cmath.pi * k1),
-        2 * cmath.cos(cmath.pi * k2),
-        2 * cmath.cos(cmath.pi * k3),
-        -2 * cmath.cos(cmath.pi * k4),
-    )
+    p1, p2, p3, p4 = _half_turns(kappa)
+    return MonodromyTraces(2 * cmath.cos(p1), 2 * cmath.cos(p2), 2 * cmath.cos(p3), -2 * cmath.cos(p4))
 
 
 def kappa_to_eigen(kappa: KappaPoint) -> EigenParams:
     """b_i = exp(i pi k_i) for i = 1, 2, 3 and b_4 = -exp(i pi k_4)."""
-    k1, k2, k3, k4 = kappa.tail()
-    return EigenParams(
-        cmath.exp(1j * cmath.pi * k1),
-        cmath.exp(1j * cmath.pi * k2),
-        cmath.exp(1j * cmath.pi * k3),
-        -cmath.exp(1j * cmath.pi * k4),
-    )
+    p1, p2, p3, p4 = _half_turns(kappa)
+    return EigenParams(cmath.exp(1j * p1), cmath.exp(1j * p2), cmath.exp(1j * p3), -cmath.exp(1j * p4))
 
 
 def traces_from_eigen(b: EigenParams) -> MonodromyTraces:
@@ -213,7 +209,7 @@ def rh_params(kappa: KappaPoint) -> ThetaPoint:
 def _discriminant_factors(b: EigenParams) -> list:
     """The twenty factors that discriminant multiplies, in its order."""
     bs = b.as_tuple()
-    factors = [(v - 1 / v) ** 2 for v in bs]
+    factors = [d * d for d in (v - 1 / v for v in bs)]
     for eps in product((1, -1), repeat=4):
         term = 1
         for v, e in zip(bs, eps):
@@ -227,8 +223,12 @@ def discriminant(b: EigenParams):
 
     prod_l (b_l - 1/b_l)^2 * prod_{eps in {+-1}^4} (b^eps - 1),
     twenty factors in total; vanishes exactly for singular surfaces.
+    Raises ValueError where it overflows a float.
     """
-    return math.prod(_discriminant_factors(b))
+    d = math.prod(_discriminant_factors(b))
+    if not _is_finite(d):
+        raise ValueError("the discriminant overflows a float")
+    return d
 
 
 def discriminant_vanishes(b: EigenParams) -> bool:

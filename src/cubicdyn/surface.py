@@ -14,8 +14,8 @@ periodic-point counts.
 All maps are total polynomial maps on C^3 and are generic over the
 scalar type: complex, float or Fraction entries all work, so identities
 can be checked exactly in rational arithmetic.  The periodic-point solver
-runs f, its gradient, c^N and its Jacobian on numpy coordinate columns,
-one point per entry, and a point rounds the same in a batch of any size.
+runs sigma_i, f, its gradient, c^N and its Jacobian on numpy coordinate
+columns, one point per entry, and a point rounds the same in any batch.
 """
 
 from __future__ import annotations
@@ -197,6 +197,13 @@ def sigma_apply(i: int, x, theta):
     return tuple(y)
 
 
+def _sigma_row(i: int, y):
+    """((j, y_k), (k, y_j)): sigma_i's new coordinate at y has the partials
+    -y_k in slot j and -y_j in slot k of its fixed pair, and -1 in slot i."""
+    j, k = _FIXED_PAIR[i]
+    return (j, y[k]), (k, y[j])
+
+
 def g_apply(i: int, sign: int, x, theta):
     """Braid map g_i^{sign} acting on (x, theta).
 
@@ -266,10 +273,10 @@ def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RAD
     """Jacobian of c^N at x as a 3x3 nested list, by the chain rule.
 
     sigma_i changes coordinate i alone, so each step replaces row i of the
-    Jacobian by -J_i - x_k J_j - x_j J_k ({j, k} the fixed pair).  Exact for
-    exact inputs (the maps are polynomial).  Raises if the orbit escapes
-    before N steps; an infinite escape_radius skips that test, so x may
-    then be numpy coordinate columns.
+    Jacobian by -J_i - x_k J_j - x_j J_k, {j, k} the fixed pair (see
+    _sigma_row).  Exact for exact inputs (the maps are polynomial).  Raises
+    if the orbit escapes before N steps; an infinite escape_radius skips
+    that test, so x may then be numpy coordinate columns.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -278,8 +285,8 @@ def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RAD
     y = tuple(x)
     for _ in range(N):
         for i in (3, 2, 1):
-            j, k = _FIXED_PAIR[i]
-            jac[i - 1] = [-a - y[k] * b - y[j] * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
+            (j, yk), (k, yj) = _sigma_row(i, y)
+            jac[i - 1] = [-a - yk * b - yj * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
             y = sigma_apply(i, y, t)
         if escape_radius != math.inf and _escaped(y, escape_radius):
             raise ValueError(f"orbit escaped before {N} iterations")

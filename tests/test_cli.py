@@ -154,6 +154,30 @@ def test_disc_subcommand_on_b(capsys):
     assert capsys.readouterr().err == "error: b needs 4 entries\n"
 
 
+_HUGE_KAPPA = f"{10**400}/3,1/4,1/5,1/7"  # 10^400/3 = 4/3 mod 2
+
+
+@pytest.mark.parametrize("argv", [["params"], ["lines", "--verify"], ["disc"], ["solve", "--N", "2", "--seeds", "300"]])
+def test_a_rational_kappa_past_float_range_reads_as_its_remainder_mod_two(argv):
+    # every output but the kappa entries themselves is that of 4/3
+    code, out = run([argv[0], "--kappa", _HUGE_KAPPA, *argv[1:], "--output", "json"])
+    assert code == 0
+    code, want = run([argv[0], "--kappa", "4/3,1/4,1/5,1/7", *argv[1:], "--output", "json"])
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    if argv[0] == "params":
+        assert got.pop("kappa")[1] == f"{10**400}/3"
+        want.pop("kappa")
+    assert got == want
+
+
+@pytest.mark.parametrize("b", ["1e308,1e308,3,4", "1e150,1e150,1e150,1e150"])
+def test_a_discriminant_past_float_range_exits_1_with_one_error_line(capsys, b):
+    code, out = run(["disc", "--b", b, "--output", "json"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: the discriminant overflows a float\n"
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "infinity"])
 @pytest.mark.parametrize("name, argv", [
     ("theta", ["solve", "--theta", "1,{},3,4", "--N", "2"]),

@@ -581,9 +581,9 @@ def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch)
 def test_newton_batch_drops_stalled_tuples(monkeypatch):
     from cubicdyn import counting
 
-    # the solver's own first chunk at kappa_ref, N = 3: 109 tuples stall at
+    # the solver's own first chunk at kappa_ref, N = 3: 33 tuples stall at
     # a local minimum of the merit and none converges, so once they leave
-    # the batch it ends long before newton_max_iter (100)
+    # the batch it ends long before newton_max_iter (100), after 50 steps
     t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
     rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
     seeds = counting._make_tuples(counting._SEED_CHUNK, 3, t, rng)
@@ -596,7 +596,7 @@ def test_newton_batch_drops_stalled_tuples(monkeypatch):
 
     monkeypatch.setattr(counting, "_normal_equations", record)
     out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig(), [])))
-    assert out.shape == (1939, 9)
+    assert out.shape == (2015, 9)
     assert len(calls) <= 60
 
 
@@ -628,8 +628,8 @@ def test_newton_batch_orders_by_iteration_then_seed():
 def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     from cubicdyn import counting
 
-    # all 72 roots are in after 13 iterations of the first batch, which
-    # would run on to 56 if it were not left at the closed form
+    # all 72 roots are in after 7 iterations of the first batch, which
+    # would run on to 18 if it were not left at the closed form
     normal = counting._normal_equations
     calls = []
 
@@ -640,15 +640,15 @@ def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     monkeypatch.setattr(counting, "_normal_equations", record)
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 3, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 72
-    assert len(calls) <= 20
+    assert len(calls) <= 7
 
 
 def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
     # lagging orbit images that fail the gate join the running batch after
-    # period-4 iterations 9 and 11, and two period-2 roots that fail it at
-    # period 4 join the batch from its start; refined there, every root is
-    # in after 16 + 12 = 28 steps, the period-2 solve's 16 included (29
-    # without the joins)
+    # period-4 iteration 6, and six period-2 roots that fail it at period 4
+    # join the batch from its start; refined there, every root is in after
+    # 10 + 10 = 20 steps, the period-2 solve's 10 included (as many without
+    # the joins, as the batch finds those roots from its own seeds too)
     from cubicdyn import counting
 
     normal = counting._normal_equations
@@ -661,7 +661,7 @@ def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(
     monkeypatch.setattr(counting, "_normal_equations", record)
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
-    assert len(calls) <= 37
+    assert len(calls) <= 20
 
 
 def test_a_lagging_point_of_a_converged_tuple_is_admitted_from_the_same_batch(monkeypatch):
@@ -900,31 +900,62 @@ def test_reciprocal_pivots_solve_as_division_by_the_pivots(n):
         assert np.array_equal(alone, want_z[:, k:k + 1])
 
 
+def _letter_system(x, t, n):
+    """The letter residual of the tuples x, (3n, M) columns, written out
+    coordinate by coordinate: sigma_3, sigma_2 and sigma_1 take x_k = p to
+    x_{k+1 mod n} = q, one slot each, then f(x_0)."""
+    res = np.empty((3 * n + 1, x.shape[1]), dtype=complex)
+    for k in range(n):
+        nxt = 3 * ((k + 1) % n)
+        (p1, p2, p3), (q1, q2, q3) = x[3 * k:3 * k + 3], x[nxt:nxt + 3]
+        res[3 * k + 2] = t[2] - p3 - p1 * p2 - q3
+        res[3 * k + 1] = t[1] - p2 - p1 * q3 - q2
+        res[3 * k] = t[0] - p1 - q2 * q3 - q1
+    res[3 * n] = cubic_eval(x[:3], t)
+    return res
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_normal_equations_equal_a_dense_jhj(n):
     from cubicdyn import counting
 
+    # the letter residual is quadratic in each unknown, so a central
+    # difference of unit step is a column of its Jacobian up to rounding
     t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(2))))
     x = counting._make_tuples(40, n, t, np.random.default_rng(n))
     a, jhr, res = counting._normal_equations(x, t, n)
-    m = x.shape[1]
-    jac = np.zeros((m, 3 * n + 1, 3 * n), dtype=complex)
-    want = np.empty((m, 3 * n + 1), dtype=complex)
-    for k in range(n):
-        nxt = 3 * ((k + 1) % n)
-        y = coxeter_apply(x[3 * k:3 * k + 3], t)
-        d = np.array(coxeter_jacobian(x[3 * k:3 * k + 3], t, 1, escape_radius=np.inf))
-        jac[:, 3 * k:3 * k + 3, 3 * k:3 * k + 3] += d.transpose(2, 0, 1)
-        jac[:, 3 * k:3 * k + 3, nxt:nxt + 3] -= np.eye(3)
-        want[:, 3 * k:3 * k + 3] = (np.array(y) - x[nxt:nxt + 3]).T
-    jac[:, 3 * n, :3] = np.array(cubic_gradient(x[:3], t)).T
-    want[:, 3 * n] = cubic_eval(x[:3], t)
-    assert np.array_equal(res, want.T)
+    want = _letter_system(x, t, n)
+    assert np.array_equal(res, want)
+    jac = np.empty((x.shape[1], 3 * n + 1, 3 * n), dtype=complex)
+    for c in range(3 * n):
+        step = np.zeros((3 * n, 1))
+        step[c] = 1
+        jac[:, :, c] = ((_letter_system(x + step, t, n) - _letter_system(x - step, t, n)) / 2).T
     jh = np.conj(jac.transpose(0, 2, 1))
-    jhj, jhr_dense = jh @ jac, (jh @ want[:, :, None])[:, :, 0]
+    jhj, jhr_dense = jh @ jac, (jh @ want.T[:, :, None])[:, :, 0]
     scale = np.abs(jhj).max(axis=(1, 2))
     assert (np.abs(a.transpose(2, 0, 1) - jhj).max(axis=(1, 2)) <= 1e-13 * scale).all()
     assert (np.abs(jhr.T - jhr_dense).max(axis=1) <= 1e-13 * np.abs(jhr_dense).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_letter_residual_vanishes_along_an_orbit_segment(n):
+    from cubicdyn import counting
+
+    # on (x, c(x), ..., c^{n-1}(x)) each letter lands exactly on the next
+    # point's coordinate, as coxeter_apply computes it, so every block but
+    # the closing one, c(x_{n-1}) against x_0, is 0.  The seeds are not
+    # periodic: no row of the closing block is 0, and its sigma_3 row is
+    # c(x_{n-1})_3 - x_{0,3} bit for bit
+    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(2))))
+    x = counting._make_seeds(50, t, np.random.default_rng(n))
+    tuples = counting._orbit_tuples(x.T, t, n)
+    res = counting._letter_residual(tuples, t, n)
+    assert not res[:3 * n - 3].any()
+    last = tuples[3 * n - 3:]
+    assert np.array_equal(res[3 * n - 1], np.array(coxeter_apply(last, t))[2] - tuples[2])
+    assert np.abs(res[3 * n - 3:3 * n]).min(axis=0).all()
+    assert np.array_equal(res[3 * n], cubic_eval(tuples[:3], t))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -1054,11 +1085,11 @@ def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_pe
     assert np.abs(points).max() > counting._seed_radius(counting._coerce_theta4(rh_params(_KAPPA_REF)))
 
 
-@pytest.mark.parametrize("N, steps", [(3, 10), (4, 28)])
+@pytest.mark.parametrize("N, steps", [(3, 7), (4, 20), (5, 12)])
 def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(monkeypatch, N, steps):
     from cubicdyn import counting
 
-    # seeds in a box of radius 10 take 15 and 37 steps
+    # seeds in a box of radius 10 take 9, 22 and 15 steps
     normal = counting._normal_equations
     calls = []
 
@@ -1131,7 +1162,7 @@ def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
 def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypatch):
     from cubicdyn import counting
 
-    # at rng 0, 2 of the 22 period-2 roots fail the tests at period 4 as
+    # at rng 0, 6 of the 22 period-2 roots fail the tests at period 4 as
     # offered: their period-4 tuples wait in joining for the first chunk
     newton = counting._newton_batch
     calls = []
@@ -1143,7 +1174,7 @@ def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypat
     monkeypatch.setattr(counting, "_newton_batch", record)
     report = solve_for_kappa(_KAPPA_REF, 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176, 0), (4, 2048, 2)]
+    assert calls == [(2, 176, 0), (4, 2048, 6)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])

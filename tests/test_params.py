@@ -77,6 +77,39 @@ def test_eigen_and_trace_routes_agree():
         assert np.allclose(th.as_tuple(), traces_to_theta(a1).as_tuple(), atol=1e-12)
 
 
+def test_kappa_entries_in_zero_to_two_map_as_pi_times_the_entry():
+    # each rational entry is reduced mod 2 before pi multiplies it; one
+    # already in [0, 2) is its own remainder, so a, b and theta come out
+    # bit for bit as from pi k itself
+    def direct(k):
+        p = [cmath.pi * v for v in k.tail()]
+        a = (2 * cmath.cos(p[0]), 2 * cmath.cos(p[1]), 2 * cmath.cos(p[2]), -2 * cmath.cos(p[3]))
+        b = (cmath.exp(1j * p[0]), cmath.exp(1j * p[1]), cmath.exp(1j * p[2]), -cmath.exp(1j * p[3]))
+        return a, b, traces_to_theta(MonodromyTraces(*a)).as_tuple()
+
+    tails = [(Fraction(47, 38), Fraction(25, 14), Fraction(37, 24), Fraction(8, 17)),
+             (0, 1, Fraction(1, 2), Fraction(39, 20)), (0.25, 1.5, Fraction(1, 3), 1.999)]
+    for tail in tails:
+        k = KappaPoint.from_tail(*tail)
+        got = (kappa_to_traces(k).as_tuple(), kappa_to_eigen(k).as_tuple(), rh_params(k).as_tuple())
+        assert repr(got) == repr(direct(k))
+
+
+@pytest.mark.parametrize("shift", [2, -4, (10**400 - 4) // 3], ids=["2", "-4", "(10^400-4)/3"])
+def test_a_rational_kappa_entry_maps_as_its_remainder_mod_two(shift):
+    # cos(pi k) and exp(i pi k) have period 2 in k; each shift is even, and
+    # the last is far past a float's range
+    assert shift % 2 == 0
+    base = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 7))
+    for slot in range(4):
+        tail = list(base)
+        tail[slot] += shift
+        k, ref = KappaPoint.from_tail(*tail), KappaPoint.from_tail(*base)
+        assert kappa_to_traces(k) == kappa_to_traces(ref)
+        assert kappa_to_eigen(k) == kappa_to_eigen(ref)
+        assert rh_params(k) == rh_params(ref)
+
+
 def test_theta_formula_by_hand():
     a = MonodromyTraces(1, 2, 3, 5)
     th = traces_to_theta(a)

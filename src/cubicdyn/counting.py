@@ -254,10 +254,6 @@ class CountReport:
         }
 
 
-def _coerce_theta4(theta) -> np.ndarray:
-    return np.array([complex(t) for t in _coerce_theta(theta)], dtype=complex)
-
-
 def _gap(y, x):
     """max_i |y_i - x_i| of a point, or per point of three columns."""
     return _max_abs([y[0] - x[0], y[1] - x[1], y[2] - x[2]])
@@ -338,18 +334,18 @@ def _converged(x, t, n: int, cfg: SolverConfig):
     max |c^n(x) - x| is below cfg.newton_tol and |f(x)| is within
     surface_residual_bound(x, cfg.surface_tol).
 
-    x is numpy coordinate columns (3, M) with t a numpy array, tested per
-    point, or one point of three Python complex scalars with t four Python
-    complex scalars.  A point is tested in Python's own arithmetic and abs,
-    as any independent check of a report re-evaluates it; numpy's array
-    loops round complex products and abs differently, so a point that
-    passes on columns can fail as a point.
+    x is numpy coordinate columns (3, M), tested per point, or one point of
+    three Python complex scalars; t is four Python complex scalars, or on
+    columns their array, which rounds the same.  A point is tested in
+    Python's own arithmetic and abs, as any independent check of a report
+    re-evaluates it; numpy's array loops round complex products and abs
+    differently, so a point that passes on columns can fail as a point.
     """
     gap = _gap(coxeter_apply(x, t, n), x)
     return (gap < cfg.newton_tol) & (abs(cubic_eval(x, t)) <= surface_residual_bound(x, cfg.surface_tol))
 
 
-def _seed_radius(t: np.ndarray) -> float:
+def _seed_radius(t) -> float:
     """R(theta) = 2 + sqrt(max_i |theta_i|) / 2, the half-width of the seed box.
 
     The periodic points of c lie in a bounded set that grows with theta:
@@ -360,7 +356,7 @@ def _seed_radius(t: np.ndarray) -> float:
     return 2 + 0.5 * np.sqrt(np.abs(t).max())
 
 
-def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
+def _make_seeds(count: int, t, rng) -> np.ndarray:
     """Half box seeds, half seeds placed on the surface.
 
     A box seed's coordinates, and the x_2 and x_3 of a surface seed, have
@@ -384,12 +380,12 @@ def _make_seeds(count: int, t: np.ndarray, rng) -> np.ndarray:
     return np.concatenate([pts.T, np.vstack([x1, x23.T])], axis=1)
 
 
-def _make_tuples(count: int, n: int, t: np.ndarray, rng) -> np.ndarray:
+def _make_tuples(count: int, n: int, t, rng) -> np.ndarray:
     """count seed tuples of n independent seeds each, as (3n, count) columns."""
     return _make_seeds(n * count, t, rng).reshape(3, count, n).transpose(2, 0, 1).reshape(3 * n, count)
 
 
-def _orbit_tuples(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+def _orbit_tuples(x: np.ndarray, t, n: int) -> np.ndarray:
     """The n-tuples (x, c(x), ..., c^{n-1}(x)) of the points x (K, 3), as
     (3n, K) columns."""
     orbit = [x.T]
@@ -398,7 +394,7 @@ def _orbit_tuples(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(orbit)
 
 
-def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig, joining: list):
+def _newton_batch(x: np.ndarray, t, n: int, cfg: SolverConfig, joining: list):
     """Damped Gauss-Newton on the letter system of period n.
 
     Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n},
@@ -443,7 +439,7 @@ def _newton_batch(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig, joini
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_step(x: np.ndarray, t: np.ndarray, n: int, cfg: SolverConfig) -> np.ndarray:
+def _newton_step(x: np.ndarray, t, n: int, cfg: SolverConfig) -> np.ndarray:
     """One damped Gauss-Newton step of _newton_batch on the live tuples x,
     (3n, M) columns; returns the tuples that stay in the batch, stepped."""
     a, jhr, res = _normal_equations(x, t, n)
@@ -472,20 +468,21 @@ def _cholesky_pattern(n: int) -> np.ndarray:
     as a read-only (3n, 3n) boolean array, True on and below the diagonal
     where L may be nonzero.
 
-    A block row of the letter system touches x_k and x_{k+1 mod n} alone, so
-    J^H J is block-cyclic tridiagonal in 3x3 blocks, each taken whole: block
-    (k, l) is nonzero for l = k and l = k +- 1 mod n.  Symbolic
-    elimination adds the fill: eliminating column j joins every pair of
-    rows below the diagonal that column j holds.  For n <= 3 every block is
-    nonzero and L is dense; from n = 4 on the fill is the last block row,
-    and the factorisation takes 85 n - 135 column updates in place of
+    J^H J is nonzero where two unknowns share a row of J: a row of
+    _letters(n) holds unknowns row and new and the two of its state that
+    _sigma_row names, and grad f holds x_0.  Symbolic elimination adds the
+    fill: eliminating column j joins every pair of rows below the diagonal
+    that column j holds.  For n <= 2 L is dense; from n = 3 on the
+    factorisation takes 85 n - 157 column updates in place of
     (3n + 1) 3n (3n - 1) / 6.  _cholesky_schedule turns the pattern into
     _cholesky_solve's loops, once per pattern.
     """
-    blocks = np.zeros((n, n), dtype=bool)
-    for k in range(n):
-        blocks[k, k] = blocks[k, (k + 1) % n] = blocks[(k + 1) % n, k] = True
-    pattern = np.tril(np.kron(blocks, np.ones((3, 3), dtype=bool)))
+    pattern = np.zeros((3 * n, 3 * n), dtype=bool)
+    for row, i, state, new in _letters(n)[0]:
+        support = [row, new, *(state[j] for j, _ in _sigma_row(i, state))]
+        pattern[np.ix_(support, support)] = True
+    pattern[:3, :3] = True
+    pattern = np.tril(pattern)
     for j in range(3 * n):
         rows = np.flatnonzero(pattern[j + 1:, j]) + j + 1
         pattern[np.ix_(rows, rows)] |= np.tri(len(rows), dtype=bool)
@@ -577,7 +574,7 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
 _LINE_SEARCH_BLOCK = 2048  # most trial points one residual call evaluates
 
 
-def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t: np.ndarray, n: int):
+def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t, n: int):
     """Damp each step: x + 2^-k dx for the first k = 0..25 whose residual
     is below rnorm.
 
@@ -672,11 +669,11 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 
 
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
-# The first batch of a search holds this many seed tuples per root it must
-# find.  On the README's 41 kappa, one N = 2 search needs a second batch at
-# 8, seven do at 4 and none at 16, and no N = 3 search does; the N = 2 and 3
-# searches take 1.7 s in all at 8, against 1.5 s at 4 and 2.0 s at 16
-_TUPLES_PER_ROOT = 8
+# The first batch of a search holds this many seed tuples per c-orbit of N
+# roots to find, as a converged tuple brings a whole orbit: 176, 384 and 1304
+# tuples at N = 2, 3 and 4.  On the README's 41 kappa the N = 3 and 4 searches
+# take a third fewer tuple-steps than at 8 per root, in as many batches
+_TUPLES_PER_ORBIT = 16
 
 
 def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
@@ -724,32 +721,32 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     differently on another CPU, which can change a count short of the
     closed form.
     """
-    t = _coerce_theta4(theta)
+    theta = tuple(complex(v) for v in _coerce_theta(theta))
     closed = per_count_closed(N, "affine")
     found = {}  # each divisor of N searched so far, in ascending order, to its roots
     for n in [d for d in range(1, N + 1) if N % d == 0]:
-        found[n] = _find_roots(t, n, cfg, [found[d] for d in found if n % d == 0])
+        found[n] = _find_roots(theta, n, cfg, [found[d] for d in found if n % d == 0])
     roots = found[N]
     cols = roots.T
     scale = cfg.dedup_radius * (1 + _max_abs(cols))
     orbit_of, periods, y = np.arange(len(roots)), np.full(len(roots), N), cols
     for k in range(1, N):
-        y = coxeter_apply(y, t)
+        y = coxeter_apply(y, theta)
         match = _cluster_index(roots, np.array(y).T, cfg.dedup_radius)
         orbit_of = np.where(match >= 0, np.minimum(orbit_of, match), orbit_of)
         if N % k == 0:
             periods[(periods == N) & (_gap(y, cols) <= scale)] = k
-    residuals = _gap(coxeter_apply(y, t), cols)
-    mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, t, N, escape_radius=np.inf)))
+    residuals = _gap(coxeter_apply(y, theta), cols)
+    mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, theta, N, escape_radius=np.inf)))
     status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
     return CountReport(N, closed, [(AffinePoint(*x), float(r)) for x, r in zip(roots, residuals)],
                        multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
                        orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
 
 
-def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -> np.ndarray:
-    """The roots (K, 3) of c^N on S(t) that solve_periodic reports, in the
-    order found.
+def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) -> np.ndarray:
+    """The roots (K, 3) of c^N on S(theta) that solve_periodic reports, in
+    the order found.  theta is four Python complex scalars.
 
     divisor_roots holds the roots of the proper divisors of N, one (K, 3)
     array each; their N-tuples (x, c(x), ..., c^{N-1}(x)), if any, are
@@ -758,12 +755,11 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
     a time, the N-tuples of lagging points from any yield join it, and it
     is left as soon as the roots reach per_count_closed(N); the search ends
     there, or on quiet batches, and raises ValueError past it.  The seed
-    batches start at _TUPLES_PER_ROOT tuples per root to find and double up
-    to min(_SEED_CHUNK, cfg.seeds).  The roots' index for _cluster_index is
-    kept across yields, each yield's new roots merged in.
+    batches start at _TUPLES_PER_ORBIT tuples per c-orbit of N roots to
+    find and double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index for
+    _cluster_index is kept across yields, each yield's new roots merged in.
     """
     radius = cfg.dedup_radius
-    theta = tuple(complex(v) for v in t)
     roots = np.empty((0, 3), dtype=complex)
     index = _sort_reps(roots, radius)
 
@@ -775,11 +771,11 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
         # the first copy of each point is tested again on Python scalars,
         # and one that fails there is left to a later yield
         nonlocal roots, index
-        if not t.imag.any():
+        if not any(v.imag for v in theta):
             tuples = np.concatenate([tuples, tuples.conj()])
         pts = tuples.reshape(-1, 3)
         pts = pts[_cluster_index(roots, pts, radius, index) < 0]
-        conv = _converged(pts.T, t, N, cfg)
+        conv = _converged(pts.T, theta, N, cfg)
         pts, lagging = pts[conv], pts[~conv]
         pts = pts[_cluster_index(pts, pts, radius) == np.arange(len(pts))]
         pts = pts[np.array([_converged(x, theta, N, cfg) for x in pts.tolist()], dtype=bool)]
@@ -791,22 +787,22 @@ def _find_roots(t: np.ndarray, N: int, cfg: SolverConfig, divisor_roots: list) -
         near = np.concatenate([pts, lagging])
         first = _cluster_index(near, near, radius)[len(pts):] == np.arange(len(pts), len(near))
         if first.any():
-            joining.append(_orbit_tuples(lagging[first], t, N))
+            joining.append(_orbit_tuples(lagging[first], theta, N))
 
     closed = per_count_closed(N)
 
     # the divisor roots come first, as one yield of N-tuples
     start = np.concatenate([roots, *divisor_roots])
     if len(start):
-        absorb(_orbit_tuples(start, t, N).T)
+        absorb(_orbit_tuples(start, theta, N).T)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     full = min(_SEED_CHUNK, cfg.seeds)
-    size = min(full, _TUPLES_PER_ROOT * closed)
+    size = min(full, -(-_TUPLES_PER_ORBIT * closed // N))
     drawn = quiet = 0
     while len(roots) < closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
         before = len(roots)
-        for tuples in _newton_batch(_make_tuples(size, N, t, rng), t, N, cfg, joining):
+        for tuples in _newton_batch(_make_tuples(size, N, theta, rng), theta, N, cfg, joining):
             absorb(tuples)
             if len(roots) >= closed:
                 break

@@ -291,6 +291,45 @@ def test_csv_and_pretty_rows_index_lists_of_dicts():
     assert "points[0].x[0]" in keys and "points[0].residual" in keys
 
 
+_EVERY_SUBCOMMAND = [
+    ["params", "--kappa", "1/3,1/4,1/5,1/7"], ["disc", "--b", "1+1i,[0.5,2],3,4"], ["lattice"],
+    ["lines", "--kappa", "1/3,1/4,1/5,1/7", "--verify"],
+    ["orbit", "--word", "s1 s2 s3", "--x", "0.1,0.2,0.3", "--kappa", "1/3,1/4,1/5,1/7", "--iters", "5"],
+    ["count", "--N", "5"], ["count-kappa", "--N", "3"], ["zeta", "--order", "300"],
+    ["solve", "--kappa", "1/3,1/4,1/5,1/7", "--N", "2", "--seeds", "300"], ["verify", "--nmax", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=[a[0] for a in _EVERY_SUBCOMMAND])
+def test_csv_output_is_csv_writers_text(monkeypatch, argv):
+    import csv
+
+    from cubicdyn import cli
+
+    code, out = run([*argv, "--output", "csv"])
+    monkeypatch.setattr(cli, "_write_csv", lambda rows, stream: csv.writer(stream).writerows(rows))
+    assert code == 0 and run([*argv, "--output", "csv"]) == (0, out)
+
+
+def test_csv_rows_that_need_quoting_go_through_csv_writer():
+    import csv
+    import decimal
+
+    import numpy as np
+
+    from cubicdyn import cli
+
+    rows = [("a", "x,y"), ("b", 'say "hi"'), ("c", "two\nlines"), ("d", "cr\r"), ("",), (None,), ("e", None),
+            ("f", ""), (), ("g", 1.5), ("h", 1e-300), ("i", np.float64(0.1)), ("i", 1e16, -0.0, float("inf"), float("nan")), ("j", True), ("k", 10**40),
+            ("l", decimal.Decimal("12345678901234567890")), ("m", "1 22 405"), ("n", "x", "", None, 2)]
+    want = io.StringIO()
+    csv.writer(want).writerows(rows)
+    got = io.StringIO()
+    cli._write_csv(iter(rows), got)
+    assert got.getvalue() == want.getvalue()
+    assert '"x,y"' in got.getvalue() and '\r\n""\r\n""\r\n' in got.getvalue()
+
+
 def test_lines_subcommand():
     code, out = run(["lines", "--kappa", "1/3,1/4,1/5,1/7", "--verify", "--output", "json"])
     assert code == 0

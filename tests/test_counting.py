@@ -23,12 +23,19 @@ from cubicdyn.counting import (
 )
 from cubicdyn.params import KappaPoint, discriminant, kappa_to_eigen, rh_params, wall_membership
 from cubicdyn.surface import (
+    _coerce_theta,
     coxeter_apply,
     coxeter_jacobian,
     cubic_eval,
     cubic_gradient,
     surface_residual_bound,
 )
+
+
+def _theta_array(theta):
+    """theta's four entries as a complex numpy array, which the maps and the
+    seeds take as they take four Python complex."""
+    return np.array([complex(v) for v in _coerce_theta(theta)])
 
 
 def test_lefschetz_small_values():
@@ -345,7 +352,7 @@ def test_column_kernels_exact_on_fraction_columns():
 def test_cubic_cols_rounds_a_point_the_same_alone_and_in_a_batch():
     from cubicdyn import counting
 
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(1))))
     x = counting._make_seeds(2000, t, np.random.default_rng(0))
     for kernel in (lambda x: cubic_eval(x, t), lambda x: np.array(coxeter_apply(x, t, 3))):
         batch = kernel(x)
@@ -356,7 +363,7 @@ def test_cubic_cols_rounds_a_point_the_same_alone_and_in_a_batch():
 def test_no_bad_point_reaches_the_line_search(monkeypatch):
     from cubicdyn import counting
 
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(1))))
     seeds = counting._make_tuples(50, 2, t, np.random.default_rng(0))
     seeds[:, 7] = np.nan
     searched = []
@@ -486,7 +493,7 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     radius = SolverConfig.dedup_radius
     report = solve_periodic(_COMPLEX_THETA, 3, SolverConfig(seeds=20000))
     x = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
-    t = counting._coerce_theta4(_COMPLEX_THETA)
+    t = _theta_array(_COMPLEX_THETA)
     image = counting._cluster_index(x, np.array(coxeter_apply(x.T, t)).T, radius)
     cycle = [0, image[0], image[image[0]]]
     lagging = x[cycle].ravel()[None]
@@ -531,7 +538,7 @@ def test_line_search_block_size_changes_no_bit():
     from cubicdyn import counting
 
     kappa = random_offwall_kappa(np.random.default_rng(1))
-    t = counting._coerce_theta4(rh_params(kappa))
+    t = _theta_array(rh_params(kappa))
     steps = []
     search = counting._line_search
 
@@ -581,10 +588,10 @@ def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch)
 def test_newton_batch_drops_stalled_tuples(monkeypatch):
     from cubicdyn import counting
 
-    # the solver's own first chunk at kappa_ref, N = 3: 33 tuples stall at
-    # a local minimum of the merit and none converges, so once they leave
-    # the batch it ends long before newton_max_iter (100), after 50 steps
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
+    # a full chunk from the solver's stream at kappa_ref, N = 3: 33 tuples
+    # stall at a local minimum of the merit and none converges, so once they
+    # leave the batch it ends long before newton_max_iter (100), after 50 steps
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(7))))
     rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
     seeds = counting._make_tuples(counting._SEED_CHUNK, 3, t, rng)
     normal = counting._normal_equations
@@ -604,7 +611,7 @@ def test_newton_batch_orders_by_iteration_then_seed():
     from cubicdyn import counting
 
     kappa = random_offwall_kappa(np.random.default_rng(3))
-    t = counting._coerce_theta4(rh_params(kappa))
+    t = _theta_array(rh_params(kappa))
     cfg = SolverConfig(seeds=1500)
     found = np.concatenate(list(counting._newton_batch(
         counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg, [])))[:, :3]
@@ -628,40 +635,73 @@ def test_newton_batch_orders_by_iteration_then_seed():
 def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     from cubicdyn import counting
 
-    # all 72 roots are in after 7 iterations of the first batch, which
-    # would run on to 18 if it were not left at the closed form
+    # all 72 roots are in after 8 iterations of the first batch of 384
+    # tuples, 16 for each of the 24 orbits, which would run on to 16 if it
+    # were not left at the closed form; 3033 tuple-steps in all, against
+    # 4026 from a first batch of 576 tuples, 8 for each root
     normal = counting._normal_equations
     calls = []
 
     def record(x, t, n):
-        calls.append(n)
+        calls.append(x.shape[1])
         return normal(x, t, n)
 
     monkeypatch.setattr(counting, "_normal_equations", record)
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 3, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 72
-    assert len(calls) <= 7
+    assert len(calls) <= 8
+    assert sum(calls) <= 3100
 
 
 def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
     # lagging orbit images that fail the gate join the running batch after
     # period-4 iteration 6, and six period-2 roots that fail it at period 4
     # join the batch from its start; refined there, every root is in after
-    # 10 + 10 = 20 steps, the period-2 solve's 10 included (as many without
-    # the joins, as the batch finds those roots from its own seeds too)
+    # 10 + 9 = 19 steps, the period-2 solve's 10 included.  Without the
+    # joins the search takes 67 period-4 steps, as the first batch's own
+    # 1304 seeds, 16 for every 4 roots, miss some of those roots; with
+    # them, 12971 tuple-steps in all, against 20620 from 2048 seeds
     from cubicdyn import counting
 
     normal = counting._normal_equations
     calls = []
 
     def record(x, t, n):
-        calls.append(n)
+        calls.append(x.shape[1])
         return normal(x, t, n)
 
     monkeypatch.setattr(counting, "_normal_equations", record)
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
     assert len(calls) <= 20
+    assert sum(calls) <= 13000
+
+
+def test_every_map_call_of_a_solve_takes_theta_as_python_scalars(monkeypatch):
+    from cubicdyn import counting, surface
+
+    # the solver hands theta to surface's maps as a tuple of four Python
+    # complex, never as a numpy array, which each call would turn into a
+    # tuple of numpy scalars; the N = 4 solve runs the divisor search, the
+    # lagging tuples that join a batch and the final pass
+    thetas = {}
+
+    def checked(name, fn):
+        def call(*args, **kwargs):
+            theta = args[2] if name == "sigma_apply" else args[1]
+            thetas.setdefault(name, set()).add((type(theta), *map(type, theta)))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("sigma_apply", "cubic_eval", "cubic_gradient", "coxeter_apply", "coxeter_jacobian"):
+        fn = getattr(surface, name)
+        monkeypatch.setattr(surface, name, checked(name, fn))
+        if hasattr(counting, name):
+            monkeypatch.setattr(counting, name, checked(name, fn))
+    report = solve_for_kappa(_KAPPA_REF, 4, SolverConfig(seeds=20000))
+    assert report.status == "complete"
+    assert set(thetas) == {"sigma_apply", "cubic_eval", "cubic_gradient", "coxeter_apply", "coxeter_jacobian"}
+    assert all(kinds == {(tuple, complex, complex, complex, complex)} for kinds in thetas.values()), thetas
 
 
 def test_a_lagging_point_of_a_converged_tuple_is_admitted_from_the_same_batch(monkeypatch):
@@ -676,7 +716,7 @@ def test_a_lagging_point_of_a_converged_tuple_is_admitted_from_the_same_batch(mo
     x, orbits = _two_cycles(_COMPLEX_THETA, cfg)
     tuples = np.array([x[o].ravel() for o in orbits])
     tuples[0, 3:] *= 1 + 1e-9
-    t = counting._coerce_theta4(_COMPLEX_THETA)
+    t = _theta_array(_COMPLEX_THETA)
     assert not counting._converged(tuples[0, 3:, None], t, 2, cfg)[0]
     monkeypatch.setattr(counting, "_make_tuples", lambda count, n, t, rng: tuples.T.copy())
     calls = _record_newton_batch(monkeypatch)
@@ -700,7 +740,7 @@ def test_a_batch_left_early_raises_no_warning_and_restores_the_errstate():
     # a nan tuple and tuples far past the escape radius overflow wherever
     # the batch does not silence them; the silencing must not outlast a
     # yield, and the batch is left at its first one
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(1))))
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(1))))
     seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
     seeds[:, 7] = np.nan
     seeds[:, 11:20] *= 1e50
@@ -760,7 +800,7 @@ def _shooting_systems(n, count):
     tuples at the reference kappa, as _newton_step solves them."""
     from cubicdyn import counting
 
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(7))))
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(7))))
     x = counting._make_tuples(count, n, t, np.random.default_rng(n))
     a, jhr, _ = counting._normal_equations(x, t, n)
     shift = 1e-14 * np.diagonal(a).real.max(axis=1) + 1e-30
@@ -797,13 +837,15 @@ def test_the_pattern_solve_of_a_shooting_system_equals_the_dense_one_bit_for_bit
             assert np.array_equal(alone.view(np.uint64), got_z[:, k:k + 1].view(np.uint64))
 
 
-@pytest.mark.parametrize("n, updates", [(1, 4), (2, 35), (3, 120), (4, 205), (5, 290), (6, 375), (7, 460)])
+@pytest.mark.parametrize("n, updates", [(1, 4), (2, 35), (3, 98), (4, 183), (5, 268), (6, 353), (7, 438)])
 def test_the_symbolic_pattern_covers_the_numeric_factor(n, updates):
     from cubicdyn import counting
 
     # every entry of the dense factor of a shooting system that is not
     # zero lies in the pattern, and the pattern's column updates number
-    # C(3n + 1, 3) while L is dense (n <= 3) and 85 n - 135 from n = 3 on
+    # C(3n + 1, 3) while L is dense (n <= 2) and 85 n - 157 from n = 3 on.
+    # At n = 3, 4 and 6, L has 42, 66 and 114 entries on and below the
+    # diagonal, against 45, 69 and 117 from J^H J's whole 3x3 blocks
     m = 3 * n
     pattern = counting._cholesky_pattern(n)
     assert np.array_equal(pattern, np.tril(pattern)) and pattern.diagonal().all()
@@ -812,8 +854,9 @@ def test_the_symbolic_pattern_covers_the_numeric_factor(n, updates):
     assert not ((a != 0).any(axis=2) & np.tri(m, dtype=bool) & ~pattern).any()
     below = [np.flatnonzero(pattern[j + 1:, j]) + j + 1 for j in range(m)]
     assert sum(np.count_nonzero(pattern[i:, j]) for j in range(m) for i in below[j]) == updates
-    assert n < 3 or updates == 85 * n - 135
-    assert n > 3 or pattern.sum() == m * (m + 1) // 2
+    assert n < 3 or updates == 85 * n - 157
+    assert (n <= 2) == (pattern.sum() == m * (m + 1) // 2)
+    assert n < 3 or pattern.sum() == 24 * n - 30
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -921,7 +964,7 @@ def test_normal_equations_equal_a_dense_jhj(n):
 
     # the letter residual is quadratic in each unknown, so a central
     # difference of unit step is a column of its Jacobian up to rounding
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(2))))
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(2))))
     x = counting._make_tuples(40, n, t, np.random.default_rng(n))
     a, jhr, res = counting._normal_equations(x, t, n)
     want = _letter_system(x, t, n)
@@ -947,7 +990,7 @@ def test_the_letter_residual_vanishes_along_an_orbit_segment(n):
     # the closing one, c(x_{n-1}) against x_0, is 0.  The seeds are not
     # periodic: no row of the closing block is 0, and its sigma_3 row is
     # c(x_{n-1})_3 - x_{0,3} bit for bit
-    t = counting._coerce_theta4(rh_params(random_offwall_kappa(np.random.default_rng(2))))
+    t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(2))))
     x = counting._make_seeds(50, t, np.random.default_rng(n))
     tuples = counting._orbit_tuples(x.T, t, n)
     res = counting._letter_residual(tuples, t, n)
@@ -1032,12 +1075,12 @@ def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
-    # the period-2 solve comes first, in one batch of 8 tuples per root;
+    # the period-2 solve comes first, in one batch of 16 tuples per orbit;
     # its 22 roots are absorbed as period-4 tuples and head the report, and
-    # one chunk of period-4 tuples finds the rest.  Every Newton batch runs
-    # on a seed chunk: the orbits come whole from the tuples, not from a
-    # second batch on images
-    assert calls == [(2, 176), (4, 2048)]
+    # one batch of 1304 period-4 tuples, 16 for every 4 roots, finds the
+    # rest.  Every Newton batch runs on a seed chunk: the orbits come whole
+    # from the tuples, not from a second batch on images
+    assert calls == [(2, 176), (4, 1304)]
     assert seed_chunk == [True, True]
     assert report.minimal_periods[0] == 2
 
@@ -1052,7 +1095,7 @@ _KAPPA_FAR = KappaPoint.from_tail(Fraction(45, 23), Fraction(1, 9), Fraction(3, 
 def test_the_seeds_lie_in_the_theta_scaled_box(kappa):
     from cubicdyn import counting
 
-    t = counting._coerce_theta4(rh_params(kappa))
+    t = _theta_array(rh_params(kappa))
     r = counting._seed_radius(t)
     assert r == 2 + np.sqrt(np.abs(t).max()) / 2
     x = counting._make_seeds(4001, t, np.random.default_rng(0))
@@ -1068,7 +1111,7 @@ def test_the_seeds_lie_in_the_theta_scaled_box(kappa):
 def test_the_seed_radius_grows_with_theta():
     from cubicdyn import counting
 
-    ref, far = (counting._coerce_theta4(rh_params(k)) for k in (_KAPPA_REF, _KAPPA_FAR))
+    ref, far = (_theta_array(rh_params(k)) for k in (_KAPPA_REF, _KAPPA_FAR))
     assert round(counting._seed_radius(ref), 2) == 2.77 and round(counting._seed_radius(far), 2) == 4.08
     radii = [counting._seed_radius(s * far) for s in (0, 0.01, 0.1, 1, 10, 100)]
     assert radii[0] == 2 and all(a < b for a, b in zip(radii, radii[1:]))
@@ -1080,12 +1123,12 @@ def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_pe
     calls = _record_newton_batch(monkeypatch)
     report = solve_for_kappa(_KAPPA_FAR, 4, SolverConfig(seeds=20000, rng_seed=6))
     assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176), (4, 2048)]
+    assert calls == [(2, 176), (4, 1304)]
     points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
-    assert np.abs(points).max() > counting._seed_radius(counting._coerce_theta4(rh_params(_KAPPA_REF)))
+    assert np.abs(points).max() > counting._seed_radius(_theta_array(rh_params(_KAPPA_REF)))
 
 
-@pytest.mark.parametrize("N, steps", [(3, 7), (4, 20), (5, 12)])
+@pytest.mark.parametrize("N, steps", [(3, 8), (4, 20), (5, 12)])
 def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(monkeypatch, N, steps):
     from cubicdyn import counting
 
@@ -1156,7 +1199,7 @@ def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=7))
     assert report.status == "complete"
-    assert calls == [(2, 176), (4, 2048)]
+    assert calls == [(2, 176), (4, 1304)]
 
 
 def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypatch):
@@ -1174,7 +1217,7 @@ def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypat
     monkeypatch.setattr(counting, "_newton_batch", record)
     report = solve_for_kappa(_KAPPA_REF, 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176, 0), (4, 2048, 6)]
+    assert calls == [(2, 176, 0), (4, 1304, 6)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
@@ -1240,7 +1283,7 @@ def test_the_gate_on_columns_decides_each_point_as_alone(roots_near_the_gate):
 
     cfg = SolverConfig()
     for N, theta, pts in roots_near_the_gate:
-        t = counting._coerce_theta4(theta)
+        t = _theta_array(theta)
         cols = pts.T
         got = counting._converged(cols, t, N, cfg)
         gap = np.abs(np.array(coxeter_apply(cols, t, N)) - cols).max(axis=0)
@@ -1266,7 +1309,7 @@ def test_complete_root_sets_are_unions_of_orbits(kappa_seed, rng_seed, N, closed
         theta = rh_params(random_offwall_kappa(np.random.default_rng(kappa_seed)))
     report = solve_periodic(theta, N, SolverConfig(seeds=20000, rng_seed=rng_seed))
     assert report.status == "complete" and report.found == closed
-    t = counting._coerce_theta4(theta)
+    t = _theta_array(theta)
     x = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
     radius = SolverConfig.dedup_radius
     image = counting._cluster_index(x, np.array(coxeter_apply(x.T, t)).T, radius)
@@ -1356,18 +1399,22 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
     assert calls == [(2, w) for w in widths[:max(6, 5 + k)]]
 
 
-@pytest.mark.parametrize("seeds, widths", [(20000, [176, 352, 704, 1408] + [2048] * 9),
-                                           (300, [176] + [300] * 4)])
-def test_a_quiet_search_doubles_its_batches_and_counts_the_tuples_drawn(monkeypatch, seeds, widths):
-    # no tuple converges: the first batch holds 8 tuples for each of the 22
-    # roots, each later one twice as many up to min(_SEED_CHUNK, seeds), and
-    # the search stops once the tuples drawn reach seeds and
+@pytest.mark.parametrize("seeds, widths, N", [(20000, [176, 352, 704, 1408] + [2048] * 9, 2),
+                                              (300, [176] + [300] * 4, 2),
+                                              (20000, [384, 768, 1536] + [2048] * 9, 3),
+                                              (20000, [1304] + [2048] * 10, 4)])
+def test_a_quiet_search_doubles_its_batches_and_counts_the_tuples_drawn(monkeypatch, seeds, widths, N):
+    # no tuple converges: the first batch holds 16 tuples for every N roots
+    # to find, the points of one orbit (22, 72 and 326 roots at N = 2, 3
+    # and 4), each later one twice as many up to min(_SEED_CHUNK, seeds),
+    # and the search stops once the tuples drawn reach seeds and
     # saturation_batches batches in a row were quiet: 20000 after the
-    # thirteenth batch, 300 before the fifth quiet one
+    # thirteenth, twelfth and eleventh batch, 300 before the fifth quiet one.
+    # At N = 4 the quiet period-2 search runs first, and is left out here
     calls = _record_newton_batch(monkeypatch, lambda *_: iter(()))
-    report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=seeds))
+    report = solve_periodic(_COMPLEX_THETA, N, SolverConfig(seeds=seeds))
     assert report.status == "saturated" and report.found == 0
-    assert calls == [(2, w) for w in widths]
+    assert [w for n, w in calls if n == N] == widths
 
 
 def test_a_search_with_no_root_to_find_runs_no_newton_batch(monkeypatch):
@@ -1398,7 +1445,7 @@ def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
     # definite: its tuple alone leaves the batch, and every other tuple
     # runs as before, bit for bit
     kappa = random_offwall_kappa(np.random.default_rng(3))
-    t = counting._coerce_theta4(rh_params(kappa))
+    t = _theta_array(rh_params(kappa))
     seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 30)
     cfg = SolverConfig()

@@ -356,33 +356,16 @@ def _seed_radius(t) -> float:
     return 2 + 0.5 * np.sqrt(np.abs(t).max())
 
 
-def _make_seeds(count: int, t, rng) -> np.ndarray:
-    """Half box seeds, half seeds placed on the surface.
+def _make_tuples(count: int, n: int, t, rng) -> np.ndarray:
+    """count seed tuples of n independent seeds each, as (3n, count) columns.
 
-    A box seed's coordinates, and the x_2 and x_3 of a surface seed, have
-    real and imaginary parts uniform in [-R, R], R = _seed_radius(t); x_1
-    then solves f = 0 with a random one of its two roots.  Seeds near the
-    periodic points save the Newton steps that would pull far ones in, and
-    the box scales with theta, so that it still holds them where they lie
-    farther out.  Returned as a (3, count) array of coordinate columns.
+    Every coordinate of a seed has real and imaginary parts uniform in
+    [-R, R], R = _seed_radius(t).  The box scales with theta, so that it
+    still holds the periodic points where they lie farther out.
     """
     r = _seed_radius(t)
-    box = count // 2
-    pts = (rng.uniform(-r, r, size=(box, 3)) + 1j * rng.uniform(-r, r, size=(box, 3)))
-    rest = count - box
-    x23 = rng.uniform(-r, r, size=(rest, 2)) + 1j * rng.uniform(-r, r, size=(rest, 2))
-    # solve x1^2 + (x2 x3 - t1) x1 + (x2^2 + x3^2 - t2 x2 - t3 x3 + t4) = 0
-    bq = x23[:, 0] * x23[:, 1] - t[0]
-    cq = (x23 * x23).sum(axis=1) - t[1] * x23[:, 0] - t[2] * x23[:, 1] + t[3]
-    sq = np.sqrt(bq * bq - 4 * cq)
-    sign = np.where(rng.random(rest) < 0.5, 1.0, -1.0)
-    x1 = (-bq + sign * sq) / 2
-    return np.concatenate([pts.T, np.vstack([x1, x23.T])], axis=1)
-
-
-def _make_tuples(count: int, n: int, t, rng) -> np.ndarray:
-    """count seed tuples of n independent seeds each, as (3n, count) columns."""
-    return _make_seeds(n * count, t, rng).reshape(3, count, n).transpose(2, 0, 1).reshape(3 * n, count)
+    pts = rng.uniform(-r, r, size=(n * count, 3)) + 1j * rng.uniform(-r, r, size=(n * count, 3))
+    return pts.reshape(count, n, 3).transpose(1, 2, 0).reshape(3 * n, count)
 
 
 def _orbit_tuples(x: np.ndarray, t, n: int) -> np.ndarray:
@@ -414,13 +397,14 @@ def _newton_batch(x: np.ndarray, t, n: int, cfg: SolverConfig, joining: list):
     Each system is solved the same bit for bit whatever the other columns
     hold, so the tuples that join change no other tuple's path.
 
-    A tuple whose merit none of _line_search's trials lowers has stalled
-    at a local minimum of the merit and is dropped, and so is a tuple
-    whose normal equations are not finite or not positive definite; the
-    loop ends once every tuple has converged or left, often long before
-    newton_max_iter.  Escaping tuples overflow to inf/nan and are dropped;
-    the arithmetic warnings that produces are silenced within each
-    iteration, never across a yield.
+    A tuple whose merit none of _line_search's three trials lowers has
+    stalled, near a local minimum of the merit or where its step is poor,
+    and is dropped, and so is a tuple whose normal equations are not
+    finite or not positive definite; the loop ends once every tuple has
+    converged or left, often long before newton_max_iter.  Escaping
+    tuples overflow to inf/nan and are dropped; the arithmetic warnings
+    that produces are silenced within each iteration, never across a
+    yield.
     """
     # x holds the live tuples as columns, in seed order; every tuple that
     # converges, stalls, escapes or goes bad is compacted away at once
@@ -571,39 +555,27 @@ def _cholesky_solve(a: np.ndarray, y: np.ndarray, pattern: np.ndarray) -> np.nda
     return ok
 
 
-_LINE_SEARCH_BLOCK = 2048  # most trial points one residual call evaluates
-
-
 def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t, n: int):
-    """Damp each step: x + 2^-k dx for the first k = 0..25 whose residual
-    is below rnorm.
+    """Damp each step: the first of x + dx, x + dx/2 and x + dx/4 whose
+    residual is below rnorm.
 
-    Returns (xnew, improved).  A point that none of the 26 trials improves
-    has stalled: improved is False there, and its column of xnew holds the
-    undamped step x + dx, which the caller drops.
-
-    Only the points that have not improved yet go on to the next halving.
-    Once they are few, the next several halvings are evaluated in one call
-    of at most _LINE_SEARCH_BLOCK trial points; each trial rounds the same
-    in any block, so the result does not depend on the block size.
+    Returns (xnew, improved).  A point that none of the three trials
+    improves has stalled: improved is False there, and its column of xnew
+    holds the undamped step x + dx, which the caller drops.  Each trial
+    after the first runs on the points still failing, in one
+    _system_residual call.
     """
     xnew = x + dx
     improved = _system_residual(xnew, t, n) < rnorm
-    todo = np.flatnonzero(~improved)
-    k = 1
-    while todo.size and k <= 25:
-        s = todo.size
-        span = min(26 - k, max(1, _LINE_SEARCH_BLOCK // s))
-        scale = 0.5 ** np.arange(k, k + span)
-        trial = x[:, None, todo] + scale[:, None] * dx[:, None, todo]  # (3n, span, s)
-        better = _system_residual(trial.reshape(len(x), -1), t, n).reshape(span, s) < rnorm[todo]
-        settled = better.any(axis=0)
-        done = todo[settled]
-        # argmax: the first improving halving
-        xnew[:, done] = trial[:, better[:, settled].argmax(axis=0), np.flatnonzero(settled)]
+    for k in range(1, 3):
+        todo = np.flatnonzero(~improved)
+        if not todo.size:
+            break
+        trial = x[:, todo] + 0.5**k * dx[:, todo]
+        better = _system_residual(trial, t, n) < rnorm[todo]
+        done = todo[better]
+        xnew[:, done] = trial[:, better]
         improved[done] = True
-        todo = todo[~settled]
-        k += span
     return xnew, improved
 
 

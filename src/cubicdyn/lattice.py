@@ -58,12 +58,6 @@ class CohomClass:
     def __add__(self, other):
         return CohomClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other):
-        return CohomClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CohomClass(tuple(-a for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 

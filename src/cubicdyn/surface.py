@@ -131,9 +131,6 @@ class GroupWord:
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
 
-    def __len__(self):
-        return len(self.letters)
-
     def __str__(self):
         return " ".join(str(l) for l in self.letters)
 

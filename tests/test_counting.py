@@ -353,7 +353,7 @@ def test_cubic_cols_rounds_a_point_the_same_alone_and_in_a_batch():
     from cubicdyn import counting
 
     t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(1))))
-    x = counting._make_seeds(2000, t, np.random.default_rng(0))
+    x = counting._make_tuples(2000, 1, t, np.random.default_rng(0))
     for kernel in (lambda x: cubic_eval(x, t), lambda x: np.array(coxeter_apply(x, t, 3))):
         batch = kernel(x)
         alone = np.concatenate([kernel(x[:, p:p + 1]) for p in range(x.shape[1])], axis=-1)
@@ -506,12 +506,13 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     assert partial.orbits == [[0, 1]] and partial.minimal_periods == [3, 3]
 
 
-@pytest.mark.parametrize("block", [1, 4, None])
-def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
+def test_line_search_takes_the_first_improving_halving(monkeypatch):
     from cubicdyn import counting
 
-    # residual |x1|: point 0 improves at once, point 1 at scale 2^-3
-    # (1 - 8/8 = 0), point 2 never does and is reported stalled
+    # residual |x1| against rnorm 1: point 0 improves at once, point 1 at
+    # scale 2^-2 (|1 - 6/4| = 1/2) but not at 2^-1 (|1 - 3| = 2), and point 2
+    # never does and is reported stalled.  Each trial runs on the points
+    # still failing
     calls = []
 
     def residual(x, t, n):
@@ -519,25 +520,20 @@ def test_line_search_takes_the_first_improving_halving(monkeypatch, block):
         return np.abs(x[0])
 
     monkeypatch.setattr(counting, "_system_residual", residual)
-    if block is not None:
-        monkeypatch.setattr(counting, "_LINE_SEARCH_BLOCK", block)
     x = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 6.0, 7.0]], dtype=complex)
-    dx = np.array([[-1.0, -8.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
+    dx = np.array([[-1.0, -6.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
     xnew, improved = counting._line_search(x, dx, np.ones(3), None, 1)
     assert improved.tolist() == [True, True, False]
-    assert list(xnew[1, :2]) == [1.0, 2.0**-3]
-    assert list(xnew[0, :2]) == [0.0, 0.0]
+    assert list(xnew[1, :2]) == [1.0, 2.0**-2]
+    assert list(xnew[0]) == [0.0, -0.5, 2.0]
     assert list(xnew[2, :2]) == [5.0, 6.0]
-    if block == 1:  # one halving at a time, on the points still failing
-        assert calls == [3] + [2] * 3 + [1] * 22
-    if block is None:  # halvings 1-25 of the two failing points in one block
-        assert calls == [3, 50]
+    assert calls == [3, 2, 2]
 
 
-def test_line_search_block_size_changes_no_bit():
+def test_line_search_gives_each_point_the_same_bits_alone_as_in_its_batch():
     from cubicdyn import counting
 
-    kappa = random_offwall_kappa(np.random.default_rng(1))
+    kappa = random_offwall_kappa(np.random.default_rng(7))
     t = _theta_array(rh_params(kappa))
     steps = []
     search = counting._line_search
@@ -546,29 +542,29 @@ def test_line_search_block_size_changes_no_bit():
         steps.append((x, dx, rnorm))
         return search(x, dx, rnorm, t, n)
 
-    seeds = counting._make_tuples(300, 3, t, np.random.default_rng(0))
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+    seeds = counting._make_tuples(384, 3, t, rng)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_line_search", record)
-        mp.setattr(SolverConfig, "newton_max_iter", 30)
+        mp.setattr(SolverConfig, "newton_max_iter", 10)
         list(counting._newton_batch(seeds, t, 3, SolverConfig(), []))
-    assert len(steps) == 30
+    assert len(steps) == 10
     with np.errstate(over="ignore", invalid="ignore"):
         for x, dx, rnorm in steps:
-            blocked, blocked_improved = search(x, dx, rnorm, t, 3)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(counting, "_LINE_SEARCH_BLOCK", 1)
-                single, single_improved = search(x, dx, rnorm, t, 3)
-            bits = [np.ascontiguousarray(v).view(np.uint64) for v in (blocked, single)]
+            batch, batch_improved = search(x, dx, rnorm, t, 3)
+            alone = [search(x[:, p:p + 1], dx[:, p:p + 1], rnorm[p:p + 1], t, 3) for p in range(x.shape[1])]
+            bits = [np.ascontiguousarray(v).view(np.uint64) for v in (batch, np.concatenate([a for a, _ in alone], axis=1))]
             assert np.array_equal(*bits)
-            assert np.array_equal(blocked_improved, single_improved)
+            assert np.array_equal(batch_improved, np.concatenate([i for _, i in alone]))
 
 
 def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch):
     from cubicdyn import counting
 
     # residual |x1| against rnorm 1: point 0 stays at 1 under every trial,
-    # point 1 grows along its step and point 2 improves at 2^-25 only.  A
-    # residual equal to rnorm is no improvement, and all 26 trials are made
+    # point 1 grows along its step and point 2 would improve at 2^-3 only.
+    # A residual equal to rnorm is no improvement, and all three trials are
+    # made
     calls = []
 
     def residual(x, t, n):
@@ -576,21 +572,21 @@ def test_line_search_reports_a_point_no_halving_improves_as_stalled(monkeypatch)
         return np.abs(x[0])
 
     monkeypatch.setattr(counting, "_system_residual", residual)
-    monkeypatch.setattr(counting, "_LINE_SEARCH_BLOCK", 1)
     x = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
-    dx = np.array([[0.0, 1.0, -1.5 * 2.0**25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], dtype=complex)
+    dx = np.array([[0.0, 1.0, -12.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], dtype=complex)
     xnew, improved = counting._line_search(x, dx, np.ones(3), None, 1)
-    assert improved.tolist() == [False, False, True]
-    assert xnew[0, 2] == -0.5 and xnew[2, 2] == 2.0**-25
-    assert calls == [3] * 26
+    assert improved.tolist() == [False, False, False]
+    assert xnew[0, 2] == -11.0 and xnew[2, 2] == 1.0
+    assert calls == [3] * 3
 
 
 def test_newton_batch_drops_stalled_tuples(monkeypatch):
     from cubicdyn import counting
 
-    # a full chunk from the solver's stream at kappa_ref, N = 3: 33 tuples
-    # stall at a local minimum of the merit and none converges, so once they
-    # leave the batch it ends long before newton_max_iter (100), after 50 steps
+    # a full chunk from the solver's stream at kappa_ref, N = 3: 115 tuples
+    # stall, none of the line search's trials lowering their merit, so once
+    # they leave the batch it ends long before newton_max_iter (100), after
+    # 52 steps
     t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(7))))
     rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
     seeds = counting._make_tuples(counting._SEED_CHUNK, 3, t, rng)
@@ -603,7 +599,7 @@ def test_newton_batch_drops_stalled_tuples(monkeypatch):
 
     monkeypatch.setattr(counting, "_normal_equations", record)
     out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig(), [])))
-    assert out.shape == (2015, 9)
+    assert out.shape == (1933, 9)
     assert len(calls) <= 60
 
 
@@ -636,9 +632,8 @@ def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     from cubicdyn import counting
 
     # all 72 roots are in after 8 iterations of the first batch of 384
-    # tuples, 16 for each of the 24 orbits, which would run on to 16 if it
-    # were not left at the closed form; 3033 tuple-steps in all, against
-    # 4026 from a first batch of 576 tuples, 8 for each root
+    # tuples, 16 for each of the 24 orbits, which would run on if it were
+    # not left at the closed form; 2978 tuple-steps in all
     normal = counting._normal_equations
     calls = []
 
@@ -650,17 +645,17 @@ def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 3, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 72
     assert len(calls) <= 8
-    assert sum(calls) <= 3100
+    assert sum(calls) <= 3020
 
 
 def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
     # lagging orbit images that fail the gate join the running batch after
-    # period-4 iteration 6, and six period-2 roots that fail it at period 4
-    # join the batch from its start; refined there, every root is in after
-    # 10 + 9 = 19 steps, the period-2 solve's 10 included.  Without the
-    # joins the search takes 67 period-4 steps, as the first batch's own
-    # 1304 seeds, 16 for every 4 roots, miss some of those roots; with
-    # them, 12971 tuple-steps in all, against 20620 from 2048 seeds
+    # period-4 iterations 6, 7 and 8, and six period-2 roots that fail it at
+    # period 4 join the batch from its start; refined there, every root is
+    # in after 11 + 9 = 20 steps, the period-2 solve's 11 included, and
+    # 12600 tuple-steps.  The first batch's own 1304 seeds, 16 for every 4
+    # roots, find those roots too: without the joins the search takes as
+    # many steps
     from cubicdyn import counting
 
     normal = counting._normal_equations
@@ -674,7 +669,7 @@ def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
     assert len(calls) <= 20
-    assert sum(calls) <= 13000
+    assert sum(calls) <= 12900
 
 
 def test_every_map_call_of_a_solve_takes_theta_as_python_scalars(monkeypatch):
@@ -991,7 +986,7 @@ def test_the_letter_residual_vanishes_along_an_orbit_segment(n):
     # periodic: no row of the closing block is 0, and its sigma_3 row is
     # c(x_{n-1})_3 - x_{0,3} bit for bit
     t = _theta_array(rh_params(random_offwall_kappa(np.random.default_rng(2))))
-    x = counting._make_seeds(50, t, np.random.default_rng(n))
+    x = counting._make_tuples(50, 1, t, np.random.default_rng(n))
     tuples = counting._orbit_tuples(x.T, t, n)
     res = counting._letter_residual(tuples, t, n)
     assert not res[:3 * n - 3].any()
@@ -1098,14 +1093,12 @@ def test_the_seeds_lie_in_the_theta_scaled_box(kappa):
     t = _theta_array(rh_params(kappa))
     r = counting._seed_radius(t)
     assert r == 2 + np.sqrt(np.abs(t).max()) / 2
-    x = counting._make_seeds(4001, t, np.random.default_rng(0))
-    box, on_surface = x[:, :2000], x[:, 2000:]
-    # the box seeds' coordinates and the surface seeds' x_2 and x_3 span
-    # the box, real and imaginary parts alike; x_1 then solves f = 0
-    for part in (box, on_surface[1:]):
-        for v in (part.real, part.imag):
-            assert np.abs(v).max() <= r and np.abs(v).max() > 0.99 * r
-    assert (np.abs(cubic_eval(on_surface, t)) <= surface_residual_bound(on_surface, SolverConfig.surface_tol)).all()
+    x = counting._make_tuples(1000, 4, t, np.random.default_rng(0))
+    assert x.shape == (12, 1000)
+    # every coordinate of every seed spans the box, real and imaginary
+    # parts alike
+    for v in (x.real, x.imag):
+        assert (np.abs(v).max(axis=1) <= r).all() and (np.abs(v).max(axis=1) > 0.99 * r).all()
 
 
 def test_the_seed_radius_grows_with_theta():
@@ -1132,7 +1125,7 @@ def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_pe
 def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(monkeypatch, N, steps):
     from cubicdyn import counting
 
-    # seeds in a box of radius 10 take 9, 22 and 15 steps
+    # 8, 20 and 12 steps
     normal = counting._normal_equations
     calls = []
 
@@ -1333,7 +1326,20 @@ def test_n5_solves_complete_from_at_most_two_newton_batches(monkeypatch, s):
     kappa = random_offwall_kappa(np.random.default_rng(s))
     report = solve_for_kappa(kappa, 5, SolverConfig(seeds=20000, rng_seed=s))
     assert report.status == "complete" and report.found == 1360
-    assert len(calls) <= 2
+    assert calls == [(5, 2048)]
+
+
+def test_every_survey_kappa_completes_at_n3_within_its_first_seed_batch(monkeypatch):
+    # the survey: _KAPPA_REF with rng 0, and random_offwall_kappa(default_rng(100 + s))
+    # with rng s for s = 1-40; every period-3 search ends in its first batch
+    # of 384 tuples, 16 for each of the 24 orbits
+    calls = _record_newton_batch(monkeypatch)
+    for s in range(41):
+        kappa = _KAPPA_REF if s == 0 else random_offwall_kappa(np.random.default_rng(100 + s))
+        calls.clear()
+        report = solve_for_kappa(kappa, 3, SolverConfig(seeds=20000, rng_seed=s))
+        assert report.status == "complete" and report.found == 72, s
+        assert calls == [(3, 384)], s
 
 
 def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):

@@ -506,13 +506,15 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     assert partial.orbits == [[0, 1]] and partial.minimal_periods == [3, 3]
 
 
-def test_line_search_takes_the_first_improving_halving(monkeypatch):
+@pytest.mark.parametrize("lead", [1, 4, None])
+def test_line_search_takes_the_first_improving_halving(monkeypatch, lead):
     from cubicdyn import counting
 
     # residual |x1| against rnorm 1: point 0 improves at once, point 1 at
     # scale 2^-2 (|1 - 6/4| = 1/2) but not at 2^-1 (|1 - 3| = 2), and point 2
     # never does and is reported stalled.  Each trial runs on the points
-    # still failing
+    # still failing, so the `lead` points put ahead of them (none for None),
+    # which improve at once like point 0, join no later trial
     calls = []
 
     def residual(x, t, n):
@@ -520,14 +522,15 @@ def test_line_search_takes_the_first_improving_halving(monkeypatch):
         return np.abs(x[0])
 
     monkeypatch.setattr(counting, "_system_residual", residual)
-    x = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 6.0, 7.0]], dtype=complex)
-    dx = np.array([[-1.0, -6.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
-    xnew, improved = counting._line_search(x, dx, np.ones(3), None, 1)
-    assert improved.tolist() == [True, True, False]
-    assert list(xnew[1, :2]) == [1.0, 2.0**-2]
-    assert list(xnew[0]) == [0.0, -0.5, 2.0]
-    assert list(xnew[2, :2]) == [5.0, 6.0]
-    assert calls == [3, 2, 2]
+    k = lead or 0
+    x = np.array([[1.0] * k + [1.0, 1.0, 1.0], [0.0] * (k + 3), [2.0] * k + [5.0, 6.0, 7.0]], dtype=complex)
+    dx = np.array([[-1.0] * k + [-1.0, -6.0, 1.0], [1.0] * (k + 3), [0.0] * (k + 3)], dtype=complex)
+    xnew, improved = counting._line_search(x, dx, np.ones(k + 3), None, 1)
+    assert improved.tolist() == [True] * k + [True, True, False]
+    assert list(xnew[1, k:k + 2]) == [1.0, 2.0**-2]
+    assert list(xnew[0]) == [0.0] * (k + 1) + [-0.5, 2.0]
+    assert list(xnew[2, k:k + 2]) == [5.0, 6.0]
+    assert calls == [k + 3, 2, 2]
 
 
 def test_line_search_gives_each_point_the_same_bits_alone_as_in_its_batch():

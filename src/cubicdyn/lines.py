@@ -4,13 +4,16 @@ Three tritangent lines lie in the plane at infinity X0 = 0; each is met
 by exactly eight affine lines whose equations are explicit in the
 eigenvalue parameters b.  This module enumerates them, verifies they lie
 on the surface, computes pairwise intersections in P^3, and checks how
-the involutions sigma_i permute them.
+the involutions sigma_i permute them, on plain Python complex scalars
+(a line's points come from the closed-form null space of its two forms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -46,12 +49,16 @@ _INTERSECTION_TOL = 1e-9
 _LINE_TOL = 1e-8
 
 
-def _normalize4(v):
-    v = np.asarray(v, dtype=complex)
-    m = np.max(np.abs(v))
+def _normalize4(v) -> list:
+    v = [complex(c) for c in v]
+    m = max(map(abs, v))
     if m == 0:
         raise ValueError("zero coordinate vector")
-    return v / m
+    return [c / m for c in v]
+
+
+def _minor(f1, f2, a, b):
+    return f1[a] * f2[b] - f1[b] * f2[a]
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,8 @@ class ProjectivePoint:
     def __post_init__(self):
         v = _normalize4(self.coords)
         # rotate phase so the largest coordinate is exactly 1
-        pivot = int(np.argmax(np.abs(v)))
-        v = v / v[pivot]
-        object.__setattr__(self, "coords", tuple(v))
+        top = max(v, key=abs)
+        object.__setattr__(self, "coords", tuple(c / top for c in v))
 
     def __str__(self):
         return "[" + " : ".join(f"{c:.6g}" for c in self.coords) + "]"
@@ -93,30 +99,33 @@ class ProjectiveLine:
     def __post_init__(self):
         f1 = _normalize4(self.form1)
         f2 = _normalize4(self.form2)
-        minors = [
-            f1[a] * f2[b] - f1[b] * f2[a] for a in range(4) for b in range(a + 1, 4)
-        ]
-        if max(abs(m) for m in minors) <= _RANK_TOL:
+        if max(abs(_minor(f1, f2, a, b)) for a, b in combinations(range(4), 2)) <= _RANK_TOL:
             raise ValueError("the two forms are linearly dependent")
         object.__setattr__(self, "form1", tuple(f1))
         object.__setattr__(self, "form2", tuple(f2))
 
-    def matrix(self) -> np.ndarray:
-        return np.array([self.form1, self.form2], dtype=complex)
+    def spanning_points(self) -> list:
+        """Two points spanning the line, the null space of the forms in closed
+        form: pivot on their 2x2 minor of largest modulus, set each other
+        coordinate to 1 in turn (the last 0), solve for the pivot pair by
+        Cramer's rule.  No minor exceeds the pivot, so each point's largest
+        modulus is 1 (up to rounding), the scale of affine_points' X0 test."""
+        f1, f2 = self.form1, self.form2
+        a, b = max(combinations(range(4), 2), key=lambda ab: abs(_minor(f1, f2, *ab)))
+        det = _minor(f1, f2, a, b)
+        points = []
+        for e in (c for c in range(4) if c not in (a, b)):
+            X = [0j] * 4
+            X[e], X[a], X[b] = 1, _minor(f1, f2, b, e) / det, _minor(f1, f2, e, a) / det
+            points.append(X)
+        return points
 
-    def spanning_points(self):
-        """Two independent points spanning the line (nullspace of the forms)."""
-        _, s, vh = np.linalg.svd(self.matrix())
-        return vh.conj()[2], vh.conj()[3]
-
-    def sample_points(self):
+    def sample_points(self) -> list:
         """Five points on the line: u + t v for t in {0, 1, -1, 2}, plus v."""
         u, v = self.spanning_points()
-        pts = [u + t * v for t in (0, 1, -1, 2)]
-        pts.append(v)
-        return pts
+        return [[p + t * q for p, q in zip(u, v)] for t in (0, 1, -1, 2)] + [v]
 
-    def affine_points(self):
+    def affine_points(self) -> list:
         """Three affine points (X0 = 1) of the line as (x1, x2, x3) tuples."""
         u, v = self.spanning_points()
         # move the X0 component into u
@@ -124,17 +133,14 @@ class ProjectiveLine:
             u, v = v, u
         if abs(u[0]) <= _RANK_TOL:
             raise ValueError("line lies in the plane at infinity")
-        u = u / u[0]
-        v = v - v[0] * u
-        return [tuple(u + t * v)[1:] for t in (1, 2, 3)]
+        u = [p / u[0] for p in u]
+        v = [q - v[0] * p for p, q in zip(u, v)]
+        return [tuple(p + t * q for p, q in zip(u[1:], v[1:])) for t in (1, 2, 3)]
 
     def contains_affine(self, x, tol: float = _LINE_TOL) -> bool:
-        X = np.array([1, *x], dtype=complex)
-        scale = 1 + np.max(np.abs(X))
-        return all(
-            abs(np.dot(np.array(f, dtype=complex), X)) <= tol * scale
-            for f in (self.form1, self.form2)
-        )
+        X = (1, *x)
+        scale = 1 + max(map(abs, X))
+        return all(abs(sum(map(mul, f, X))) <= tol * scale for f in (self.form1, self.form2))
 
     def to_json(self) -> dict:
         return {
@@ -163,13 +169,9 @@ def tritangent_line(i: int) -> ProjectiveLine:
     """Line at infinity L_i = {X0 = X_i = 0}, lying on every S(theta)."""
     if i not in (1, 2, 3):
         raise ValueError("tritangent index must be 1, 2 or 3")
-    f1 = [0, 0, 0, 0]
-    f1[0] = 1
-    f2 = [0, 0, 0, 0]
-    f2[i] = 1
     # class at infinity: L1 = F12, L2 = F34, L3 = F56
     label = LineLabel("F", (2 * i - 1, 2 * i))
-    return ProjectiveLine(tuple(f1), tuple(f2), label=label)
+    return ProjectiveLine((1, 0, 0, 0), tuple(int(c == i) for c in range(4)), label=label)
 
 
 # Argument patterns of the eight affine lines meeting L_i, one row of the
@@ -276,10 +278,9 @@ def line_on_surface(line: ProjectiveLine, theta):
     """
     worst = 0.0
     for X in line.sample_points():
-        scale = 1 + float(np.max(np.abs(X))) ** 3
-        r = abs(cubic_eval_hom(tuple(X), theta)) / scale
-        worst = max(worst, r)
-    return bool(worst <= _LINE_TOL), float(worst)
+        scale = 1 + max(map(abs, X)) ** 3
+        worst = max(worst, abs(cubic_eval_hom(X, theta)) / scale)
+    return worst <= _LINE_TOL, worst
 
 
 def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine):
@@ -288,8 +289,7 @@ def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine):
     Returns ("point", ProjectivePoint), ("disjoint", None) or
     ("equal", None) depending on the rank of the stacked 4x4 system.
     """
-    m = np.vstack([l1.matrix(), l2.matrix()])
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(np.array([l1.form1, l1.form2, l2.form1, l2.form2]))
     rank = int(np.sum(s > _INTERSECTION_TOL * s[0]))
     if rank == 2:
         return "equal", None

@@ -21,6 +21,7 @@ from cubicdyn.counting import (
     verify_counts,
     zeta_coefficients,
 )
+from cubicdyn.lattice import coxeter_star, trace_power
 from cubicdyn.params import KappaPoint, discriminant, kappa_to_eigen, rh_params, wall_membership
 from cubicdyn.surface import (
     _coerce_theta,
@@ -291,9 +292,20 @@ def test_lefschetz_check_raises_on_wrong_trace(monkeypatch):
     monkeypatch.setattr(counting, "trace_power", lambda m, n: 0)
     with pytest.raises(AssertionError, match="N=3"):
         lefschetz_number(3)
-    monkeypatch.setattr(lattice.LatticeEndo, "trace", lambda self: 0)
-    with pytest.raises(AssertionError, match="N=2"):
+    # one more in the off-diagonal entry (0, 1) of c* keeps tr(c*) but
+    # moves tr((c*)^2) by 2 c*[1][0] = -6, so N = 2 is the first wrong trace
+    entries = [list(row) for row in lattice.coxeter_star().entries]
+    entries[0][1] += 1
+    monkeypatch.setattr(counting, "coxeter_star", lambda: lattice.LatticeEndo(entries))
+    with pytest.raises(AssertionError, match="differs from the closed form .* at N=2$"):
         verify_counts(5)
+
+
+def test_verify_traces_agree_with_binary_powering():
+    # verify_counts multiplies by c* once per N; trace_power squares
+    rows = verify_counts(300)["rows"]
+    for N in (1, 2, 7, 64, 300):
+        assert rows[N - 1]["lefschetz"] == 2 + trace_power(coxeter_star(), N)
 
 
 def test_lefschetz_check_survives_optimized_mode():

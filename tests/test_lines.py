@@ -199,6 +199,27 @@ def test_lines_off_every_wall_verify_whatever_the_discriminant_product(s):
             assert len(verify_sigma_line_action(b, i)["swaps"]) == 4
 
 
+def test_the_closed_form_null_space_spans_each_line():
+    # kappa_ref (seed 7), the survey kappa s = 1..40 (seed 100 + s), and the
+    # three kappa of the test above whose discriminant product is below 1e-12
+    for seed in (7, *range(101, 141), 85, 193, 1110):
+        b, theta = _setup(seed)
+        for ln in all_lines(b):
+            forms = np.array([ln.form1, ln.form2])
+            points = np.array(ln.spanning_points())
+            top = np.max(np.abs(points), axis=1)
+            assert np.all(np.abs(forms @ points.T) <= 1e-14 * top), (seed, ln.label)
+            # each point has an entry 1 and none larger, up to rounding
+            assert np.all(np.sum(points == 1, axis=1) >= 1) and np.all(top <= 1 + 1e-15)
+            # both lie in the null space np.linalg.svd finds, and span it
+            null = np.linalg.svd(forms)[2][2:].conj()
+            coef = points @ null.conj().T
+            assert np.max(np.abs(coef @ null - points)) <= 1e-14, (seed, ln.label)
+            assert np.linalg.svd(coef, compute_uv=False)[-1] >= 1 - 1e-12
+            ok, r = line_on_surface(ln, theta)
+            assert ok and r <= 1e-14, (seed, ln.label, r)
+
+
 def test_degenerate_line_rejected():
     with pytest.raises(ValueError):
         ProjectiveLine((1, 0, 0, 0), (2, 0, 0, 0))

@@ -346,7 +346,8 @@ def _cmd_lines(args):
     theta = params.rh_params(kappa)
     rows = []
     ok_all = True
-    for ln in lines.all_lines(b):
+    built = lines.all_lines(b)
+    for ln in built:
         ok, resid = lines.line_on_surface(ln, theta)
         ok_all = ok_all and ok
         rows.append({**ln.to_json(), "on_surface": ok, "residual": resid})
@@ -356,7 +357,7 @@ def _cmd_lines(args):
     if args.verify:
         try:
             data["sigma_checks"] = [
-                {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i)["swaps"]}
+                {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i, lines=built)["swaps"]}
                 for i in (1, 2, 3)
             ]
         except (AssertionError, ValueError) as exc:

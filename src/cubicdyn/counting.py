@@ -239,18 +239,18 @@ class CountReport:
         return len(self.points)
 
     def to_json(self) -> dict:
+        # each point's "x" as AffinePoint.to_json writes it, built for all
+        # the points at once from one complex array
+        pts = np.array([p.as_tuple() for p, _ in self.points], dtype=complex).reshape(-1, 3)
+        xs = np.stack([pts.real, pts.imag], axis=-1)
         return {
             "N": self.N,
             "closed_form": self.closed_form,
             "found": self.found,
             "status": self.status,
-            "points": [
-                {**p.to_json(), "residual": float(r)} for (p, r) in self.points
-            ],
-            "clusters": [
-                {**p.to_json(), "multiplicity_det": float(m)}
-                for (p, _), m in zip(self.points, self.multiplicities)
-            ],
+            "points": [{"x": x, "residual": float(r)} for x, (_, r) in zip(xs.tolist(), self.points)],
+            "clusters": [{"x": x, "multiplicity_det": float(m)}
+                         for x, m in zip(xs.tolist(), self.multiplicities)],
             "minimal_periods": list(self.minimal_periods),
             "orbits": [list(o) for o in self.orbits],
         }
@@ -586,7 +586,7 @@ def _sort_reps(reps: np.ndarray, radius: float):
     order, key): each representative's match radius, in reps' order; the
     order of reps by Re x_1; and Re x_1 in that order."""
     order = np.argsort(reps[:, 0].real)
-    return radius * (1 + np.abs(reps).max(axis=1)), order, reps[order, 0].real
+    return radius * (1 + _max_abs(reps.T)), order, reps[order, 0].real
 
 
 def _insert_reps(index, new: np.ndarray, radius: float):
@@ -608,7 +608,10 @@ def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float, index=None) -
     margin covers the rounding of the window's edges, so the result equals
     the scan over all pairs.  reps must be finite.  index, if given, is
     _sort_reps(reps, radius), kept by a caller whose reps only grow; the
-    order of equal keys in it does not change the result.
+    order of equal keys in it does not change the result.  The pairs'
+    distances, like _sort_reps' scales, are taken by _max_abs on coordinate
+    columns: numpy's reduction over a row of three costs several times as
+    much, for the same values.
     """
     scale, order, key = _sort_reps(reps, radius) if index is None else index
     width = 2 * scale.max(initial=0)
@@ -616,7 +619,7 @@ def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float, index=None) -
     count = np.searchsorted(key, x[:, 0].real + width, side="right") - lo
     point = np.repeat(np.arange(len(x)), count)
     rep = order[np.arange(len(point)) + np.repeat(lo - np.cumsum(count) + count, count)]
-    hit = np.abs(x[point] - reps[rep]).max(axis=1) <= scale[rep]
+    hit = _gap([v[point] for v in x.T], [v[rep] for v in reps.T]) <= scale[rep]
     first = np.full(len(x), len(reps))
     np.minimum.at(first, point[hit], rep[hit])
     return np.where(first < len(reps), first, -1)
@@ -644,10 +647,12 @@ def _transverse_multiplicity(jac: np.ndarray) -> np.ndarray:
 
 _SEED_CHUNK = 2048  # most seed tuples one Newton batch holds
 # The first batch of a search holds this many seed tuples per c-orbit of N
-# roots to find, as a converged tuple brings a whole orbit: 176, 384 and 1304
-# tuples at N = 2, 3 and 4.  On the README's 41 kappa the N = 3 and 4 searches
-# take a third fewer tuple-steps than at 8 per root, in as many batches
-_TUPLES_PER_ORBIT = 16
+# roots to find, as a converged tuple brings a whole orbit, and never fewer
+# than _FIRST_BATCH_MIN (see _find_roots).  On the README's 41 kappa the N = 3
+# and 4 searches take about half the tuple-steps they take at 16 per orbit,
+# in as many batches
+_TUPLES_PER_ORBIT = 8
+_FIRST_BATCH_MIN = 176
 
 
 def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
@@ -713,7 +718,8 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     residuals = _gap(coxeter_apply(y, theta), cols)
     mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, theta, N, escape_radius=np.inf)))
     status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
-    return CountReport(N, closed, [(AffinePoint(*x), float(r)) for x, r in zip(roots, residuals)],
+    points = [(AffinePoint(*x), r) for x, r in zip(roots.tolist(), residuals.tolist())]
+    return CountReport(N, closed, points,
                        multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
                        orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
 
@@ -730,7 +736,12 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
     is left as soon as the roots reach per_count_closed(N); the search ends
     there, or on quiet batches, and raises ValueError past it.  The seed
     batches start at _TUPLES_PER_ORBIT tuples per c-orbit of N roots to
-    find and double up to min(_SEED_CHUNK, cfg.seeds).  The roots' index for
+    find, and never fewer than _FIRST_BATCH_MIN, and double up to
+    min(_SEED_CHUNK, cfg.seeds): 176, 192 and 652 tuples at N = 2, 3 and 4,
+    and 2048 from N = 5 on.  A Newton step at N = 4 costs about 1.8 ms at 100
+    tuples, 3.3 ms at 650 and 4.4 ms at 1300, so a narrower first batch pays
+    from N = 3 on; at N = 2 it costs 0.7-1.0 ms anywhere from 11 to 176
+    tuples, and 88 would only add batches.  The roots' index for
     _cluster_index is kept across yields, each yield's new roots merged in.
     """
     radius = cfg.dedup_radius
@@ -772,7 +783,7 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     full = min(_SEED_CHUNK, cfg.seeds)
-    size = min(full, -(-_TUPLES_PER_ORBIT * closed // N))
+    size = min(full, max(_FIRST_BATCH_MIN, -(-_TUPLES_PER_ORBIT * closed // N)))
     drawn = quiet = 0
     while len(roots) < closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
         before = len(roots)

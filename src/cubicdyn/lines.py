@@ -304,16 +304,23 @@ def _quadratic_roots(a, b, c):
     return ((-b + sq) / (2 * a), (-b - sq) / (2 * a))
 
 
-def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL) -> dict:
+def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL, lines=None) -> dict:
     """Check how sigma_i permutes the affine lines (general position only).
 
     Verifies the four line swaps (the E/G pairs of the two other
     groups), the two-root quadratic giving the self-intersection of the
     image of the first line of group i, and the unique crossing with the
     slot-3 line.  Raises on vanishing discriminant or any failed check.
+    lines, if given, is all_lines(b), whose affine lines the check reads
+    in place of building its ten again with line_from_params.
     """
     if discriminant_vanishes(b):
         raise ValueError(f"lines not in general position (|discriminant| = {abs(discriminant(b)):.3g})")
+    built = {ln.params: ln for ln in lines or () if ln.params}
+
+    def line(g, slot):
+        return built.get((g, slot)) or line_from_params(g, slot, b)
+
     theta = traces_to_theta(traces_from_eigen(b)).as_tuple()
     j = i % 3 + 1
     k = j % 3 + 1
@@ -322,8 +329,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL)
     # sigma_i swaps slots (1,2) and (3,4) within each of the other two groups
     for g in (j, k):
         for s1, s2 in ((1, 2), (3, 4)):
-            src = line_from_params(g, s1, b)
-            dst = line_from_params(g, s2, b)
+            src, dst = line(g, s1), line(g, s2)
             for x in src.affine_points():
                 y = sigma_apply(i, x, theta)
                 if not dst.contains_affine(y, tol):
@@ -346,7 +352,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL)
     ti = theta[i - 1]
 
     # self-intersection of sigma_i(first line) with that line: quadratic in x_k
-    first = line_from_params(i, 1, b)
+    first = line(i, 1)
     roots = _quadratic_roots(p, -(ak * bi + aj * b4), ti - 2 * (p + 1 / p))
     for xk in roots:
         x = [0j, 0j, 0j]
@@ -362,7 +368,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL)
         report["quadratic_roots"].append(x)
 
     # unique crossing of sigma_i(first line) with the slot-3 line
-    third = line_from_params(i, 3, b)
+    third = line(i, 3)
     det = bj * bk - bi * b4
     if abs(det) < 1e-12:
         raise ValueError("lines not in general position")

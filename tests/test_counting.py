@@ -270,15 +270,44 @@ def test_count_report_json():
     data = report.to_json()
     assert data["N"] == 2 and data["status"] == "partial"
     assert data["points"] == [] and data["orbits"] == []
-    from cubicdyn.surface import AffinePoint
-
-    report = CountReport(N=2, closed_form=22, points=[(AffinePoint(1, 2j, -3 + 0.5j), 1e-12)],
-                         multiplicities=[0.25], minimal_periods=[2], orbits=[[0]])
-    data = report.to_json()
+    data = _hand_built_report().to_json()
     assert data["points"][0]["residual"] == 1e-12
     assert data["clusters"][0]["x"] == [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.5]] == data["points"][0]["x"]
     assert data["clusters"][0]["multiplicity_det"] == 0.25
     assert data["minimal_periods"] == [2] and data["orbits"] == [[0]]
+
+
+def _per_point_json(report: CountReport) -> dict:
+    """report.to_json() with every "x" written by AffinePoint.to_json, one
+    point at a time."""
+    return {**report.to_json(),
+            "points": [{**p.to_json(), "residual": float(r)} for p, r in report.points],
+            "clusters": [{**p.to_json(), "multiplicity_det": float(m)}
+                         for (p, _), m in zip(report.points, report.multiplicities)]}
+
+
+def _hand_built_report() -> CountReport:
+    from cubicdyn.surface import AffinePoint
+
+    return CountReport(N=2, closed_form=22, points=[(AffinePoint(1, 2j, -3 + 0.5j), 1e-12)],
+                       multiplicities=[0.25], minimal_periods=[2], orbits=[[0]])
+
+
+@pytest.mark.parametrize("case", ["kappa_ref_n3", "complex_theta", "empty_n1", "hand_built"])
+def test_the_report_json_equals_the_per_point_text(case):
+    import json
+
+    # the report builds every "x" from one complex array; its text is the
+    # one the per-point AffinePoint.to_json gives, byte for byte, signed
+    # zeros and the int coordinate of the hand-built report included
+    report = {
+        "kappa_ref_n3": lambda: solve_for_kappa(_KAPPA_REF, 3, SolverConfig(seeds=20000)),
+        "complex_theta": lambda: solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=200, rng_seed=5)),
+        "empty_n1": lambda: solve_periodic(_COMPLEX_THETA, 1),
+        "hand_built": _hand_built_report,
+    }[case]()
+    assert report.found == {"kappa_ref_n3": 72, "complex_theta": 22, "empty_n1": 0, "hand_built": 1}[case]
+    assert json.dumps(report.to_json()) == json.dumps(_per_point_json(report))
 
 
 def test_solve_periodic_takes_theta_with_four_entries_only():
@@ -646,9 +675,9 @@ def test_newton_batch_orders_by_iteration_then_seed():
 def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     from cubicdyn import counting
 
-    # all 72 roots are in after 8 iterations of the first batch of 384
-    # tuples, 16 for each of the 24 orbits, which would run on if it were
-    # not left at the closed form; 2978 tuple-steps in all
+    # all 72 roots are in after 8 iterations of the first batch of 192
+    # tuples, 8 for each of the 24 orbits, which would run on if it were
+    # not left at the closed form; 1492 tuple-steps in all
     normal = counting._normal_equations
     calls = []
 
@@ -660,17 +689,17 @@ def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 3, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 72
     assert len(calls) <= 8
-    assert sum(calls) <= 3020
+    assert sum(calls) <= 1550
 
 
 def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
     # lagging orbit images that fail the gate join the running batch after
-    # period-4 iterations 6, 7 and 8, and six period-2 roots that fail it at
+    # later period-4 iterations, and six period-2 roots that fail it at
     # period 4 join the batch from its start; refined there, every root is
-    # in after 11 + 9 = 20 steps, the period-2 solve's 11 included, and
-    # 12600 tuple-steps.  The first batch's own 1304 seeds, 16 for every 4
-    # roots, find those roots too: without the joins the search takes as
-    # many steps
+    # in after 21 steps, the period-2 solve's 11 included, and 7350
+    # tuple-steps.  The first batch's own 652 seeds, 8 for every 4 roots,
+    # finish in one step more than the 1304 of 16 per orbit did, with 42 %
+    # fewer tuple-steps
     from cubicdyn import counting
 
     normal = counting._normal_equations
@@ -683,8 +712,8 @@ def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(
     monkeypatch.setattr(counting, "_normal_equations", record)
     report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
-    assert len(calls) <= 20
-    assert sum(calls) <= 12900
+    assert len(calls) <= 21
+    assert sum(calls) <= 7500
 
 
 def test_every_map_call_of_a_solve_takes_theta_as_python_scalars(monkeypatch):
@@ -1085,12 +1114,12 @@ def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
-    # the period-2 solve comes first, in one batch of 16 tuples per orbit;
-    # its 22 roots are absorbed as period-4 tuples and head the report, and
-    # one batch of 1304 period-4 tuples, 16 for every 4 roots, finds the
-    # rest.  Every Newton batch runs on a seed chunk: the orbits come whole
-    # from the tuples, not from a second batch on images
-    assert calls == [(2, 176), (4, 1304)]
+    # the period-2 solve comes first, in one batch of 176 tuples, the least
+    # first batch; its 22 roots are absorbed as period-4 tuples and head the
+    # report, and one batch of 652 period-4 tuples, 8 for every 4 roots,
+    # finds the rest.  Every Newton batch runs on a seed chunk: the orbits
+    # come whole from the tuples, not from a second batch on images
+    assert calls == [(2, 176), (4, 652)]
     assert seed_chunk == [True, True]
     assert report.minimal_periods[0] == 2
 
@@ -1131,16 +1160,17 @@ def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_pe
     calls = _record_newton_batch(monkeypatch)
     report = solve_for_kappa(_KAPPA_FAR, 4, SolverConfig(seeds=20000, rng_seed=6))
     assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176), (4, 1304)]
+    assert calls == [(2, 176), (4, 652)]
     points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
     assert np.abs(points).max() > counting._seed_radius(_theta_array(rh_params(_KAPPA_REF)))
 
 
-@pytest.mark.parametrize("N, steps", [(3, 8), (4, 20), (5, 12)])
+@pytest.mark.parametrize("N, steps", [(3, 8), (4, 21), (5, 12)])
 def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(monkeypatch, N, steps):
     from cubicdyn import counting
 
-    # 8, 20 and 12 steps
+    # 8, 21 and 12 steps; N = 4 takes one step more from its 652 period-4
+    # seeds than from 1304, for 42 % fewer tuple-steps
     normal = counting._normal_equations
     calls = []
 
@@ -1207,7 +1237,7 @@ def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
     kappa = random_offwall_kappa(np.random.default_rng(7))
     report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=7))
     assert report.status == "complete"
-    assert calls == [(2, 176), (4, 1304)]
+    assert calls == [(2, 176), (4, 652)]
 
 
 def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypatch):
@@ -1225,7 +1255,7 @@ def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypat
     monkeypatch.setattr(counting, "_newton_batch", record)
     report = solve_for_kappa(_KAPPA_REF, 4, SolverConfig(seeds=20000))
     assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176, 0), (4, 1304, 6)]
+    assert calls == [(2, 176, 0), (4, 652, 6)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
@@ -1347,14 +1377,28 @@ def test_n5_solves_complete_from_at_most_two_newton_batches(monkeypatch, s):
 def test_every_survey_kappa_completes_at_n3_within_its_first_seed_batch(monkeypatch):
     # the survey: _KAPPA_REF with rng 0, and random_offwall_kappa(default_rng(100 + s))
     # with rng s for s = 1-40; every period-3 search ends in its first batch
-    # of 384 tuples, 16 for each of the 24 orbits
+    # of 192 tuples, 8 for each of the 24 orbits
     calls = _record_newton_batch(monkeypatch)
     for s in range(41):
         kappa = _KAPPA_REF if s == 0 else random_offwall_kappa(np.random.default_rng(100 + s))
         calls.clear()
         report = solve_for_kappa(kappa, 3, SolverConfig(seeds=20000, rng_seed=s))
         assert report.status == "complete" and report.found == 72, s
-        assert calls == [(3, 384)], s
+        assert calls == [(3, 192)], s
+
+
+def test_the_first_ten_survey_kappa_complete_at_n4_within_one_period_four_batch(monkeypatch):
+    # s = 1-10 of the survey at N = 4: each period-4 search ends in its first
+    # batch of 652 tuples, 8 for each of the 326 / 4 orbits; s = 5 alone
+    # takes a second period-2 batch
+    calls = _record_newton_batch(monkeypatch)
+    for s in range(1, 11):
+        kappa = random_offwall_kappa(np.random.default_rng(100 + s))
+        calls.clear()
+        report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=s))
+        assert report.status == "complete" and report.found == 326, s
+        assert [c for c in calls if c[0] == 4] == [(4, 652)], s
+        assert calls[-1] == (4, 652) and len(calls) == (3 if s == 5 else 2), s
 
 
 def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
@@ -1422,15 +1466,16 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
 
 @pytest.mark.parametrize("seeds, widths, N", [(20000, [176, 352, 704, 1408] + [2048] * 9, 2),
                                               (300, [176] + [300] * 4, 2),
-                                              (20000, [384, 768, 1536] + [2048] * 9, 3),
-                                              (20000, [1304] + [2048] * 10, 4)])
+                                              (20000, [192, 384, 768, 1536] + [2048] * 9, 3),
+                                              (20000, [652, 1304] + [2048] * 9, 4)])
 def test_a_quiet_search_doubles_its_batches_and_counts_the_tuples_drawn(monkeypatch, seeds, widths, N):
-    # no tuple converges: the first batch holds 16 tuples for every N roots
-    # to find, the points of one orbit (22, 72 and 326 roots at N = 2, 3
-    # and 4), each later one twice as many up to min(_SEED_CHUNK, seeds),
-    # and the search stops once the tuples drawn reach seeds and
-    # saturation_batches batches in a row were quiet: 20000 after the
-    # thirteenth, twelfth and eleventh batch, 300 before the fifth quiet one.
+    # no tuple converges: the first batch holds 8 tuples for every N roots
+    # to find, the points of one orbit (72 and 326 roots at N = 3 and 4),
+    # and never fewer than 176 (at N = 2, 22 roots), each later one twice as
+    # many up to min(_SEED_CHUNK, seeds), and the search stops once the
+    # tuples drawn reach seeds and saturation_batches batches in a row were
+    # quiet: 20000 after the thirteenth, thirteenth and eleventh batch, 300
+    # before the fifth quiet one.
     # At N = 4 the quiet period-2 search runs first, and is left out here
     calls = _record_newton_batch(monkeypatch, lambda *_: iter(()))
     report = solve_periodic(_COMPLEX_THETA, N, SolverConfig(seeds=seeds))

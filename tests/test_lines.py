@@ -162,6 +162,34 @@ def test_sigma_line_action_all_indices():
         assert report["cross_point"] is not None
 
 
+def test_sigma_line_action_on_the_built_lines_equals_the_one_that_builds_its_own():
+    b, _ = _setup(7)
+    built = all_lines(b)
+    for i in (1, 2, 3):
+        assert verify_sigma_line_action(b, i, lines=built) == verify_sigma_line_action(b, i)
+
+
+def test_lines_verify_builds_each_line_once(monkeypatch):
+    import io
+
+    from cubicdyn import lines
+    from cubicdyn.cli import dispatch
+
+    # all_lines builds the 24 affine lines, and the three sigma checks read
+    # them in place of building ten each again
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return line_from_params(*args)
+
+    monkeypatch.setattr(lines, "line_from_params", counted)
+    out = io.StringIO()
+    assert dispatch(["lines", "--kappa", "1/3,1/4,1/5,1/7", "--verify", "--output", "json"], stream=out) == 0
+    assert sorted(calls) == [(i, slot) for i in (1, 2, 3) for slot in range(1, 9)]
+    assert '"sigma_checks"' in out.getvalue()
+
+
 def test_sigma_line_action_rejects_singular_surface():
     # b1 = 1 makes (b1 - 1/b1)^2 vanish
     b = EigenParams(1, 0.3 + 0.4j, 0.5, 2)

@@ -278,3 +278,96 @@ def test_affine_point_residual_and_bound():
     assert surface_residual_bound((0, 10**7, 0), 1e-9) == pytest.approx(1e-9 * (1 + 1e21))
     grad = cubic_gradient((2.0, 0.0, 0.0), t)
     assert np.allclose(grad, (4.0, 0.0, 0.0))
+
+
+def _sigma_by_sigma(x, t, N):
+    """c^N and its Jacobian, one sigma_apply at a time with the chain rule
+    of coxeter_jacobian's docstring spelled out."""
+    fixed = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
+    jac = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
+    y = tuple(x)
+    for _ in range(N):
+        for i in (3, 2, 1):
+            j, k = fixed[i]
+            jac[i - 1] = [-a - y[k] * b - y[j] * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
+            y = sigma_apply(i, y, t)
+    return y, jac
+
+
+def _same(a, b):
+    """Equal bit for bit: as Python scalars of the same type, or as numpy
+    arrays of the same values."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("kind", ["complex", "fraction", "columns"])
+def test_coxeter_maps_equal_the_sigma_by_sigma_composition(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        if kind == "fraction":
+            x, t = _rational_state(rng)
+        else:
+            x, t = _random_state(rng, 2.0)
+            x = tuple(map(complex, x))
+            t = tuple(map(complex, t))
+            if kind == "columns":
+                x = tuple(v * (1 + rng.uniform(-0.5, 0.5, 5)) for v in x)
+        for N in (1, 2, 4):
+            y, jac = _sigma_by_sigma(x, t, N)
+            got = coxeter_apply(x, t, N)
+            assert len(got) == 3 and all(_same(a, b) for a, b in zip(got, y))
+            got = coxeter_jacobian(x, t, N, escape_radius=np.inf)
+            assert all(_same(a, b) for row, want in zip(got, jac) for a, b in zip(row, want))
+
+
+def test_sigma_apply_checks_its_index_and_theta():
+    with pytest.raises(ValueError, match="sigma index"):
+        sigma_apply(4, (1, 2, 3), (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="four entries"):
+        sigma_apply(1, (1, 2, 3), (1, 2, 3))
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_max_abs_is_nan_for_a_nan_in_any_slot(slot):
+    from cubicdyn.surface import _max_abs
+
+    for nan in (float("nan"), complex(float("nan"), 0), complex(1, float("nan"))):
+        x = [3 + 4j, -2.0, 1j]
+        x[slot] = nan
+        assert np.isnan(_max_abs(x))
+        assert np.isnan(surface_residual_bound(x))
+        # the same point among two others, as coordinate columns
+        got = _max_abs([np.array([v, 1 + 0j, 0j]) for v in x])
+        assert np.isnan(got[0]) and got[1:].tolist() == [1.0, 0.0]
+    # an infinite modulus is no nan
+    assert _max_abs([complex("inf"), 1.0, 2j]) == float("inf")
+
+
+def test_max_abs_on_python_scalars_equals_the_numpy_path_bit_for_bit():
+    from cubicdyn.surface import _max_abs
+
+    def numpy_path(x):
+        x1, x2, x3 = x
+        return np.maximum(np.maximum(abs(x1), abs(x2)), abs(x3))
+
+    rng = np.random.default_rng(12)
+    # moduli spread over many scales, with ties between slots and zeros
+    shape = (3, 100000)
+    cols = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    cols = cols + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    cols[1, :1000] = cols[0, :1000]
+    cols[2, 1000:2000] = -cols[1, 1000:2000]
+    cols[:, 2000:2100] = 0
+    points = cols.T.tolist()
+    got = np.array([_max_abs(x) for x in points])
+    assert got.tobytes() == np.array([numpy_path(x) for x in points]).tobytes()
+    # and through the bound, which cubes the modulus
+    got = np.array([surface_residual_bound(x, 1e-9) for x in points])
+    want = np.array([1e-9 * (1 + numpy_path(x) ** 3.0) for x in points])
+    assert got.tobytes() == want.tobytes()
+    # columns take the numpy path itself
+    assert _max_abs(cols).tobytes() == numpy_path(cols).tobytes()
+    # exact moduli stay exact
+    assert _max_abs((Fraction(-7, 3), 2, Fraction(1, 2))) == Fraction(7, 3)

@@ -22,7 +22,6 @@ from .params import KappaPoint, rh_params, wall_membership
 from .surface import (
     DEFAULT_ESCAPE_RADIUS,
     DEFAULT_SURFACE_TOL,
-    AffinePoint,
     _coerce_theta,
     _max_abs,
     _sigma_row,
@@ -217,8 +216,8 @@ class SolverConfig:
 
 @dataclass
 class CountReport:
-    """Outcome of one solve_periodic run: one entry per root in points,
-    multiplicities and minimal_periods, in the same order.
+    """Outcome of one solve_periodic run: the roots as the rows of points,
+    and their residuals, multiplicities and minimal_periods in that order.
 
     orbits partitions the root indices into c-orbits, each in root order
     and headed by its least index.  In a run short of the closed form an
@@ -228,7 +227,8 @@ class CountReport:
 
     N: int
     closed_form: int
-    points: list = field(default_factory=list)  # (AffinePoint, residual)
+    points: np.ndarray = field(default_factory=list)  # (K, 3) roots, or any array-like of that shape
+    residuals: list = field(default_factory=list)  # |c^N(x) - x|
     multiplicities: list = field(default_factory=list)  # |det| estimate (see _transverse_multiplicity)
     minimal_periods: list = field(default_factory=list)
     orbits: list = field(default_factory=list)  # lists of root indices
@@ -241,16 +241,15 @@ class CountReport:
     def to_json(self) -> dict:
         # each point's "x" as AffinePoint.to_json writes it, built for all
         # the points at once from one complex array
-        pts = np.array([p.as_tuple() for p, _ in self.points], dtype=complex).reshape(-1, 3)
-        xs = np.stack([pts.real, pts.imag], axis=-1)
+        pts = np.asarray(self.points, dtype=complex).reshape(-1, 3)
+        xs = np.stack([pts.real, pts.imag], axis=-1).tolist()
         return {
             "N": self.N,
             "closed_form": self.closed_form,
             "found": self.found,
             "status": self.status,
-            "points": [{"x": x, "residual": float(r)} for x, (_, r) in zip(xs.tolist(), self.points)],
-            "clusters": [{"x": x, "multiplicity_det": float(m)}
-                         for x, m in zip(xs.tolist(), self.multiplicities)],
+            "points": [{"x": x, "residual": float(r)} for x, r in zip(xs, self.residuals, strict=True)],
+            "clusters": [{"multiplicity_det": float(m)} for m in self.multiplicities],
             "minimal_periods": list(self.minimal_periods),
             "orbits": [list(o) for o in self.orbits],
         }
@@ -707,19 +706,19 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
         found[n] = _find_roots(theta, n, cfg, [found[d] for d in found if n % d == 0])
     roots = found[N]
     cols = roots.T
-    scale = cfg.dedup_radius * (1 + _max_abs(cols))
+    index = _sort_reps(roots, cfg.dedup_radius)
+    scale = index[0]
     orbit_of, periods, y = np.arange(len(roots)), np.full(len(roots), N), cols
     for k in range(1, N):
         y = coxeter_apply(y, theta)
-        match = _cluster_index(roots, np.array(y).T, cfg.dedup_radius)
+        match = _cluster_index(roots, np.array(y).T, cfg.dedup_radius, index)
         orbit_of = np.where(match >= 0, np.minimum(orbit_of, match), orbit_of)
         if N % k == 0:
             periods[(periods == N) & (_gap(y, cols) <= scale)] = k
     residuals = _gap(coxeter_apply(y, theta), cols)
     mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, theta, N, escape_radius=np.inf)))
     status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
-    points = [(AffinePoint(*x), r) for x, r in zip(roots.tolist(), residuals.tolist())]
-    return CountReport(N, closed, points,
+    return CountReport(N, closed, roots, residuals.tolist(),
                        multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
                        orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
 

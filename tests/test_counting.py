@@ -24,6 +24,7 @@ from cubicdyn.counting import (
 from cubicdyn.lattice import coxeter_star, trace_power
 from cubicdyn.params import KappaPoint, discriminant, kappa_to_eigen, rh_params, wall_membership
 from cubicdyn.surface import (
+    AffinePoint,
     _coerce_theta,
     coxeter_apply,
     coxeter_jacobian,
@@ -242,9 +243,9 @@ def test_solver_period_two_count_and_cycles():
     assert sorted(len(o) for o in report.orbits) == [2] * 11
     # every reported point really solves the system on the surface
     theta = rh_params(kappa)
-    for (p, r) in report.points:
+    for p, r in zip(report.points.tolist(), report.residuals):
         assert r < cfg.newton_tol
-        assert p.on_surface(theta)
+        assert AffinePoint(*p).on_surface(theta)
 
 
 def test_solver_determinism():
@@ -254,12 +255,10 @@ def test_solver_determinism():
     r1 = solve_for_kappa(kappa, 2, cfg)
     r2 = solve_for_kappa(kappa, 2, cfg)
     def key(pt):
-        return tuple(v for z in map(complex, pt.as_tuple()) for v in (z.real, z.imag))
+        return tuple(v for z in pt for v in (z.real, z.imag))
 
-    x1 = sorted((p for p, _ in r1.points), key=key)
-    x2 = sorted((p for p, _ in r2.points), key=key)
-    x1 = [tuple(map(complex, p.as_tuple())) for p in x1]
-    x2 = [tuple(map(complex, p.as_tuple())) for p in x2]
+    x1 = sorted(r1.points.tolist(), key=key)
+    x2 = sorted(r2.points.tolist(), key=key)
     assert len(x1) == len(x2)
     for a, b in zip(x1, x2):
         assert max(abs(u - v) for u, v in zip(a, b)) < 1e-8
@@ -272,42 +271,61 @@ def test_count_report_json():
     assert data["points"] == [] and data["orbits"] == []
     data = _hand_built_report().to_json()
     assert data["points"][0]["residual"] == 1e-12
-    assert data["clusters"][0]["x"] == [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.5]] == data["points"][0]["x"]
-    assert data["clusters"][0]["multiplicity_det"] == 0.25
+    assert data["points"][0]["x"] == [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.5]]
+    assert data["clusters"] == [{"multiplicity_det": 0.25}]
     assert data["minimal_periods"] == [2] and data["orbits"] == [[0]]
+    # a root without its residual is an error, not a root left out
+    with pytest.raises(ValueError):
+        CountReport(N=2, closed_form=22, points=[(1, 2, 3)]).to_json()
 
 
 def _per_point_json(report: CountReport) -> dict:
     """report.to_json() with every "x" written by AffinePoint.to_json, one
     point at a time."""
     return {**report.to_json(),
-            "points": [{**p.to_json(), "residual": float(r)} for p, r in report.points],
-            "clusters": [{**p.to_json(), "multiplicity_det": float(m)}
-                         for (p, _), m in zip(report.points, report.multiplicities)]}
+            "points": [{**AffinePoint(*p).to_json(), "residual": float(r)}
+                       for p, r in zip(report.points, report.residuals)],
+            "clusters": [{"multiplicity_det": float(m)} for m in report.multiplicities]}
 
 
 def _hand_built_report() -> CountReport:
-    from cubicdyn.surface import AffinePoint
-
-    return CountReport(N=2, closed_form=22, points=[(AffinePoint(1, 2j, -3 + 0.5j), 1e-12)],
+    return CountReport(N=2, closed_form=22, points=[(1, 2j, -3 + 0.5j)], residuals=[1e-12],
                        multiplicities=[0.25], minimal_periods=[2], orbits=[[0]])
 
 
-@pytest.mark.parametrize("case", ["kappa_ref_n3", "complex_theta", "empty_n1", "hand_built"])
+_REPORTS = {
+    "kappa_ref_n3": lambda: solve_for_kappa(_KAPPA_REF, 3, SolverConfig(seeds=20000)),
+    "complex_theta": lambda: solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=200, rng_seed=5)),
+    "empty_n1": lambda: solve_periodic(_COMPLEX_THETA, 1),
+    "hand_built": _hand_built_report,
+}
+
+
+@pytest.mark.parametrize("case", list(_REPORTS))
 def test_the_report_json_equals_the_per_point_text(case):
     import json
 
     # the report builds every "x" from one complex array; its text is the
     # one the per-point AffinePoint.to_json gives, byte for byte, signed
     # zeros and the int coordinate of the hand-built report included
-    report = {
-        "kappa_ref_n3": lambda: solve_for_kappa(_KAPPA_REF, 3, SolverConfig(seeds=20000)),
-        "complex_theta": lambda: solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=200, rng_seed=5)),
-        "empty_n1": lambda: solve_periodic(_COMPLEX_THETA, 1),
-        "hand_built": _hand_built_report,
-    }[case]()
+    report = _REPORTS[case]()
     assert report.found == {"kappa_ref_n3": 72, "complex_theta": 22, "empty_n1": 0, "hand_built": 1}[case]
-    assert json.dumps(report.to_json()) == json.dumps(_per_point_json(report))
+    data = report.to_json()
+    assert json.dumps(data) == json.dumps(_per_point_json(report))
+    # points, clusters and minimal_periods align by index, one entry per root
+    assert len(data["points"]) == len(data["clusters"]) == len(data["minimal_periods"]) == data["found"]
+
+
+@pytest.mark.parametrize("case", ["kappa_ref_n3", "hand_built"])
+def test_the_report_json_writes_each_root_once(case):
+    import json
+
+    # each root's "x" is written in points alone; a cluster holds only its
+    # multiplicity estimate
+    data = _REPORTS[case]().to_json()
+    text = json.dumps(data)
+    assert data["points"] and all(text.count(json.dumps(p["x"])) == 1 for p in data["points"])
+    assert all(list(c) == ["multiplicity_det"] for c in data["clusters"])
 
 
 def test_solve_periodic_takes_theta_with_four_entries_only():
@@ -452,7 +470,7 @@ def _two_cycles(theta, cfg):
     """The roots (22, 3) of a complete N = 2 solve, and its 2-cycles."""
     report = solve_periodic(theta, 2, cfg)
     assert report.status == "complete" and len(report.orbits) == 11
-    return np.array([p.as_tuple() for p, _ in report.points], dtype=complex), report.orbits
+    return report.points, report.orbits
 
 
 def test_a_later_tuple_of_an_orbit_that_is_not_whole_completes_it(monkeypatch):
@@ -470,7 +488,7 @@ def test_a_later_tuple_of_an_orbit_that_is_not_whole_completes_it(monkeypatch):
     calls = _record_newton_batch(monkeypatch, lambda *_: iter([lagging, tuples[:1]]))
     report = solve_periodic(_COMPLEX_THETA, 2, cfg)
     assert report.status == "complete" and report.found == 22
-    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    points = report.points
     assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() == 0
     # one batch of 8 tuples for each of the 22 roots to find
     assert calls == [(2, 176)]
@@ -514,7 +532,7 @@ def test_an_unconverged_point_of_a_tuple_is_not_reported(monkeypatch):
     tuples[0, 3:] += 1e-3
     _record_seed_chunks(monkeypatch, tuples)
     report = solve_periodic(_COMPLEX_THETA, 2, cfg)
-    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    points = report.points
     assert report.found == 21 and report.status != "complete"
     assert np.abs(points - tuples[0, 3:]).max(axis=1).min() > 1e-9
     assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() > 1e-6
@@ -533,7 +551,7 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     # admitted, and c^2(x_0) = x_2 ties them into one orbit of period 3
     radius = SolverConfig.dedup_radius
     report = solve_periodic(_COMPLEX_THETA, 3, SolverConfig(seeds=20000))
-    x = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    x = report.points
     t = _theta_array(_COMPLEX_THETA)
     image = counting._cluster_index(x, np.array(coxeter_apply(x.T, t)).T, radius)
     cycle = [0, image[0], image[image[0]]]
@@ -541,7 +559,7 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     lagging[0, 3:6] += 1e-3
     _record_newton_batch(monkeypatch, lambda *_: iter([lagging]))
     partial = solve_periodic(_COMPLEX_THETA, 3, SolverConfig(seeds=1))
-    points = np.array([p.as_tuple() for p, _ in partial.points], dtype=complex)
+    points = partial.points
     assert partial.found == 2 and partial.status == "saturated"
     assert np.array_equal(points, x[[cycle[0], cycle[2]]])
     assert partial.orbits == [[0, 1]] and partial.minimal_periods == [3, 3]
@@ -762,7 +780,7 @@ def test_a_lagging_point_of_a_converged_tuple_is_admitted_from_the_same_batch(mo
     report = solve_periodic(_COMPLEX_THETA, 2, cfg)
     assert report.status == "complete" and report.found == 22
     assert calls == [(2, 11)]
-    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    points = report.points
     assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() < 1e-9
 
 
@@ -1161,7 +1179,7 @@ def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_pe
     report = solve_for_kappa(_KAPPA_FAR, 4, SolverConfig(seeds=20000, rng_seed=6))
     assert report.status == "complete" and report.found == 326
     assert calls == [(2, 176), (4, 652)]
-    points = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    points = report.points
     assert np.abs(points).max() > counting._seed_radius(_theta_array(rh_params(_KAPPA_REF)))
 
 
@@ -1204,7 +1222,7 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     # another copy of it in its place
     kappa = random_offwall_kappa(np.random.default_rng(7))
     cfg = SolverConfig(seeds=20000)
-    two = [tuple(map(complex, p.as_tuple())) for p, _ in solve_for_kappa(kappa, 2, cfg).points]
+    two = solve_for_kappa(kappa, 2, cfg).points.tolist()
     converged = counting._converged
     calls = _record_newton_batch(monkeypatch)
     rejected = []
@@ -1222,7 +1240,7 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     # offered by the divisor solve
     assert min(max(abs(a - b) for a, b in zip(p, point)) for p in two) <= cfg.dedup_radius
     assert before == [(2, 176)]
-    points = [tuple(map(complex, p.as_tuple())) for p, _ in report.points]
+    points = list(map(tuple, report.points.tolist()))
     assert point not in points
     assert sum(max(abs(a - b) for a, b in zip(p, point)) < 1e-6 for p in points) == 1
     assert report.status == "complete" and report.found == 326
@@ -1269,8 +1287,7 @@ def test_reference_roots_pass_a_python_scalar_recheck(N, by_period):
     report = solve_for_kappa(kappa, N, cfg)
     assert report.status == "complete"
     periods = dict.fromkeys(by_period, 0)
-    for p, _ in report.points:
-        x = tuple(complex(v) for v in p.as_tuple())
+    for x in map(tuple, report.points.tolist()):
         images = [x]
         for _ in range(N):
             images.append(coxeter_apply(images[-1], theta))
@@ -1292,7 +1309,7 @@ def roots_near_the_gate():
     cases = []
     for N in (3, 4):
         rng = np.random.default_rng(11)
-        x = np.array([p.as_tuple() for p, _ in solve_for_kappa(kappa, N, SolverConfig(seeds=20000)).points])
+        x = solve_for_kappa(kappa, N, SolverConfig(seeds=20000)).points
         step = rng.uniform(-1, 1, (25, *x.shape)) + 1j * rng.uniform(-1, 1, (25, *x.shape))
         rel = rng.uniform(0, 1e-13, (25, len(x), 1))
         cases.append((N, theta, np.concatenate([x, (x * (1 + rel * step)).reshape(-1, 3)])))
@@ -1348,7 +1365,7 @@ def test_complete_root_sets_are_unions_of_orbits(kappa_seed, rng_seed, N, closed
     report = solve_periodic(theta, N, SolverConfig(seeds=20000, rng_seed=rng_seed))
     assert report.status == "complete" and report.found == closed
     t = _theta_array(theta)
-    x = np.array([p.as_tuple() for p, _ in report.points], dtype=complex)
+    x = report.points
     radius = SolverConfig.dedup_radius
     image = counting._cluster_index(x, np.array(coxeter_apply(x.T, t)).T, radius)
     assert sorted(image) == list(range(closed))
@@ -1421,7 +1438,7 @@ def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
     kappa = random_offwall_kappa(np.random.default_rng(3))
     report = solve_for_kappa(kappa, 2, SolverConfig(seeds=6000, rng_seed=2))
     assert len(rejected) == 1
-    points = [tuple(map(complex, p.as_tuple())) for p, _ in report.points]
+    points = list(map(tuple, report.points.tolist()))
     assert rejected[0] not in points
     assert sum(max(abs(a - b) for a, b in zip(p, rejected[0])) < 1e-6 for p in points) == 1
     assert report.status == "complete" and report.found == 22

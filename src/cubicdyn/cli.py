@@ -376,12 +376,13 @@ def _cmd_orbit(args):
     for n in range(args.iters):
         res = surface.word_apply(word, x, t)
         x, t, status = res.point.as_tuple(), res.theta, res.status
+        residual = res.point.residual(t)  # NaN or inf once an escaped point overflows
         steps.append(
             {
                 "step": n + 1,
                 "x": [_fmt_complex(v) for v in x],
                 "theta": [_fmt_complex(v) for v in t.as_tuple()],
-                "surface_residual": res.point.residual(t),
+                "surface_residual": residual if cmath.isfinite(residual) else None,
                 "status": status,
             }
         )

@@ -20,9 +20,6 @@ from cubicdyn.counting import (
     zeta_coefficients,
 )
 from cubicdyn.lattice import (
-    COXETER_CHARPOLY,
-    _COXETER_STAR_PRINTED,
-    _SIGMA_STAR_PRINTED,
     charpoly,
     coxeter_star,
     eigenvector_checks,
@@ -38,6 +35,7 @@ from cubicdyn.lines import (
 )
 from cubicdyn.params import kappa_to_eigen, rh_params
 from cubicdyn.surface import coxeter_apply, cubic_eval, parse_word, sigma_apply, word_apply
+from printed_lattice import COXETER_CHARPOLY, COXETER_STAR_PRINTED, SIGMA_STAR_PRINTED
 
 
 def _criterion(number, label):
@@ -60,8 +58,8 @@ def _criterion(number, label):
 def test_criterion_1_exact_lattice_suite():
     with _criterion(1, "exact lattice suite") as guard:
         for i in (1, 2, 3):
-            assert sigma_star(i).entries == _SIGMA_STAR_PRINTED[i]
-        assert coxeter_star().entries == _COXETER_STAR_PRINTED
+            assert sigma_star(i).entries == SIGMA_STAR_PRINTED[i]
+        assert coxeter_star().entries == COXETER_STAR_PRINTED
         assert tuple(charpoly(coxeter_star())) == COXETER_CHARPOLY
         assert abs(spectral_radius(coxeter_star()) - (2 + np.sqrt(5))) < 1e-12
         eigenvector_checks()  # raises on any failed identity

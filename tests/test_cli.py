@@ -586,17 +586,25 @@ def test_a_singular_theta_exits_1_with_one_error_line(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "closed form 22" in err
 
 
+def _reject_constant(name):
+    # NaN, Infinity and -Infinity are Python's extensions, not JSON
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("argv", [["zeta", "--order", "30"], ["lines", "--kappa", "1/3,1/4,1/5,1/7"],
                                   ["solve", "--theta", "[1.3,0.4],[-0.7,0.2],[2.1,-0.3],[0.5,0.1]",
                                    "--N", "2", "--seeds", "200"],
                                   ["params", "--kappa", "1/3,1/4,1/5,1/7"], ["disc", "--b", "1+1i,2,3,4"],
                                   ["lattice"], ["orbit", "--word", "s1 s2", "--x", "0.1,0.2,0.3",
                                                 "--theta", "1,2,3,4", "--iters", "3"],
-                                  ["count", "--N", "3"], ["count-kappa", "--N", "2"], ["verify", "--nmax", "20"]])
+                                  ["count", "--N", "3"], ["count-kappa", "--N", "2"], ["verify", "--nmax", "20"],
+                                  # an escaped point overflows, so its residual is not finite
+                                  ["orbit", "--word", "s1", "--x", "1e200,1e200,1e200",
+                                   "--theta", "1,2,3,4", "--iters", "2"]])
 def test_json_output_is_one_line(argv):
     code, out = run([*argv, "--output", "json"])
     assert code == 0 and out.endswith("\n") and out.count("\n") == 1
-    assert isinstance(json.loads(out), dict)
+    assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
 
 
 def test_solve_default_config_matches_solver(monkeypatch):

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .lattice import coxeter_star, trace_power
+from .lattice import RANK, charpoly, coxeter_star, trace_power
 from .params import KappaPoint, rh_params, wall_membership
 from .surface import (
     DEFAULT_ESCAPE_RADIUS,
@@ -50,10 +50,13 @@ __all__ = [
 def _recurrence(a0: int, a1: int, p: int, q: int):
     """The terms a_0, a_1, ... with a_{n+2} = p a_{n+1} + q a_n, lazily and in
     the number type of a0 and a1, so that term N costs no list of the earlier
-    ones: s_N is _recurrence(2, 4, 4, 1) and C_N is _recurrence(2, 18, 18, -1)."""
+    ones: s_N is _recurrence(2, 4, 4, 1) and C_N is _recurrence(2, 18, 18, -1).
+    q is 1 or -1 (ValueError otherwise): a_n is added or subtracted, not multiplied."""
+    if q not in (1, -1):
+        raise ValueError(f"q must be 1 or -1, not {q!r}")
     while True:
         yield a0
-        a0, a1 = a1, p * a1 + q * a0
+        a0, a1 = a1, (p * a1 + a0 if q == 1 else p * a1 - a0)
 
 
 def lefschetz_number(N: int):
@@ -137,21 +140,28 @@ def verify_counts(n_max: int) -> dict:
     For each N, the Lefschetz number from the trace of (c*)^N must equal
     the closed form, and Per_kappa(N) = C_N + 4 must equal Per_{2N}; the
     zeta coefficients up to order min(n_max, 12) must agree with
-    exp(sum Per_N z^N / N).  The powers of c* are big-integer matrix
-    products, one step per N on a single object array, independent of the
-    s_N and C_N recurrences.  Raises AssertionError naming the first
-    failing N; returns a summary dict when everything agrees.
+    exp(sum Per_N z^N / N).  The traces t_N of (c*)^N, independent of the
+    s_N and C_N recurrences, are big-integer matrix products for N <= RANK
+    and then, by Cayley-Hamilton with c*'s characteristic polynomial
+    x^7 + p_6 x^6 + ... + p_0, t_N = -(p_6 t_{N-1} + ... + p_0 t_{N-7}).
+    Raises AssertionError naming the first failing N; returns a summary
+    dict when everything agrees.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     s = list(islice(_recurrence(2, 4, 4, 1), 2 * n_max + 1))
     c = list(islice(_recurrence(2, 18, 18, -1), n_max + 1))
-    cstar = np.array(coxeter_star().entries, dtype=object)
-    power = np.identity(len(cstar), dtype=object)
-    rows = []
+    m = coxeter_star()
+    poly = charpoly(m)[:RANK]
+    cstar, power = np.array(m.entries, dtype=object), np.identity(RANK, dtype=object)
+    traces, rows = [RANK], []
     for N in range(1, n_max + 1):
-        power = power @ cstar
-        exact = 1 + power.trace() + 1
+        if N <= RANK:
+            power = power @ cstar
+            traces.append(power.trace())
+        else:
+            traces.append(-sum(p * t for p, t in zip(poly, traces[N - RANK:])))
+        exact = 1 + traces[N] + 1
         affine = s[N] + 4 * (-1) ** N
         if exact != affine + 2:
             raise AssertionError(f"Lefschetz trace {exact} differs from the closed form {affine + 2} at N={N}")

@@ -349,10 +349,57 @@ def test_lefschetz_check_raises_on_wrong_trace(monkeypatch):
 
 
 def test_verify_traces_agree_with_binary_powering():
-    # verify_counts multiplies by c* once per N; trace_power squares
-    rows = verify_counts(300)["rows"]
-    for N in (1, 2, 7, 64, 300):
+    # verify_counts multiplies by c* up to N = 7 and then takes each trace
+    # from the seven before it by c*'s characteristic polynomial;
+    # trace_power squares
+    rows = verify_counts(500)["rows"]
+    for N in (1, 2, 7, 8, 9, 64, 300, 500):
         assert rows[N - 1]["lefschetz"] == 2 + trace_power(coxeter_star(), N)
+
+
+def test_verify_counts_checks_the_traces_from_the_charpoly(monkeypatch):
+    from cubicdyn import counting, lattice
+
+    # c*'s charpoly is x^7 - 11 x^5 - 24 x^4 - 21 x^3 - 8 x^2 - x; with the
+    # x^5 coefficient made -10, N = 8, the first trace it gives, is wrong
+    coeffs = lattice.charpoly(lattice.coxeter_star())
+    assert coeffs == [0, -1, -8, -21, -24, -11, 0, 1]
+    monkeypatch.setattr(counting, "charpoly", lambda m: coeffs[:5] + [-10] + coeffs[6:])
+    with pytest.raises(AssertionError, match="differs from the closed form .* at N=8$"):
+        verify_counts(20)
+    verify_counts(7)  # the first seven traces are matrix products
+
+
+def _plain_recurrence(a0, a1, p, q, terms):
+    out = []
+    for _ in range(terms):
+        out.append(a0)
+        a0, a1 = a1, p * a1 + q * a0
+    return out
+
+
+def test_recurrence_adds_or_subtracts_as_a_product_by_q_would():
+    import decimal
+    from itertools import islice
+
+    from cubicdyn import cli, counting
+
+    for a0, a1, p, q in ((2, 4, 4, 1), (2, 18, 18, -1), (1, 18, 18, -1)):
+        want = _plain_recurrence(a0, a1, p, q, 400)
+        assert list(islice(counting._recurrence(a0, a1, p, q), 400)) == want
+        with decimal.localcontext(cli._EXACT):
+            one = decimal.Decimal(1)
+            got = list(islice(counting._recurrence(a0 * one, a1 * one, p, q), 400))
+            assert got == _plain_recurrence(a0 * one, a1 * one, p, q, 400)
+        assert all(type(v) is decimal.Decimal for v in got) and got == want
+
+
+@pytest.mark.parametrize("q", [0, 2, -2, 1.5])
+def test_recurrence_refuses_q_other_than_one_or_minus_one(q):
+    from cubicdyn import counting
+
+    with pytest.raises(ValueError, match="q must be 1 or -1"):
+        next(counting._recurrence(2, 4, 4, q))
 
 
 def test_lefschetz_check_survives_optimized_mode():

@@ -25,8 +25,10 @@ import logging
 import os
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from . import counting, lattice, lines, params, surface
 
@@ -128,7 +130,7 @@ def _fmt_complex(z) -> str:
 def _emit(data, fmt: str, stream) -> None:
     """Render a JSON-able dict as json, csv (flat rows) or pretty text.
 
-    A list of Decimals, zeta's coefficients, is bare numbers in every format.
+    An iterator, zeta's lazy Decimals, is bare numbers, each computed under _EXACT as it is written.
     The counts of count, count-kappa and verify at large N outgrow Python's
     limit on the digits of an int turned into a string (4300 from Python
     3.10.7 on), so it is lifted meanwhile.
@@ -137,12 +139,19 @@ def _emit(data, fmt: str, stream) -> None:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if fmt == "json":
-            _write_in_pieces(_json_parts(data), stream)
-        elif fmt == "csv":
-            _write_csv(_flatten(data), stream)
-        else:
-            stream.writelines(f"{key}: {val}\n" for key, val in _flatten(data))
+        with decimal.localcontext(_EXACT):
+            if fmt == "json":
+                _write_in_pieces(_json_parts(data), stream)
+                return
+            sep, end = (",", "\r\n") if fmt == "csv" else (": ", "\n")
+            for lazy, rows in groupby(_flatten(data), lambda row: isinstance(row[1], Iterator)):
+                if lazy:
+                    for key, items in rows:
+                        _write_in_pieces(_joined(f"{key}{sep}", " ", items, end), stream)
+                elif fmt == "csv":
+                    _write_csv(rows, stream)
+                else:
+                    stream.writelines(f"{key}: {val}\n" for key, val in rows)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -150,39 +159,48 @@ def _emit(data, fmt: str, stream) -> None:
 
 def _json_parts(data):
     """The one-line JSON text of the dict data, in parts.  json's C encoder
-    has no raw-number path, so a list of Decimals is spliced in between the
-    encoded rest, and each str() is taken only as its part is used."""
+    has no raw-number path, so an iterator of Decimals is spliced in between
+    the encoded rest, each item computed and turned to str() as it is used."""
     yield "{"
     for i, (key, val) in enumerate(data.items()):
         yield f"{', ' if i else ''}{json.dumps(key)}: "
-        if isinstance(val, list) and val and isinstance(val[0], decimal.Decimal):
-            yield "["
-            yield from (f"{', ' if j else ''}{v}" for j, v in enumerate(val))
-            yield "]"
+        if isinstance(val, Iterator):
+            yield from _joined("[", ", ", val, "]")
         else:
             yield json.dumps(val)
     yield "}\n"
 
 
+def _joined(head, sep, items, tail):
+    """head, the str() of each item with sep between them, and tail, lazily."""
+    yield head
+    yield from (f"{sep if j else ''}{v}" for j, v in enumerate(items))
+    yield tail
+
+
 def _write_in_pieces(parts, stream) -> None:
     """Write the concatenated parts to stream, each write but the last
-    joining the parts held until they reach _WRITE_PIECE characters.  A
-    single write that a closed pipe takes in part returns without an error,
-    so the write after a reader has gone away raises BrokenPipeError."""
+    joining the parts held until they reach _WRITE_PIECE characters, and
+    the parts held when making the next one fails.  A single write that a
+    closed pipe takes in part returns without an error, so the write after
+    a reader has gone away raises BrokenPipeError."""
     held, size = [], 0
-    for part in parts:
-        held.append(part)
-        size += len(part)
-        if size >= _WRITE_PIECE:
+    try:
+        for part in parts:
+            held.append(part)
+            size += len(part)
+            if size >= _WRITE_PIECE:
+                held[:], size = ["".join(held)], 0
+                stream.write(held.pop())  # out of held first, so that a failed write is not repeated
+    finally:
+        if held:
             stream.write("".join(held))
-            held, size = [], 0
-    stream.write("".join(held))
 
 
 def _write_csv(rows, stream) -> None:
     """Write rows as csv.writer does.  A row with no comma, quote or line
     break in a field, and not one empty field, needs no quoting and is joined
-    here, which spares csv.writer's per-character scan of zeta's long field."""
+    here, which spares csv.writer's per-character scan of long counts."""
     writer = csv.writer(stream)
     for row in rows:
         fields = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
@@ -400,11 +418,8 @@ def _cmd_count_kappa(args):
 
 
 def _cmd_zeta(args):
-    # the digits in base ten from the start: str() of a Decimal is linear
-    # in its digits, where an int's is quadratic
-    with decimal.localcontext(_EXACT):
-        coefficients = list(counting._zeta_series(args.order, decimal.Decimal(1)))
-    return {"order": args.order, "coefficients": coefficients}, 0
+    """zeta's coefficients as lazy Decimals, which _emit computes under _EXACT as it writes them."""
+    return {"order": args.order, "coefficients": counting._zeta_series(args.order, decimal.Decimal(1))}, 0
 
 
 def _cmd_solve(args):

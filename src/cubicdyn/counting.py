@@ -59,6 +59,16 @@ def _recurrence(a0: int, a1: int, p: int, q: int):
         a0, a1 = a1, (p * a1 + a0 if q == 1 else p * a1 - a0)
 
 
+def _doubling(N: int, p: int, q: int) -> int:
+    """a_N of _recurrence(2, p, p, q), q = 1 or -1, in about 2 log2(N) products:
+    a_2n = a_n^2 - 2e and a_2n+1 = a_n a_n+1 - p e, where e = (-q)^n."""
+    a, b, e = 2, p, 1  # a_n, a_n+1 and e at n = 0
+    for bit in bin(N)[2:]:  # n -> 2n + bit
+        odd = a * b - p * e  # a_2n+1
+        a, b, e = (odd, b * b + 2 * q * e, -q) if bit == "1" else (a * a - 2 * e, odd, 1)
+    return a
+
+
 def lefschetz_number(N: int):
     """Lefschetz number of c^N on the compactified surface.
 
@@ -77,35 +87,35 @@ def lefschetz_number(N: int):
 def per_count_closed(N: int, space: str = "affine") -> int:
     """Number of N-periodic points of c, exactly.
 
-    affine: (2+sqrt5)^N + (2-sqrt5)^N + 4(-1)^N; projective adds the one
-    periodic point at infinity.
+    affine: s_N + 4(-1)^N, where s_N = (2+sqrt5)^N + (2-sqrt5)^N comes by
+    doubling; projective adds the one periodic point at infinity.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if space not in ("affine", "projective"):
         raise ValueError(f"unknown space {space!r}")
-    val = next(islice(_recurrence(2, 4, 4, 1), N, None)) + 4 * (-1) ** N
+    val = _doubling(N, 4, 1) + 4 * (-1) ** N
     return val + 1 if space == "projective" else val
 
 
 def per_kappa_closed(N: int) -> int:
-    """Number of N-periodic solutions along the full loop: C_N + 4."""
+    """Number of N-periodic solutions along the full loop: C_N + 4, by doubling."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return next(islice(_recurrence(2, 18, 18, -1), N, None)) + 4
+    return _doubling(N, 18, -1) + 4
 
 
 def _zeta_series(order: int, one):
-    """The Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order,
-    lazily, in the number type of one (1, or Decimal(1) under a context
-    that traps rounding).  The coefficients of 1/(1-18z+z^2) are C_N's
-    recurrence started at 1, 18, and multiplying a series by 1/(1-z) turns
-    it into its running sums, so the series is four running sums of that
-    recurrence."""
+    """The Taylor coefficients of 1/((1-z)^4 (1-18z+z^2)) up to z^order, each
+    computed as it is asked for, in the number type of one (1, or Decimal(1),
+    whose str() is linear in the digits, under a context that traps rounding).
+    The coefficients of 1/(1-18z+z^2) are C_N's recurrence started at 1, 18,
+    and multiplying a series by 1/(1-z) turns it into its running sums, so
+    the series is four running sums of that recurrence."""
     series = islice(_recurrence(one, 18 * one, 18, -1), order + 1)
     for _ in range(4):
         series = accumulate(series)
-    return series
+    yield from series
 
 
 def zeta_coefficients(order: int) -> list:

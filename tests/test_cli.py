@@ -540,8 +540,8 @@ def test_a_reader_leaving_after_the_first_piece_exits_1_in_silence(capsys):
     assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
-def test_a_zeta_failure_on_its_last_term_prints_nothing(monkeypatch, capsys, fmt):
+def _fail_on_the_last_zeta_term(monkeypatch):
+    """Make zeta's series raise RuntimeError where its last term would be."""
     from cubicdyn import counting
 
     series = counting._zeta_series
@@ -553,8 +553,74 @@ def test_a_zeta_failure_on_its_last_term_prints_nothing(monkeypatch, capsys, fmt
             yield v
 
     monkeypatch.setattr(counting, "_zeta_series", failing)
-    assert run(["zeta", "--order", "3000", "--output", fmt]) == (1, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_a_zeta_failure_on_its_last_term_leaves_every_coefficient_before_it(monkeypatch, capsys, fmt):
+    # each coefficient is written as it is computed, so a failure leaves the
+    # text before the failing term on stdout, and one line on stderr
+    from cubicdyn import counting
+
+    *_, before, last = map(str, counting.zeta_coefficients(3000))
+    code, full = run(["zeta", "--order", "3000", "--output", fmt])
+    assert code == 0
+    _fail_on_the_last_zeta_term(monkeypatch)
+    code, out = run(["zeta", "--order", "3000", "--output", fmt])
+    assert code == 1
     assert capsys.readouterr().err == "error: unexpected RuntimeError: injected failure\n"
+    assert full.startswith(out) and out.endswith(before) and full[len(out):].lstrip(", ").startswith(last)
+
+
+@pytest.mark.parametrize("case", ["complete", "reader leaves", "failure"])
+def test_zeta_leaves_the_callers_decimal_context_as_it_was(monkeypatch, case):
+    import decimal
+
+    from cubicdyn import cli
+
+    class OnePiece(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    if case == "failure":
+        _fail_on_the_last_zeta_term(monkeypatch)
+    stream = OnePiece() if case == "reader leaves" else io.StringIO()
+    with decimal.localcontext(decimal.Context(prec=7, traps=[])) as caller:
+        code = dispatch(["zeta", "--order", "3000", "--output", "json"], stream=stream)
+        assert decimal.getcontext() is caller
+        assert caller.prec == 7 and caller.Emax == decimal.DefaultContext.Emax
+        assert not any(caller.traps.values()) and not any(caller.flags.values())
+    assert code == (0 if case == "complete" else 1)
+    assert len(stream.getvalue()) >= cli._WRITE_PIECE
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_zeta_at_order_3500_holds_one_coefficient_and_one_write_piece(fmt):
+    import math
+    import tracemalloc
+
+    from cubicdyn import cli, counting
+
+    class Discard(io.TextIOBase):
+        # takes the text and keeps none of it, so that only cubicdyn's
+        # allocations are traced
+        def write(self, text):
+            return len(text)
+
+    digits = math.ceil(counting.zeta_coefficients(3500)[-1].bit_length() * math.log10(2))  # about 4400
+    dispatch(["zeta", "--order", "1", "--output", fmt], stream=Discard())  # the parser is built once
+    tracemalloc.start()
+    try:
+        assert dispatch(["zeta", "--order", "3500", "--output", fmt], stream=Discard()) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the parts held for one write and their joined copy, each under
+    # _WRITE_PIECE characters and one coefficient's part; the recurrence's
+    # and the running sums' few Decimals, and the coefficient being turned
+    # to text.  A list of the 3501 coefficients would take 3.7 MiB
+    assert peak < 2 * cli._WRITE_PIECE + 8 * digits, peak
 
 
 def test_the_console_script_exits_1_in_silence_when_its_reader_leaves():

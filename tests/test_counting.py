@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ def test_verify_counts_raises_on_a_wrong_c_sequence_or_zeta(monkeypatch):
     monkeypatch.setattr(counting, "zeta_coefficients", lambda n: [v + (i == 4) for i, v in enumerate(zeta(n))])
     with pytest.raises(AssertionError, match="zeta coefficient mismatch at order 4"):
         verify_counts(5)
+
+
+def test_the_counts_by_doubling_equal_the_recurrences_terms():
+    # per_count_closed and per_kappa_closed double, verify and zeta walk
+    # _recurrence: the two must agree term for term
+    from cubicdyn import counting
+
+    wanted = {*range(1, 301), 5000, 20000}
+    terms = zip(counting._recurrence(2, 4, 4, 1), counting._recurrence(2, 18, 18, -1))
+    for N, (s, c) in enumerate(islice(terms, max(wanted) + 1)):
+        if N in wanted:
+            assert per_count_closed(N) == s + 4 * (-1) ** N, N
+            assert per_count_closed(N, "projective") == s + 4 * (-1) ** N + 1, N
+            assert per_kappa_closed(N) == c + 4, N
 
 
 @pytest.mark.parametrize("count", [per_count_closed, per_kappa_closed, lefschetz_number])

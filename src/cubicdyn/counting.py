@@ -756,12 +756,13 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
     there, or on quiet batches, and raises ValueError past it.  The seed
     batches start at _TUPLES_PER_ORBIT tuples per c-orbit of N roots to
     find, and never fewer than _FIRST_BATCH_MIN, and double up to
-    min(_SEED_CHUNK, cfg.seeds): 176, 192 and 652 tuples at N = 2, 3 and 4,
-    and 2048 from N = 5 on.  A Newton step at N = 4 costs about 1.8 ms at 100
-    tuples, 3.3 ms at 650 and 4.4 ms at 1300, so a narrower first batch pays
-    from N = 3 on; at N = 2 it costs 0.7-1.0 ms anywhere from 11 to 176
-    tuples, and 88 would only add batches.  The roots' index for
-    _cluster_index is kept across yields, each yield's new roots merged in.
+    min(_SEED_CHUNK, cfg.seeds); REFERENCE_SOLVES in tests/test_counting.py
+    pins the batches of the reference solves.  A Newton step at N = 4 costs
+    about 1.8 ms at 100 tuples, 3.3 ms at 650 and 4.4 ms at 1300, so a
+    narrower first batch pays from N = 3 on; at N = 2 it costs 0.7-1.0 ms
+    anywhere from 11 to 176 tuples, and 88 would only add batches.  The
+    roots' index for _cluster_index is kept across yields, each yield's new
+    roots merged in.
     """
     radius = cfg.dedup_radius
     roots = np.empty((0, 3), dtype=complex)

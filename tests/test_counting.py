@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -309,7 +310,7 @@ def _hand_built_report() -> CountReport:
 
 
 _REPORTS = {
-    "kappa_ref_n3": lambda: solve_for_kappa(_KAPPA_REF, 3, SolverConfig(seeds=20000)),
+    "kappa_ref_n3": lambda: _reference_solve(7, 0, 3)[0],
     "complex_theta": lambda: solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=200, rng_seed=5)),
     "empty_n1": lambda: solve_periodic(_COMPLEX_THETA, 1),
     "hand_built": _hand_built_report,
@@ -506,6 +507,12 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
 _COMPLEX_THETA = (1.3 + 0.4j, -0.7 + 0.2j, 2.1 - 0.3j, 0.5 + 0.1j)
 
 
+_KAPPA_REF = random_offwall_kappa(np.random.default_rng(7))
+# max |theta_i| is 17.3, against 2.35 at _KAPPA_REF, and its roots reach
+# max |x_i| = 3.47, past _KAPPA_REF's seed radius of 2.77
+_KAPPA_FAR = KappaPoint.from_tail(Fraction(45, 23), Fraction(1, 9), Fraction(3, 10), Fraction(15, 16))
+
+
 def _record_seed_chunks(monkeypatch, answer=None):
     """Record, for each _newton_batch call, whether it received a seed chunk
     drawn by _make_tuples; answer, if given, stands in for the batch as its
@@ -552,8 +559,8 @@ def test_a_later_tuple_of_an_orbit_that_is_not_whole_completes_it(monkeypatch):
     assert report.status == "complete" and report.found == 22
     points = report.points
     assert np.abs(points - x[orbits[0][1]]).max(axis=1).min() == 0
-    # one batch of 8 tuples for each of the 22 roots to find
-    assert calls == [(2, 176)]
+    # one batch, as wide as _KAPPA_REF's first at N = 2
+    assert calls == [(2, _first_width(2))]
 
 
 @pytest.mark.parametrize("one_per_conjugate_pair", [False, True, "repeated"])
@@ -752,48 +759,103 @@ def test_newton_batch_orders_by_iteration_then_seed():
     assert np.abs(out[2] - r2).max() < 1e-7 and np.abs(out[3] - r0).max() < 1e-7
 
 
-def test_the_reference_n3_solve_stops_within_its_first_batch(monkeypatch):
+# The reference solves, each complete at per_count_closed(N):
+# (kappa, rng_seed, N) -> (Newton batches, Newton steps, tuple-steps).  An
+# integer kappa k is random_offwall_kappa(default_rng(k)), 7 is _KAPPA_REF
+# and "far" _KAPPA_FAR; rng_seed None runs the default config, the rest
+# seeds=20000.  A batch is (period, seed tuples, tuples joining it at its
+# start); the steps, divisor solves included, are at most as measured, and
+# the tuple-steps (tuples times steps) at most 4 % more.
+REFERENCE_SOLVES = {
+    (7, 0, 2): ([(2, 176, 0)], 11, 1460),
+    (7, 0, 3): ([(3, 192, 0)], 8, 1550),
+    # 652 seeds, 8 for every 4 roots, take one step more than 1304 of 16 per
+    # orbit did, and 42 % fewer tuple-steps
+    (7, 0, 4): ([(2, 176, 0), (4, 652, 6)], 21, 7500),
+    (7, None, 4): ([(2, 176, 0), (4, 652, 6)], 21, 7500),
+    # the period-2 roots that lag at period 4 are refined in the first
+    # chunk, not left to be found again from period-4 seeds, which would
+    # take more chunks; that chunk finds every other root
+    (7, 7, 4): ([(2, 176, 0), (4, 652, 4)], 20, 7550),
+    # roots past _KAPPA_REF's seed radius, in the theta-scaled box
+    ("far", 6, 4): ([(2, 176, 0), (4, 652, 4)], 20, 8040),
+    # the whole tuples of the first chunk and their conjugates hold every
+    # root, so no later chunk has to converge to a root again
+    (7, 0, 5): ([(5, 2048, 0)], 12, 21100),
+    (1, 1, 5): ([(5, 2048, 0)], 12, 21600),
+    (2, 2, 5): ([(5, 2048, 0)], 11, 20450),
+    # still complete, but each takes a batch more than the rest: a second
+    # period-4 batch, and a second period-2 batch
+    (6, 6, 4): ([(2, 176, 0), (4, 652, 6), (4, 1304, 0)], 32, 17290),
+    (10, 10, 4): ([(2, 176, 0), (2, 352, 0), (4, 652, 6)], 35, 10890),
+}
+
+
+def _first_width(N):
+    """The first period-N seed batch's tuples, from _KAPPA_REF's row."""
+    return next(w for n, w, _ in REFERENCE_SOLVES[7, 0, N][0] if n == N)
+
+
+@lru_cache(maxsize=None)
+def _reference_solve(kappa, rng_seed, N):
+    """A REFERENCE_SOLVES row's report, solved once per session, with its
+    _newton_batch calls as (period, tuples, joined) and _normal_equations
+    widths; the points are shared and read-only, and counting is unpatched."""
     from cubicdyn import counting
 
-    # all 72 roots are in after 8 iterations of the first batch of 192
-    # tuples, 8 for each of the 24 orbits, which would run on if it were
-    # not left at the closed form; 1492 tuple-steps in all
-    normal = counting._normal_equations
-    calls = []
+    newton, normal = counting._newton_batch, counting._normal_equations
+    batches, widths = [], []
 
-    def record(x, t, n):
-        calls.append(x.shape[1])
+    def record_batch(x, t, n, cfg, joining):
+        batches.append((n, x.shape[1], sum(j.shape[1] for j in joining)))
+        return newton(x, t, n, cfg, joining)
+
+    def record_step(x, t, n):
+        widths.append(x.shape[1])
         return normal(x, t, n)
 
-    monkeypatch.setattr(counting, "_normal_equations", record)
-    report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 3, SolverConfig(seeds=20000))
-    assert report.status == "complete" and report.found == 72
-    assert len(calls) <= 8
-    assert sum(calls) <= 1550
+    kappa = _KAPPA_FAR if kappa == "far" else random_offwall_kappa(np.random.default_rng(kappa))
+    cfg = () if rng_seed is None else (SolverConfig(seeds=20000, rng_seed=rng_seed),)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_newton_batch", record_batch)
+        mp.setattr(counting, "_normal_equations", record_step)
+        report = solve_for_kappa(kappa, N, *cfg)
+    report.points.flags.writeable = False
+    return report, batches, widths
 
 
-def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch(monkeypatch):
-    # lagging orbit images that fail the gate join the running batch after
-    # later period-4 iterations, and six period-2 roots that fail it at
-    # period 4 join the batch from its start; refined there, every root is
-    # in after 21 steps, the period-2 solve's 11 included, and 7350
-    # tuple-steps.  The first batch's own 652 seeds, 8 for every 4 roots,
-    # finish in one step more than the 1304 of 16 per orbit did, with 42 %
-    # fewer tuple-steps
-    from cubicdyn import counting
+@pytest.mark.parametrize("kappa, rng_seed, N", list(REFERENCE_SOLVES))
+def test_a_reference_solve_runs_its_batches_within_its_steps(kappa, rng_seed, N):
+    batches, steps, tuple_steps = REFERENCE_SOLVES[kappa, rng_seed, N]
+    report, calls, widths = _reference_solve(kappa, rng_seed, N)
+    assert report.status == "complete" and report.found == per_count_closed(N)
+    assert calls == batches
+    assert len(widths) <= steps and sum(widths) <= tuple_steps
 
-    normal = counting._normal_equations
-    calls = []
 
-    def record(x, t, n):
-        calls.append(x.shape[1])
-        return normal(x, t, n)
+def test_the_reference_n3_solve_stops_within_its_first_batch():
+    # 8 tuples for each of the 24 orbits, left at the closed form
+    report, calls, widths = _reference_solve(7, 0, 3)
+    assert report.found == 72 and [n for n, _, _ in calls] == [3] and max(widths) <= _first_width(3)
 
-    monkeypatch.setattr(counting, "_normal_equations", record)
-    report = solve_for_kappa(random_offwall_kappa(np.random.default_rng(7)), 4, SolverConfig(seeds=20000))
-    assert report.status == "complete" and report.found == 326
-    assert len(calls) <= 21
-    assert sum(calls) <= 7500
+
+def test_the_reference_n4_solve_refines_its_lagging_points_in_the_running_batch():
+    # lagging orbit images join the one period-4 batch and are refined there
+    report, calls, widths = _reference_solve(7, 0, 4)
+    assert report.found == 326 and [n for n, _, _ in calls] == [2, 4]
+    assert sum(widths) <= REFERENCE_SOLVES[7, 0, 4][2]
+
+
+@pytest.mark.parametrize("N, steps", [(N, REFERENCE_SOLVES[7, 0, N][1]) for N in (3, 4, 5)])
+def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(N, steps):
+    report, _, widths = _reference_solve(7, 0, N)
+    assert report.found == per_count_closed(N) and len(widths) <= steps
+
+
+def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk():
+    # period-2 roots that fail the tests at period 4 join its first batch
+    calls = _reference_solve(7, 0, 4)[1]
+    assert calls[1][:2] == (4, _first_width(4)) and calls[1][2] > 0
 
 
 def test_every_map_call_of_a_solve_takes_theta_as_python_scalars(monkeypatch):
@@ -1188,26 +1250,16 @@ def test_an_index_merged_yield_by_yield_matches_like_a_fresh_one():
 
 def test_solve_n4_with_the_default_config_is_complete(monkeypatch):
     seed_chunk = _record_seed_chunks(monkeypatch)
-    calls = _record_newton_batch(monkeypatch)
-    kappa = random_offwall_kappa(np.random.default_rng(7))
-    report = solve_for_kappa(kappa, 4)
+    report = solve_for_kappa(_KAPPA_REF, 4)
     assert report.status == "complete"
     assert report.found == 326 == len(report.points)
     assert sorted(report.minimal_periods) == [2] * 22 + [4] * 304
-    # the period-2 solve comes first, in one batch of 176 tuples, the least
-    # first batch; its 22 roots are absorbed as period-4 tuples and head the
-    # report, and one batch of 652 period-4 tuples, 8 for every 4 roots,
-    # finds the rest.  Every Newton batch runs on a seed chunk: the orbits
-    # come whole from the tuples, not from a second batch on images
-    assert calls == [(2, 176), (4, 652)]
-    assert seed_chunk == [True, True]
+    # the period-2 solve comes first; its 22 roots are absorbed as period-4
+    # tuples and head the report (REFERENCE_SOLVES pins the batches).  Every
+    # Newton batch runs on a seed chunk: the orbits come whole from the
+    # tuples, not from a second batch on images
+    assert seed_chunk and all(seed_chunk)
     assert report.minimal_periods[0] == 2
-
-
-_KAPPA_REF = random_offwall_kappa(np.random.default_rng(7))
-# max |theta_i| is 17.3, against 2.35 at _KAPPA_REF, and its roots reach
-# max |x_i| = 3.47, past _KAPPA_REF's seed radius of 2.77
-_KAPPA_FAR = KappaPoint.from_tail(Fraction(45, 23), Fraction(1, 9), Fraction(3, 10), Fraction(15, 16))
 
 
 @pytest.mark.parametrize("kappa", [_KAPPA_REF, _KAPPA_FAR])
@@ -1234,34 +1286,13 @@ def test_the_seed_radius_grows_with_theta():
     assert radii[0] == 2 and all(a < b for a, b in zip(radii, radii[1:]))
 
 
-def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_period_four_batch(monkeypatch):
+def test_a_kappa_whose_roots_lie_outside_the_reference_box_completes_from_one_period_four_batch():
     from cubicdyn import counting
 
-    calls = _record_newton_batch(monkeypatch)
-    report = solve_for_kappa(_KAPPA_FAR, 4, SolverConfig(seeds=20000, rng_seed=6))
+    # its REFERENCE_SOLVES row pins the one period-4 batch
+    report = _reference_solve("far", 6, 4)[0]
     assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176), (4, 652)]
-    points = report.points
-    assert np.abs(points).max() > counting._seed_radius(_theta_array(rh_params(_KAPPA_REF)))
-
-
-@pytest.mark.parametrize("N, steps", [(3, 8), (4, 21), (5, 12)])
-def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(monkeypatch, N, steps):
-    from cubicdyn import counting
-
-    # 8, 21 and 12 steps; N = 4 takes one step more from its 652 period-4
-    # seeds than from 1304, for 42 % fewer tuple-steps
-    normal = counting._normal_equations
-    calls = []
-
-    def record(x, t, n):
-        calls.append(n)
-        return normal(x, t, n)
-
-    monkeypatch.setattr(counting, "_normal_equations", record)
-    report = solve_for_kappa(_KAPPA_REF, N, SolverConfig(seeds=20000))
-    assert report.status == "complete" and report.found == per_count_closed(N)
-    assert len(calls) <= steps
+    assert np.abs(report.points).max() > counting._seed_radius(_theta_array(rh_params(_KAPPA_REF)))
 
 
 def test_each_divisor_period_is_solved_once(monkeypatch):
@@ -1284,7 +1315,7 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     # another copy of it in its place
     kappa = random_offwall_kappa(np.random.default_rng(7))
     cfg = SolverConfig(seeds=20000)
-    two = solve_for_kappa(kappa, 2, cfg).points.tolist()
+    two = _reference_solve(7, 0, 2)[0].points.tolist()
     converged = counting._converged
     calls = _record_newton_batch(monkeypatch)
     rejected = []
@@ -1301,41 +1332,11 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     (point, before), = rejected
     # offered by the divisor solve
     assert min(max(abs(a - b) for a, b in zip(p, point)) for p in two) <= cfg.dedup_radius
-    assert before == [(2, 176)]
+    assert before == [(2, _first_width(2))]
     points = list(map(tuple, report.points.tolist()))
     assert point not in points
     assert sum(max(abs(a - b) for a, b in zip(p, point)) < 1e-6 for p in points) == 1
     assert report.status == "complete" and report.found == 326
-
-
-def test_the_period_two_roots_need_no_second_period_four_chunk(monkeypatch):
-    # a period-2 root that fails the tests at period 4 as offered would
-    # keep the search going for more chunks if it were left to be found
-    # again from period-4 seeds.  Its period-4 tuple joins the first chunk
-    # and is refined there, and that chunk finds every other root
-    calls = _record_newton_batch(monkeypatch)
-    kappa = random_offwall_kappa(np.random.default_rng(7))
-    report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=7))
-    assert report.status == "complete"
-    assert calls == [(2, 176), (4, 652)]
-
-
-def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk(monkeypatch):
-    from cubicdyn import counting
-
-    # at rng 0, 6 of the 22 period-2 roots fail the tests at period 4 as
-    # offered: their period-4 tuples wait in joining for the first chunk
-    newton = counting._newton_batch
-    calls = []
-
-    def record(x, t, n, cfg, joining):
-        calls.append((n, x.shape[1], sum(j.shape[1] for j in joining)))
-        return newton(x, t, n, cfg, joining)
-
-    monkeypatch.setattr(counting, "_newton_batch", record)
-    report = solve_for_kappa(_KAPPA_REF, 4, SolverConfig(seeds=20000))
-    assert report.status == "complete" and report.found == 326
-    assert calls == [(2, 176, 0), (4, 652, 6)]
 
 
 @pytest.mark.parametrize("N, by_period", [(3, {1: 0, 3: 72}), (4, {1: 0, 2: 22, 4: 304})])
@@ -1343,10 +1344,9 @@ def test_reference_roots_pass_a_python_scalar_recheck(N, by_period):
     # the benchmark's output check re-evaluates every root on Python
     # complex scalars, which round differently from the solver's numpy
     # columns: each root must pass there too
-    kappa = random_offwall_kappa(np.random.default_rng(7))
-    theta = tuple(complex(v) for v in rh_params(kappa).as_tuple())
-    cfg = SolverConfig(seeds=20000)
-    report = solve_for_kappa(kappa, N, cfg)
+    theta = tuple(complex(v) for v in rh_params(_KAPPA_REF).as_tuple())
+    cfg = SolverConfig()
+    report = _reference_solve(7, 0, N)[0]
     assert report.status == "complete"
     periods = dict.fromkeys(by_period, 0)
     for x in map(tuple, report.points.tolist()):
@@ -1366,12 +1366,11 @@ def roots_near_the_gate():
     """The roots of the reference kappa at N = 3 and 4, each as found and
     moved by 0 to 1e-13 relative in 25 random directions: 10348 points,
     on both sides of the convergence test, as (N, theta, points) per N."""
-    kappa = random_offwall_kappa(np.random.default_rng(7))
-    theta = rh_params(kappa)
+    theta = rh_params(_KAPPA_REF)
     cases = []
     for N in (3, 4):
         rng = np.random.default_rng(11)
-        x = solve_for_kappa(kappa, N, SolverConfig(seeds=20000)).points
+        x = _reference_solve(7, 0, N)[0].points
         step = rng.uniform(-1, 1, (25, *x.shape)) + 1j * rng.uniform(-1, 1, (25, *x.shape))
         rel = rng.uniform(0, 1e-13, (25, len(x), 1))
         cases.append((N, theta, np.concatenate([x, (x * (1 + rel * step)).reshape(-1, 3)])))
@@ -1422,9 +1421,10 @@ def test_complete_root_sets_are_unions_of_orbits(kappa_seed, rng_seed, N, closed
     # lengths are their points' minimal periods
     if kappa_seed is None:
         theta = _COMPLEX_THETA
+        report = solve_periodic(theta, N, SolverConfig(seeds=20000, rng_seed=rng_seed))
     else:
         theta = rh_params(random_offwall_kappa(np.random.default_rng(kappa_seed)))
-    report = solve_periodic(theta, N, SolverConfig(seeds=20000, rng_seed=rng_seed))
+        report = _reference_solve(kappa_seed, rng_seed, N)[0]
     assert report.status == "complete" and report.found == closed
     t = _theta_array(theta)
     x = report.points
@@ -1443,41 +1443,38 @@ def test_complete_root_sets_are_unions_of_orbits(kappa_seed, rng_seed, N, closed
 
 
 @pytest.mark.parametrize("s", [1, 2])
-def test_n5_solves_complete_from_at_most_two_newton_batches(monkeypatch, s):
-    # the whole tuples of the first chunk and their conjugates hold every
-    # root, so no later chunk has to converge to a root again
-    calls = _record_newton_batch(monkeypatch)
-    kappa = random_offwall_kappa(np.random.default_rng(s))
-    report = solve_for_kappa(kappa, 5, SolverConfig(seeds=20000, rng_seed=s))
+def test_n5_solves_complete_from_at_most_two_newton_batches(s):
+    # REFERENCE_SOLVES pins the one batch each of these solves runs
+    report = _reference_solve(s, s, 5)[0]
     assert report.status == "complete" and report.found == 1360
-    assert calls == [(5, 2048)]
 
 
 def test_every_survey_kappa_completes_at_n3_within_its_first_seed_batch(monkeypatch):
     # the survey: _KAPPA_REF with rng 0, and random_offwall_kappa(default_rng(100 + s))
-    # with rng s for s = 1-40; every period-3 search ends in its first batch
-    # of 192 tuples, 8 for each of the 24 orbits
+    # with rng s for s = 1-40; every period-3 search ends in its first batch,
+    # as wide as _KAPPA_REF's
     calls = _record_newton_batch(monkeypatch)
     for s in range(41):
         kappa = _KAPPA_REF if s == 0 else random_offwall_kappa(np.random.default_rng(100 + s))
         calls.clear()
         report = solve_for_kappa(kappa, 3, SolverConfig(seeds=20000, rng_seed=s))
         assert report.status == "complete" and report.found == 72, s
-        assert calls == [(3, 192)], s
+        assert calls == [(3, _first_width(3))], s
 
 
 def test_the_first_ten_survey_kappa_complete_at_n4_within_one_period_four_batch(monkeypatch):
     # s = 1-10 of the survey at N = 4: each period-4 search ends in its first
-    # batch of 652 tuples, 8 for each of the 326 / 4 orbits; s = 5 alone
-    # takes a second period-2 batch
+    # batch, as wide as _KAPPA_REF's; s = 5 alone takes a second period-2
+    # batch
     calls = _record_newton_batch(monkeypatch)
+    first = (4, _first_width(4))
     for s in range(1, 11):
         kappa = random_offwall_kappa(np.random.default_rng(100 + s))
         calls.clear()
         report = solve_for_kappa(kappa, 4, SolverConfig(seeds=20000, rng_seed=s))
         assert report.status == "complete" and report.found == 326, s
-        assert [c for c in calls if c[0] == 4] == [(4, 652)], s
-        assert calls[-1] == (4, 652) and len(calls) == (3 if s == 5 else 2), s
+        assert [c for c in calls if c[0] == 4] == [first], s
+        assert calls[-1] == first and len(calls) == (3 if s == 5 else 2), s
 
 
 def test_a_root_that_fails_the_scalar_recheck_is_not_reported(monkeypatch):
@@ -1529,7 +1526,7 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
     from cubicdyn import counting
 
     # the first k batches each find one new 2-cycle and no batch after does:
-    # the batches double from 176 tuples to one chunk, and the search stops
+    # the batches double from the first width to one chunk, and the search stops
     # once 5000 seeds are drawn and saturation_batches batches in a row were
     # quiet (k = 0: 4688 are drawn after five batches, so a sixth runs).
     # theta is complex, so no conjugate is harvested
@@ -1539,18 +1536,19 @@ def test_batches_are_one_chunk_and_stop_quiet_past_seeds(monkeypatch, k):
         monkeypatch, lambda *_: iter(answers.pop(0) if answers else []))
     report = solve_periodic(_COMPLEX_THETA, 2, SolverConfig(seeds=5000))
     assert report.status == "saturated" and report.found == 2 * k
-    widths = [176, 352, 704, 1408] + [counting._SEED_CHUNK] * 5
+    widths = [_first_width(2) * 2**k for k in range(4)] + [counting._SEED_CHUNK] * 5
     assert calls == [(2, w) for w in widths[:max(6, 5 + k)]]
 
 
-@pytest.mark.parametrize("seeds, widths, N", [(20000, [176, 352, 704, 1408] + [2048] * 9, 2),
-                                              (300, [176] + [300] * 4, 2),
-                                              (20000, [192, 384, 768, 1536] + [2048] * 9, 3),
-                                              (20000, [652, 1304] + [2048] * 9, 4)])
+# widths: how many batches double the first width, then the full batches
+@pytest.mark.parametrize("seeds, widths, N", [(20000, (4, [2048] * 9), 2),
+                                              (300, (1, [300] * 4), 2),
+                                              (20000, (4, [2048] * 9), 3),
+                                              (20000, (2, [2048] * 9), 4)])
 def test_a_quiet_search_doubles_its_batches_and_counts_the_tuples_drawn(monkeypatch, seeds, widths, N):
-    # no tuple converges: the first batch holds 8 tuples for every N roots
-    # to find, the points of one orbit (72 and 326 roots at N = 3 and 4),
-    # and never fewer than 176 (at N = 2, 22 roots), each later one twice as
+    # no tuple converges: the first batch is as wide as at _KAPPA_REF, 8
+    # tuples for every N roots to find, the points of one orbit, and never
+    # fewer than 176 (at N = 2, 22 roots); each later one holds twice as
     # many up to min(_SEED_CHUNK, seeds), and the search stops once the
     # tuples drawn reach seeds and saturation_batches batches in a row were
     # quiet: 20000 after the thirteenth, thirteenth and eleventh batch, 300
@@ -1559,7 +1557,8 @@ def test_a_quiet_search_doubles_its_batches_and_counts_the_tuples_drawn(monkeypa
     calls = _record_newton_batch(monkeypatch, lambda *_: iter(()))
     report = solve_periodic(_COMPLEX_THETA, N, SolverConfig(seeds=seeds))
     assert report.status == "saturated" and report.found == 0
-    assert [w for n, w in calls if n == N] == widths
+    doubled, full = widths
+    assert [w for n, w in calls if n == N] == [_first_width(N) * 2**k for k in range(doubled)] + full
 
 
 def test_a_search_with_no_root_to_find_runs_no_newton_batch(monkeypatch):

@@ -49,6 +49,7 @@ from .lines import (
     tritangent_line,
     line_from_params,
     all_lines,
+    lines_on_surface,
     line_on_surface,
     lines_intersection,
     verify_sigma_line_action,

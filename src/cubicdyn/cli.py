@@ -130,8 +130,9 @@ def _fmt_complex(z) -> str:
 def _emit(data, fmt: str, stream) -> None:
     """Render a JSON-able dict as json, csv (flat rows) or pretty text.
 
-    An iterator, zeta's lazy Decimals, is bare numbers, each computed under _EXACT as it is written.
-    The counts of count, count-kappa and verify at large N outgrow Python's
+    A Decimal, the count of count and count-kappa, is a bare number, and
+    so is each item of an iterator, zeta's lazy Decimals, computed under
+    _EXACT as it is written.  verify's counts at large N outgrow Python's
     limit on the digits of an int turned into a string (4300 from Python
     3.10.7 on), so it is lifted meanwhile.
     """
@@ -159,13 +160,16 @@ def _emit(data, fmt: str, stream) -> None:
 
 def _json_parts(data):
     """The one-line JSON text of the dict data, in parts.  json's C encoder
-    has no raw-number path, so an iterator of Decimals is spliced in between
-    the encoded rest, each item computed and turned to str() as it is used."""
+    has no raw-number path, so a Decimal and an iterator of Decimals are
+    spliced in between the encoded rest, each item of the iterator computed
+    and turned to str() as it is used."""
     yield "{"
     for i, (key, val) in enumerate(data.items()):
         yield f"{', ' if i else ''}{json.dumps(key)}: "
         if isinstance(val, Iterator):
             yield from _joined("[", ", ", val, "]")
+        elif isinstance(val, decimal.Decimal):
+            yield str(val)
         else:
             yield json.dumps(val)
     yield "}\n"
@@ -362,13 +366,11 @@ def _cmd_lines(args):
     kappa = parse_kappa(args.kappa)
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
-    rows = []
-    ok_all = True
     built = lines.all_lines(b)
-    for ln in built:
-        ok, resid = lines.line_on_surface(ln, theta)
-        ok_all = ok_all and ok
-        rows.append({**ln.to_json(), "on_surface": ok, "residual": resid})
+    flags, residuals = lines.lines_on_surface(built, theta)
+    rows = [{**ln.to_json(), "on_surface": ok, "residual": resid}
+            for ln, ok, resid in zip(built, flags, residuals)]
+    ok_all = all(flags)
     data = {"count": len(rows), "all_on_surface": ok_all,
             "general_position": not params.discriminant_vanishes(b), "lines": rows}
     code = 0 if ok_all else 1
@@ -410,11 +412,17 @@ def _cmd_orbit(args):
 
 
 def _cmd_count(args):
-    return {"N": args.N, "space": args.space, "count": counting.per_count_closed(args.N, args.space)}, 0
+    """The count as a Decimal computed under _EXACT, whose str() is linear in
+    its digits where an int's is quadratic."""
+    with decimal.localcontext(_EXACT):
+        count = counting._per_count(args.N, args.space, decimal.Decimal(1))
+    return {"N": args.N, "space": args.space, "count": count}, 0
 
 
 def _cmd_count_kappa(args):
-    return {"N": args.N, "count": counting.per_kappa_closed(args.N)}, 0
+    with decimal.localcontext(_EXACT):
+        count = counting._per_kappa(args.N, decimal.Decimal(1))
+    return {"N": args.N, "count": count}, 0
 
 
 def _cmd_zeta(args):

@@ -59,10 +59,11 @@ def _recurrence(a0: int, a1: int, p: int, q: int):
         a0, a1 = a1, (p * a1 + a0 if q == 1 else p * a1 - a0)
 
 
-def _doubling(N: int, p: int, q: int) -> int:
-    """a_N of _recurrence(2, p, p, q), q = 1 or -1, in about 2 log2(N) products:
+def _doubling(N: int, p: int, q: int, one):
+    """a_N of _recurrence(2, p, p, q), q = 1 or -1, in about 2 log2(N) products
+    and in the number type of one (see _zeta_series):
     a_2n = a_n^2 - 2e and a_2n+1 = a_n a_n+1 - p e, where e = (-q)^n."""
-    a, b, e = 2, p, 1  # a_n, a_n+1 and e at n = 0
+    a, b, e = 2 * one, p * one, 1  # a_n, a_n+1 and e at n = 0
     for bit in bin(N)[2:]:  # n -> 2n + bit
         odd = a * b - p * e  # a_2n+1
         a, b, e = (odd, b * b + 2 * q * e, -q) if bit == "1" else (a * a - 2 * e, odd, 1)
@@ -90,19 +91,29 @@ def per_count_closed(N: int, space: str = "affine") -> int:
     affine: s_N + 4(-1)^N, where s_N = (2+sqrt5)^N + (2-sqrt5)^N comes by
     doubling; projective adds the one periodic point at infinity.
     """
+    return _per_count(N, space, 1)
+
+
+def _per_count(N: int, space: str, one):
+    """per_count_closed in the number type of one (see _zeta_series)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if space not in ("affine", "projective"):
         raise ValueError(f"unknown space {space!r}")
-    val = _doubling(N, 4, 1) + 4 * (-1) ** N
+    val = _doubling(N, 4, 1, one) + 4 * (-1) ** N
     return val + 1 if space == "projective" else val
 
 
 def per_kappa_closed(N: int) -> int:
     """Number of N-periodic solutions along the full loop: C_N + 4, by doubling."""
+    return _per_kappa(N, 1)
+
+
+def _per_kappa(N: int, one):
+    """per_kappa_closed in the number type of one (see _zeta_series)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _doubling(N, 18, -1) + 4
+    return _doubling(N, 18, -1, one) + 4
 
 
 def _zeta_series(order: int, one):

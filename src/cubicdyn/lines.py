@@ -4,8 +4,10 @@ Three tritangent lines lie in the plane at infinity X0 = 0; each is met
 by exactly eight affine lines whose equations are explicit in the
 eigenvalue parameters b.  This module enumerates them, verifies they lie
 on the surface, computes pairwise intersections in P^3, and checks how
-the involutions sigma_i permute them, on plain Python complex scalars
-(a line's points come from the closed-form null space of its two forms).
+the involutions sigma_i permute them.  A line's points come from the
+closed-form null space of its two forms, found once when the line is
+made.  The on-surface check samples all the lines given as one numpy
+array; the rest runs on plain Python complex scalars.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "line_from_params",
     "group_lines",
     "all_lines",
+    "lines_on_surface",
     "line_on_surface",
     "lines_intersection",
     "verify_sigma_line_action",
@@ -47,6 +50,10 @@ _RANK_TOL = 1e-12
 _INTERSECTION_TOL = 1e-9
 # scaled residual within which a point lies on a line and a line on the surface
 _LINE_TOL = 1e-8
+# the column pairs (a, b), a < b, of a line's 2x2 minors
+_PAIRS = tuple(combinations(range(4), 2))
+# the t of lines_on_surface's sample points u + t v, as a column
+_SAMPLE_T = np.array([[0], [1], [-1], [2]])
 
 
 def _normalize4(v) -> list:
@@ -55,10 +62,6 @@ def _normalize4(v) -> list:
     if m == 0:
         raise ValueError("zero coordinate vector")
     return [c / m for c in v]
-
-
-def _minor(f1, f2, a, b):
-    return f1[a] * f2[b] - f1[b] * f2[a]
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,13 @@ SPECIAL_POINTS = {
 
 @dataclass(frozen=True)
 class ProjectiveLine:
-    """A line in P^3 cut out by two independent linear forms on (X0..X3)."""
+    """A line in P^3 cut out by two independent linear forms on (X0..X3).
+
+    The forms are normalized so that each one's largest-modulus entry has
+    modulus 1.  Their six 2x2 minors give both the rank check and the two
+    spanning points (see spanning_points), kept with the line for
+    lines_on_surface and affine_points.
+    """
 
     form1: tuple
     form2: tuple
@@ -99,35 +108,35 @@ class ProjectiveLine:
     def __post_init__(self):
         f1 = _normalize4(self.form1)
         f2 = _normalize4(self.form2)
-        if max(abs(_minor(f1, f2, a, b)) for a, b in combinations(range(4), 2)) <= _RANK_TOL:
+        minor = {}  # the forms' 2x2 minor on each ordered pair of columns
+        for a, b in _PAIRS:
+            minor[a, b] = m = f1[a] * f2[b] - f1[b] * f2[a]
+            minor[b, a] = -m
+        a, b = max(_PAIRS, key=lambda ab: abs(minor[ab]))
+        det = minor[a, b]
+        if abs(det) <= _RANK_TOL:
             raise ValueError("the two forms are linearly dependent")
         object.__setattr__(self, "form1", tuple(f1))
         object.__setattr__(self, "form2", tuple(f2))
-
-    def spanning_points(self) -> list:
-        """Two points spanning the line, the null space of the forms in closed
-        form: pivot on their 2x2 minor of largest modulus, set each other
-        coordinate to 1 in turn (the last 0), solve for the pivot pair by
-        Cramer's rule.  No minor exceeds the pivot, so each point's largest
-        modulus is 1 (up to rounding), the scale of affine_points' X0 test."""
-        f1, f2 = self.form1, self.form2
-        a, b = max(combinations(range(4), 2), key=lambda ab: abs(_minor(f1, f2, *ab)))
-        det = _minor(f1, f2, a, b)
         points = []
         for e in (c for c in range(4) if c not in (a, b)):
             X = [0j] * 4
-            X[e], X[a], X[b] = 1, _minor(f1, f2, b, e) / det, _minor(f1, f2, e, a) / det
-            points.append(X)
-        return points
+            X[e], X[a], X[b] = 1, minor[b, e] / det, minor[e, a] / det
+            points.append(tuple(X))
+        object.__setattr__(self, "_span", tuple(points))
 
-    def sample_points(self) -> list:
-        """Five points on the line: u + t v for t in {0, 1, -1, 2}, plus v."""
-        u, v = self.spanning_points()
-        return [[p + t * q for p, q in zip(u, v)] for t in (0, 1, -1, 2)] + [v]
+    def spanning_points(self) -> tuple:
+        """Two points spanning the line, the null space of the forms in closed
+        form, found once when the line is made: pivot on their 2x2 minor of
+        largest modulus, set each other coordinate to 1 in turn (the last 0),
+        solve for the pivot pair by Cramer's rule.  No minor exceeds the pivot,
+        so each point's largest modulus is 1 (up to rounding), the scale of
+        affine_points' X0 test."""
+        return self._span
 
     def affine_points(self) -> list:
         """Three affine points (X0 = 1) of the line as (x1, x2, x3) tuples."""
-        u, v = self.spanning_points()
+        u, v = self._span
         # move the X0 component into u
         if abs(v[0]) > abs(u[0]):
             u, v = v, u
@@ -154,7 +163,7 @@ class ProjectiveLine:
 
 
 def cubic_eval_hom(X, theta) -> complex:
-    """Homogeneous cubic F(X, theta) on P^3."""
+    """Homogeneous cubic F(X, theta) on P^3; X0..X3 may be numpy arrays."""
     t1, t2, t3, t4 = _coerce_theta(theta)
     X0, X1, X2, X3 = X
     return (
@@ -269,18 +278,29 @@ def all_lines(b: EigenParams) -> list:
     return lines
 
 
-def line_on_surface(line: ProjectiveLine, theta):
-    """Whether the line lies on the surface, with the max residual.
+def lines_on_surface(lines, theta):
+    """Whether each line lies on the surface, with its max residual: two
+    lists aligned with lines.
 
-    Samples five points of the line (four suffice: a cubic vanishing at
-    four points of a line vanishes on it); residuals are scaled by the
-    cubic growth of F.
+    Samples five points of each line from its spanning points u and v,
+    u + t v for t in {0, 1, -1, 2} and v (four suffice: a cubic vanishing at
+    four points of a line vanishes on it), all lines at once as one (L, 5, 4)
+    complex array; residuals are scaled by the cubic growth of F.
     """
-    worst = 0.0
-    for X in line.sample_points():
-        scale = 1 + max(map(abs, X)) ** 3
-        worst = max(worst, abs(cubic_eval_hom(X, theta)) / scale)
-    return worst <= _LINE_TOL, worst
+    span = np.array([ln._span for ln in lines], dtype=complex)
+    u, v = span[:, :1], span[:, 1:]
+    X = np.concatenate([u + _SAMPLE_T * v, v], axis=1)
+    scale = 1 + np.abs(X).max(axis=2) ** 3
+    F = cubic_eval_hom(np.moveaxis(X, 2, 0), tuple(map(complex, _coerce_theta(theta))))
+    worst = (np.abs(F) / scale).max(axis=1)
+    return (worst <= _LINE_TOL).tolist(), worst.tolist()
+
+
+def line_on_surface(line: ProjectiveLine, theta):
+    """Whether the line lies on the surface, with the max residual: the one
+    line case of lines_on_surface."""
+    (ok,), (worst,) = lines_on_surface([line], theta)
+    return ok, worst
 
 
 def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine):

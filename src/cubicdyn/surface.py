@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -236,18 +237,25 @@ def g_apply(i: int, sign: int, x, theta):
         raise ValueError("braid index must be 1, 2 or 3")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    return _g(i, sign, x, _coerce_theta(theta))
+
+
+# g_i's swap of slots i and j = i mod 3 + 1 (0-based below), on x and on theta
+_G_SWAP = {
+    i: (itemgetter(*p), itemgetter(*p, 3))
+    for i, p in ((1, (1, 0, 2)), (2, (0, 2, 1)), (3, (2, 1, 0)))
+}
+
+
+def _g(i: int, sign: int, x, t):
+    """g_apply without its checks, as _sigma is sigma_apply's: i is 1, 2 or
+    3, sign is 1 or -1 and t is theta's four entries."""
+    swap_x, swap_t = _G_SWAP[i]
     j = i % 3 + 1
-
-    def swap(v):
-        v = list(v)
-        v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
-        return tuple(v)
-
-    t = _coerce_theta(theta)
     if sign == 1:
-        return swap(_sigma(j, x, t)), swap(t)
-    t = swap(t)
-    return _sigma(j, swap(x), t), t
+        return swap_x(_sigma(j, x, t)), swap_t(t)
+    t = swap_t(t)
+    return _sigma(j, swap_x(x), t), t
 
 
 def _escaped(x, escape_radius: float) -> bool:
@@ -270,7 +278,7 @@ def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_
         if letter.kind == "sigma":
             y = _sigma(letter.index, y, t)
         else:
-            y, t = g_apply(letter.index, letter.power, y, t)
+            y, t = _g(letter.index, letter.power, y, t)
         if escape_radius != math.inf and _escaped(y, escape_radius):
             return MapResult(AffinePoint(*y), ThetaPoint(*t), "escaped")
     return MapResult(AffinePoint(*y), ThetaPoint(*t), "ok")
@@ -292,20 +300,36 @@ def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RAD
 
     sigma_i changes coordinate i alone, so each step replaces row i of the
     Jacobian by -J_i - x_k J_j - x_j J_k, {j, k} the fixed pair (see
-    _sigma_row).  Exact for exact inputs (the maps are polynomial).  Raises
-    if the orbit escapes before N steps; an infinite escape_radius skips
-    that test, so x may then be numpy coordinate columns.
+    _sigma_row).  c's first step is Dc at x in closed form: with
+    c(x) = (y1, w2, z3), D(sigma2 sigma3) has rows (1, 0, 0),
+    (p, q, x1) = (x1 x2 - z3, x1^2 - 1, x1) and (-x2, -x1, -1), and sigma1's
+    row update makes the first row (-1 - z3 p + w2 x2, w2 x1 - z3 q,
+    w2 - z3 x1).  Every later step updates its three rows.  The entries
+    equal the row updates from the identity exactly for exact inputs (the
+    maps are polynomial), and bit for bit up to the sign of zero in
+    floating point; for N >= 1 each keeps the scalar type, or column
+    shape, of x.  Raises if the orbit escapes before N steps; an infinite
+    escape_radius skips that test, so x may then be numpy coordinate
+    columns.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     t = _coerce_theta(theta)
-    jac = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-    y = tuple(x)
-    for _ in range(N):
-        for i in (3, 2, 1):
-            (j, yk), (k, yj) = _sigma_row(i, y)
-            jac[i - 1] = [-a - yk * b - yj * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
-            y = _sigma(i, y, t)
+    if N == 0:
+        return [[1 if r == c else 0 for c in range(3)] for r in range(3)]
+    x1, x2, _ = x
+    y = _sigma(1, _sigma(2, _sigma(3, x, t), t), t)
+    _, w2, z3 = y
+    p, q = x1 * x2 - z3, x1 * x1 - 1
+    jac = [[-1 - z3 * p + w2 * x2, w2 * x1 - z3 * q, w2 - z3 * x1],
+           [p, q, +x1],  # a new column at N = 1, not the caller's x1
+           [-x2, -x1, 0 * x1 - 1]]
+    for n in range(N):
+        if n:
+            for i in (3, 2, 1):
+                (j, yk), (k, yj) = _sigma_row(i, y)
+                jac[i - 1] = [-a - yk * b - yj * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
+                y = _sigma(i, y, t)
         if escape_radius != math.inf and _escaped(y, escape_radius):
             raise ValueError(f"orbit escaped before {N} iterations")
     return jac

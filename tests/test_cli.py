@@ -451,7 +451,7 @@ def test_unexpected_error_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("injected\nfailure")
 
-    monkeypatch.setattr(counting, "per_count_closed", boom)
+    monkeypatch.setattr(counting, "_per_count", boom)
     code, out = run(["count", "--N", "2"])
     assert code == 1 and out == ""
     err = capsys.readouterr().err
@@ -507,6 +507,45 @@ def test_large_exact_counts_print_as_json_dumps_renders_them(no_digit_limit):
                         {"N": 7000, "space": "affine", "count": counting.per_count_closed(7000)}),
                        (["count-kappa", "--N", "3500"], {"N": 3500, "count": counting.per_kappa_closed(3500)})):
         assert run([*argv, "--output", "json"]) == (0, json.dumps(data) + "\n"), argv
+
+
+@pytest.mark.parametrize("argv", [["count", "--space", "affine"], ["count", "--space", "projective"],
+                                  ["count-kappa"]])
+def test_count_prints_the_digits_of_the_integer_count(no_digit_limit, argv):
+    # the CLI computes the counts in Decimal; the bytes must be those of the
+    # library's ints rendered as before
+    import csv
+
+    from cubicdyn import counting
+
+    for N in (*range(1, 301), 5000):
+        if argv[0] == "count":
+            head, count = [["N", N], ["space", argv[2]]], counting.per_count_closed(N, argv[2])
+        else:
+            head, count = [["N", N]], counting.per_kappa_closed(N)
+        rows = io.StringIO()
+        csv.writer(rows).writerows([*head, ["count", str(count)]])
+        want = {"json": json.dumps({**dict(head), "count": count}) + "\n", "csv": rows.getvalue(),
+                "pretty": "".join(f"{k}: {v}\n" for k, v in [*head, ["count", count]])}
+        for fmt, text in want.items():
+            assert run([*argv, "--N", str(N), "--output", fmt]) == (0, text), (N, fmt)
+
+
+def test_count_arithmetic_raises_where_it_would_round(monkeypatch, capsys):
+    import decimal
+
+    from cubicdyn import cli, counting
+
+    # with 10 digits of precision, the counts past about N = 16 (count) and
+    # N = 8 (count-kappa) cannot be exact: the context must raise, not round
+    short = cli._EXACT.copy()
+    short.prec = 10
+    monkeypatch.setattr(cli, "_EXACT", short)
+    assert run(["count-kappa", "--N", "5"]) == (0, f"N: 5\ncount: {counting.per_kappa_closed(5)}\n")
+    for argv in (["count", "--N", "30"], ["count", "--N", "30", "--space", "projective"],
+                 ["count-kappa", "--N", "30"]):
+        assert run(argv) == (1, ""), argv
+        assert capsys.readouterr().err.startswith(("error: unexpected Inexact", "error: unexpected Rounded")), argv
 
 
 def test_zeta_arithmetic_raises_where_it_would_round():

@@ -852,6 +852,32 @@ def test_the_reference_solves_take_few_newton_steps_from_the_theta_scaled_box(N,
     assert report.found == per_count_closed(N) and len(widths) <= steps
 
 
+def _moment_residual(points, theta, N):
+    """The largest relative residual of the exact moments of the roots of c^N
+    over points: sum x_i = a_N theta_i (i = 1, 2, 3) and sum x1 x2 = b_N theta_3,
+    with a_N = F_3N/2 + (-1)^N and b_N = L_3N - F_3N + 2(-1)^N."""
+    fib = [0, 1]
+    while len(fib) < 3 * N + 2:
+        fib.append(fib[-1] + fib[-2])
+    F, L, sign = fib[3 * N], fib[3 * N - 1] + fib[3 * N + 1], (-1) ** N
+    a, b = F // 2 + sign, L - F + 2 * sign
+    got = [*points.sum(axis=0), (points[:, 0] * points[:, 1]).sum()]
+    want = [a * t for t in theta[:3]] + [b * theta[2]]
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_the_reference_roots_have_the_exact_moments(N):
+    # the roots of a complete report, divisor periods included, sum to the
+    # moments of the whole fibre of c^N = id; a missing root moves them
+    theta = rh_params(_KAPPA_REF).as_tuple()
+    points = _reference_solve(7, 0, N)[0].points
+    assert _moment_residual(points, theta, N) <= 1e-9
+    if N == 4:
+        for i in range(len(points)):
+            assert _moment_residual(np.delete(points, i, axis=0), theta, N) > 1e-9, i
+
+
 def test_period_two_roots_that_lag_at_period_four_join_the_first_chunk():
     # period-2 roots that fail the tests at period 4 join its first batch
     calls = _reference_solve(7, 0, 4)[1]

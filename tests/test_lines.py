@@ -1,6 +1,7 @@
 """Tests for the 27 lines: membership, intersections, sigma swaps."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from cubicdyn.lines import (
     line_from_params,
     line_on_surface,
     lines_intersection,
+    lines_on_surface,
     tritangent_line,
     verify_sigma_line_action,
 )
-from cubicdyn.params import EigenParams, discriminant, kappa_to_eigen, rh_params
+from cubicdyn.params import EigenParams, KappaPoint, discriminant, kappa_to_eigen, rh_params
 
 
 def _setup(seed):
@@ -89,6 +91,38 @@ def test_all_27_lines_on_surface():
         for ln in lines:
             ok, r = line_on_surface(ln, theta)
             assert ok, f"{ln.label} off surface, residual {r}"
+
+
+def _on_surface_point_by_point(line, theta):
+    """The on-surface check one sample point at a time on Python complex
+    scalars, the reference for lines_on_surface's one array."""
+    u, v = line.spanning_points()
+    worst = 0.0
+    for X in [[p + t * q for p, q in zip(u, v)] for t in (0, 1, -1, 2)] + [list(v)]:
+        scale = 1 + max(map(abs, X)) ** 3
+        worst = max(worst, abs(cubic_eval_hom(X, theta)) / scale)
+    return worst <= 1e-8, worst
+
+
+@pytest.mark.parametrize("kappa", ["1/3,1/4,1/5,1/7", "47/38,25/14,37/24,8/17", "3/29,18/19,19/21,25/26",
+                                   "3/20,29/27,26/27,24/25", "29/30,10/9,21/20,1/39", "45/23,1/9,3/10,15/16"])
+def test_the_lines_checked_as_one_array_agree_with_the_point_by_point_check(kappa):
+    # the 27 lines, with eight random lines off the surface among them: the
+    # same flags, and residuals within the rounding of a few operations on
+    # numbers of modulus about one
+    k = KappaPoint.from_tail(*(Fraction(v) for v in kappa.split(",")))
+    b, theta = kappa_to_eigen(k), rh_params(k)
+    rng = np.random.default_rng(9)
+    lines = all_lines(b)
+    for at in range(0, 32, 4):
+        lines.insert(at, ProjectiveLine(*(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))))
+    flags, residuals = lines_on_surface(lines, theta)
+    want = [_on_surface_point_by_point(ln, theta) for ln in lines]
+    assert flags == [ok for ok, _ in want] == [ln.label is not None for ln in lines]
+    eps = np.finfo(float).eps
+    for got, (_, r) in zip(residuals, want):
+        assert type(got) is float and abs(got - r) <= 16 * eps * max(1.0, r)
+    assert [line_on_surface(ln, theta) for ln in lines] == list(zip(flags, residuals))
 
 
 def test_lines_are_pairwise_distinct():

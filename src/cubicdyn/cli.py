@@ -45,8 +45,6 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 
 def parse_complex(text):
     """Parse "re+imi" strings, bare reals, or [re, im] JSON pairs."""
-    if isinstance(text, (int, float)):
-        return complex(text)
     if isinstance(text, (list, tuple)):
         if len(text) != 2:
             raise ValueError(f"complex pair must have two entries: {text!r}")
@@ -61,28 +59,29 @@ def parse_complex(text):
         raise ValueError(f"cannot parse complex number {text!r}") from None
 
 
-def parse_scalar(text):
-    """Parse a rational ("3/10"), integer, real, or complex scalar."""
-    if isinstance(text, str) and "/" in text:
+def parse_scalar(text: str):
+    """Parse the text of a rational ("3/10"), integer, real, or complex scalar."""
+    if "/" in text:
         try:
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     v = parse_complex(text)
-    if v.imag == 0 and isinstance(text, str) and "i" not in text and "j" not in text:
+    if v.imag == 0 and "i" not in text and "j" not in text:
         # keep exact integers exact for wall membership
-        s = str(text).strip()
         try:
-            return int(s)
+            return int(text)
         except ValueError:
             return v.real
     return v
 
 
 def _split_list(text):
-    """The entries of text: a JSON list if that is all it is, else a comma
-    list split at the commas outside brackets, so a [re, im] pair may stand
-    anywhere in it."""
+    """The entries of text, each as text: a JSON list if that is all it is,
+    else a comma list split at the commas outside brackets, so a [re, im]
+    pair may stand anywhere in it.  A JSON list's strings stay as they are
+    and its other items are written back as JSON, so each entry reads as
+    the same comma list's and an integer keeps all its digits."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "[") - (ch == "]")
@@ -91,7 +90,7 @@ def _split_list(text):
             start = i + 1
     parts.append(text[start:])
     if len(parts) == 1 and parts[0].strip().startswith("["):
-        return json.loads(parts[0])
+        return [v if isinstance(v, str) else json.dumps(v) for v in json.loads(parts[0])]
     return [p for p in parts if p.strip()]
 
 
@@ -311,7 +310,7 @@ def _parser():
     return parser
 
 
-# Each command returns (data, exit code); dispatch renders data, if any.
+# Each command returns (data, exit code); dispatch renders data.
 
 
 def _cmd_params(args):
@@ -457,8 +456,7 @@ def dispatch(argv, stream=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         data, code = args.run(args)
-        if data is not None:
-            _emit(data, args.output, stream if stream is not None else sys.stdout)
+        _emit(data, args.output, stream if stream is not None else sys.stdout)
         return code
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
-from typing import Sequence
 
 __all__ = [
     "KappaPoint",

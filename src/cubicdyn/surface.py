@@ -258,12 +258,6 @@ def _g(i: int, sign: int, x, t):
     return _sigma(j, swap_x(x), t), t
 
 
-def _escaped(x, escape_radius: float) -> bool:
-    # abs of the scalar itself, exact for Fraction and int coordinates of
-    # any size, where a conversion to complex would overflow
-    return max(abs(v) for v in x) > escape_radius
-
-
 def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> MapResult:
     """Apply a group word (rightmost letter first), tracking theta swaps.
 
@@ -279,7 +273,7 @@ def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_
             y = _sigma(letter.index, y, t)
         else:
             y, t = _g(letter.index, letter.power, y, t)
-        if escape_radius != math.inf and _escaped(y, escape_radius):
+        if escape_radius != math.inf and _max_abs(y) > escape_radius:
             return MapResult(AffinePoint(*y), ThetaPoint(*t), "escaped")
     return MapResult(AffinePoint(*y), ThetaPoint(*t), "ok")
 
@@ -330,6 +324,6 @@ def coxeter_jacobian(x, theta, N: int, escape_radius: float = DEFAULT_ESCAPE_RAD
                 (j, yk), (k, yj) = _sigma_row(i, y)
                 jac[i - 1] = [-a - yk * b - yj * c for a, b, c in zip(jac[i - 1], jac[j], jac[k])]
                 y = _sigma(i, y, t)
-        if escape_radius != math.inf and _escaped(y, escape_radius):
+        if escape_radius != math.inf and _max_abs(y) > escape_radius:
             raise ValueError(f"orbit escaped before {N} iterations")
     return jac

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -30,8 +31,6 @@ def test_parse_complex_forms():
 
 
 def test_parse_scalar_keeps_rationals_exact():
-    from fractions import Fraction
-
     assert parse_scalar("3/10") == Fraction(3, 10)
     assert parse_scalar("2") == 2 and isinstance(parse_scalar("2"), int)
 
@@ -41,6 +40,65 @@ def test_parse_kappa_tail_and_full():
     assert k.is_rational()
     k5 = parse_kappa("31/840,1/3,1/4,1/5,1/7")
     assert k5.as_tuple() == k.as_tuple()
+
+
+# each entry text of the lists in the tests, README and CI, and the value
+# parse_scalar reads it as, of that type
+_ENTRY_VALUES = [
+    ("1/3", Fraction(1, 3)), ("-2/3", Fraction(-2, 3)), (f"{10**400}/3", Fraction(10**400, 3)),
+    ("1", 1), ("2", 2), ("0", 0), ("50", 50), (str(10**400), 10**400),
+    ("0.9999999999", 0.9999999999), ("0.99999995", 0.99999995), ("1e4", 1e4), ("0.25", 0.25), ("-0.2", -0.2),
+    ("1e308", 1e308), ("1e200", 1e200), ("1e150", 1e150), ("nan", float("nan")), ("[0.1,0]", 0.1),
+    ("0.3+0.1i", 0.3 + 0.1j), ("1+1i", 1 + 1j), ("2-1i", 2 - 1j), ("-1+2i", -1 + 2j), ("1.5+2i", 1.5 + 2j),
+    ("-3i", complex(0, -3)), ("1+i", 1 + 1j), ("2i", 2j), ("1e-3i", 1e-3j), ("(1+1j)", 1 + 1j), ("[0.5,2]", 0.5 + 2j),
+    ("[1, -2]", 1 - 2j), ("[-0.7,0.2]", -0.7 + 0.2j), ("inf", complex("inf")), ("-inf", complex("-inf")),
+    ("infinity", complex("inf")),
+]
+
+# the lists of the tests, README and CI: kappa for parse_kappa, and theta,
+# b and x for the reader of points
+_KAPPA_TEXTS = ["1/3,1/4,1/5,1/7", "31/840,1/3,1/4,1/5,1/7", "47/38,25/14,37/24,8/17", "4/5,5/12,7/4,8/7",
+                "1,1/4,1/5,1/7", "0.9999999999,1/4,1/5,1/7", "0.3+0.1i,1/4,1/5,1/7", "1e4,0.25,0.2,0.1",
+                f"{10**400}/3,1/4,1/5,1/7", f"{10**400},1/4,1/5,1/7", "[0.5,2],1/4,1/5,1/7"]
+_POINT_TEXTS = ["1,2,3,4", "0,0,0,0", "2,3,5,7", "0.3,-0.2,0.1,0.7", "1e308,1e308,3,4", "1e150,1e150,1e150,1e150",
+                "[1.3,0.4],[-0.7,0.2],[2.1,-0.3],[0.5,0.1]", "1+0.5i,2-1i,0.3+0.7i,-1+2i", "1+1i,[0.5,2],3,4",
+                "[0.5,2],1+1i,3,4", "(1+1j),2,3,4", "0.1,0.2,0.3", "1e200,1e200,1e200", "50,60,70", "[0.1,0],0.2,0.3"]
+
+
+def _typed(values):
+    """Each value's type and repr, so that 1, 1.0 and (1+0j) differ, and nan equals nan."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def test_every_entry_text_reads_as_its_value_and_type():
+    for text, value in _ENTRY_VALUES:
+        assert _typed([parse_scalar(text)]) == _typed([value]), text
+        if isinstance(value, Fraction):
+            with pytest.raises(ValueError, match="cannot parse complex number"):
+                parse_complex(text)
+        elif value == 10**400:
+            assert _typed([parse_complex(text)]) == _typed([complex("inf")])  # past a float's range
+        else:
+            assert _typed([parse_complex(text)]) == _typed([complex(value)]), text
+
+
+def test_every_list_text_reads_entry_by_entry():
+    import re
+
+    from cubicdyn import cli, params
+
+    def entries(text):
+        # the commas outside [re, im] pairs
+        return [parse_scalar(e) for e in re.split(r",(?![^\[]*\])", text)]
+
+    for text in _KAPPA_TEXTS:
+        vals = entries(text)
+        want = params.KappaPoint.from_tail(*vals) if len(vals) == 4 else params.KappaPoint(*vals)
+        assert _typed(parse_kappa(text).as_tuple()) == _typed(want.as_tuple()), text
+    for text in _POINT_TEXTS:
+        want = [complex(v) for v in entries(text)]
+        got = parse_theta(text).as_tuple() if len(want) == 4 else cli._parse_point(text, 3, "x")
+        assert _typed(got) == _typed(want), text
 
 
 def test_count_kappa_subcommand():
@@ -155,9 +213,10 @@ def test_disc_subcommand_on_b(capsys):
 
 
 _HUGE_KAPPA = f"{10**400}/3,1/4,1/5,1/7"  # 10^400/3 = 4/3 mod 2
+_KAPPA_COMMANDS = [["params"], ["lines", "--verify"], ["disc"], ["solve", "--N", "2", "--seeds", "300"]]
 
 
-@pytest.mark.parametrize("argv", [["params"], ["lines", "--verify"], ["disc"], ["solve", "--N", "2", "--seeds", "300"]])
+@pytest.mark.parametrize("argv", _KAPPA_COMMANDS)
 def test_a_rational_kappa_past_float_range_reads_as_its_remainder_mod_two(argv):
     # every output but the kappa entries themselves is that of 4/3
     code, out = run([argv[0], "--kappa", _HUGE_KAPPA, *argv[1:], "--output", "json"])
@@ -169,6 +228,48 @@ def test_a_rational_kappa_past_float_range_reads_as_its_remainder_mod_two(argv):
         assert got.pop("kappa")[1] == f"{10**400}/3"
         want.pop("kappa")
     assert got == want
+
+
+@pytest.mark.parametrize("argv", _KAPPA_COMMANDS)
+def test_a_json_list_reads_as_the_same_comma_list(capsys, argv):
+    # a JSON number is read from its text, as the comma list's entry is:
+    # 1 stays an exact integer, and 10^400 keeps all its digits
+    for whole, text in (('[1,"1/4","1/5","1/7"]', "1,1/4,1/5,1/7"),
+                        (f'[{10**400},"1/4","1/5","1/7"]', f"{10**400},1/4,1/5,1/7")):
+        for fmt in ("json", "csv", "pretty"):
+            got = run([argv[0], "--kappa", whole, *argv[1:], "--output", fmt]), capsys.readouterr()
+            want = run([argv[0], "--kappa", text, *argv[1:], "--output", fmt]), capsys.readouterr()
+            assert got == want, (whole, fmt)
+
+
+@pytest.mark.parametrize("argv", _KAPPA_COMMANDS)
+def test_a_huge_json_integer_reads_as_its_remainder_mod_two(capsys, argv):
+    # 10^400 = 0 mod 2.  A whole kappa_1 lies on a wall, so lines and solve
+    # exit 1 here as they do for 0, and params and disc exit 0
+    code, out = run([argv[0], "--kappa", f'[{10**400},"1/4","1/5","1/7"]', *argv[1:], "--output", "json"])
+    err = capsys.readouterr().err
+    want_code, want = run([argv[0], "--kappa", "0,1/4,1/5,1/7", *argv[1:], "--output", "json"])
+    assert (code, err) == (want_code, capsys.readouterr().err)
+    assert code == (0 if argv[0] in ("params", "disc") else 1)
+    if argv[0] == "params":
+        # every output but the kappa entries and the wall's nearest integer is that of 0
+        got, want = json.loads(out), json.loads(want)
+        assert got.pop("kappa")[1] == str(10**400) and want.pop("kappa")[1] == "0"
+        assert got["wall"]["witnesses"][0].pop("m") == 10**400 and want["wall"]["witnesses"][0].pop("m") == 0
+        assert got == want
+    else:
+        assert out == want
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["disc", "--b", "[true,2,3,4]"], "cannot parse complex number 'true'"),
+    (["disc", "--b", "[1,2,3],2,3,4"], "complex pair must have two entries: [1, 2, 3]"),
+    (["params", "--kappa", "1/4,1/5,1/7"], "kappa needs 4 entries (k1..k4) or 5 (k0..k4)"),
+])
+def test_a_malformed_list_exits_1_with_one_error_line(capsys, argv, error):
+    code, out = run([*argv, "--output", "json"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("b", ["1e308,1e308,3,4", "1e150,1e150,1e150,1e150"])

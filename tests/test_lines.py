@@ -134,6 +134,16 @@ def test_lines_are_pairwise_distinct():
             assert kind != "equal"
 
 
+def test_a_line_equals_itself_whatever_forms_cut_it_out():
+    b, _ = _setup(3)
+    for ln in all_lines(b):
+        f1, f2 = (np.array(f) for f in (ln.form1, ln.form2))
+        for other in (ln, ProjectiveLine(tuple(-2.5j * f1), tuple(7 * f2)),
+                      ProjectiveLine(tuple(f1 + 3 * f2), tuple(f1 - 0.5j * f2)), ProjectiveLine(ln.form2, ln.form1)):
+            assert lines_intersection(ln, other) == ("equal", None), ln.label
+            assert lines_intersection(other, ln) == ("equal", None), ln.label
+
+
 def test_intra_group_intersection_pattern():
     b, _ = _setup(4)
     for i in (1, 2, 3):

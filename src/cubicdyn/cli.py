@@ -38,17 +38,23 @@ _log = logging.getLogger(__name__)
 
 _FORMATS = ("json", "csv", "pretty")
 _WRITE_PIECE = 1 << 16  # least characters of JSON per write, a pipe's capacity on Linux
-# zeta's arithmetic: every operation exact, or it raises Inexact or Rounded
+# the exact counts' arithmetic: every operation exact, or it raises Inexact or Rounded
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          traps=[decimal.Inexact, decimal.Rounded])
 
 
 def parse_complex(text):
-    """Parse "re+imi" strings, bare reals, or [re, im] JSON pairs."""
+    """Parse "re+imi" strings, bare reals, or [re, im] JSON pairs of reals."""
     if isinstance(text, (list, tuple)):
         if len(text) != 2:
             raise ValueError(f"complex pair must have two entries: {text!r}")
-        return complex(float(text[0]), float(text[1]))
+        parts = []  # each item read from its text, as _split_list gives a JSON list's entries
+        for item in (v if isinstance(v, str) else json.dumps(v) for v in text):
+            try:
+                parts.append(float(item))
+            except ValueError:
+                raise ValueError(f"cannot parse complex number {item!r}") from None
+        return complex(*parts)
     s = str(text).strip()
     if s.startswith("["):
         return parse_complex(json.loads(s))
@@ -129,32 +135,21 @@ def _fmt_complex(z) -> str:
 def _emit(data, fmt: str, stream) -> None:
     """Render a JSON-able dict as json, csv (flat rows) or pretty text.
 
-    A Decimal, the count of count and count-kappa, is a bare number, and
-    so is each item of an iterator, zeta's lazy Decimals, computed under
-    _EXACT as it is written.  verify's counts at large N outgrow Python's
-    limit on the digits of an int turned into a string (4300 from Python
-    3.10.7 on), so it is lifted meanwhile.
+    A Decimal, the count of count and count-kappa, is a bare number, and so
+    is each item of an iterator, zeta's lazy Decimals, computed as it is written.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        with decimal.localcontext(_EXACT):
-            if fmt == "json":
-                _write_in_pieces(_json_parts(data), stream)
-                return
-            sep, end = (",", "\r\n") if fmt == "csv" else (": ", "\n")
-            for lazy, rows in groupby(_flatten(data), lambda row: isinstance(row[1], Iterator)):
-                if lazy:
-                    for key, items in rows:
-                        _write_in_pieces(_joined(f"{key}{sep}", " ", items, end), stream)
-                elif fmt == "csv":
-                    _write_csv(rows, stream)
-                else:
-                    stream.writelines(f"{key}: {val}\n" for key, val in rows)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    if fmt == "json":
+        _write_in_pieces(_json_parts(data), stream)
+        return
+    sep, end = (",", "\r\n") if fmt == "csv" else (": ", "\n")
+    for lazy, rows in groupby(_flatten(data), lambda row: isinstance(row[1], Iterator)):
+        if lazy:
+            for key, items in rows:
+                _write_in_pieces(_joined(f"{key}{sep}", " ", items, end), stream)
+        elif fmt == "csv":
+            _write_csv(rows, stream)
+        else:
+            stream.writelines(f"{key}: {val}\n" for key, val in rows)
 
 
 def _json_parts(data):
@@ -388,8 +383,7 @@ def _cmd_lines(args):
 def _cmd_orbit(args):
     word = surface.parse_word(args.word)
     x = _parse_point(args.x, 3, "x")
-    theta = parse_theta(args.theta) if "theta" in args else params.rh_params(parse_kappa(args.kappa))
-    t = theta
+    t = parse_theta(args.theta) if "theta" in args else params.rh_params(parse_kappa(args.kappa))
     steps = []
     status = "ok"
     for n in range(args.iters):
@@ -411,21 +405,17 @@ def _cmd_orbit(args):
 
 
 def _cmd_count(args):
-    """The count as a Decimal computed under _EXACT, whose str() is linear in
-    its digits where an int's is quadratic."""
-    with decimal.localcontext(_EXACT):
-        count = counting._per_count(args.N, args.space, decimal.Decimal(1))
+    """The count as a Decimal, whose str() is linear in its digits where an int's is quadratic."""
+    count = counting._per_count(args.N, args.space, decimal.Decimal(1))
     return {"N": args.N, "space": args.space, "count": count}, 0
 
 
 def _cmd_count_kappa(args):
-    with decimal.localcontext(_EXACT):
-        count = counting._per_kappa(args.N, decimal.Decimal(1))
-    return {"N": args.N, "count": count}, 0
+    return {"N": args.N, "count": counting._per_kappa(args.N, decimal.Decimal(1))}, 0
 
 
 def _cmd_zeta(args):
-    """zeta's coefficients as lazy Decimals, which _emit computes under _EXACT as it writes them."""
+    """zeta's coefficients as lazy Decimals, which _emit computes as it writes them."""
     return {"order": args.order, "coefficients": counting._zeta_series(args.order, decimal.Decimal(1))}, 0
 
 
@@ -448,15 +438,21 @@ def dispatch(argv, stream=None) -> int:
     """Parse argv, run the chosen subcommand and render its data to stream
     (stdout by default) in the --output format; returns the exit code.
 
-    The parser tree is built once per process and shared by every call.
+    The parser tree is built once per process and shared by every call.  argv
+    is parsed under Python's int-to-str digit limit; the command then runs and
+    renders with it lifted, for kappa entries and counts of any length, in _EXACT.
     """
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        data, code = args.run(args)
-        _emit(data, args.output, stream if stream is not None else sys.stdout)
+        with decimal.localcontext(_EXACT):
+            data, code = args.run(args)
+            _emit(data, args.output, stream if stream is not None else sys.stdout)
         return code
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -469,6 +465,9 @@ def dispatch(argv, stream=None) -> int:
         _log.debug("unexpected error in %s", args.command, exc_info=True)
         print(f"error: unexpected {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

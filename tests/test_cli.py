@@ -1,8 +1,11 @@
 """Tests for the command-line front end (in-process dispatch)."""
 
+import contextlib
 import dataclasses
+import decimal
 import io
 import json
+import sys
 import types
 from fractions import Fraction
 
@@ -212,22 +215,25 @@ def test_disc_subcommand_on_b(capsys):
     assert capsys.readouterr().err == "error: b needs 4 entries\n"
 
 
-_HUGE_KAPPA = f"{10**400}/3,1/4,1/5,1/7"  # 10^400/3 = 4/3 mod 2
+_HUGE = "1" + "0" * 5000  # 10^5000, past Python's 4300-digit int-to-str limit
 _KAPPA_COMMANDS = [["params"], ["lines", "--verify"], ["disc"], ["solve", "--N", "2", "--seeds", "300"]]
 
 
 @pytest.mark.parametrize("argv", _KAPPA_COMMANDS)
 def test_a_rational_kappa_past_float_range_reads_as_its_remainder_mod_two(argv):
-    # every output but the kappa entries themselves is that of 4/3
-    code, out = run([argv[0], "--kappa", _HUGE_KAPPA, *argv[1:], "--output", "json"])
-    assert code == 0
+    # 10^400/3 and 10^5000/3 are 4/3 mod 2: every output but the kappa
+    # entries themselves is that of 4/3
     code, want = run([argv[0], "--kappa", "4/3,1/4,1/5,1/7", *argv[1:], "--output", "json"])
     assert code == 0
-    got, want = json.loads(out), json.loads(want)
-    if argv[0] == "params":
-        assert got.pop("kappa")[1] == f"{10**400}/3"
-        want.pop("kappa")
-    assert got == want
+    want = json.loads(want)
+    want.pop("kappa", None)
+    for k1 in (f"{10**400}/3", f"{_HUGE}/3"):
+        code, out = run([argv[0], "--kappa", f"{k1},1/4,1/5,1/7", *argv[1:], "--output", "json"])
+        assert code == 0, k1[-10:]
+        got = json.loads(out)
+        if argv[0] == "params":
+            assert got.pop("kappa")[1] == k1
+        assert got == want
 
 
 @pytest.mark.parametrize("argv", _KAPPA_COMMANDS)
@@ -244,27 +250,36 @@ def test_a_json_list_reads_as_the_same_comma_list(capsys, argv):
 
 @pytest.mark.parametrize("argv", _KAPPA_COMMANDS)
 def test_a_huge_json_integer_reads_as_its_remainder_mod_two(capsys, argv):
-    # 10^400 = 0 mod 2.  A whole kappa_1 lies on a wall, so lines and solve
-    # exit 1 here as they do for 0, and params and disc exit 0
-    code, out = run([argv[0], "--kappa", f'[{10**400},"1/4","1/5","1/7"]', *argv[1:], "--output", "json"])
-    err = capsys.readouterr().err
+    # 10^400 and 10^5000 are 0 mod 2, read exactly from a JSON list and, past
+    # the digit limit, from a comma list.  A whole kappa_1 lies on a wall, so
+    # lines and solve exit 1 here as they do for 0, and params and disc exit 0
     want_code, want = run([argv[0], "--kappa", "0,1/4,1/5,1/7", *argv[1:], "--output", "json"])
-    assert (code, err) == (want_code, capsys.readouterr().err)
-    assert code == (0 if argv[0] in ("params", "disc") else 1)
-    if argv[0] == "params":
-        # every output but the kappa entries and the wall's nearest integer is that of 0
-        got, want = json.loads(out), json.loads(want)
-        assert got.pop("kappa")[1] == str(10**400) and want.pop("kappa")[1] == "0"
-        assert got["wall"]["witnesses"][0].pop("m") == 10**400 and want["wall"]["witnesses"][0].pop("m") == 0
-        assert got == want
-    else:
-        assert out == want
+    want_err = capsys.readouterr().err
+    assert want_code == (0 if argv[0] in ("params", "disc") else 1)
+    for k1, kappa in ((str(10**400), f'[{10**400},"1/4","1/5","1/7"]'),
+                      (_HUGE, f'[{_HUGE},"1/4","1/5","1/7"]'), (_HUGE, f"{_HUGE},1/4,1/5,1/7")):
+        code, out = run([argv[0], "--kappa", kappa, *argv[1:], "--output", "json"])
+        assert (code, capsys.readouterr().err) == (want_code, want_err), kappa[:10]
+        if argv[0] == "params":
+            # every output but the kappa entries and the wall's nearest integer is that of 0
+            with _digits_unlimited():
+                got, wanted = json.loads(out), json.loads(want)
+                assert got.pop("kappa")[1] == k1 and wanted.pop("kappa")[1] == "0"
+                assert got["wall"]["witnesses"][0].pop("m") == int(k1)
+            assert wanted["wall"]["witnesses"][0].pop("m") == 0
+            assert got == wanted
+        else:
+            assert out == want
 
 
 @pytest.mark.parametrize("argv, error", [
     (["disc", "--b", "[true,2,3,4]"], "cannot parse complex number 'true'"),
     (["disc", "--b", "[1,2,3],2,3,4"], "complex pair must have two entries: [1, 2, 3]"),
     (["params", "--kappa", "1/4,1/5,1/7"], "kappa needs 4 entries (k1..k4) or 5 (k0..k4)"),
+    # a pair's items read as a JSON list's entries: true is no number, and
+    # an integer past a float's range is no finite entry
+    (["disc", "--b", "[[true,false],2,3,4]"], "cannot parse complex number 'true'"),
+    (["disc", "--b", f"[{10**400},0],2,3,4"], "b must be finite"),
 ])
 def test_a_malformed_list_exits_1_with_one_error_line(capsys, argv, error):
     code, out = run([*argv, "--output", "json"])
@@ -522,28 +537,25 @@ def test_verify_beyond_float_range():
 
 def test_exact_counts_past_the_int_to_str_digit_limit():
     # the counts outgrow the 4300 digits Python converts an int to str by
-    # default; the limit is lifted while the CLI renders, and restored
-    import sys
-
+    # default, in every format; the limit is lifted while the CLI runs, and
+    # restored
     from cubicdyn import counting
 
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     outs = {}
     for argv in (["zeta", "--order", "3500"], ["count", "--N", "7000"],
                  ["count-kappa", "--N", "3500"], ["verify", "--nmax", "3500"]):
-        code, outs[argv[0]] = run([*argv, "--output", "json"])
-        assert code == 0, argv
-        if limit is not None:
-            assert sys.get_int_max_str_digits() == limit
+        for fmt in ("json", "csv", "pretty"):
+            code, outs[argv[0], fmt] = run([*argv, "--output", fmt])
+            assert code == 0, (argv, fmt)
+            if limit is not None:
+                assert sys.get_int_max_str_digits() == limit
     # reading the coefficient back needs the limit lifted too
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        last = json.loads(outs["zeta"])["coefficients"][-1]
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    with _digits_unlimited():
+        last = json.loads(outs["zeta", "json"])["coefficients"][-1]
+        digits = str(last)
     assert last == counting.zeta_coefficients(3500)[-1]
+    assert outs["zeta", "csv"].endswith(f" {digits}\r\n") and outs["zeta", "pretty"].endswith(f" {digits}\n")
 
 
 def test_unexpected_error_exit_code(monkeypatch, capsys):
@@ -559,27 +571,63 @@ def test_unexpected_error_exit_code(monkeypatch, capsys):
     assert err == "error: unexpected RuntimeError: injected failure\n"
 
 
-def test_a_closed_output_stream_exits_1_in_silence(capsys):
-    class Closed(io.StringIO):
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+class _Closed(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
-    assert dispatch(["zeta", "--order", "30", "--output", "json"], stream=Closed()) == 1
+
+@pytest.mark.parametrize("case, argv, want", [
+    ("exit 0", ["count", "--N", "2"], 0),
+    ("exit 1", ["params", "--kappa", "1/4,1/5,1/7"], 1),
+    ("unexpected", ["count", "--N", "2"], 1),
+    ("broken pipe", ["zeta", "--order", "30"], 1),
+    ("exit 2", ["count", "--N", "0"], 2),
+])
+def test_dispatch_leaves_the_callers_digit_limit_and_decimal_context(monkeypatch, case, argv, want):
+    # dispatch lifts the digit limit and enters _EXACT for the command alone
+    from cubicdyn import counting
+
+    if case == "unexpected":
+        monkeypatch.setattr(counting, "_per_count", lambda *args: 1 / 0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(5000)
+    stream = _Closed() if case == "broken pipe" else io.StringIO()
+    try:
+        with decimal.localcontext(decimal.Context(prec=7, traps=[])) as caller:
+            assert dispatch([*argv, "--output", "json"], stream=stream) == want
+            assert decimal.getcontext() is caller and caller.prec == 7
+            assert not any(caller.traps.values()) and not any(caller.flags.values())
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_a_closed_output_stream_exits_1_in_silence(capsys):
+    assert dispatch(["zeta", "--order", "30", "--output", "json"], stream=_Closed()) == 1
     assert capsys.readouterr() == ("", "")
+
+
+@contextlib.contextmanager
+def _digits_unlimited():
+    """Python's int-to-str digit limit lifted, as dispatch lifts it, and
+    restored on leaving."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
 def no_digit_limit():
-    """Python's int-to-str digit limit lifted, as _emit lifts it, and
-    restored after the test."""
-    import sys
-
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    yield
-    if limit:
-        sys.set_int_max_str_digits(limit)
+    with _digits_unlimited():
+        yield
 
 
 @pytest.mark.parametrize("order", [1, 2, 300, 2000, 3500])

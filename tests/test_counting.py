@@ -68,6 +68,8 @@ def test_per_count_values_and_offset():
 def test_per_kappa_values_and_doubling():
     assert per_kappa_closed(1) == 22
     assert per_kappa_closed(2) == 326
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        per_kappa_closed(0)
     for n in range(1, 31):
         assert per_kappa_closed(n) == per_count_closed(2 * n, "affine")
 
@@ -80,6 +82,8 @@ def test_per_kappa_against_float_closed_form():
 
 def test_zeta_small_coefficients():
     assert zeta_coefficients(2) == [1, 22, 405]
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        zeta_coefficients(0)
 
 
 def _zeta_by_the_denominator(order):

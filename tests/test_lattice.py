@@ -119,6 +119,16 @@ def test_intersection_form_values():
     assert intersection(e1, f12) == 1
 
 
+def test_lattice_inputs_are_checked():
+    with pytest.raises(ValueError, match="sigma index must be 1, 2 or 3"):
+        sigma_star(4)
+    with pytest.raises(ValueError, match="a cohomology class has seven coordinates"):
+        CohomClass((1, 0, 0))
+    for entries in ([[0] * 7] * 6, [[0] * 7] * 6 + [[0] * 6]):
+        with pytest.raises(ValueError, match="a lattice endomorphism is a 7x7 integer matrix"):
+            LatticeEndo(entries)
+
+
 def test_line_labels():
     assert str(LineLabel("F", (4, 2))) == "F24"
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the 27 lines: membership, intersections, sigma swaps."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -241,6 +242,41 @@ def test_sigma_line_action_rejects_singular_surface():
         verify_sigma_line_action(b, 1)
 
 
+@pytest.mark.parametrize("swap, wrong_on, message", [
+    ((2, 2, 5), None, "sigma_1 does not map group 2 slot 1 onto slot 2"),
+    (None, (2, 2), "sigma_1 does not map group 2 slot 2 back onto slot 1"),
+    ((1, 1, 2), None, "quadratic root does not lie on the source line"),
+    (None, (1, 1), "quadratic root does not lie on the image line"),
+    ((1, 3, 4), None, "crossing point does not lie on the slot-3 line"),
+    (None, (1, 3), "crossing point does not map onto the source line"),
+])
+def test_sigma_line_action_reports_each_failed_check(monkeypatch, swap, wrong_on, message):
+    # two lines of a group that trade places fail the first check that reads
+    # one of them.  sigma_1 is an involution and two points fix a line, so
+    # the back-map and the two image checks fail only where sigma_1 is made
+    # wrong: moved off by 1 in x_1 on the points of one line
+    from cubicdyn import lines
+    from cubicdyn.surface import sigma_apply
+
+    b, _ = _setup(7)
+    built = all_lines(b)
+    if swap:
+        g, s1, s2 = swap
+        trade = {(g, s1): (g, s2), (g, s2): (g, s1)}
+        built = [dataclasses.replace(ln, params=trade.get(ln.params, ln.params)) for ln in built]
+    else:
+        on = next(ln for ln in built if ln.params == wrong_on)
+
+        def wrong(i, x, theta):
+            y = sigma_apply(i, x, theta)
+            return (y[0] + 1, *y[1:]) if on.contains_affine(x) else y
+
+        monkeypatch.setattr(lines, "sigma_apply", wrong)
+    with pytest.raises(AssertionError) as failed:
+        verify_sigma_line_action(b, 1, lines=built)
+    assert str(failed.value) == message
+
+
 def test_lines_report_general_position_once_and_warn_nothing(capsys):
     import io
     import json
@@ -297,6 +333,18 @@ def test_degenerate_line_rejected():
         ProjectiveLine((1, 0, 0, 0), (2, 0, 0, 0))
     with pytest.raises(ValueError):
         ProjectivePoint((0, 0, 0, 0))
+    # a tritangent line lies in X0 = 0 and has no affine point
+    with pytest.raises(ValueError, match="line lies in the plane at infinity"):
+        tritangent_line(1).affine_points()
+
+
+def test_line_from_params_checks_its_group_and_slot():
+    b, _ = _setup(7)
+    for i, slot, message in ((0, 1, "group index must be 1, 2 or 3"), (4, 1, "group index must be 1, 2 or 3"),
+                             (1, 0, "slot must be 1..8"), (1, 9, "slot must be 1..8")):
+        with pytest.raises(ValueError) as failed:
+            line_from_params(i, slot, b)
+        assert str(failed.value) == message
 
 
 def test_projective_line_json():

@@ -142,6 +142,11 @@ def test_parse_word_roundtrip_and_errors():
         parse_word("s4")
     with pytest.raises(ValueError):
         GeneratorLetter("sigma", 1, -1)
+    for args, message in ((("h", 1), "unknown generator kind 'h'"), (("g", 4), "generator index must be 1, 2 or 3"),
+                          (("g", 1, 2), "generator power must be +1 or -1")):
+        with pytest.raises(ValueError) as failed:
+            GeneratorLetter(*args)
+        assert str(failed.value) == message
 
 
 def test_word_apply_escape_status():
@@ -332,6 +337,13 @@ def test_sigma_apply_checks_its_index_and_theta():
         sigma_apply(4, (1, 2, 3), (1, 2, 3, 4))
     with pytest.raises(ValueError, match="four entries"):
         sigma_apply(1, (1, 2, 3), (1, 2, 3))
+
+
+def test_g_apply_checks_its_index_and_sign():
+    with pytest.raises(ValueError, match="braid index must be 1, 2 or 3"):
+        g_apply(4, 1, (1, 2, 3), (1, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+        g_apply(1, 2, (1, 2, 3), (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import decimal
 import json
 import logging
@@ -28,7 +27,6 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 
 from . import counting, lattice, lines, params, surface
 
@@ -37,7 +35,7 @@ __all__ = ["main", "dispatch"]
 _log = logging.getLogger(__name__)
 
 _FORMATS = ("json", "csv", "pretty")
-_WRITE_PIECE = 1 << 16  # least characters of JSON per write, a pipe's capacity on Linux
+_WRITE_PIECE = 1 << 16  # least characters of output per write, a pipe's capacity on Linux
 # the exact counts' arithmetic: every operation exact, or it raises Inexact or Rounded
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          traps=[decimal.Inexact, decimal.Rounded])
@@ -133,23 +131,13 @@ def _fmt_complex(z) -> str:
 
 
 def _emit(data, fmt: str, stream) -> None:
-    """Render a JSON-able dict as json, csv (flat rows) or pretty text.
+    """Render a JSON-able dict as json, csv (flat rows) or pretty text, each
+    write but the last at least _WRITE_PIECE characters.
 
     A Decimal, the count of count and count-kappa, is a bare number, and so
     is each item of an iterator, zeta's lazy Decimals, computed as it is written.
     """
-    if fmt == "json":
-        _write_in_pieces(_json_parts(data), stream)
-        return
-    sep, end = (",", "\r\n") if fmt == "csv" else (": ", "\n")
-    for lazy, rows in groupby(_flatten(data), lambda row: isinstance(row[1], Iterator)):
-        if lazy:
-            for key, items in rows:
-                _write_in_pieces(_joined(f"{key}{sep}", " ", items, end), stream)
-        elif fmt == "csv":
-            _write_csv(rows, stream)
-        else:
-            stream.writelines(f"{key}: {val}\n" for key, val in rows)
+    _write_in_pieces(_json_parts(data) if fmt == "json" else _row_parts(data, fmt), stream)
 
 
 def _json_parts(data):
@@ -167,6 +155,30 @@ def _json_parts(data):
         else:
             yield json.dumps(val)
     yield "}\n"
+
+
+def _row_parts(data, fmt):
+    """The csv or pretty text of data's flattened pairs, a row each, in parts:
+    a csv field as csv.writer writes it, a pretty one as an f-string does.
+    An iterator's items are joined with spaces as they are computed."""
+    sep, end, field = (",", "\r\n", _csv_field) if fmt == "csv" else (": ", "\n", format)
+    for key, val in _flatten(data):
+        if isinstance(val, Iterator):
+            yield from _joined(f"{field(key)}{sep}", " ", val, end)
+        else:
+            yield f"{field(key)}{sep}{field(val)}{end}"
+
+
+def _csv_field(v) -> str:
+    """v as csv.writer writes a field in its default dialect: "" for None,
+    else str(v), in double quotes with each one inside doubled if it holds a
+    comma, a double quote or a line break.  Four scans for one character
+    each, where a regular expression's character class takes 100 times as
+    long on a count's digits."""
+    text = "" if v is None else str(v)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _joined(head, sep, items, tail):
@@ -195,23 +207,10 @@ def _write_in_pieces(parts, stream) -> None:
             stream.write("".join(held))
 
 
-def _write_csv(rows, stream) -> None:
-    """Write rows as csv.writer does.  A row with no comma, quote or line
-    break in a field, and not one empty field, needs no quoting and is joined
-    here, which spares csv.writer's per-character scan of long counts."""
-    writer = csv.writer(stream)
-    for row in rows:
-        fields = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
-        if fields == [""] or any(c in f for f in fields for c in ',"\r\n'):
-            writer.writerow(row)
-        else:
-            stream.write(",".join(fields) + "\r\n")
-
-
 def _flatten(data, prefix=""):
     if isinstance(data, dict):
         for k, v in data.items():
-            yield from _flatten(v, f"{prefix}{k}." if prefix else f"{k}.")
+            yield from _flatten(v, f"{prefix}{k}.")
     elif isinstance(data, (list, tuple)):
         scalars = all(not isinstance(v, (dict, list, tuple)) for v in data)
         if scalars:

@@ -390,8 +390,6 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
     # unique crossing of sigma_i(first line) with the slot-3 line
     third = line(i, 3)
     det = bj * bk - bi * b4
-    if abs(det) < 1e-12:
-        raise ValueError("lines not in general position")
     # linear system for (x_j, x_k): rows from the slot-3 line and the image line
     rhs1 = a4 * bj + ai * bk
     rhs2 = ak * bi + aj * b4

@@ -417,14 +417,19 @@ _EVERY_SUBCOMMAND = [
 
 
 @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=[a[0] for a in _EVERY_SUBCOMMAND])
-def test_csv_output_is_csv_writers_text(monkeypatch, argv):
+def test_csv_output_is_csv_writers_text(argv):
+    # csv and pretty print the flattened pairs of the command's own json,
+    # as csv.writer and an f-string write them
     import csv
 
     from cubicdyn import cli
 
-    code, out = run([*argv, "--output", "csv"])
-    monkeypatch.setattr(cli, "_write_csv", lambda rows, stream: csv.writer(stream).writerows(rows))
-    assert code == 0 and run([*argv, "--output", "csv"]) == (0, out)
+    code, out = run([*argv, "--output", "json"])
+    pairs = list(cli._flatten(json.loads(out)))
+    want = io.StringIO()
+    csv.writer(want).writerows(pairs)
+    assert code == 0 and run([*argv, "--output", "csv"]) == (0, want.getvalue())
+    assert run([*argv, "--output", "pretty"]) == (0, "".join(f"{k}: {v}\n" for k, v in pairs))
 
 
 def test_csv_rows_that_need_quoting_go_through_csv_writer():
@@ -435,24 +440,43 @@ def test_csv_rows_that_need_quoting_go_through_csv_writer():
 
     from cubicdyn import cli
 
-    rows = [("a", "x,y"), ("b", 'say "hi"'), ("c", "two\nlines"), ("d", "cr\r"), ("",), (None,), ("e", None),
-            ("f", ""), (), ("g", 1.5), ("h", 1e-300), ("i", np.float64(0.1)), ("i", 1e16, -0.0, float("inf"), float("nan")), ("j", True), ("k", 10**40),
-            ("l", decimal.Decimal("12345678901234567890")), ("m", "1 22 405"), ("n", "x", "", None, 2)]
+    pairs = [("a", "x,y"), ("b", 'say "hi"'), ("c", "two\nlines"), ("d", "cr\r"), ("e", None), ("f", ""),
+             ("g", 1.5), ("h", 1e-300), ("i", np.float64(0.1)), ("i1", 1e16), ("i2", -0.0), ("i3", float("inf")),
+             ("i4", float("nan")), ("j", True), ("k", 10**40), ("l", decimal.Decimal("12345678901234567890")),
+             ("m", "1 22 405"), ("n", "x"), ("n1", ""), ("n2", None), ("n3", 2), ('o,"p"', "q\r\n")]
     want = io.StringIO()
-    csv.writer(want).writerows(rows)
+    csv.writer(want).writerows(pairs)
     got = io.StringIO()
-    cli._write_csv(iter(rows), got)
+    cli._emit(dict(pairs), "csv", got)
     assert got.getvalue() == want.getvalue()
-    assert '"x,y"' in got.getvalue() and '\r\n""\r\n""\r\n' in got.getvalue()
+    assert '"x,y"' in got.getvalue() and '"say ""hi"""' in got.getvalue() and '\r\ne,\r\n' in got.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_every_write_but_the_last_is_a_whole_piece(fmt):
+    # verify --nmax 2000 prints 8004 csv or pretty rows
+    from cubicdyn import cli
+
+    class Writes(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes = []
+    assert dispatch(["verify", "--nmax", "2000", "--output", fmt], stream=Writes()) == 0
+    assert len(sizes) > 1 and min(sizes[:-1]) >= cli._WRITE_PIECE, sizes
 
 
 def test_lines_subcommand():
-    code, out = run(["lines", "--kappa", "1/3,1/4,1/5,1/7", "--verify", "--output", "json"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["count"] == 27 and data["all_on_surface"] is True
-    assert all(ln["on_surface"] is True for ln in data["lines"])
-    assert [c["sigma"] for c in data["sigma_checks"]] == [1, 2, 3]
+    # the complex kappa has |b_i| near 2e-6, so b_j b_k - b_i b_4 is below
+    # 1e-12 though the surface is in general position
+    for kappa in ("1/3,1/4,1/5,1/7", "0.1+4.2i,0.35+4.2i,0.64+4.2i,0.87+4.2i"):
+        code, out = run(["lines", "--kappa", kappa, "--verify", "--output", "json"])
+        assert code == 0, kappa
+        data = json.loads(out)
+        assert data["count"] == 27 and data["all_on_surface"] is True and data["general_position"] is True
+        assert all(ln["on_surface"] is True for ln in data["lines"])
+        assert [c["sigma"] for c in data["sigma_checks"]] == [1, 2, 3]
 
 
 def test_lines_verify_on_a_wall_reports_the_failed_checks():

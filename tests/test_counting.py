@@ -172,6 +172,12 @@ def test_verify_counts_raises_on_a_wrong_c_sequence_or_zeta(monkeypatch):
     monkeypatch.setattr(counting, "zeta_coefficients", lambda n: [v + (i == 4) for i, v in enumerate(zeta(n))])
     with pytest.raises(AssertionError, match="zeta coefficient mismatch at order 4"):
         verify_counts(5)
+    # the zeta coefficients from exp(sum Per_N z^N / N) must be integers:
+    # Per_2 made one larger adds 1/2 to z_2
+    monkeypatch.setattr(counting, "zeta_coefficients", zeta)
+    monkeypatch.setattr(counting, "per_kappa_closed", lambda n: per_kappa_closed(n) + (n == 2))
+    with pytest.raises(AssertionError, match="zeta coefficients must be integers"):
+        verify_counts(5)
 
 
 def test_the_counts_by_doubling_equal_the_recurrences_terms():
@@ -207,6 +213,14 @@ def test_random_offwall_kappa_certified():
         kappa = random_offwall_kappa(rng)
         assert kappa.is_rational()
         assert not wall_membership(kappa).on_wall
+
+    class OnAWall:
+        # every k_i is 1/2, and (1/2, 1/2, 1/2, 1/2) lies on a wall
+        def integers(self, low, high):
+            return low
+
+    with pytest.raises(RuntimeError, match="failed to sample an off-wall kappa"):
+        random_offwall_kappa(OnAWall())
 
 
 def test_solver_config_validation():

@@ -42,13 +42,17 @@ def test_coxeter_charpoly_exact():
     assert coeffs == list(COXETER_CHARPOLY)
 
 
-def test_charpoly_against_sympy_oracle():
+def test_charpoly_against_sympy_oracle(monkeypatch):
     rng = np.random.default_rng(0)
     random = [LatticeEndo(rng.integers(-9, 10, size=(7, 7)).tolist()) for _ in range(20)]
     for m in [coxeter_star(), sigma_star(1), sigma_star(2), sigma_star(3), *random]:
         ours = charpoly(m)
         theirs = sympy.Matrix(m.to_json()).charpoly().all_coeffs()[::-1]
         assert [int(c) for c in theirs] == list(ours)
+    # each division is exact for an integer matrix; a trace made wrong is caught
+    monkeypatch.setattr(LatticeEndo, "trace", lambda self: 1)
+    with pytest.raises(AssertionError, match="tr\\(M_2\\) is not divisible by 2"):
+        charpoly(coxeter_star())
 
 
 def test_sigma_star_charpoly_and_kernel():
@@ -98,10 +102,20 @@ def test_traces_of_coxeter_powers():
         trace_power(c, -1)
 
 
-def test_eigenvector_checks_pass():
+def test_eigenvector_checks_pass(monkeypatch):
+    from cubicdyn import lattice
+
     report = eigenvector_checks()
     assert len(report["eigenvectors"]) == 4
     assert len(report["orthogonality"]) == 12
+    # the identity for c^*: each V is fixed, not negated
+    monkeypatch.setattr(lattice, "coxeter_star", lambda: LatticeEndo(np.identity(7, dtype=int).tolist()))
+    with pytest.raises(AssertionError, match="c\\^\\* V0 != -V0"):
+        eigenvector_checks()
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "intersection", lambda v, l: 1)
+    with pytest.raises(AssertionError, match="\\(V0, Li\\) = 1 != 0"):
+        eigenvector_checks()
 
 
 def test_intersection_form_values():

@@ -34,6 +34,7 @@ def _setup(seed):
 def test_special_points():
     assert SPECIAL_POINTS["p1"].coords == (0, 1, 0, 0)
     assert SPECIAL_POINTS["q1"].coords == (0, 0, 1, 1)
+    assert str(SPECIAL_POINTS["q1"]) == "[0+0j : 0+0j : 1+0j : 1+0j]"
 
 
 def test_tritangent_contains_its_vertices():

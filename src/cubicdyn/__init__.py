@@ -45,13 +45,11 @@ from .lattice import (
 )
 from .lines import (
     ProjectiveLine,
-    ProjectivePoint,
     tritangent_line,
     line_from_params,
     all_lines,
     lines_on_surface,
     line_on_surface,
-    lines_intersection,
     verify_sigma_line_action,
 )
 from .counting import (

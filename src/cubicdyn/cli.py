@@ -364,11 +364,13 @@ def _cmd_lines(args):
     rows = [{**ln.to_json(), "on_surface": ok, "residual": resid}
             for ln, ok, resid in zip(built, flags, residuals)]
     ok_all = all(flags)
-    data = {"count": len(rows), "all_on_surface": ok_all,
-            "general_position": not params.discriminant_vanishes(b), "lines": rows}
+    general = not params.wall_membership(kappa).on_wall
+    data = {"count": len(rows), "all_on_surface": ok_all, "general_position": general, "lines": rows}
     code = 0 if ok_all else 1
     if args.verify:
         try:
+            if not general:
+                raise ValueError("lines not in general position (kappa lies on a wall)")
             data["sigma_checks"] = [
                 {"sigma": i, "swaps": lines.verify_sigma_line_action(b, i, lines=built)["swaps"]}
                 for i in (1, 2, 3)

@@ -3,11 +3,11 @@
 Three tritangent lines lie in the plane at infinity X0 = 0; each is met
 by exactly eight affine lines whose equations are explicit in the
 eigenvalue parameters b.  This module enumerates them, verifies they lie
-on the surface, computes pairwise intersections in P^3, and checks how
-the involutions sigma_i permute them.  A line's points come from the
-closed-form null space of its two forms, found once when the line is
-made.  The on-surface check samples all the lines given as one numpy
-array; the rest runs on plain Python complex scalars.
+on the surface, and checks how the involutions sigma_i permute them.  A
+line's points come from the closed-form null space of its two forms,
+found once when the line is made.  The on-surface check samples all the
+lines given as one numpy array; the rest runs on plain Python complex
+scalars.
 """
 
 from __future__ import annotations
@@ -31,23 +31,18 @@ from .params import (
 from .surface import _coerce_theta, sigma_apply
 
 __all__ = [
-    "ProjectivePoint",
     "ProjectiveLine",
-    "SPECIAL_POINTS",
     "tritangent_line",
     "line_from_params",
     "group_lines",
     "all_lines",
     "lines_on_surface",
     "line_on_surface",
-    "lines_intersection",
     "verify_sigma_line_action",
     "cubic_eval_hom",
 ]
 
 _RANK_TOL = 1e-12
-# singular values below this fraction of the largest count as zero
-_INTERSECTION_TOL = 1e-9
 # scaled residual within which a point lies on a line and a line on the surface
 _LINE_TOL = 1e-8
 # the column pairs (a, b), a < b, of a line's 2x2 minors
@@ -62,32 +57,6 @@ def _normalize4(v) -> list:
     if m == 0:
         raise ValueError("zero coordinate vector")
     return [c / m for c in v]
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of P^3, normalized so the largest-modulus coordinate is 1."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        v = _normalize4(self.coords)
-        # rotate phase so the largest coordinate is exactly 1
-        top = max(v, key=abs)
-        object.__setattr__(self, "coords", tuple(c / top for c in v))
-
-    def __str__(self):
-        return "[" + " : ".join(f"{c:.6g}" for c in self.coords) + "]"
-
-
-SPECIAL_POINTS = {
-    "p1": ProjectivePoint((0, 1, 0, 0)),
-    "p2": ProjectivePoint((0, 0, 1, 0)),
-    "p3": ProjectivePoint((0, 0, 0, 1)),
-    "q1": ProjectivePoint((0, 0, 1, 1)),
-    "q2": ProjectivePoint((0, 1, 0, 1)),
-    "q3": ProjectivePoint((0, 1, 1, 0)),
-}
 
 
 @dataclass(frozen=True)
@@ -301,21 +270,6 @@ def line_on_surface(line: ProjectiveLine, theta):
     line case of lines_on_surface."""
     (ok,), (worst,) = lines_on_surface([line], theta)
     return ok, worst
-
-
-def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine):
-    """Intersection of two lines in P^3.
-
-    Returns ("point", ProjectivePoint), ("disjoint", None) or
-    ("equal", None) depending on the rank of the stacked 4x4 system.
-    """
-    _, s, vh = np.linalg.svd(np.array([l1.form1, l1.form2, l2.form1, l2.form2]))
-    rank = int(np.sum(s > _INTERSECTION_TOL * s[0]))
-    if rank == 2:
-        return "equal", None
-    if rank == 3:
-        return "point", ProjectivePoint(tuple(vh.conj()[3]))
-    return "disjoint", None
 
 
 def _quadratic_roots(a, b, c):

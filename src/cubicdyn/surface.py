@@ -106,9 +106,6 @@ class AffinePoint:
     def residual(self, theta) -> float:
         return abs(complex(cubic_eval(self.as_tuple(), theta)))
 
-    def on_surface(self, theta) -> bool:
-        return self.residual(theta) <= surface_residual_bound(self.as_tuple())
-
     def to_json(self) -> dict:
         return {"x": [[complex(v).real, complex(v).imag] for v in self.as_tuple()]}
 

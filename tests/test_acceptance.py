@@ -30,11 +30,11 @@ from cubicdyn.lines import (
     all_lines,
     group_lines,
     line_on_surface,
-    lines_intersection,
     verify_sigma_line_action,
 )
 from cubicdyn.params import kappa_to_eigen, rh_params
 from cubicdyn.surface import coxeter_apply, cubic_eval, parse_word, sigma_apply, word_apply
+from line_incidence import incidence
 from printed_lattice import COXETER_CHARPOLY, COXETER_STAR_PRINTED, SIGMA_STAR_PRINTED
 
 
@@ -150,8 +150,7 @@ def test_criterion_4_lines_suite():
                 grp = group_lines(i, b)
                 for a in range(8):
                     for c in range(a + 1, 8):
-                        kind, _ = lines_intersection(grp[a], grp[c])
-                        assert kind == ("point" if a // 2 == c // 2 else "disjoint")
+                        assert incidence(grp[a], grp[c]) == ("point" if a // 2 == c // 2 else "disjoint")
                 report = verify_sigma_line_action(b, i)
                 assert len(report["swaps"]) == 4
                 assert len(report["quadratic_roots"]) == 2

@@ -487,6 +487,29 @@ def test_lines_verify_on_a_wall_reports_the_failed_checks():
     assert data["sigma_checks_error"].startswith("lines not in general position")
 
 
+@pytest.mark.parametrize("kappa, general", [
+    ("0.25,0.25,0.25,0.2500000005", False),  # 5e-10 from the wall k1 + k2 + k3 + k4 = 1
+    ("1,1/4,1/5,1/7", False),
+    ("1/3,1/4,1/5,1/7", True), ("0.1+4.2i,0.35+4.2i,0.64+4.2i,0.87+4.2i", True),
+    ("47/38,25/14,37/24,8/17", True), ("3/29,18/19,19/21,25/26", True), ("3/20,29/27,26/27,24/25", True),
+    ("29/30,10/9,21/20,1/39", True), ("45/23,1/9,3/10,15/16", True),
+])
+def test_params_lines_and_solve_agree_on_the_wall(capsys, kappa, general):
+    # params prints the wall test, lines reports it as general_position and
+    # refuses to verify on a wall, and solve refuses a kappa on a wall
+    code, out = run(["params", "--kappa", kappa, "--output", "json"])
+    assert code == 0 and json.loads(out)["wall"]["on_wall"] is not general
+    code, out = run(["lines", "--kappa", kappa, "--verify", "--output", "json"])
+    data = json.loads(out)
+    assert data["general_position"] is general and code == (0 if general else 1)
+    if not general:
+        assert data["sigma_checks_error"] == "lines not in general position (kappa lies on a wall)"
+        assert "sigma_checks" not in data
+        code, _ = run(["solve", "--kappa", kappa, "--N", "2", "--seeds", "300"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: nongeneric parameters: kappa lies on a wall\n"
+
+
 def test_usage_error_exit_code():
     code, _ = run(["count"])  # missing required --N
     assert code == 2

@@ -279,7 +279,7 @@ def test_solver_period_two_count_and_cycles():
     theta = rh_params(kappa)
     for p, r in zip(report.points.tolist(), report.residuals):
         assert r < cfg.newton_tol
-        assert AffinePoint(*p).on_surface(theta)
+        assert AffinePoint(*p).residual(theta) <= surface_residual_bound(p)
 
 
 def test_solver_determinism():

@@ -1,4 +1,7 @@
-"""Tests for the 27 lines: membership, intersections, sigma swaps."""
+"""Tests for the 27 lines: membership, incidences, sigma swaps.
+
+How two lines lie (equal, meeting in a point, disjoint) is read by the
+tests' own helper, line_incidence.incidence."""
 
 import dataclasses
 import warnings
@@ -9,20 +12,18 @@ import pytest
 
 from cubicdyn.counting import random_offwall_kappa
 from cubicdyn.lines import (
-    SPECIAL_POINTS,
     ProjectiveLine,
-    ProjectivePoint,
     all_lines,
     cubic_eval_hom,
     group_lines,
     line_from_params,
     line_on_surface,
-    lines_intersection,
     lines_on_surface,
     tritangent_line,
     verify_sigma_line_action,
 )
 from cubicdyn.params import EigenParams, KappaPoint, discriminant, kappa_to_eigen, rh_params
+from line_incidence import incidence
 
 
 def _setup(seed):
@@ -31,29 +32,31 @@ def _setup(seed):
     return kappa_to_eigen(kappa), rh_params(kappa)
 
 
-def test_special_points():
-    assert SPECIAL_POINTS["p1"].coords == (0, 1, 0, 0)
-    assert SPECIAL_POINTS["q1"].coords == (0, 0, 1, 1)
-    assert str(SPECIAL_POINTS["q1"]) == "[0+0j : 0+0j : 1+0j : 1+0j]"
+# the vertices of the tritangent triangle at infinity, p_i = {X0 = X_j = X_k = 0},
+# and the points q_i = [0 : ...] with X_i = 0 and the other two coordinates 1
+_P = {1: (0, 1, 0, 0), 2: (0, 0, 1, 0), 3: (0, 0, 0, 1)}
+_Q = {1: (0, 0, 1, 1), 2: (0, 1, 0, 1), 3: (0, 1, 1, 0)}
+
+
+def _on_line(line, X):
+    return all(abs(np.dot(f, X)) < 1e-14 for f in (line.form1, line.form2))
 
 
 def test_tritangent_contains_its_vertices():
     l1 = tritangent_line(1)
-    for name in ("p2", "p3", "q1"):
-        X = np.array(SPECIAL_POINTS[name].coords)
-        assert abs(np.dot(l1.form1, X)) < 1e-14
-        assert abs(np.dot(l1.form2, X)) < 1e-14
+    for X in (_P[2], _P[3], _Q[1]):
+        assert _on_line(l1, X)
+    assert not _on_line(l1, _P[1]) and not _on_line(l1, _Q[2])
     with pytest.raises(ValueError):
         tritangent_line(4)
 
 
 def test_tritangent_pairwise_intersections_are_vertices():
-    for i, j, name in ((1, 2, "p3"), (2, 3, "p1"), (1, 3, "p2")):
-        kind, pt = lines_intersection(tritangent_line(i), tritangent_line(j))
-        assert kind == "point"
-        expect = np.array(SPECIAL_POINTS[name].coords, dtype=complex)
-        got = np.array(pt.coords)
-        assert np.allclose(got, expect, atol=1e-12)
+    # L_i and L_j meet in one point, and p_k lies on both
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (1, 3, 2)):
+        li, lj = tritangent_line(i), tritangent_line(j)
+        assert incidence(li, lj) == incidence(lj, li) == "point"
+        assert _on_line(li, _P[k]) and _on_line(lj, _P[k])
 
 
 def test_tritangent_on_every_surface():
@@ -81,8 +84,7 @@ def test_slot_pairs_differ_by_inverting_lead_arguments():
     f1 = np.array(l1.form1) / np.array(l1.form1)[1]
     f2 = np.array(l2.form1) / np.array(l2.form1)[1]
     assert abs(f1[0] - f2[0]) < 1e-12  # p + 1/p is inversion-invariant
-    kind, _ = lines_intersection(l1, l2)
-    assert kind == "point"
+    assert incidence(l1, l2) == "point"
 
 
 def test_all_27_lines_on_surface():
@@ -132,8 +134,8 @@ def test_lines_are_pairwise_distinct():
     lines = all_lines(b)
     for a in range(len(lines)):
         for c in range(a + 1, len(lines)):
-            kind, _ = lines_intersection(lines[a], lines[c])
-            assert kind != "equal"
+            assert incidence(lines[a], lines[c]) != "equal"
+            assert incidence(lines[c], lines[a]) != "equal"
 
 
 def test_a_line_equals_itself_whatever_forms_cut_it_out():
@@ -142,8 +144,22 @@ def test_a_line_equals_itself_whatever_forms_cut_it_out():
         f1, f2 = (np.array(f) for f in (ln.form1, ln.form2))
         for other in (ln, ProjectiveLine(tuple(-2.5j * f1), tuple(7 * f2)),
                       ProjectiveLine(tuple(f1 + 3 * f2), tuple(f1 - 0.5j * f2)), ProjectiveLine(ln.form2, ln.form1)):
-            assert lines_intersection(ln, other) == ("equal", None), ln.label
-            assert lines_intersection(other, ln) == ("equal", None), ln.label
+            assert incidence(ln, other) == incidence(other, ln) == "equal", ln.label
+
+
+@pytest.mark.parametrize("kappa", ["1/3,1/4,1/5,1/7", "3/29,18/19,19/21,25/26", "3/20,29/27,26/27,24/25",
+                                   "29/30,10/9,21/20,1/39"])
+def test_incidence_agrees_with_the_rank_of_the_four_stacked_forms(kappa):
+    # two lines are equal, meet in a point or are disjoint as their four
+    # forms have rank 2, 3 or 4; on every ordered pair of the 27 lines, here
+    # and on the three kappa whose discriminant product is nearly zero
+    k = KappaPoint.from_tail(*(Fraction(v) for v in kappa.split(",")))
+    lines = all_lines(kappa_to_eigen(k))
+    for l1 in lines:
+        for l2 in lines:
+            s = np.linalg.svd(np.array([l1.form1, l1.form2, l2.form1, l2.form2]), compute_uv=False)
+            rank = int(np.sum(s > 1e-9 * s[0]))
+            assert incidence(l1, l2) == {2: "equal", 3: "point", 4: "disjoint"}[rank], (l1.label, l2.label)
 
 
 def test_intra_group_intersection_pattern():
@@ -152,9 +168,8 @@ def test_intra_group_intersection_pattern():
         grp = group_lines(i, b)
         for a in range(8):
             for c in range(a + 1, 8):
-                kind, _ = lines_intersection(grp[a], grp[c])
                 paired = (a // 2 == c // 2)
-                assert kind == ("point" if paired else "disjoint"), (i, a + 1, c + 1)
+                assert incidence(grp[a], grp[c]) == ("point" if paired else "disjoint"), (i, a + 1, c + 1)
 
 
 def test_each_group_meets_only_its_tritangent_line():
@@ -163,8 +178,7 @@ def test_each_group_meets_only_its_tritangent_line():
     for i in (1, 2, 3):
         for ln in group_lines(i, b):
             for j in (1, 2, 3):
-                kind, _ = lines_intersection(ln, tri[j])
-                assert kind == ("point" if j == i else "disjoint")
+                assert incidence(ln, tri[j]) == incidence(tri[j], ln) == ("point" if j == i else "disjoint")
 
 
 def test_random_secant_is_not_on_surface():
@@ -332,8 +346,8 @@ def test_the_closed_form_null_space_spans_each_line():
 def test_degenerate_line_rejected():
     with pytest.raises(ValueError):
         ProjectiveLine((1, 0, 0, 0), (2, 0, 0, 0))
-    with pytest.raises(ValueError):
-        ProjectivePoint((0, 0, 0, 0))
+    with pytest.raises(ValueError, match="zero coordinate vector"):
+        ProjectiveLine((0, 0, 0, 0), (1, 0, 0, 0))
     # a tritangent line lies in X0 = 0 and has no affine point
     with pytest.raises(ValueError, match="line lies in the plane at infinity"):
         tritangent_line(1).affine_points()

@@ -281,7 +281,7 @@ def test_coxeter_apply_power_is_repeated_steps():
 def test_affine_point_residual_and_bound():
     t = (0.0, 0.0, 0.0, -4.0)
     p = AffinePoint(2.0, 0.0, 0.0)  # 4 - 4 = 0
-    assert p.on_surface(t)
+    assert p.residual(t) <= surface_residual_bound(p.as_tuple())
     assert surface_residual_bound((10, 0, 0), 1e-9) == pytest.approx(1e-9 * 1001)
     assert surface_residual_bound((0, 10**7, 0), 1e-9) == pytest.approx(1e-9 * (1 + 1e21))
     grad = cubic_gradient((2.0, 0.0, 0.0), t)

@@ -21,13 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import LineLabel
-from .params import (
-    EigenParams,
-    discriminant,
-    discriminant_vanishes,
-    traces_from_eigen,
-    traces_to_theta,
-)
+from .params import EigenParams, _discriminant_factors, traces_from_eigen, traces_to_theta
 from .surface import _coerce_theta, sigma_apply
 
 __all__ = [
@@ -43,6 +37,8 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
+# modulus below which a discriminant factor leaves the sigma checks unrun
+_FACTOR_TOL = 1e-12
 # scaled residual within which a point lies on a line and a line on the surface
 _LINE_TOL = 1e-8
 # the column pairs (a, b), a < b, of a line's 2x2 minors
@@ -279,17 +275,22 @@ def _quadratic_roots(a, b, c):
 
 
 def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL, lines=None) -> dict:
-    """Check how sigma_i permutes the affine lines (general position only).
+    """Check how sigma_i permutes the affine lines.
 
     Verifies the four line swaps (the E/G pairs of the two other
     groups), the two-root quadratic giving the self-intersection of the
     image of the first line of group i, and the unique crossing with the
-    slot-3 line.  Raises on vanishing discriminant or any failed check.
-    lines, if given, is all_lines(b), whose affine lines the check reads
-    in place of building its ten again with line_from_params.
+    slot-3 line.  Raises ValueError when one of the discriminant's twenty
+    factors is below _FACTOR_TOL in modulus (each vanishes on one family
+    of walls, and their product can fall below it far from every wall),
+    and AssertionError on any failed check.  lines, if given, is
+    all_lines(b), whose affine lines the check reads in place of building
+    its ten again with line_from_params.
     """
-    if discriminant_vanishes(b):
-        raise ValueError(f"lines not in general position (|discriminant| = {abs(discriminant(b)):.3g})")
+    smallest = min(map(abs, _discriminant_factors(b)))
+    if smallest < _FACTOR_TOL:
+        raise ValueError(f"a discriminant factor is below {_FACTOR_TOL:g} in modulus "
+                         f"(smallest {smallest:.3g})")
     built = {ln.params: ln for ln in lines or () if ln.params}
 
     def line(g, slot):

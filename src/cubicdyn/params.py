@@ -33,7 +33,6 @@ __all__ = [
     "traces_to_theta",
     "rh_params",
     "discriminant",
-    "discriminant_vanishes",
     "wall_membership",
 ]
 
@@ -228,14 +227,6 @@ def discriminant(b: EigenParams):
     if not _is_finite(d):
         raise ValueError("the discriminant overflows a float")
     return d
-
-
-def discriminant_vanishes(b: EigenParams) -> bool:
-    """Whether one of the discriminant's factors is below 1e-12 in modulus.
-
-    Each vanishes on one family of walls; their product can fall below
-    1e-12 far from every wall."""
-    return any(abs(factor) < 1e-12 for factor in _discriminant_factors(b))
 
 
 def _nearest_int(x) -> int:

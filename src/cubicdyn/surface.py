@@ -37,7 +37,6 @@ __all__ = [
     "cubic_eval",
     "cubic_gradient",
     "sigma_apply",
-    "g_apply",
     "word_apply",
     "coxeter_apply",
     "coxeter_jacobian",
@@ -221,22 +220,6 @@ def _sigma_row(i: int, y):
     return (j, y[k]), (k, y[j])
 
 
-def g_apply(i: int, sign: int, x, theta):
-    """Braid map g_i^{sign} acting on (x, theta).
-
-    g_i applies sigma_j (j = i mod 3 + 1), then swaps slots i and j of x
-    and of theta: x -> (theta_j - x_j - x_k x_i, x_i, x_k) in the slots
-    (i, j, k) of the cyclic triple starting at i.  sign = -1 applies the
-    exact inverse, the two steps in the reverse order.  Returns (x', theta')
-    as tuples.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError("braid index must be 1, 2 or 3")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _g(i, sign, x, _coerce_theta(theta))
-
-
 # g_i's swap of slots i and j = i mod 3 + 1 (0-based below), on x and on theta
 _G_SWAP = {
     i: (itemgetter(*p), itemgetter(*p, 3))
@@ -245,8 +228,16 @@ _G_SWAP = {
 
 
 def _g(i: int, sign: int, x, t):
-    """g_apply without its checks, as _sigma is sigma_apply's: i is 1, 2 or
-    3, sign is 1 or -1 and t is theta's four entries."""
+    """Braid map g_i^{sign} acting on (x, theta), word_apply's step for a g
+    letter: i is 1, 2 or 3, sign is 1 or -1 (GeneratorLetter checks both)
+    and t is theta's four entries.
+
+    g_i applies sigma_j (j = i mod 3 + 1), then swaps slots i and j of x
+    and of theta: x -> (theta_j - x_j - x_k x_i, x_i, x_k) in the slots
+    (i, j, k) of the cyclic triple starting at i.  sign = -1 applies the
+    exact inverse, the two steps in the reverse order.  Returns (x', t')
+    as tuples.
+    """
     swap_x, swap_t = _G_SWAP[i]
     j = i % 3 + 1
     if sign == 1:

@@ -510,6 +510,16 @@ def test_params_lines_and_solve_agree_on_the_wall(capsys, kappa, general):
         assert capsys.readouterr().err == "error: nongeneric parameters: kappa lies on a wall\n"
 
 
+@pytest.mark.parametrize("kappa, smallest", [("0.0000001,0.25,0.2,0.1", "3.95e-13"),
+                                             ("0.00000001,0.25,0.2,0.1", "3.95e-15")])
+def test_lines_verify_near_an_integer_kappa_names_the_smallest_factor(kappa, smallest):
+    # off every wall, but (b1 - 1/b1)^2 is below the sigma checks' 1e-12
+    code, out = run(["lines", "--kappa", kappa, "--verify", "--output", "json"])
+    data = json.loads(out)
+    assert code == 1 and data["general_position"] is True and "sigma_checks" not in data
+    assert data["sigma_checks_error"] == f"a discriminant factor is below 1e-12 in modulus (smallest {smallest})"
+
+
 def test_usage_error_exit_code():
     code, _ = run(["count"])  # missing required --N
     assert code == 2
@@ -569,6 +579,25 @@ def test_every_public_function_is_a_plain_function():
             obj = getattr(mod, name)
             if callable(obj) and not isinstance(obj, type):
                 assert isinstance(obj, types.FunctionType), f"{mod.__name__}.{name}"
+
+
+def test_the_package_loads_no_module_and_the_benchmark_inputs_load_four():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cubicdyn
+
+    src = str(Path(cubicdyn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('cubicdyn.')))"
+    code = f"import sys; import cubicdyn; {loaded}; from cubicdyn import counting, params; {loaded}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    # the package exports nothing; building the benchmark's inputs loads
+    # counting and what it imports, never lines or cli
+    assert out.splitlines() == [
+        "[]", "['cubicdyn.counting', 'cubicdyn.lattice', 'cubicdyn.params', 'cubicdyn.surface']"]
 
 
 def test_verify_beyond_float_range():

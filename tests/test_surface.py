@@ -12,7 +12,6 @@ from cubicdyn.surface import (
     coxeter_jacobian,
     cubic_eval,
     cubic_gradient,
-    g_apply,
     parse_word,
     sigma_apply,
     surface_residual_bound,
@@ -71,8 +70,9 @@ def test_g_inverse_roundtrip():
     for _ in range(50):
         x, t = _random_state(rng)
         for i in (1, 2, 3):
-            y, ty = g_apply(i, 1, x, t)
-            z, tz = g_apply(i, -1, y, ty)
+            y = word_apply(parse_word(f"g{i}"), x, t)
+            back = word_apply(parse_word(f"g{i}^-1"), y.point.as_tuple(), y.theta)
+            z, tz = back.point.as_tuple(), back.theta.as_tuple()
             assert max(abs(a - b) for a, b in zip(x, z)) < 1e-12
             assert max(abs(a - b) for a, b in zip(t, tz)) < 1e-12
 
@@ -82,8 +82,8 @@ def test_g_preserves_the_cubic_up_to_theta_swap():
     for _ in range(20):
         x, t = _rational_state(rng)
         for i in (1, 2, 3):
-            y, ty = g_apply(i, 1, x, t)
-            assert cubic_eval(y, ty) == cubic_eval(x, t)
+            y = word_apply(parse_word(f"g{i}"), x, t)
+            assert cubic_eval(y.point.as_tuple(), y.theta) == cubic_eval(x, t)
 
 
 def test_braid_relation():
@@ -337,13 +337,6 @@ def test_sigma_apply_checks_its_index_and_theta():
         sigma_apply(4, (1, 2, 3), (1, 2, 3, 4))
     with pytest.raises(ValueError, match="four entries"):
         sigma_apply(1, (1, 2, 3), (1, 2, 3))
-
-
-def test_g_apply_checks_its_index_and_sign():
-    with pytest.raises(ValueError, match="braid index must be 1, 2 or 3"):
-        g_apply(4, 1, (1, 2, 3), (1, 2, 3, 4))
-    with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
-        g_apply(1, 2, (1, 2, 3), (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])

@@ -28,7 +28,6 @@ __all__ = [
     "ProjectiveLine",
     "tritangent_line",
     "line_from_params",
-    "group_lines",
     "all_lines",
     "lines_on_surface",
     "line_on_surface",
@@ -230,16 +229,11 @@ def line_from_params(i: int, slot: int, b: EigenParams) -> ProjectiveLine:
     return ProjectiveLine(tuple(f1), tuple(f2), label=_slot_label(i, slot), params=(i, slot))
 
 
-def group_lines(i: int, b: EigenParams) -> list:
-    """The eight affine lines of group i."""
-    return [line_from_params(i, slot, b) for slot in range(1, 9)]
-
-
 def all_lines(b: EigenParams) -> list:
-    """All 27 lines: three tritangent plus three groups of eight."""
+    """All 27 lines: three tritangent plus three groups of eight, group i's
+    slots 1..8 at positions 3 + 8 (i - 1) onward."""
     lines = [tritangent_line(i) for i in (1, 2, 3)]
-    for i in (1, 2, 3):
-        lines.extend(group_lines(i, b))
+    lines.extend(line_from_params(i, slot, b) for i in (1, 2, 3) for slot in range(1, 9))
     return lines
 
 
@@ -296,7 +290,8 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
     def line(g, slot):
         return built.get((g, slot)) or line_from_params(g, slot, b)
 
-    theta = traces_to_theta(traces_from_eigen(b)).as_tuple()
+    traces = traces_from_eigen(b)
+    theta = traces_to_theta(traces).as_tuple()
     j = i % 3 + 1
     k = j % 3 + 1
     report = {"sigma": i, "swaps": [], "quadratic_roots": [], "cross_point": None}
@@ -320,7 +315,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
 
     bs = b.as_tuple()
     bi, bj, bk, b4 = bs[i - 1], bs[j - 1], bs[k - 1], bs[3]
-    a = traces_from_eigen(b).as_tuple()
+    a = traces.as_tuple()
     ai, aj, ak = a[i - 1], a[j - 1], a[k - 1]
     a4 = a[3]
     p = bi * b4

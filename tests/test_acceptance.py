@@ -28,7 +28,6 @@ from cubicdyn.lattice import (
 )
 from cubicdyn.lines import (
     all_lines,
-    group_lines,
     line_on_surface,
     verify_sigma_line_action,
 )
@@ -147,7 +146,7 @@ def test_criterion_4_lines_suite():
                 ok, r = line_on_surface(ln, theta)
                 assert ok, f"{ln.label}: residual {r}"
             for i in (1, 2, 3):
-                grp = group_lines(i, b)
+                grp = lines[8 * i - 5:8 * i + 3]  # group i's slots 1..8
                 for a in range(8):
                     for c in range(a + 1, 8):
                         assert incidence(grp[a], grp[c]) == ("point" if a // 2 == c // 2 else "disjoint")

@@ -490,13 +490,16 @@ def test_lines_verify_on_a_wall_reports_the_failed_checks():
 @pytest.mark.parametrize("kappa, general", [
     ("0.25,0.25,0.25,0.2500000005", False),  # 5e-10 from the wall k1 + k2 + k3 + k4 = 1
     ("1,1/4,1/5,1/7", False),
+    # a whole float kappa_1 of size 1e4, whose kappa_0 meets the constraint within rounding
+    ("1e4,0.25,0.2,0.1", False),
     ("1/3,1/4,1/5,1/7", True), ("0.1+4.2i,0.35+4.2i,0.64+4.2i,0.87+4.2i", True),
     ("47/38,25/14,37/24,8/17", True), ("3/29,18/19,19/21,25/26", True), ("3/20,29/27,26/27,24/25", True),
     ("29/30,10/9,21/20,1/39", True), ("45/23,1/9,3/10,15/16", True),
 ])
-def test_params_lines_and_solve_agree_on_the_wall(capsys, kappa, general):
+def test_params_lines_and_solve_agree_on_the_wall(capsys, caplog, kappa, general):
     # params prints the wall test, lines reports it as general_position and
-    # refuses to verify on a wall, and solve refuses a kappa on a wall
+    # refuses to verify on a wall, though it lists the lines there in
+    # silence, and solve refuses a kappa on a wall
     code, out = run(["params", "--kappa", kappa, "--output", "json"])
     assert code == 0 and json.loads(out)["wall"]["on_wall"] is not general
     code, out = run(["lines", "--kappa", kappa, "--verify", "--output", "json"])
@@ -505,6 +508,10 @@ def test_params_lines_and_solve_agree_on_the_wall(capsys, kappa, general):
     if not general:
         assert data["sigma_checks_error"] == "lines not in general position (kappa lies on a wall)"
         assert "sigma_checks" not in data
+        code, out = run(["lines", "--kappa", kappa, "--output", "json"])
+        assert code == 0 and json.loads(out)["general_position"] is False
+        # no warning either, which the installed script's logging would print to stderr
+        assert capsys.readouterr().err == "" and not caplog.records
         code, _ = run(["solve", "--kappa", kappa, "--N", "2", "--seeds", "300"])
         assert code == 1
         assert capsys.readouterr().err == "error: nongeneric parameters: kappa lies on a wall\n"
@@ -614,24 +621,31 @@ def test_verify_beyond_float_range():
 def test_exact_counts_past_the_int_to_str_digit_limit():
     # the counts outgrow the 4300 digits Python converts an int to str by
     # default, in every format; the limit is lifted while the CLI runs, and
-    # restored
+    # restored.  The counts at N = 7000 and 3500 have 4389 digits
     from cubicdyn import counting
 
+    zeta = ("zeta", "--order", "3500")
+    with _digits_unlimited():
+        counts = {("count", "--N", "7000"): _count_text("count", 7000),
+                  ("count", "--N", "7000", "--space", "projective"): _count_text("count", 7000, "projective"),
+                  ("count-kappa", "--N", "3500"): _count_text("count-kappa", 3500)}
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     outs = {}
-    for argv in (["zeta", "--order", "3500"], ["count", "--N", "7000"],
-                 ["count-kappa", "--N", "3500"], ["verify", "--nmax", "3500"]):
+    for argv in (zeta, *counts, ("verify", "--nmax", "3500")):
         for fmt in ("json", "csv", "pretty"):
-            code, outs[argv[0], fmt] = run([*argv, "--output", fmt])
+            code, outs[argv, fmt] = run([*argv, "--output", fmt])
             assert code == 0, (argv, fmt)
             if limit is not None:
                 assert sys.get_int_max_str_digits() == limit
+    for argv, want in counts.items():
+        for fmt, text in want.items():
+            assert outs[argv, fmt] == text, (argv, fmt)
     # reading the coefficient back needs the limit lifted too
     with _digits_unlimited():
-        last = json.loads(outs["zeta", "json"])["coefficients"][-1]
+        last = json.loads(outs[zeta, "json"])["coefficients"][-1]
         digits = str(last)
     assert last == counting.zeta_coefficients(3500)[-1]
-    assert outs["zeta", "csv"].endswith(f" {digits}\r\n") and outs["zeta", "pretty"].endswith(f" {digits}\n")
+    assert outs[zeta, "csv"].endswith(f" {digits}\r\n") and outs[zeta, "pretty"].endswith(f" {digits}\n")
 
 
 def test_unexpected_error_exit_code(monkeypatch, capsys):
@@ -700,6 +714,24 @@ def _digits_unlimited():
             sys.set_int_max_str_digits(limit)
 
 
+def _count_text(command, N, space="affine"):
+    """What count or count-kappa prints at N in each format: the library's
+    int count, rendered by json.dumps, csv.writer and an f-string.  Needs
+    the digit limit lifted past 4300 digits."""
+    import csv
+
+    from cubicdyn import counting
+
+    if command == "count":
+        head, count = [["N", N], ["space", space]], counting.per_count_closed(N, space)
+    else:
+        head, count = [["N", N]], counting.per_kappa_closed(N)
+    rows = io.StringIO()
+    csv.writer(rows).writerows([*head, ["count", str(count)]])
+    return {"json": json.dumps({**dict(head), "count": count}) + "\n", "csv": rows.getvalue(),
+            "pretty": "".join(f"{k}: {v}\n" for k, v in [*head, ["count", count]])}
+
+
 @pytest.fixture
 def no_digit_limit():
     with _digits_unlimited():
@@ -739,20 +771,8 @@ def test_large_exact_counts_print_as_json_dumps_renders_them(no_digit_limit):
 def test_count_prints_the_digits_of_the_integer_count(no_digit_limit, argv):
     # the CLI computes the counts in Decimal; the bytes must be those of the
     # library's ints rendered as before
-    import csv
-
-    from cubicdyn import counting
-
     for N in (*range(1, 301), 5000):
-        if argv[0] == "count":
-            head, count = [["N", N], ["space", argv[2]]], counting.per_count_closed(N, argv[2])
-        else:
-            head, count = [["N", N]], counting.per_kappa_closed(N)
-        rows = io.StringIO()
-        csv.writer(rows).writerows([*head, ["count", str(count)]])
-        want = {"json": json.dumps({**dict(head), "count": count}) + "\n", "csv": rows.getvalue(),
-                "pretty": "".join(f"{k}: {v}\n" for k, v in [*head, ["count", count]])}
-        for fmt, text in want.items():
+        for fmt, text in _count_text(argv[0], N, *argv[2:]).items():
             assert run([*argv, "--N", str(N), "--output", fmt]) == (0, text), (N, fmt)
 
 

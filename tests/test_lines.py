@@ -15,7 +15,6 @@ from cubicdyn.lines import (
     ProjectiveLine,
     all_lines,
     cubic_eval_hom,
-    group_lines,
     line_from_params,
     line_on_surface,
     lines_on_surface,
@@ -165,7 +164,7 @@ def test_incidence_agrees_with_the_rank_of_the_four_stacked_forms(kappa):
 def test_intra_group_intersection_pattern():
     b, _ = _setup(4)
     for i in (1, 2, 3):
-        grp = group_lines(i, b)
+        grp = [line_from_params(i, slot, b) for slot in range(1, 9)]
         for a in range(8):
             for c in range(a + 1, 8):
                 paired = (a // 2 == c // 2)
@@ -176,7 +175,7 @@ def test_each_group_meets_only_its_tritangent_line():
     b, _ = _setup(5)
     tri = {i: tritangent_line(i) for i in (1, 2, 3)}
     for i in (1, 2, 3):
-        for ln in group_lines(i, b):
+        for ln in (line_from_params(i, slot, b) for slot in range(1, 9)):
             for j in (1, 2, 3):
                 assert incidence(ln, tri[j]) == incidence(tri[j], ln) == ("point" if j == i else "disjoint")
 

@@ -1,8 +1,8 @@
 """Periodic-point counts: closed forms, zeta function, and a solver.
 
 The exact side works with big integers through linear recurrences:
-s_N = (2+sqrt5)^N + (2-sqrt5)^N obeys s_{N+2} = 4 s_{N+1} + s_N and
-C_N = (9+4 sqrt5)^N + (9-4 sqrt5)^N obeys C_{N+2} = 18 C_{N+1} - C_N.
+s_N = (2+sqrt5)^N + (2-sqrt5)^N obeys s_{N+2} = 4 s_{N+1} + s_N, and the counts
+double it; C_N = s_2N obeys C_{N+2} = 18 C_{N+1} - C_N, for verify's check and zeta.
 The numeric side is a multistart Newton solver for c^N(x) = x on the
 surface, which reproduces the closed-form counts at small N.
 """
@@ -59,14 +59,14 @@ def _recurrence(a0: int, a1: int, p: int, q: int):
         a0, a1 = a1, (p * a1 + a0 if q == 1 else p * a1 - a0)
 
 
-def _doubling(N: int, p: int, q: int, one):
-    """a_N of _recurrence(2, p, p, q), q = 1 or -1, in about 2 log2(N) products
-    and in the number type of one (see _zeta_series):
-    a_2n = a_n^2 - 2e and a_2n+1 = a_n a_n+1 - p e, where e = (-q)^n."""
-    a, b, e = 2 * one, p * one, 1  # a_n, a_n+1 and e at n = 0
+def _doubling(N: int, one):
+    """s_N of _recurrence(2, 4, 4, 1) in about 2 log2(N) products and in the
+    number type of one (see _zeta_series):
+    s_2n = s_n^2 - 2e and s_2n+1 = s_n s_n+1 - 4e, where e = (-1)^n."""
+    a, b, e = 2 * one, 4 * one, 1  # s_n, s_n+1 and e at n = 0
     for bit in bin(N)[2:]:  # n -> 2n + bit
-        odd = a * b - p * e  # a_2n+1
-        a, b, e = (odd, b * b + 2 * q * e, -q) if bit == "1" else (a * a - 2 * e, odd, 1)
+        odd = a * b - 4 * e  # s_2n+1
+        a, b, e = (odd, b * b + 2 * e, -1) if bit == "1" else (a * a - 2 * e, odd, 1)
     return a
 
 
@@ -100,20 +100,18 @@ def _per_count(N: int, space: str, one):
         raise ValueError("N must be >= 1")
     if space not in ("affine", "projective"):
         raise ValueError(f"unknown space {space!r}")
-    val = _doubling(N, 4, 1, one) + 4 * (-1) ** N
+    val = _doubling(N, one) + 4 * (-1) ** N
     return val + 1 if space == "projective" else val
 
 
 def per_kappa_closed(N: int) -> int:
-    """Number of N-periodic solutions along the full loop: C_N + 4, by doubling."""
+    """Number of N-periodic solutions along the full loop, which acts as c^2: Per_2N."""
     return _per_kappa(N, 1)
 
 
 def _per_kappa(N: int, one):
     """per_kappa_closed in the number type of one (see _zeta_series)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _doubling(N, 18, -1, one) + 4
+    return _per_count(2 * N, "affine", one)
 
 
 def _zeta_series(order: int, one):
@@ -140,8 +138,8 @@ def zeta_coefficients(order: int) -> list:
 def _zeta_via_exp(order: int) -> list:
     """Independent zeta coefficients from exp(sum Per_N z^N / N).
 
-    Uses the logarithmic-derivative recurrence n z_n = sum_k Per_k z_{n-k}
-    in exact rational arithmetic.
+    Per_N = per_kappa_closed(N) = s_2N + 4, apart from _zeta_series' C_N recurrence;
+    n z_n = sum_k Per_k z_{n-k} (the logarithmic derivative), in exact rationals.
     """
     per = [per_kappa_closed(n) for n in range(1, order + 1)]
     z = [Fraction(1)]
@@ -159,12 +157,12 @@ def verify_counts(n_max: int) -> dict:
     """Cross-check the exact counts for N = 1..n_max.
 
     For each N, the Lefschetz number from the trace of (c*)^N must equal
-    the closed form, and Per_kappa(N) = C_N + 4 must equal Per_{2N}; the
-    zeta coefficients up to order min(n_max, 12) must agree with
-    exp(sum Per_N z^N / N).  The traces t_N of (c*)^N, independent of the
-    s_N and C_N recurrences, are big-integer matrix products for N <= RANK
-    and then, by Cayley-Hamilton with c*'s characteristic polynomial
-    x^7 + p_6 x^6 + ... + p_0, t_N = -(p_6 t_{N-1} + ... + p_0 t_{N-7}).
+    the closed form, and C_N + 4 from C_N's own recurrence must equal
+    Per_kappa(N) = Per_2N = s_2N + 4; zeta up to order min(n_max, 12)
+    must agree with exp(sum Per_N z^N / N).  The traces t_N of (c*)^N,
+    independent of the s_N and C_N recurrences, are big-integer matrix
+    products for N <= RANK and then, by Cayley-Hamilton with c*'s
+    charpoly x^7 + p_6 x^6 + ... + p_0, t_N = -(p_6 t_{N-1} + ... + p_0 t_{N-7}).
     Raises AssertionError naming the first failing N; returns a summary
     dict when everything agrees.
     """

@@ -714,10 +714,21 @@ def _digits_unlimited():
             sys.set_int_max_str_digits(limit)
 
 
+def _kappa_count(N):
+    """Per_kappa(N) = C_N + 4 from C_N's own recurrence, not the CLI's path
+    through Per_2N."""
+    from itertools import islice
+
+    from cubicdyn import counting
+
+    return next(islice(counting._recurrence(2, 18, 18, -1), N, None)) + 4
+
+
 def _count_text(command, N, space="affine"):
-    """What count or count-kappa prints at N in each format: the library's
-    int count, rendered by json.dumps, csv.writer and an f-string.  Needs
-    the digit limit lifted past 4300 digits."""
+    """What count or count-kappa prints at N in each format: the int count,
+    from the library or (count-kappa) from C_N's recurrence, rendered by
+    json.dumps, csv.writer and an f-string.  Needs the digit limit lifted
+    past 4300 digits."""
     import csv
 
     from cubicdyn import counting
@@ -725,7 +736,7 @@ def _count_text(command, N, space="affine"):
     if command == "count":
         head, count = [["N", N], ["space", space]], counting.per_count_closed(N, space)
     else:
-        head, count = [["N", N]], counting.per_kappa_closed(N)
+        head, count = [["N", N]], _kappa_count(N)
     rows = io.StringIO()
     csv.writer(rows).writerows([*head, ["count", str(count)]])
     return {"json": json.dumps({**dict(head), "count": count}) + "\n", "csv": rows.getvalue(),
@@ -762,7 +773,7 @@ def test_large_exact_counts_print_as_json_dumps_renders_them(no_digit_limit):
     for argv, data in ((["verify", "--nmax", "500"], counting.verify_counts(500)),
                        (["count", "--N", "7000"],
                         {"N": 7000, "space": "affine", "count": counting.per_count_closed(7000)}),
-                       (["count-kappa", "--N", "3500"], {"N": 3500, "count": counting.per_kappa_closed(3500)})):
+                       (["count-kappa", "--N", "3500"], {"N": 3500, "count": _kappa_count(3500)})):
         assert run([*argv, "--output", "json"]) == (0, json.dumps(data) + "\n"), argv
 
 
@@ -770,7 +781,7 @@ def test_large_exact_counts_print_as_json_dumps_renders_them(no_digit_limit):
                                   ["count-kappa"]])
 def test_count_prints_the_digits_of_the_integer_count(no_digit_limit, argv):
     # the CLI computes the counts in Decimal; the bytes must be those of the
-    # library's ints rendered as before
+    # ints rendered as before, count-kappa's from the paper's C_N + 4
     for N in (*range(1, 301), 5000):
         for fmt, text in _count_text(argv[0], N, *argv[2:]).items():
             assert run([*argv, "--N", str(N), "--output", fmt]) == (0, text), (N, fmt)
@@ -907,25 +918,51 @@ def test_zeta_at_order_3500_holds_one_coefficient_and_one_write_piece(fmt):
     assert peak < 2 * cli._WRITE_PIECE + 8 * digits, peak
 
 
-def test_the_console_script_exits_1_in_silence_when_its_reader_leaves():
+def _script_env():
+    """The environment of a child `python -m cubicdyn.cli`: this package first
+    on its path, and PYTHONUNBUFFERED unset, so that its stdout is buffered as
+    a shell's is and a broken pipe can first show at main's flush."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import cubicdyn
 
+    src = str(Path(cubicdyn.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_the_console_script_exits_1_in_silence_when_its_reader_leaves():
+    import subprocess
+    import sys
+
     # like `cubicdyn zeta --order 3000 --output json | head -c 100`: the
     # reader leaves long before the output is written
-    src = str(Path(cubicdyn.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "cubicdyn.cli", "zeta", "--order", "3000", "--output", "json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_script_env())
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1 and err == b""
+
+
+def test_the_console_script_exits_1_in_silence_when_its_reader_left_before_it_wrote():
+    import os
+    import subprocess
+    import sys
+
+    # like `cubicdyn params ... | true` once true has exited: the short
+    # output fits stdout's buffer, so dispatch writes it without error and
+    # the broken pipe shows at main's flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cubicdyn.cli", "params", "--kappa", "1/3,1/4,1/5,1/7"],
+                              stdout=write, stderr=subprocess.PIPE, env=_script_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1 and proc.stderr == b""
 
 
 def test_a_singular_theta_exits_1_with_one_error_line(capsys):

@@ -312,13 +312,15 @@ def _cmd_params(args):
     a = params.kappa_to_traces(kappa)
     b = params.kappa_to_eigen(kappa)
     theta = params.rh_params(kappa)
-    wall = params.wall_membership(kappa)
+    witnesses = params.wall_membership(kappa)
     return {
         "kappa": [str(v) for v in kappa.as_tuple()],
         "a": [_fmt_complex(v) for v in a.as_tuple()],
         "b": [_fmt_complex(v) for v in b.as_tuple()],
         "theta": [_fmt_complex(v) for v in theta.as_tuple()],
-        "wall": wall.to_json(),
+        "wall": {"on_wall": bool(witnesses),
+                 "witnesses": [{"kind": k, "which": w, "m": m, "residual": r}
+                               for k, w, m, r in witnesses]},
     }, 0
 
 
@@ -364,7 +366,7 @@ def _cmd_lines(args):
     rows = [{**ln.to_json(), "on_surface": ok, "residual": resid}
             for ln, ok, resid in zip(built, flags, residuals)]
     ok_all = all(flags)
-    general = not params.wall_membership(kappa).on_wall
+    general = not params.wall_membership(kappa)
     data = {"count": len(rows), "all_on_surface": ok_all, "general_position": general, "lines": rows}
     code = 0 if ok_all else 1
     if args.verify:
@@ -402,7 +404,7 @@ def _cmd_orbit(args):
         )
         if status == "escaped":
             break
-    return {"word": str(word), "steps": steps, "status": status}, 0
+    return {"word": " ".join(map(str, word)), "steps": steps, "status": status}, 0
 
 
 def _cmd_count(args):

@@ -207,7 +207,7 @@ def random_offwall_kappa(rng) -> KappaPoint:
             p = int(rng.integers(1, 2 * q))
             tail.append(Fraction(p, q))
         kappa = KappaPoint.from_tail(*tail)
-        if not wall_membership(kappa).on_wall:
+        if not wall_membership(kappa):
             return kappa
     raise RuntimeError("failed to sample an off-wall kappa")
 
@@ -268,8 +268,8 @@ class CountReport:
         return len(self.points)
 
     def to_json(self) -> dict:
-        # each point's "x" as AffinePoint.to_json writes it, built for all
-        # the points at once from one complex array
+        # each point's "x" as the [real, imag] pairs of its coordinates,
+        # built for all the points at once from one complex array
         pts = np.asarray(self.points, dtype=complex).reshape(-1, 3)
         xs = np.stack([pts.real, pts.imag], axis=-1).tolist()
         return {
@@ -749,7 +749,18 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
     return CountReport(N, closed, roots, residuals.tolist(),
                        multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
-                       orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
+                       orbits=_orbit_lists(orbit_of))
+
+
+def _orbit_lists(orbit_of: np.ndarray) -> list:
+    """The root indices under each orbit label, in root order, the labels in
+    order of first appearance, from one stable sort: the lists a scan per
+    label, [np.flatnonzero(orbit_of == o) for o in dict.fromkeys(orbit_of)], gives."""
+    order = np.argsort(orbit_of, kind="stable").tolist()
+    _, first, counts = np.unique(orbit_of, return_index=True, return_counts=True)
+    ends = np.cumsum(counts).tolist()
+    runs = [order[end - n:end] for end, n in zip(ends, counts.tolist())]
+    return [runs[j] for j in np.argsort(first).tolist()]
 
 
 def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) -> np.ndarray:
@@ -832,6 +843,6 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
 def solve_for_kappa(kappa: KappaPoint, N: int, cfg: SolverConfig = SolverConfig()) -> CountReport:
     """Solve on S(rh(kappa)) (see solve_periodic) if kappa is off every
     wall; the surface is singular exactly there, so that test alone decides."""
-    if wall_membership(kappa).on_wall:
+    if wall_membership(kappa):
         raise ValueError("nongeneric parameters: kappa lies on a wall")
     return solve_periodic(rh_params(kappa), N, cfg)

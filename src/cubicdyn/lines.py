@@ -59,9 +59,13 @@ class ProjectiveLine:
     """A line in P^3 cut out by two independent linear forms on (X0..X3).
 
     The forms are normalized so that each one's largest-modulus entry has
-    modulus 1.  Their six 2x2 minors give both the rank check and the two
-    spanning points (see spanning_points), kept with the line for
-    lines_on_surface and affine_points.
+    modulus 1.  Their six 2x2 minors give both the rank check and _span,
+    two points spanning the line, kept for lines_on_surface and
+    affine_points.  _span is the null space of the forms in closed form:
+    pivot on their 2x2 minor of largest modulus, set each other coordinate
+    to 1 in turn (the last 0), solve for the pivot pair by Cramer's rule.
+    No minor exceeds the pivot, so each point's largest modulus is 1 (up to
+    rounding), the scale of affine_points' X0 test.
     """
 
     form1: tuple
@@ -88,15 +92,6 @@ class ProjectiveLine:
             X[e], X[a], X[b] = 1, minor[b, e] / det, minor[e, a] / det
             points.append(tuple(X))
         object.__setattr__(self, "_span", tuple(points))
-
-    def spanning_points(self) -> tuple:
-        """Two points spanning the line, the null space of the forms in closed
-        form, found once when the line is made: pivot on their 2x2 minor of
-        largest modulus, set each other coordinate to 1 in turn (the last 0),
-        solve for the pivot pair by Cramer's rule.  No minor exceeds the pivot,
-        so each point's largest modulus is 1 (up to rounding), the scale of
-        affine_points' X0 test."""
-        return self._span
 
     def affine_points(self) -> list:
         """Three affine points (X0 = 1) of the line as (x1, x2, x3) tuples."""

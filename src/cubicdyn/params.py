@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
@@ -26,7 +26,6 @@ __all__ = [
     "MonodromyTraces",
     "EigenParams",
     "ThetaPoint",
-    "WallReport",
     "kappa_to_traces",
     "kappa_to_eigen",
     "traces_from_eigen",
@@ -139,32 +138,6 @@ class ThetaPoint(_Point):
     theta4: complex
 
 
-@dataclass
-class WallReport:
-    """Result of the wall-membership test: the wall relations that kappa
-    satisfies, as witnesses, and on_wall, true when there is any.
-
-    Each witness is (kind, which, m, residual) with kind one of
-    "kappa_i_integer" (which = index i) or "signed_sum_odd"
-    (which = sign pattern string such as "+--+").
-    """
-
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def on_wall(self) -> bool:
-        return bool(self.witnesses)
-
-    def to_json(self) -> dict:
-        return {
-            "on_wall": self.on_wall,
-            "witnesses": [
-                {"kind": k, "which": w, "m": m, "residual": float(r)}
-                for (k, w, m, r) in self.witnesses
-            ],
-        }
-
-
 def _half_turns(kappa: KappaPoint) -> tuple:
     """pi k_i (i = 1..4), a rational k_i reduced mod 2 exactly first: cos(pi k)
     and exp(i pi k) have period 2, and a remainder converts to a float."""
@@ -234,14 +207,17 @@ def _nearest_int(x) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def wall_membership(kappa: KappaPoint) -> WallReport:
-    """Test whether kappa lies on a reflection wall.
+def wall_membership(kappa: KappaPoint) -> list:
+    """The reflection walls kappa lies on, as a list of witnesses: empty
+    exactly when kappa is off every wall.
 
     The walls are k_i = m (i = 1..4, m integer) and
     k1 +- k2 +- k3 +- k4 = 2m + 1.  Each relation is tested at its nearest
     m.  For a rational kappa it counts when its residual is exactly 0, in
     Fraction arithmetic; for any other kappa, when its residual is at most
-    _WALL_TOL.
+    _WALL_TOL.  Each witness is (kind, which, m, residual), kind one of
+    "kappa_i_integer" (which = the index i) and "signed_sum_odd" (which =
+    the sign pattern, such as "+--+"), and residual a float.
     """
     exact = kappa.is_rational()
     vals = [Fraction(v) if exact else complex(v) for v in kappa.tail()]
@@ -257,4 +233,4 @@ def wall_membership(kappa: KappaPoint) -> WallReport:
         r = abs(v - ((1 + odd) * m + odd))
         if (r == 0 if exact else r <= _WALL_TOL):
             witnesses.append((kind, which, m, float(r)))
-    return WallReport(witnesses)
+    return witnesses

@@ -32,7 +32,6 @@ from .params import ThetaPoint
 __all__ = [
     "AffinePoint",
     "GeneratorLetter",
-    "GroupWord",
     "MapResult",
     "cubic_eval",
     "cubic_gradient",
@@ -105,9 +104,6 @@ class AffinePoint:
     def residual(self, theta) -> float:
         return abs(complex(cubic_eval(self.as_tuple(), theta)))
 
-    def to_json(self) -> dict:
-        return {"x": [[complex(v).real, complex(v).imag] for v in self.as_tuple()]}
-
 
 @dataclass(frozen=True)
 class GeneratorLetter:
@@ -133,19 +129,6 @@ class GeneratorLetter:
         return f"g{self.index}" + ("" if self.power == 1 else "^-1")
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    """A composition of generator letters, rightmost letter applied first."""
-
-    letters: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-
-    def __str__(self):
-        return " ".join(str(l) for l in self.letters)
-
-
 @dataclass
 class MapResult:
     point: AffinePoint
@@ -156,8 +139,9 @@ class MapResult:
 _WORD_TOKEN = re.compile(r"^(s|g)([123])(?:\^(-?\d+))?$")
 
 
-def parse_word(text: str) -> GroupWord:
-    """Parse a word like "s1 s2 s3" or "g1^2 g2^-2 g1^-2 g2^2".
+def parse_word(text: str) -> tuple:
+    """Parse a word like "s1 s2 s3" or "g1^2 g2^-2 g1^-2 g2^2" into the
+    tuple of its GeneratorLetters, a power written out as that many letters.
 
     The string reads left to right in composition order: the leftmost
     generator is applied last.
@@ -173,7 +157,7 @@ def parse_word(text: str) -> GroupWord:
         sign = 1 if power >= 0 else -1
         for _ in range(abs(power)):
             letters.append(GeneratorLetter(kind, index, sign if kind == "g" else 1))
-    return GroupWord(tuple(letters))
+    return tuple(letters)
 
 
 def cubic_eval(x, theta):
@@ -246,8 +230,9 @@ def _g(i: int, sign: int, x, t):
     return _sigma(j, swap_x(x), t), t
 
 
-def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> MapResult:
-    """Apply a group word (rightmost letter first), tracking theta swaps.
+def word_apply(word: tuple, x, theta, escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> MapResult:
+    """Apply a word, a sequence of GeneratorLetters as parse_word returns,
+    rightmost letter first, tracking theta swaps.
 
     status is "escaped" as soon as an intermediate coordinate exceeds
     escape_radius in modulus; the partial state reached is returned.  The
@@ -256,7 +241,7 @@ def word_apply(word: GroupWord, x, theta, escape_radius: float = DEFAULT_ESCAPE_
     """
     t = _coerce_theta(theta)
     y = tuple(x)
-    for letter in reversed(word.letters):
+    for letter in reversed(word):
         if letter.kind == "sigma":
             y = _sigma(letter.index, y, t)
         else:

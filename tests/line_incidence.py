@@ -17,7 +17,7 @@ def incidence(l1, l2) -> str:
     the lines are disjoint.  Both lines' forms and points have largest
     modulus 1, so the entries are of modulus at most 4.
     """
-    (a, b), (c, d) = ([sum(f * x for f, x in zip(form, p)) for p in l2.spanning_points()]
+    (a, b), (c, d) = ([sum(f * x for f, x in zip(form, p)) for p in l2._span]
                       for form in (l1.form1, l1.form2))
     top = max(abs(a), abs(b), abs(c), abs(d))
     if top <= INCIDENCE_TOL:

@@ -364,6 +364,13 @@ def test_orbit_subcommand():
     assert data["status"] in ("ok", "escaped")
 
 
+def test_orbit_writes_its_word_with_each_power_written_out():
+    code, out = run(["orbit", "--word", "s1 g2^-2 g3", "--x", "0.1,0.2,0.3", "--theta", "1,2,3,4",
+                     "--iters", "1", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["word"] == "s1 g2^-1 g2^-1 g3"
+
+
 def test_an_orbit_that_escapes_stops_at_its_first_step():
     code, out = run(["orbit", "--word", "s1 s2 s3", "--x", "50,60,70", "--theta", "0.3,-0.2,0.1,0.7",
                      "--iters", "5", "--output", "json"])

@@ -212,7 +212,7 @@ def test_random_offwall_kappa_certified():
     for _ in range(5):
         kappa = random_offwall_kappa(rng)
         assert kappa.is_rational()
-        assert not wall_membership(kappa).on_wall
+        assert wall_membership(kappa) == []
 
     class OnAWall:
         # every k_i is 1/2, and (1/2, 1/2, 1/2, 1/2) lies on a wall
@@ -314,10 +314,10 @@ def test_count_report_json():
 
 
 def _per_point_json(report: CountReport) -> dict:
-    """report.to_json() with every "x" written by AffinePoint.to_json, one
-    point at a time."""
+    """report.to_json() with every "x" written one point at a time, as the
+    [real, imag] pairs of its coordinates."""
     return {**report.to_json(),
-            "points": [{**AffinePoint(*p).to_json(), "residual": float(r)}
+            "points": [{"x": [[complex(v).real, complex(v).imag] for v in p], "residual": float(r)}
                        for p, r in zip(report.points, report.residuals)],
             "clusters": [{"multiplicity_det": float(m)} for m in report.multiplicities]}
 
@@ -340,7 +340,7 @@ def test_the_report_json_equals_the_per_point_text(case):
     import json
 
     # the report builds every "x" from one complex array; its text is the
-    # one the per-point AffinePoint.to_json gives, byte for byte, signed
+    # one written point by point (_per_point_json), byte for byte, signed
     # zeros and the int coordinate of the hand-built report included
     report = _REPORTS[case]()
     assert report.found == {"kappa_ref_n3": 72, "complex_theta": 22, "empty_n1": 0, "hand_built": 1}[case]
@@ -650,6 +650,31 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     assert partial.found == 2 and partial.status == "saturated"
     assert np.array_equal(points, x[[cycle[0], cycle[2]]])
     assert partial.orbits == [[0, 1]] and partial.minimal_periods == [3, 3]
+
+
+def _orbits_by_scan(orbit_of):
+    """The orbit lists from one scan of the labels per label."""
+    return [np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)]
+
+
+def test_the_orbit_lists_from_one_sort_equal_the_scan_per_label():
+    from cubicdyn import counting
+
+    # labels that are not monotone in root order keep their first-appearance order
+    labels = np.array([0, 0, 2, 1, 4, 4])
+    assert counting._orbit_lists(labels) == _orbits_by_scan(labels) == [[0, 1], [2], [3], [4, 5]]
+    assert counting._orbit_lists(np.arange(0)) == [] and counting._orbit_lists(np.arange(3)) == [[0], [1], [2]]
+    rng = np.random.default_rng(0)
+    for size in (1, 7, 50, 400):
+        labels = rng.integers(0, size, size)
+        assert counting._orbit_lists(labels) == _orbits_by_scan(labels)
+    # and the labels of kappa_ref's reference solves, each root's orbit head
+    for N in (2, 3, 4, 5):
+        report = _reference_solve(7, 0, N)[0]
+        labels = np.empty(report.found, dtype=int)
+        for orbit in report.orbits:
+            labels[orbit] = orbit[0]
+        assert counting._orbit_lists(labels) == _orbits_by_scan(labels) == report.orbits
 
 
 @pytest.mark.parametrize("lead", [1, 4, None])

@@ -99,7 +99,7 @@ def test_all_27_lines_on_surface():
 def _on_surface_point_by_point(line, theta):
     """The on-surface check one sample point at a time on Python complex
     scalars, the reference for lines_on_surface's one array."""
-    u, v = line.spanning_points()
+    u, v = line._span
     worst = 0.0
     for X in [[p + t * q for p, q in zip(u, v)] for t in (0, 1, -1, 2)] + [list(v)]:
         scale = 1 + max(map(abs, X)) ** 3
@@ -328,7 +328,7 @@ def test_the_closed_form_null_space_spans_each_line():
         b, theta = _setup(seed)
         for ln in all_lines(b):
             forms = np.array([ln.form1, ln.form2])
-            points = np.array(ln.spanning_points())
+            points = np.array(ln._span)
             top = np.max(np.abs(points), axis=1)
             assert np.all(np.abs(forms @ points.T) <= 1e-14 * top), (seed, ln.label)
             # each point has an entry 1 and none larger, up to rounding

@@ -147,7 +147,7 @@ def test_discriminant_vanishes_on_wall():
 
 def test_discriminant_nonzero_off_wall():
     k = KappaPoint.from_tail(Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 7))
-    assert not wall_membership(k).on_wall
+    assert wall_membership(k) == []
     assert abs(discriminant(kappa_to_eigen(k))) > 1e-8
 
 
@@ -162,29 +162,28 @@ def test_discriminant_factor_count():
 
 def test_wall_membership_exact_integer_witness():
     k = KappaPoint.from_tail(2, Fraction(1, 4), Fraction(1, 5), Fraction(1, 7))
-    rep = wall_membership(k)
-    assert rep.on_wall
-    kinds = {(w[0], w[1]) for w in rep.witnesses}
+    witnesses = wall_membership(k)
+    assert witnesses
+    kinds = {(w[0], w[1]) for w in witnesses}
     assert ("kappa_i_integer", 1) in kinds
 
 
 def test_wall_membership_exact_signed_sum_witness():
     # k1 - k2 + k3 - k4 = 1 (odd)
     k = KappaPoint.from_tail(Fraction(3, 4), Fraction(1, 4), Fraction(3, 4), Fraction(1, 4))
-    rep = wall_membership(k)
-    assert rep.on_wall
-    patterns = {w[1] for w in rep.witnesses if w[0] == "signed_sum_odd"}
+    witnesses = wall_membership(k)
+    assert witnesses
+    patterns = {w[1] for w in witnesses if w[0] == "signed_sum_odd"}
     assert "+-+-" in patterns
 
 
 def test_wall_membership_tolerant():
     # a kappa that is not rational is on a wall within a fixed 1e-9
     k = KappaPoint.from_tail(1.0 + 5e-10, 0.25, 0.2, 1.0 / 7)
-    rep = wall_membership(k)
-    assert rep.on_wall
-    assert rep.witnesses[0][:3] == ("kappa_i_integer", 1, 1)
-    rep = wall_membership(KappaPoint.from_tail(1.0 + 5e-8, 0.25, 0.2, 1.0 / 7))
-    assert not rep.on_wall
+    witnesses = wall_membership(k)
+    assert witnesses
+    assert witnesses[0][:3] == ("kappa_i_integer", 1, 1)
+    assert wall_membership(KappaPoint.from_tail(1.0 + 5e-8, 0.25, 0.2, 1.0 / 7)) == []
 
 
 def test_eigen_unit_circle_for_real_kappa():

@@ -133,8 +133,12 @@ def test_commutator_word_exact_rational():
 
 
 def test_parse_word_roundtrip_and_errors():
+    # a power is written out as that many letters; orbit's JSON "word"
+    # is their text (tests/test_cli.py)
     w = parse_word("s1 g2^-2 g3")
-    assert str(w) == "s1 g2^-1 g2^-1 g3"
+    assert w == (GeneratorLetter("sigma", 1), GeneratorLetter("g", 2, -1), GeneratorLetter("g", 2, -1),
+                 GeneratorLetter("g", 3))
+    assert [str(l) for l in w] == ["s1", "g2^-1", "g2^-1", "g3"]
     assert parse_word("s1^-2") == parse_word("s1 s1")
     with pytest.raises(ValueError):
         parse_word("h1")

@@ -749,18 +749,7 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
     return CountReport(N, closed, roots, residuals.tolist(),
                        multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
-                       orbits=_orbit_lists(orbit_of))
-
-
-def _orbit_lists(orbit_of: np.ndarray) -> list:
-    """The root indices under each orbit label, in root order, the labels in
-    order of first appearance, from one stable sort: the lists a scan per
-    label, [np.flatnonzero(orbit_of == o) for o in dict.fromkeys(orbit_of)], gives."""
-    order = np.argsort(orbit_of, kind="stable").tolist()
-    _, first, counts = np.unique(orbit_of, return_index=True, return_counts=True)
-    ends = np.cumsum(counts).tolist()
-    runs = [order[end - n:end] for end, n in zip(ends, counts.tolist())]
-    return [runs[j] for j in np.argsort(first).tolist()]
+                       orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
 
 
 def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) -> np.ndarray:

@@ -652,31 +652,6 @@ def test_a_partial_orbit_is_one_record(monkeypatch):
     assert partial.orbits == [[0, 1]] and partial.minimal_periods == [3, 3]
 
 
-def _orbits_by_scan(orbit_of):
-    """The orbit lists from one scan of the labels per label."""
-    return [np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)]
-
-
-def test_the_orbit_lists_from_one_sort_equal_the_scan_per_label():
-    from cubicdyn import counting
-
-    # labels that are not monotone in root order keep their first-appearance order
-    labels = np.array([0, 0, 2, 1, 4, 4])
-    assert counting._orbit_lists(labels) == _orbits_by_scan(labels) == [[0, 1], [2], [3], [4, 5]]
-    assert counting._orbit_lists(np.arange(0)) == [] and counting._orbit_lists(np.arange(3)) == [[0], [1], [2]]
-    rng = np.random.default_rng(0)
-    for size in (1, 7, 50, 400):
-        labels = rng.integers(0, size, size)
-        assert counting._orbit_lists(labels) == _orbits_by_scan(labels)
-    # and the labels of kappa_ref's reference solves, each root's orbit head
-    for N in (2, 3, 4, 5):
-        report = _reference_solve(7, 0, N)[0]
-        labels = np.empty(report.found, dtype=int)
-        for orbit in report.orbits:
-            labels[orbit] = orbit[0]
-        assert counting._orbit_lists(labels) == _orbits_by_scan(labels) == report.orbits
-
-
 @pytest.mark.parametrize("lead", [1, 4, None])
 def test_line_search_takes_the_first_improving_halving(monkeypatch, lead):
     from cubicdyn import counting

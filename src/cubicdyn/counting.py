@@ -609,12 +609,21 @@ def _line_search(x: np.ndarray, dx: np.ndarray, rnorm: np.ndarray, t, n: int):
     return xnew, improved
 
 
+_KEY_W = np.array([1, 2**0.5, 3**0.5]) / (1 + 2**0.5 + 3**0.5)  # sum 1, no rational relation
+
+
+def _key(p: np.ndarray) -> np.ndarray:
+    """The window key sum w_i Re x_i of each point of p (K, 3), w = _KEY_W."""
+    return _KEY_W[0] * p[:, 0].real + _KEY_W[1] * p[:, 1].real + _KEY_W[2] * p[:, 2].real
+
+
 def _sort_reps(reps: np.ndarray, radius: float):
     """The index that _cluster_index searches reps (C, 3) by, as (scale,
     order, key): each representative's match radius, in reps' order; the
-    order of reps by Re x_1; and Re x_1 in that order."""
-    order = np.argsort(reps[:, 0].real)
-    return radius * (1 + _max_abs(reps.T)), order, reps[order, 0].real
+    order of reps by _key; and _key in that order."""
+    key = _key(reps)
+    order = np.argsort(key)
+    return radius * (1 + _max_abs(reps.T)), order, key[order]
 
 
 def _insert_reps(index, new: np.ndarray, radius: float):
@@ -631,10 +640,11 @@ def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float, index=None) -
     reps (C, 3) within radius * (1 + max |rep_i|) of it in every
     coordinate, or -1 if there is none.
 
-    A point is compared only with the representatives whose Re x_1 lies
-    within twice the largest scale of its own, found by binary search; the
-    margin covers the rounding of the window's edges, so the result equals
-    the scan over all pairs.  reps must be finite.  index, if given, is
+    A point is compared only with the representatives whose _key lies
+    within twice the largest scale of its own, found by binary search; a
+    match within s moves the key by at most s, and the margin covers the
+    rounding of the window's edges, so the result equals the scan over all
+    pairs.  reps must be finite.  index, if given, is
     _sort_reps(reps, radius), kept by a caller whose reps only grow; the
     order of equal keys in it does not change the result.  The pairs'
     distances, like _sort_reps' scales, are taken by _max_abs on coordinate
@@ -642,9 +652,9 @@ def _cluster_index(reps: np.ndarray, x: np.ndarray, radius: float, index=None) -
     much, for the same values.
     """
     scale, order, key = _sort_reps(reps, radius) if index is None else index
-    width = 2 * scale.max(initial=0)
-    lo = np.searchsorted(key, x[:, 0].real - width)
-    count = np.searchsorted(key, x[:, 0].real + width, side="right") - lo
+    width, at = 2 * scale.max(initial=0), _key(x)
+    lo = np.searchsorted(key, at - width)
+    count = np.searchsorted(key, at + width, side="right") - lo
     point = np.repeat(np.arange(len(x)), count)
     rep = order[np.arange(len(point)) + np.repeat(lo - np.cumsum(count) + count, count)]
     hit = _gap([v[point] for v in x.T], [v[rep] for v in reps.T]) <= scale[rep]
@@ -711,36 +721,38 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     not quiet adds a root, so a search ends within saturation_batches *
     (closed form + 1) batches past cfg.seeds tuples.  A search whose roots
     already number the closed form draws no batch, as at N = 1, whose
-    closed form is 0.
-
-    Once the search ends, one pass of c over the roots gives, for each
-    root x, the images c^k(x) (k = 1..N): its orbit is labelled by the
-    least index of a root that an image matches within cfg.dedup_radius,
-    itself included; its minimal period is the least divisor k of N with
-    c^k(x) within cfg.dedup_radius of x; and its residual is
-    |c^N(x) - x|.  An orbit that misses points is still one record.
-
-    status is "saturated" when the root count falls short of the closed
-    form, else "partial" when some root's multiplicity estimate is below
-    1e-6 and "complete" when none is.  Genericity of theta is the caller's
-    burden (solve_for_kappa checks the walls).  Deterministic for a fixed
-    cfg.rng_seed on one host: numpy's vectorised complex loops may round
-    differently on another CPU, which can change a count short of the
-    closed form.
+    closed form is 0.  Once the search ends, _classify reports the roots.
+    Genericity of theta is the caller's burden (solve_for_kappa checks the
+    walls).  Deterministic for a fixed cfg.rng_seed on one host: numpy's
+    vectorised complex loops may round differently on another CPU, which
+    can change a count short of the closed form.
     """
     theta = tuple(complex(v) for v in _coerce_theta(theta))
-    closed = per_count_closed(N, "affine")
+    per_count_closed(N)  # N >= 1, checked before any search
     found = {}  # each divisor of N searched so far, in ascending order, to its roots
     for n in [d for d in range(1, N + 1) if N % d == 0]:
         found[n] = _find_roots(theta, n, cfg, [found[d] for d in found if n % d == 0])
-    roots = found[N]
+    return _classify(theta, N, found[N])
+
+
+def _classify(theta, N: int, roots: np.ndarray) -> CountReport:
+    """The report of distinct roots (K, 3) of c^N on S(theta) from any
+    source, in their order.  One pass of c gives each root x its images
+    c^k(x), k = 1..N: its orbit is labelled by the least index of a root
+    that an image matches within SolverConfig.dedup_radius, itself
+    included; its minimal period is the least divisor k of N with c^k(x)
+    within that radius of x; its residual is |c^N(x) - x|.  An orbit that
+    misses points is still one record.  status is "saturated" when the
+    roots fall short of the closed form, else "partial" when some root's
+    multiplicity estimate is below 1e-6 and "complete" when none is."""
+    closed = per_count_closed(N, "affine")
     cols = roots.T
-    index = _sort_reps(roots, cfg.dedup_radius)
+    index = _sort_reps(roots, SolverConfig.dedup_radius)
     scale = index[0]
     orbit_of, periods, y = np.arange(len(roots)), np.full(len(roots), N), cols
     for k in range(1, N):
         y = coxeter_apply(y, theta)
-        match = _cluster_index(roots, np.array(y).T, cfg.dedup_radius, index)
+        match = _cluster_index(roots, np.array(y).T, SolverConfig.dedup_radius, index)
         orbit_of = np.where(match >= 0, np.minimum(orbit_of, match), orbit_of)
         if N % k == 0:
             periods[(periods == N) & (_gap(y, cols) <= scale)] = k

@@ -89,6 +89,8 @@ class KappaPoint(_Point):
     def from_tail(cls, kappa1, kappa2, kappa3, kappa4) -> "KappaPoint":
         """Build from (k1..k4), reconstructing k0 from the linear constraint."""
         tail = (kappa1, kappa2, kappa3, kappa4)
+        if bad := [i for i, v in enumerate(tail, 1) if not _is_finite(v)]:
+            raise ValueError(f"kappa{bad[0]} must be finite")
         if all(isinstance(v, (int, Rational)) for v in tail):
             kappa0 = Fraction(1 - sum(Fraction(v) for v in tail), 2)
         else:

@@ -300,6 +300,9 @@ def test_a_discriminant_past_float_range_exits_1_with_one_error_line(capsys, b):
     ("theta", ["orbit", "--word", "s1", "--x", "0.1,0.2,0.3", "--theta", "1,2,{},4"]),
     ("b", ["disc", "--b", "1,2,3,{}"]),
     ("x", ["orbit", "--word", "s1", "--x", "0,{},0", "--theta", "1,2,3,4"]),
+    # the entry typed is named, not the kappa0 derived from it
+    ("kappa2", ["params", "--kappa", "1/3,{},1/5,1/7"]),
+    ("kappa4", ["solve", "--kappa", "1/3,1/4,1/5,{}", "--N", "2"]),
 ])
 def test_a_point_with_a_non_finite_entry_exits_1(capsys, name, argv, entry):
     code, out = run([a.format(entry) for a in argv] + ["--output", "json"])

@@ -10,6 +10,7 @@ from itertools import islice
 import numpy as np
 import pytest
 import sympy
+from cayley import cayley_points
 
 from cubicdyn.counting import (
     CountReport,
@@ -1254,6 +1255,12 @@ def test_cluster_index_matches_the_linear_scan(chunk):
     nan[1::2, 2] = np.nan
     wide = reps.copy()
     wide[11] *= 1e6  # a scale of 5e4 puts every representative in every window
+    # 240 representatives on one Re x_1, as the Cayley cubic's roots share it,
+    # and 12 that share one window key, their real parts all the same
+    line = rng.normal(size=(240, 3)) + 1j * rng.normal(size=(240, 3))
+    line[:, 0] = 0.5 + 1j * line[:, 0].imag
+    tied = reps.copy()
+    tied[:12] = reps[0].real + 0.02j * rng.normal(size=(12, 3))
     cases = [
         (reps, x),
         (reps, x[:0]),
@@ -1261,6 +1268,8 @@ def test_cluster_index_matches_the_linear_scan(chunk):
         (np.concatenate([reps, reps]), np.repeat(reps, 200, axis=0)),  # each point has two exact copies
         (wide, np.concatenate([x, wide[11:12] * (1 + 1e-8)])),
         (reps[:0], x),
+        (line, line[rng.integers(0, 240, size=60)] + radius * rng.uniform(-1.5, 1.5, size=(60, 3))),
+        (tied, np.concatenate([tied[:12] + 0.03j * rng.uniform(-1, 1, size=(12, 3)), x[:40]])),
     ]
     for r, p in cases:
         assert search(r, p, radius).tolist() == [scan(r, q, radius) for q in p]
@@ -1272,24 +1281,67 @@ def test_an_index_merged_yield_by_yield_matches_like_a_fresh_one():
     from cubicdyn import counting
 
     # representatives arrive in chunks, one empty and some repeating
-    # earlier keys: the merged index stays sorted by Re x_1, and matching
-    # through it gives what a fresh sort gives
+    # earlier keys: the merged index stays sorted by the key
+    # sum w_i Re x_i, and matching through it gives what a fresh sort gives
     rng = np.random.default_rng(1)
     radius = 0.05
     reps = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
-    reps[40:50] = reps[:10] + 0.01j  # the same Re x_1 as earlier roots
+    reps[40:50] = reps[:10] + 0.01j  # the same real parts, so the same key, as earlier roots
+    w = np.array([1, 2**0.5, 3**0.5]) / (1 + 2**0.5 + 3**0.5)
     near = reps[rng.integers(0, 60, size=500)]
     x = near + radius * (1 + np.abs(near).max(axis=1))[:, None] * rng.uniform(-1.5, 1.5, size=(500, 3))
     index = counting._sort_reps(reps[:0], radius)
     for lo, hi in [(0, 7), (7, 7), (7, 30), (30, 31), (31, 60)]:
         index = counting._insert_reps(index, reps[lo:hi], radius)
         scale, order, key = index
-        assert sorted(order) == list(range(hi)) and np.array_equal(key, reps[order, 0].real)
+        want = w[0] * reps[order, 0].real + w[1] * reps[order, 1].real + w[2] * reps[order, 2].real
+        assert sorted(order) == list(range(hi)) and np.array_equal(key, want)
         assert np.all(np.diff(key) >= 0)
         assert np.array_equal(scale, counting._sort_reps(reps[:hi], radius)[0])
         got = counting._cluster_index(reps[:hi], x, radius, index)
         assert np.array_equal(got, counting._cluster_index(reps[:hi], x, radius))
-    assert (got >= 40).any() and (got == -1).any()
+    assert (got >= 40).any() and (got == -1).any() and len(set(key)) == 50
+
+
+@pytest.mark.parametrize("N, points, orbits, periods", [
+    (2, 14, 7, {2: 14}),
+    (3, 72, 24, {3: 72}),
+    (4, 318, 83, {2: 14, 4: 304}),
+    (5, 1360, 272, {5: 1360}),
+    (6, 5774, 979, {2: 14, 3: 72, 6: 5688}),
+    (7, 24472, 3496, {7: 24472}),
+])
+def test_classify_finds_the_exact_orbits_of_the_shuffled_cayley_roots(N, points, orbits, periods):
+    # the smooth periodic points of the Cayley cubic (0, 0, 0, -4), one
+    # rounding from exact, share Re x_1 in large groups; their c-orbits are
+    # known in integers, and each orbit's size is its minimal period
+    from cubicdyn import counting
+
+    x, labels = cayley_points(N)
+    perm = np.random.default_rng(N).permutation(len(x))
+    x, labels = x[perm], labels[perm]
+    report = counting._classify((0, 0, 0, -4), N, x)
+    order = np.argsort(labels, kind="stable")
+    want = sorted(o.tolist() for o in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+    assert len(x) == points and len(want) == orbits and sorted(report.orbits) == want
+    minimal = np.array(report.minimal_periods)
+    assert all((minimal[o] == len(o)).all() for o in report.orbits)
+    assert dict(zip(*np.unique(minimal, return_counts=True))) == periods
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_classify_commutes_with_a_shuffle_of_the_roots(N):
+    # each kernel works per column, so a root rounds the same in any order
+    from cubicdyn import counting
+
+    report, _, _ = _reference_solve(7, 0, N)
+    perm = np.random.default_rng(N).permutation(report.found)
+    theta = tuple(complex(v) for v in _coerce_theta(rh_params(_KAPPA_REF)))
+    got = counting._classify(theta, N, report.points[perm])
+    assert np.array_equal(got.points, report.points[perm]) and got.status == report.status == "complete"
+    for name in ("residuals", "multiplicities", "minimal_periods"):
+        assert getattr(got, name) == [getattr(report, name)[i] for i in perm]
+    assert sorted(sorted(perm[o].tolist()) for o in got.orbits) == sorted(report.orbits)
 
 
 def test_solve_n4_with_the_default_config_is_complete(monkeypatch):

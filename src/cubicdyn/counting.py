@@ -221,10 +221,11 @@ class SolverConfig:
     every period, and it applies to each period solved, the divisors of N
     included.  It also caps the width of each seed batch (see _find_roots).
 
-    The rest are class constants: newton_tol, surface_tol (see _converged)
-    and dedup_radius define what a complete report certifies.  Once seeds
-    tuples are drawn, saturation_batches quiet batches in a row (no new
-    root) end the search short of the closed form.
+    The rest are class constants, read off the class: only _find_roots
+    takes a config.  newton_tol, surface_tol (see _converged) and
+    dedup_radius (see _classify) define what a complete report certifies.
+    Once seeds tuples are drawn, saturation_batches quiet batches in a row
+    (no new root) end the search short of the closed form.
     """
 
     seeds: int = 200000
@@ -234,7 +235,6 @@ class SolverConfig:
     dedup_radius: ClassVar[float] = 1e-6
     surface_tol: ClassVar[float] = DEFAULT_SURFACE_TOL
     saturation_batches: ClassVar[int] = 5
-    escape_radius: ClassVar[float] = DEFAULT_ESCAPE_RADIUS
 
     def __post_init__(self):
         if self.seeds <= 0:
@@ -245,11 +245,12 @@ class SolverConfig:
 
 @dataclass
 class CountReport:
-    """Outcome of one solve_periodic run: the roots as the rows of points,
-    and their residuals, multiplicities and minimal_periods in that order.
+    """The classified roots of c^N from any source (see _classify): the
+    roots as the rows of points, and their residuals, multiplicities and
+    minimal_periods in that order.
 
     orbits partitions the root indices into c-orbits, each in root order
-    and headed by its least index.  In a run short of the closed form an
+    and headed by its least index.  In a set short of the closed form an
     orbit may miss points: its record then holds the roots found, and
     may be shorter than their minimal period.
     """
@@ -261,7 +262,7 @@ class CountReport:
     multiplicities: list = field(default_factory=list)  # |det| estimate (see _transverse_multiplicity)
     minimal_periods: list = field(default_factory=list)
     orbits: list = field(default_factory=list)  # lists of root indices
-    status: str = "partial"  # complete | saturated | partial
+    status: str = "partial"  # complete | partial, or saturated (see solve_periodic)
 
     @property
     def found(self) -> int:
@@ -359,10 +360,10 @@ def _normal_equations(x, t, n: int):
     return a, jhr, res
 
 
-def _converged(x, t, n: int, cfg: SolverConfig):
+def _converged(x, t, n: int):
     """The solver's convergence test at period n: the map residual
-    max |c^n(x) - x| is below cfg.newton_tol and |f(x)| is within
-    surface_residual_bound(x, cfg.surface_tol).
+    max |c^n(x) - x| is below SolverConfig.newton_tol and |f(x)| is within
+    surface_residual_bound(x, SolverConfig.surface_tol).
 
     x is numpy coordinate columns (3, M), tested per point, or one point of
     three Python complex scalars; t is four Python complex scalars, or on
@@ -371,8 +372,8 @@ def _converged(x, t, n: int, cfg: SolverConfig):
     re-evaluates it; numpy's array loops round complex products and abs
     differently, so a point that passes on columns can fail as a point.
     """
-    gap = _gap(coxeter_apply(x, t, n), x)
-    return (gap < cfg.newton_tol) & (abs(cubic_eval(x, t)) <= surface_residual_bound(x, cfg.surface_tol))
+    bound = surface_residual_bound(x, SolverConfig.surface_tol)
+    return (_gap(coxeter_apply(x, t, n), x) < SolverConfig.newton_tol) & (abs(cubic_eval(x, t)) <= bound)
 
 
 def _seed_radius(t) -> float:
@@ -407,7 +408,7 @@ def _orbit_tuples(x: np.ndarray, t, n: int) -> np.ndarray:
     return np.concatenate(orbit)
 
 
-def _newton_batch(x: np.ndarray, t, n: int, cfg: SolverConfig, joining: list):
+def _newton_batch(x: np.ndarray, t, n: int, joining: list):
     """Damped Gauss-Newton on the letter system of period n.
 
     Each tuple (x_0, ..., x_{n-1}) is driven towards c(x_k) = x_{k+1 mod n},
@@ -431,16 +432,16 @@ def _newton_batch(x: np.ndarray, t, n: int, cfg: SolverConfig, joining: list):
     stalled, near a local minimum of the merit or where its step is poor,
     and is dropped, and so is a tuple whose normal equations are not
     finite or not positive definite; the loop ends once every tuple has
-    converged or left, often long before newton_max_iter.  Escaping
-    tuples overflow to inf/nan and are dropped; the arithmetic warnings
-    that produces are silenced within each iteration, never across a
-    yield.
+    converged or left, often long before SolverConfig.newton_max_iter.
+    Tuples that escape past DEFAULT_ESCAPE_RADIUS or overflow to inf/nan
+    are dropped; the arithmetic warnings that produces are silenced within
+    each iteration, never across a yield.
     """
     # x holds the live tuples as columns, in seed order; every tuple that
     # converges, stalls, escapes or goes bad is compacted away at once
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(SolverConfig.newton_max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            conv = _converged(x[:3], t, n, cfg)
+            conv = _converged(x[:3], t, n)
         if conv.any():
             yield x[:, conv].T
             x = x[:, ~conv]
@@ -449,11 +450,11 @@ def _newton_batch(x: np.ndarray, t, n: int, cfg: SolverConfig, joining: list):
             joining.clear()
         if x.shape[1] == 0:
             return
-        x = _newton_step(x, t, n, cfg)
+        x = _newton_step(x, t, n)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_step(x: np.ndarray, t, n: int, cfg: SolverConfig) -> np.ndarray:
+def _newton_step(x: np.ndarray, t, n: int) -> np.ndarray:
     """One damped Gauss-Newton step of _newton_batch on the live tuples x,
     (3n, M) columns; returns the tuples that stay in the batch, stepped."""
     a, jhr, res = _normal_equations(x, t, n)
@@ -473,7 +474,7 @@ def _newton_step(x: np.ndarray, t, n: int, cfg: SolverConfig) -> np.ndarray:
     if not ok.all():
         x, dx, rnorm = x[:, ok], dx[:, ok], rnorm[ok]
     xnew, improved = _line_search(x, dx, rnorm, t, n)
-    return xnew[:, improved & (np.abs(xnew).max(axis=0) <= cfg.escape_radius)]
+    return xnew[:, improved & (np.abs(xnew).max(axis=0) <= DEFAULT_ESCAPE_RADIUS)]
 
 
 @lru_cache(maxsize=None)
@@ -699,9 +700,8 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     Damped Gauss-Newton runs on the letter system of period N (see
     _newton_batch), in ambient C^{3N}, from tuples of N independent seeds
     drawn from one stream, seeded by cfg.rng_seed.  A tuple counts as
-    converged when x_0 passes _converged: |c^N(x_0) - x_0| below
-    cfg.newton_tol, and |f(x_0)| within surface_residual_bound(x_0,
-    cfg.surface_tol).  Every point of a converged tuple, and for real theta
+    converged when x_0 passes _converged (SolverConfig's newton_tol and
+    surface_tol).  Every point of a converged tuple, and for real theta
     of its conjugate, is a candidate root, admitted if it matches no root
     and passes _converged on numpy columns and then on Python scalars (see
     _find_roots).  The Newton steps run surface's sigma_apply, _sigma_row,
@@ -721,18 +721,23 @@ def solve_periodic(theta, N: int, cfg: SolverConfig = SolverConfig()) -> CountRe
     not quiet adds a root, so a search ends within saturation_batches *
     (closed form + 1) batches past cfg.seeds tuples.  A search whose roots
     already number the closed form draws no batch, as at N = 1, whose
-    closed form is 0.  Once the search ends, _classify reports the roots.
-    Genericity of theta is the caller's burden (solve_for_kappa checks the
-    walls).  Deterministic for a fixed cfg.rng_seed on one host: numpy's
-    vectorised complex loops may round differently on another CPU, which
-    can change a count short of the closed form.
+    closed form is 0.  Once the search ends, _classify reports the roots; a
+    report short of the closed form is "saturated", as its search stopped
+    on quiet batches.  Genericity of theta is the caller's burden
+    (solve_for_kappa checks the walls).  Deterministic for a fixed
+    cfg.rng_seed on one host: numpy's vectorised complex loops may round
+    differently on another CPU, which can change a count short of the
+    closed form.
     """
     theta = tuple(complex(v) for v in _coerce_theta(theta))
     per_count_closed(N)  # N >= 1, checked before any search
     found = {}  # each divisor of N searched so far, in ascending order, to its roots
     for n in [d for d in range(1, N + 1) if N % d == 0]:
         found[n] = _find_roots(theta, n, cfg, [found[d] for d in found if n % d == 0])
-    return _classify(theta, N, found[N])
+    report = _classify(theta, N, found[N])
+    if report.found < report.closed_form:
+        report.status = "saturated"
+    return report
 
 
 def _classify(theta, N: int, roots: np.ndarray) -> CountReport:
@@ -742,9 +747,9 @@ def _classify(theta, N: int, roots: np.ndarray) -> CountReport:
     that an image matches within SolverConfig.dedup_radius, itself
     included; its minimal period is the least divisor k of N with c^k(x)
     within that radius of x; its residual is |c^N(x) - x|.  An orbit that
-    misses points is still one record.  status is "saturated" when the
-    roots fall short of the closed form, else "partial" when some root's
-    multiplicity estimate is below 1e-6 and "complete" when none is."""
+    misses points is still one record.  status is "complete" when the
+    roots number the closed form and no multiplicity estimate is below
+    1e-6, else "partial", whatever source the roots came from."""
     closed = per_count_closed(N, "affine")
     cols = roots.T
     index = _sort_reps(roots, SolverConfig.dedup_radius)
@@ -758,7 +763,7 @@ def _classify(theta, N: int, roots: np.ndarray) -> CountReport:
             periods[(periods == N) & (_gap(y, cols) <= scale)] = k
     residuals = _gap(coxeter_apply(y, theta), cols)
     mults = _transverse_multiplicity(np.array(coxeter_jacobian(cols, theta, N, escape_radius=np.inf)))
-    status = "saturated" if len(roots) != closed else "partial" if (mults < 1e-6).any() else "complete"
+    status = "complete" if len(roots) == closed and not (mults < 1e-6).any() else "partial"
     return CountReport(N, closed, roots, residuals.tolist(),
                        multiplicities=mults.tolist(), minimal_periods=periods.tolist(), status=status,
                        orbits=[np.flatnonzero(orbit_of == o).tolist() for o in dict.fromkeys(orbit_of)])
@@ -785,10 +790,9 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
     roots' index for _cluster_index is kept across yields, each yield's new
     roots merged in.
     """
-    radius = cfg.dedup_radius
+    radius = SolverConfig.dedup_radius
     roots = np.empty((0, 3), dtype=complex)
     index = _sort_reps(roots, radius)
-
     joining = []
 
     def absorb(tuples: np.ndarray):
@@ -801,10 +805,10 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
             tuples = np.concatenate([tuples, tuples.conj()])
         pts = tuples.reshape(-1, 3)
         pts = pts[_cluster_index(roots, pts, radius, index) < 0]
-        conv = _converged(pts.T, theta, N, cfg)
+        conv = _converged(pts.T, theta, N)
         pts, lagging = pts[conv], pts[~conv]
         pts = pts[_cluster_index(pts, pts, radius) == np.arange(len(pts))]
-        pts = pts[np.array([_converged(x, theta, N, cfg) for x in pts.tolist()], dtype=bool)]
+        pts = pts[np.array([_converged(x, theta, N) for x in pts.tolist()], dtype=bool)]
         roots = np.concatenate([roots, pts])
         index = _insert_reps(index, pts, radius)
         # a candidate that fails on columns lags behind its converged tuple
@@ -826,9 +830,9 @@ def _find_roots(theta: tuple, N: int, cfg: SolverConfig, divisor_roots: list) ->
     full = min(_SEED_CHUNK, cfg.seeds)
     size = min(full, max(_FIRST_BATCH_MIN, -(-_TUPLES_PER_ORBIT * closed // N)))
     drawn = quiet = 0
-    while len(roots) < closed and (drawn < cfg.seeds or quiet < cfg.saturation_batches):
+    while len(roots) < closed and (drawn < cfg.seeds or quiet < SolverConfig.saturation_batches):
         before = len(roots)
-        for tuples in _newton_batch(_make_tuples(size, N, theta, rng), theta, N, cfg, joining):
+        for tuples in _newton_batch(_make_tuples(size, N, theta, rng), theta, N, joining):
             absorb(tuples)
             if len(roots) >= closed:
                 break

@@ -272,19 +272,15 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
     slot-3 line.  Raises ValueError when one of the discriminant's twenty
     factors is below _FACTOR_TOL in modulus (each vanishes on one family
     of walls, and their product can fall below it far from every wall),
-    and AssertionError on any failed check.  lines, if given, is
-    all_lines(b), whose affine lines the check reads in place of building
-    its ten again with line_from_params.
+    and AssertionError on any failed check.  Each affine line is read by
+    its params from one table of all_lines(b): lines if given, else the
+    lines built here once.
     """
     smallest = min(map(abs, _discriminant_factors(b)))
     if smallest < _FACTOR_TOL:
         raise ValueError(f"a discriminant factor is below {_FACTOR_TOL:g} in modulus "
                          f"(smallest {smallest:.3g})")
-    built = {ln.params: ln for ln in lines or () if ln.params}
-
-    def line(g, slot):
-        return built.get((g, slot)) or line_from_params(g, slot, b)
-
+    line = {ln.params: ln for ln in lines or all_lines(b) if ln.params}
     traces = traces_from_eigen(b)
     theta = traces_to_theta(traces).as_tuple()
     j = i % 3 + 1
@@ -294,7 +290,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
     # sigma_i swaps slots (1,2) and (3,4) within each of the other two groups
     for g in (j, k):
         for s1, s2 in ((1, 2), (3, 4)):
-            src, dst = line(g, s1), line(g, s2)
+            src, dst = line[g, s1], line[g, s2]
             for x in src.affine_points():
                 y = sigma_apply(i, x, theta)
                 if not dst.contains_affine(y, tol):
@@ -317,7 +313,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
     ti = theta[i - 1]
 
     # self-intersection of sigma_i(first line) with that line: quadratic in x_k
-    first = line(i, 1)
+    first = line[i, 1]
     roots = _quadratic_roots(p, -(ak * bi + aj * b4), ti - 2 * (p + 1 / p))
     for xk in roots:
         x = [0j, 0j, 0j]
@@ -333,7 +329,7 @@ def verify_sigma_line_action(b: EigenParams, i: int = 1, tol: float = _LINE_TOL,
         report["quadratic_roots"].append(x)
 
     # unique crossing of sigma_i(first line) with the slot-3 line
-    third = line(i, 3)
+    third = line[i, 3]
     det = bj * bk - bi * b4
     # linear system for (x_j, x_k): rows from the slot-3 line and the image line
     rhs1 = a4 * bj + ai * bk

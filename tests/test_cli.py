@@ -1004,16 +1004,27 @@ def test_json_output_is_one_line(argv):
     assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
 
 
-def test_solve_default_config_matches_solver(monkeypatch):
+def _record_solver_config(monkeypatch):
+    """Record the config of each _find_roots call, the one reader of a
+    SolverConfig; each call finds no root."""
+    import numpy as np
+
     from cubicdyn import counting
 
     seen = []
 
-    def newton(x0, t, n, cfg, joining):
+    def find(theta, n, cfg, divisor_roots):
         seen.append(cfg)
-        return iter(())
+        return np.empty((0, 3), dtype=complex)
 
-    monkeypatch.setattr(counting, "_newton_batch", newton)
+    monkeypatch.setattr(counting, "_find_roots", find)
+    return seen
+
+
+def test_solve_default_config_matches_solver(monkeypatch):
+    from cubicdyn import counting
+
+    seen = _record_solver_config(monkeypatch)
     theta = "1,2,3,4"
     for N in (2, 3):
         seen.clear()
@@ -1025,24 +1036,17 @@ def test_solve_default_config_matches_solver(monkeypatch):
         assert from_cli.seeds == 200000
 
 
+# SolverConfig's class constants, and surface's DEFAULT_ESCAPE_RADIUS
 _SOLVER_CONSTANTS = ["dedup_radius", "escape_radius", "newton_max_iter", "newton_tol",
                      "saturation_batches", "surface_tol"]
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)] + _SOLVER_CONSTANTS)
 def test_solve_flags_and_config_keys_reach_the_solver(monkeypatch, name):
-    """A SolverConfig field reaches the solver as its flag; a class
+    """A SolverConfig field reaches the solver as its flag; a solver
     constant is no flag, and naming it is a usage error."""
-    from cubicdyn import counting
-
-    seen = []
-
-    def newton(x0, t, n, cfg, joining):
-        seen.append(cfg)
-        return iter(())
-
-    monkeypatch.setattr(counting, "_newton_batch", newton)
-    value = 7 if isinstance(getattr(SolverConfig(), name), int) else 0.125
+    seen = _record_solver_config(monkeypatch)
+    value = 7 if isinstance(getattr(SolverConfig, name, None), int) else 0.125
     flag = "--rng" if name == "rng_seed" else "--" + name.replace("_", "-")
     code, _ = run(["solve", "--theta", "1,2,3,4", "--N", "2", flag, str(value)])
     if name in _SOLVER_CONSTANTS:

@@ -516,7 +516,7 @@ def test_no_bad_point_reaches_the_line_search(monkeypatch):
 
     monkeypatch.setattr(counting, "_line_search", record)
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 20)
-    list(counting._newton_batch(seeds, t, 2, SolverConfig(), []))
+    list(counting._newton_batch(seeds, t, 2, []))
     assert searched
     for x, dx in searched:
         assert np.isfinite(x).all()
@@ -545,9 +545,9 @@ def _record_seed_chunks(monkeypatch, answer=None):
         drawn.append(make(count, n, t, rng))
         return drawn[-1]
 
-    def newton_batch(x, t, n, cfg, joining):
+    def newton_batch(x, t, n, joining):
         seed_chunk.append(any(x is d for d in drawn))
-        return newton(x, t, n, cfg, joining) if answer is None else iter([answer])
+        return newton(x, t, n, joining) if answer is None else iter([answer])
 
     monkeypatch.setattr(counting, "_make_tuples", make_tuples)
     monkeypatch.setattr(counting, "_newton_batch", newton_batch)
@@ -697,7 +697,7 @@ def test_line_search_gives_each_point_the_same_bits_alone_as_in_its_batch():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_line_search", record)
         mp.setattr(SolverConfig, "newton_max_iter", 10)
-        list(counting._newton_batch(seeds, t, 3, SolverConfig(), []))
+        list(counting._newton_batch(seeds, t, 3, []))
     assert len(steps) == 10
     with np.errstate(over="ignore", invalid="ignore"):
         for x, dx, rnorm in steps:
@@ -748,7 +748,7 @@ def test_newton_batch_drops_stalled_tuples(monkeypatch):
         return normal(x, t, n)
 
     monkeypatch.setattr(counting, "_normal_equations", record)
-    out = np.concatenate(list(counting._newton_batch(seeds, t, 3, SolverConfig(), [])))
+    out = np.concatenate(list(counting._newton_batch(seeds, t, 3, [])))
     assert out.shape == (1933, 9)
     assert len(calls) <= 60
 
@@ -758,9 +758,8 @@ def test_newton_batch_orders_by_iteration_then_seed():
 
     kappa = random_offwall_kappa(np.random.default_rng(3))
     t = _theta_array(rh_params(kappa))
-    cfg = SolverConfig(seeds=1500)
     found = np.concatenate(list(counting._newton_batch(
-        counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, cfg, [])))[:, :3]
+        counting._make_tuples(1500, 2, t, np.random.default_rng(0)), t, 2, [])))[:, :3]
     roots = []
     for x in found:
         if all(np.abs(x - r).max() > 1e-3 for r in roots):
@@ -771,7 +770,7 @@ def test_newton_batch_orders_by_iteration_then_seed():
     # each tuple's x_1 is the image of the unperturbed root
     x0 = np.stack([r0 + 1e-4, r1, r2 + 1e-8, r3], axis=1)
     x1 = np.array(coxeter_apply(np.stack([r0, r1, r2, r3], axis=1), t))
-    out = np.concatenate(list(counting._newton_batch(np.concatenate([x0, x1]), t, 2, cfg, [])))
+    out = np.concatenate(list(counting._newton_batch(np.concatenate([x0, x1]), t, 2, [])))
     assert out.shape == (4, 6)
     out = out[:, :3]
     assert np.array_equal(out[0], r1) and np.array_equal(out[1], r3)
@@ -825,9 +824,9 @@ def _reference_solve(kappa, rng_seed, N):
     newton, normal = counting._newton_batch, counting._normal_equations
     batches, widths = [], []
 
-    def record_batch(x, t, n, cfg, joining):
+    def record_batch(x, t, n, joining):
         batches.append((n, x.shape[1], sum(j.shape[1] for j in joining)))
-        return newton(x, t, n, cfg, joining)
+        return newton(x, t, n, joining)
 
     def record_step(x, t, n):
         widths.append(x.shape[1])
@@ -943,7 +942,7 @@ def test_a_lagging_point_of_a_converged_tuple_is_admitted_from_the_same_batch(mo
     tuples = np.array([x[o].ravel() for o in orbits])
     tuples[0, 3:] *= 1 + 1e-9
     t = _theta_array(_COMPLEX_THETA)
-    assert not counting._converged(tuples[0, 3:, None], t, 2, cfg)[0]
+    assert not counting._converged(tuples[0, 3:, None], t, 2)[0]
     monkeypatch.setattr(counting, "_make_tuples", lambda count, n, t, rng: tuples.T.copy())
     calls = _record_newton_batch(monkeypatch)
     report = solve_periodic(_COMPLEX_THETA, 2, cfg)
@@ -975,7 +974,7 @@ def test_a_batch_left_early_raises_no_warning_and_restores_the_errstate():
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = counting._newton_batch(seeds, t, 2, SolverConfig(), [])
+        batch = counting._newton_batch(seeds, t, 2, [])
         assert len(next(batch)) and np.geterr() == before
         batch.close()
     assert np.geterr() == before
@@ -1327,6 +1326,10 @@ def test_classify_finds_the_exact_orbits_of_the_shuffled_cayley_roots(N, points,
     minimal = np.array(report.minimal_periods)
     assert all((minimal[o] == len(o)).all() for o in report.orbits)
     assert dict(zip(*np.unique(minimal, return_counts=True))) == periods
+    # at even N the smooth points miss the 8 node-born roots: a set short of
+    # the closed form that no search produced is partial, not saturated
+    assert report.closed_form - len(x) == (0 if N % 2 else 8)
+    assert report.status == ("complete" if N % 2 else "partial")
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -1416,12 +1419,12 @@ def test_a_divisor_root_that_fails_the_period_n_recheck_is_not_admitted(monkeypa
     calls = _record_newton_batch(monkeypatch)
     rejected = []
 
-    def reject_once_at_four(x, t, n, cfg):
+    def reject_once_at_four(x, t, n):
         # numpy columns pass through: only a test of one point on scalars rejects
         if n == 4 and not rejected and not isinstance(x, np.ndarray):
             rejected.append((tuple(map(complex, x)), list(calls)))
             return False
-        return converged(x, t, n, cfg)
+        return converged(x, t, n)
 
     monkeypatch.setattr(counting, "_converged", reject_once_at_four)
     report = solve_for_kappa(kappa, 4, cfg)
@@ -1484,7 +1487,7 @@ def test_the_gate_on_python_scalars_decides_as_a_scalar_reevaluation(roots_near_
             gap = max(abs(a - b) for a, b in zip(coxeter_apply(x, t, N), x))
             bound = cfg.surface_tol * (1 + max(abs(v) for v in x) ** 3)
             want = gap < cfg.newton_tol and abs(cubic_eval(x, t)) <= bound
-            assert counting._converged(x, t, N, cfg) == want
+            assert counting._converged(x, t, N) == want
             decided.append(want)
     assert len(decided) >= 10000
     assert sum(decided) >= 1000 and len(decided) - sum(decided) >= 1000
@@ -1497,13 +1500,13 @@ def test_the_gate_on_columns_decides_each_point_as_alone(roots_near_the_gate):
     for N, theta, pts in roots_near_the_gate:
         t = _theta_array(theta)
         cols = pts.T
-        got = counting._converged(cols, t, N, cfg)
+        got = counting._converged(cols, t, N)
         gap = np.abs(np.array(coxeter_apply(cols, t, N)) - cols).max(axis=0)
         bound = cfg.surface_tol * (1 + np.abs(cols).max(axis=0) ** 3)
         assert np.array_equal(got, (gap < cfg.newton_tol) & (np.abs(cubic_eval(cols, t)) <= bound))
         assert 0 < got.sum() < len(got)
         for i in range(0, len(pts), 13):
-            assert counting._converged(cols[:, i:i + 1], t, N, cfg)[0] == got[i]
+            assert counting._converged(cols[:, i:i + 1], t, N)[0] == got[i]
 
 
 @pytest.mark.parametrize("kappa_seed, rng_seed, N, closed", [(7, 0, 3, 72), (7, 0, 4, 326), (1, 1, 5, 1360),
@@ -1608,10 +1611,10 @@ def _record_newton_batch(monkeypatch, stub=None):
     calls = []
     newton = stub or counting._newton_batch
 
-    def record(x, t, n, cfg, joining):
+    def record(x, t, n, joining):
         assert x.shape[0] == 3 * n
         calls.append((n, x.shape[1]))
-        return newton(x, t, n, cfg, joining)
+        return newton(x, t, n, joining)
 
     monkeypatch.setattr(counting, "_newton_batch", record)
     return calls
@@ -1688,8 +1691,7 @@ def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
     t = _theta_array(rh_params(kappa))
     seeds = counting._make_tuples(200, 2, t, np.random.default_rng(0))
     monkeypatch.setattr(SolverConfig, "newton_max_iter", 30)
-    cfg = SolverConfig()
-    want = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg, [])))
+    want = np.concatenate(list(counting._newton_batch(seeds, t, 2, [])))
     cholesky, search = counting._cholesky_solve, counting._line_search
     oks, searched = [], []
 
@@ -1705,7 +1707,7 @@ def test_a_failed_solve_drops_only_the_singular_tuples(monkeypatch):
 
     monkeypatch.setattr(counting, "_cholesky_solve", zero_one_system)
     monkeypatch.setattr(counting, "_line_search", record)
-    got = np.concatenate(list(counting._newton_batch(seeds, t, 2, cfg, [])))
+    got = np.concatenate(list(counting._newton_batch(seeds, t, 2, [])))
     assert np.flatnonzero(~oks[0]).tolist() == [5]
     assert all(ok.all() for ok in oks[1:])
     assert searched[0] == len(oks[0]) - 1
